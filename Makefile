@@ -1,47 +1,19 @@
-# Standard verify entry point: `make check` (or scripts/check.sh where
-# make is unavailable) runs everything CI expects to pass.
+# Standard verify entry point: `make check` runs scripts/check.sh, the one
+# copy of the gate (use the script directly where make is unavailable).
+# The stage targets are aliases for `scripts/check.sh <stage>`; what each
+# stage runs, and why, is documented there.
 
 GO ?= go
 
-.PHONY: check vet build test race racestress soakfailover fuzzseed bench benchfull benchskew benchserving benchmultiquery fmt fmtcheck
+STAGES = fmtcheck vet build test race racestress soakfailover fuzzseed ckptsmoke allocfloors benchsmoke
 
-check: fmtcheck vet build test race racestress soakfailover fuzzseed
+.PHONY: check $(STAGES) bench benchfull benchskew benchserving benchmultiquery fmt
 
-vet:
-	$(GO) vet ./...
+check:
+	scripts/check.sh
 
-build:
-	$(GO) build ./...
-
-test:
-	$(GO) test ./...
-
-# The whole module must stay race-clean: the partitioned worker pools
-# drive exec replicas concurrently, and everything else rides along.
-race:
-	$(GO) test -race ./...
-
-# Multi-producer ingestion stress, repeated under the race detector: one
-# pass rarely covers the interleavings of concurrent SendBatch producers,
-# the parallel wire pipeline, and Stats/Checkpoint barriers.
-racestress:
-	$(GO) test -race -run TestParallelIngestStress -count 5 ./engine/
-
-# Warm-standby failover chaos soak under the race detector: repeated
-# kill -> promote -> re-seed cycles over one continuous stream, requiring
-# an element-exact delivery stream and one epoch bump per promotion.
-# SOAKFAILOVER_CYCLES raises the round count (default 5 here).
-SOAKFAILOVER_CYCLES ?= 5
-soakfailover:
-	SOAKFAILOVER_CYCLES=$(SOAKFAILOVER_CYCLES) $(GO) test -race -run 'TestFailoverSoak|TestStandbyFailoverChaos' -count 1 ./server/
-
-# Run the fuzz targets over their checked-in seed corpus: wire-format
-# (truncated frames, oversized lengths, unknown streams), the serving
-# handshake (bad magic, bad role, absurd name lengths), and the tiered
-# join-state snapshot decoder (torn cold segments, corrupted bytes).
-# `go test -fuzz` explores further; the seed set is the regression gate.
-fuzzseed:
-	$(GO) test -run Fuzz ./engine/... ./server/... ./exec/...
+$(STAGES):
+	scripts/check.sh $@
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...
@@ -64,10 +36,6 @@ benchserving:
 
 fmt:
 	gofmt -l .
-
-# Failing formatting gate: `make check` aborts if any file needs gofmt.
-fmtcheck:
-	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Shared-subplan multi-query benchmark pass only: view ladders per
 # overlap shape, recorded (with per-name medians across repeated

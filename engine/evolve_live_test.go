@@ -90,6 +90,7 @@ func TestLiveEvolveUnderLoad(t *testing.T) {
 
 	half := len(feed) / 2
 	halfSent := make(chan struct{})
+	lateAttached := make(chan struct{})
 	churnDone := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -103,7 +104,11 @@ func TestLiveEvolveUnderLoad(t *testing.T) {
 				return
 			}
 			if i == half {
+				// Hold the second half until the late view is in: on a
+				// loaded host the rest of the feed could otherwise drain
+				// before the attach and leave it nothing to deliver.
 				close(halfSent)
+				<-lateAttached
 			}
 		}
 	}()
@@ -172,6 +177,7 @@ func TestLiveEvolveUnderLoad(t *testing.T) {
 	// detach the early one from the main goroutine.
 	<-halfSent
 	late, err := rt.Attach("late", workload.AuctionQuery(), engine.Options{Share: true})
+	close(lateAttached)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,9 +156,14 @@ type probeScratch struct {
 	consts []stream.Value
 }
 
+// pendingPunct is an accepted punctuation awaiting its purge round. idx
+// and consts are p's constant positions and values, ascending — worked
+// out once on acceptance, read many times per round.
 type pendingPunct struct {
-	input int
-	p     stream.Punctuation
+	input  int
+	p      stream.Punctuation
+	idx    []int
+	consts []stream.Value
 }
 
 // NewMJoin builds the operator. The safety analysis runs once here: each
@@ -446,11 +451,13 @@ func (m *MJoin) pushPunct(out []stream.Element, input int, p stream.Punctuation)
 		// punctuations" filtering of §1.
 		return out, nil
 	}
+	// add left the entry holding exactly p's constants (fresh or widened).
+	pp := pendingPunct{input: input, p: p, idx: entry.idx, consts: entry.consts}
 	if m.cfg.PurgeBatch <= 1 {
-		m.pg.one = append(m.pg.one[:0], pendingPunct{input: input, p: p})
+		m.pg.one = append(m.pg.one[:0], pp)
 		out = m.purgeRound(out, m.pg.one)
 	} else {
-		m.pending = append(m.pending, pendingPunct{input: input, p: p})
+		m.pending = append(m.pending, pp)
 	}
 	// Output punctuation propagation for the freshly arrived punctuation.
 	if !m.cfg.DisableOutputPuncts {

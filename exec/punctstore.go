@@ -16,6 +16,9 @@ type punctEntry struct {
 	// consts are the constant values in punctuatable-attribute order
 	// (the ordered slot, if any, holds the current bound).
 	consts []stream.Value
+	// idx are the positions consts sit at: the punctuatable positions of
+	// the scheme the punctuation instantiates (shared with the scheme).
+	idx []int
 	// arrived is the operator clock value when the punctuation arrived
 	// (or was last widened).
 	arrived uint64
@@ -153,7 +156,7 @@ func (ps *punctStore) add(p stream.Punctuation, now, lifespan uint64) *punctEntr
 	} else if ok {
 		ps.size-- // replace an expired entry
 	}
-	e := &punctEntry{punct: p, consts: consts, arrived: now}
+	e := &punctEntry{punct: p, consts: consts, idx: ps.schemes[si].PunctuatableIndexes(), arrived: now}
 	if lifespan > 0 {
 		e.expires = now + lifespan
 	}

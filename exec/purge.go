@@ -90,7 +90,7 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 	// Anchor tuples: stored tuples in partner states carrying a value a
 	// new punctuation constrains.
 	for _, pp := range batch {
-		for _, a := range pp.p.ConstIndexes() {
+		for _, a := range pp.idx {
 			pat := pp.p.Patterns[a]
 			for _, p := range m.predsTouching[pp.input] {
 				other, myAttr, otherAttr := p.Other(pp.input)
@@ -452,7 +452,7 @@ func (m *MJoin) tryEmitPunct(input int, e *punctEntry) (stream.Element, bool) {
 	if e.emitted || e.expired(m.clock) {
 		return stream.Element{}, false
 	}
-	if m.hasMatchingTuple(input, e.punct) {
+	if m.hasMatchingTuple(input, e) {
 		return stream.Element{}, false
 	}
 	e.emitted = true
@@ -461,7 +461,7 @@ func (m *MJoin) tryEmitPunct(input int, e *punctEntry) (stream.Element, bool) {
 	for i := range pats {
 		pats[i] = stream.Wildcard()
 	}
-	for _, a := range e.punct.ConstIndexes() {
+	for _, a := range e.idx {
 		pats[m.colBase[input]+a] = e.punct.Patterns[a]
 	}
 	return stream.PunctElement(stream.MustPunctuation(pats...)), true
@@ -514,12 +514,12 @@ func (m *MJoin) emitPendingPuncts(out []stream.Element) []stream.Element {
 }
 
 // hasMatchingTuple reports whether any stored tuple of the input matches
-// the punctuation's constant patterns. Indexed attributes are probed;
-// otherwise the state is scanned.
-func (m *MJoin) hasMatchingTuple(input int, p stream.Punctuation) bool {
-	consts := p.ConstIndexes()
+// the stored punctuation's constant patterns. Indexed attributes are
+// probed; otherwise the state is scanned.
+func (m *MJoin) hasMatchingTuple(input int, e *punctEntry) bool {
+	p := e.punct
 	st := m.states[input]
-	for _, a := range consts {
+	for _, a := range e.idx {
 		// The hash index answers equality constraints only.
 		if st.index[a] == nil || p.Patterns[a].IsLeq() {
 			continue
@@ -609,10 +609,10 @@ func (m *MJoin) purgePunctStores(batch []pendingPunct, removed [][]stream.Tuple)
 	// (a) New punctuations: they may complete the counter-coverage of a
 	// partner stream's stored punctuation with the mapped constants.
 	for _, pp := range batch {
-		m.eachMappedEntry(pp.input, pp.p, consider)
+		m.eachMappedEntry(pp, consider)
 		// The new punctuation itself may already be droppable.
 		if si := m.puncts[pp.input].schemeIndex(pp.p); si >= 0 {
-			if e := m.puncts[pp.input].lookup(si, constsOf(pp.p), m.clock); e != nil {
+			if e := m.puncts[pp.input].lookup(si, pp.consts, m.clock); e != nil {
 				consider(pp.input, si, e)
 			}
 		}
@@ -697,13 +697,13 @@ func (m *MJoin) removeVictims(victims []punctVictim) {
 // eachMappedEntry maps a punctuation's constraint through the join
 // predicates onto each partner stream and invokes fn for every stored
 // partner punctuation whose constants equal the mapped values.
-func (m *MJoin) eachMappedEntry(input int, p stream.Punctuation, fn func(input, schemeIdx int, e *punctEntry)) {
-	consts := p.ConstIndexes()
+func (m *MJoin) eachMappedEntry(pp pendingPunct, fn func(input, schemeIdx int, e *punctEntry)) {
+	input, p := pp.input, pp.p
 	for _, other := range m.partners[input] {
 		// mapped[attr of other] = value implied by p.
 		mapped := make(map[int]stream.Value)
 		conflict := false
-		for _, a := range consts {
+		for _, a := range pp.idx {
 			v := p.Patterns[a].Value()
 			for _, pr := range m.predsTouching[input] {
 				o, myAttr, otherAttr := pr.Other(input)

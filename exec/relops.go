@@ -144,13 +144,16 @@ func (p *Project) Push(e stream.Element) ([]stream.Element, error) {
 	for i := range pats {
 		pats[i] = stream.Wildcard()
 	}
-	for _, ci := range punct.ConstIndexes() {
+	for ci, pat := range punct.Patterns {
+		if pat.IsWildcard() {
+			continue
+		}
 		k, ok := kept[ci]
 		if !ok {
 			p.Absorbed++
 			return nil, nil
 		}
-		pats[k] = punct.Patterns[ci]
+		pats[k] = pat
 	}
 	out, err := stream.NewPunctuation(pats...)
 	if err != nil {

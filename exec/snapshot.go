@@ -285,7 +285,8 @@ func (m *MJoin) decodeState(blob []byte) (*opState, error) {
 		if !e.IsPunct() {
 			return nil, fmt.Errorf("%w: pending entry is not a punctuation", ErrCorruptState)
 		}
-		os.pending = append(os.pending, pendingPunct{input: input, p: e.Punct()})
+		p := e.Punct()
+		os.pending = append(os.pending, pendingPunct{input: input, p: p, idx: p.ConstIndexes(), consts: constsOf(p)})
 	}
 	pressured, err := d.byteVal("pressure latch")
 	if err != nil {
@@ -421,7 +422,7 @@ func (m *MJoin) decodePunctStore(d *stateDec, input int, codec *stream.Codec, cl
 			if !ps.schemes[k].Instantiates(p) {
 				return nil, fmt.Errorf("%w: punctuation %s does not instantiate scheme %s", ErrCorruptState, p, ps.schemes[k])
 			}
-			entry := &punctEntry{punct: p, consts: constsOf(p)}
+			entry := &punctEntry{punct: p, consts: constsOf(p), idx: ps.schemes[k].PunctuatableIndexes()}
 			if entry.arrived, err = d.uvarint("punctuation arrival clock"); err != nil {
 				return nil, err
 			}

@@ -1,51 +1,82 @@
 #!/bin/sh
-# Standard verify entry point (mirrors `make check`): vet, build, test,
-# and race-test the whole module. Run from the repository root.
-set -eux
+# Standard verify entry point, the one copy of the gate: `make check`
+# runs this script, and `make <stage>` runs `scripts/check.sh <stage>`.
+# With no arguments every stage runs in order; with arguments only the
+# named stages do. Run from the repository root.
+set -eu
 
 # gofmt is a failing gate: any unformatted file lists here and aborts.
-unformatted=$(gofmt -l .)
-[ -z "$unformatted" ] || { echo "gofmt needed: $unformatted" >&2; exit 1; }
+stage_fmtcheck() {
+  unformatted=$(gofmt -l .)
+  [ -z "$unformatted" ] || { echo "gofmt needed: $unformatted" >&2; exit 1; }
+}
 
-go vet ./...
-go build ./...
-go test ./...
-go test -race ./...
+stage_vet() { go vet ./...; }
+stage_build() { go build ./...; }
+stage_test() { go test ./...; }
+
+# The whole module must stay race-clean: the partitioned worker pools
+# drive exec replicas concurrently, and everything else rides along.
+stage_race() { go test -race ./...; }
 
 # Multi-producer ingestion stress, repeated under the race detector: one
 # pass rarely covers the interleavings of concurrent SendBatch producers,
 # the parallel wire pipeline, and Stats/Checkpoint barriers.
-go test -race -run TestParallelIngestStress -count 5 ./engine/
+stage_racestress() { go test -race -run TestParallelIngestStress -count 5 ./engine/; }
 
 # Warm-standby failover chaos soak under the race detector: repeated
 # kill -> promote -> re-seed cycles over one continuous stream, requiring
 # an element-exact delivery stream and one epoch bump per promotion.
-SOAKFAILOVER_CYCLES=${SOAKFAILOVER_CYCLES:-5} \
-  go test -race -run 'TestFailoverSoak|TestStandbyFailoverChaos' -count 1 ./server/
+# SOAKFAILOVER_CYCLES raises the round count.
+stage_soakfailover() {
+  SOAKFAILOVER_CYCLES=${SOAKFAILOVER_CYCLES:-5} \
+    go test -race -run 'TestFailoverSoak|TestStandbyFailoverChaos' -count 1 ./server/
+}
 
-# Fuzz targets over their checked-in seed corpus: wire-format framing,
-# the serving handshake front door, and the tiered join-state snapshot
-# decoder (torn cold segments, corrupted bytes).
-go test -run Fuzz ./engine/... ./server/... ./exec/...
+# Fuzz targets over their checked-in seed corpus: wire-format framing
+# (truncated frames, oversized lengths, unknown streams), the serving
+# handshake front door (bad magic, bad role, absurd name lengths), and
+# the tiered join-state snapshot decoder (torn cold segments, corrupted
+# bytes). `go test -fuzz` explores further; the seed set is the gate.
+stage_fuzzseed() { go test -run Fuzz ./engine/... ./server/... ./exec/...; }
 
 # Checkpoint round-trip smoke: run a sharded workload writing periodic
 # snapshots, then restore from the final snapshot and resume (a no-op
 # resume at end-of-feed still exercises open -> parse -> install -> run).
-ckpt=$(mktemp -u)
-go run ./cmd/punctrun -scenario auction -n 300 -parallel \
-  -checkpoint "$ckpt" -checkpoint-every 500 > /dev/null
-go run ./cmd/punctrun -scenario auction -n 300 -parallel \
-  -checkpoint "$ckpt" -restore | grep '^restore: resuming' > /dev/null
-rm -f "$ckpt"
+stage_ckptsmoke() {
+  ckpt=$(mktemp -u)
+  go run ./cmd/punctrun -scenario auction -n 300 -parallel \
+    -checkpoint "$ckpt" -checkpoint-every 500 > /dev/null
+  go run ./cmd/punctrun -scenario auction -n 300 -parallel \
+    -checkpoint "$ckpt" -restore | grep '^restore: resuming' > /dev/null
+  rm -f "$ckpt"
+}
 
-# Allocation floors for the hot path (testing.AllocsPerRun guards): the
-# steady-state probe must stay ~alloc-free, a chained-purge cycle within
-# its scratch budget, and the cold-tier probe at parity with the all-hot
-# probe; frame decoding keeps its per-frame bound.
-go test -run 'TestSteadyStateProbeAllocs|TestChainedPurgeAllocs|TestColdTierProbeAllocs' -count 1 ./exec/...
-go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
+stage_allocfloors() {
+  # Allocation floors for the hot path (testing.AllocsPerRun guards): the
+  # steady-state probe must stay ~alloc-free, a chained-purge cycle within
+  # its scratch budget, and the cold-tier probe at parity with the all-hot
+  # probe; frame decoding keeps its per-frame bound.
+  go test -run 'TestSteadyStateProbeAllocs|TestChainedPurgeAllocs|TestColdTierProbeAllocs' -count 1 ./exec/...
+  go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
+  # Shared-tree fan-out alloc floor: delivering one output batch to extra
+  # subscribers (callback or passive) must not allocate per batch — sharing
+  # is O(subscribers) pointer work, never O(subscribers) copies.
+  go test -run 'TestFanOutDeliveryAllocs' -count 1 ./engine/
+  # Output-ring floor: retaining one more delivery is a slot write.
+  go test -run 'TestHubPublishAllocs' -count 1 ./server/
+}
 
-# Shared-tree fan-out alloc floor: delivering one output batch to extra
-# subscribers (callback or passive) must not allocate per batch — sharing
-# is O(subscribers) pointer work, never O(subscribers) copies.
-go test -run 'TestFanOutDeliveryAllocs' -count 1 ./engine/
+# The benchmark module (its own go.mod) and its end-to-end correctness
+# run: all four workloads, oracle-checked, a few seconds.
+stage_benchsmoke() {
+  (cd bench && go vet ./... && go test ./...)
+  bash bench/run.sh --smoke
+}
+
+[ $# -gt 0 ] || set -- fmtcheck vet build test race racestress soakfailover \
+  fuzzseed ckptsmoke allocfloors benchsmoke
+for stage; do
+  type "stage_$stage" > /dev/null 2>&1 || { echo "check.sh: unknown stage '$stage'" >&2; exit 2; }
+  (set -x; "stage_$stage")
+done

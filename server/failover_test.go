@@ -242,11 +242,16 @@ func TestStandbyFailoverChaos(t *testing.T) {
 	for i, k := range faultinject.CrashPoints(len(feed), 2, 5519) {
 		k, seed := k, int64(4400+i)
 		t.Run(fmt.Sprintf("crash_at_%d", k), func(t *testing.T) {
+			// The cut budget must be able to exceed the whole feed's wire
+			// size (9.7 KB): when the checkpoint finds the standby's ack
+			// floor at 0, ReplayFromAck replays from offset 0 inside
+			// every reconnect, and a budget capped below that can never
+			// complete one.
 			chaos := faultinject.ChaosConfig{
 				Seed:         seed,
 				PartialReads: true, PartialWrites: true,
 				MaxDelay: 50 * time.Microsecond,
-				CutAfter: 4096, CutJitter: 4096,
+				CutAfter: 4096, CutJitter: 8192,
 			}
 			runStandbyFailover(t, feed, want, k, 25, &chaos, true)
 		})

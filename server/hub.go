@@ -53,13 +53,6 @@ func ParseSlowPolicy(s string) (SlowPolicy, error) {
 	}
 }
 
-// hubEntry is one retained delivery: the query output (tuple or
-// punctuation) and its 1-based delivery sequence number.
-type hubEntry struct {
-	seq  uint64
-	elem stream.Element
-}
-
 // subCursor is one subscriber's position in a hub: cursor is the next
 // sequence it needs. The hub owns all fields under its mutex; the
 // subscriber goroutine reads through hub methods only.
@@ -70,21 +63,20 @@ type subCursor struct {
 }
 
 // hub fans one query's delivery stream out to its subscribers. It
-// retains the last `retain` deliveries so reconnecting subscribers can
-// resume exactly where they left off, and it is the unit the server
-// checkpoint persists (entries at or below the checkpoint cut) so a
-// crash cannot strand a lagging subscriber: everything the engine will
-// not replay is in the snapshot, everything newer the engine replays
-// deterministically with identical sequence numbers.
+// retains the last Config.Retain deliveries (the ring's capacity) so
+// reconnecting subscribers can resume exactly where they left off, and
+// it is the unit the server checkpoint persists (entries at or below
+// the checkpoint cut) so a crash cannot strand a lagging subscriber:
+// everything the engine will not replay is in the snapshot, everything
+// newer the engine replays deterministically with identical sequence
+// numbers.
 type hub struct {
 	name  string
 	codec *stream.Codec
 
 	mu         sync.Mutex
 	cond       *sync.Cond
-	entries    []hubEntry // retained deliveries, ascending seq
-	next       uint64     // seq the next delivery will get
-	retain     int
+	ring       ring // retained deliveries; ring.next is the next delivery's seq
 	queueLimit int
 	policy     SlowPolicy
 	subs       map[*subCursor]struct{}
@@ -99,8 +91,7 @@ func newHub(name string, schema *stream.Schema, retain, queueLimit int, policy S
 	h := &hub{
 		name:       name,
 		codec:      stream.NewCodec(schema),
-		next:       1,
-		retain:     retain,
+		ring:       newRing(retain),
 		queueLimit: queueLimit,
 		policy:     policy,
 		subs:       make(map[*subCursor]struct{}),
@@ -110,14 +101,18 @@ func newHub(name string, schema *stream.Schema, retain, queueLimit int, policy S
 }
 
 // seed installs a restored retention ring: entries are the snapshot's
-// retained deliveries (ascending, all ≤ cut) and the next live delivery
-// will be cut+1 — the engine's restored delivery counter guarantees the
-// replayed outputs pick up numbering exactly there.
+// retained deliveries, the contiguous run ending at cut (restoreEnvelope
+// rejects anything else), and the next live delivery will be cut+1 —
+// the engine's restored delivery counter guarantees the replayed
+// outputs pick up numbering exactly there. A snapshot written under a
+// larger Retain keeps its newest entries.
 func (h *hub) seed(entries []hubEntry, cut uint64) {
 	h.mu.Lock()
-	h.entries = entries
-	h.next = cut + 1
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	h.ring.reset(cut + 1 - uint64(len(entries)))
+	for _, e := range entries {
+		h.ring.push(e.seq, e.elem)
+	}
 }
 
 // publish is the query's delivery hook: called by whatever goroutine
@@ -130,7 +125,7 @@ func (h *hub) publish(seq uint64, e stream.Element) {
 	}
 	var drops []drop
 	h.mu.Lock()
-	if seq < h.next {
+	if seq < h.ring.next {
 		// Replay below the restored cut: subscribers that survived the
 		// crash already hold these entries via the snapshot seed.
 		h.mu.Unlock()
@@ -145,14 +140,14 @@ func (h *hub) publish(seq uint64, e stream.Element) {
 		h.mu.Unlock()
 		return
 	}
-	h.entries = append(h.entries, hubEntry{seq: seq, elem: e})
-	h.next = seq + 1
+	h.ring.push(seq, e)
+	next := h.ring.next
 	switch h.policy {
 	case SlowDrop:
 		for s := range h.subs {
-			for lag(h.next, s.cursor) > uint64(h.queueLimit) {
+			for lag(next, s.cursor) > uint64(h.queueLimit) {
 				if h.onDrop != nil {
-					drops = append(drops, drop{elem: h.entryAt(s.cursor), seq: s.cursor})
+					drops = append(drops, drop{elem: h.ring.at(s.cursor), seq: s.cursor})
 				}
 				s.cursor++
 				s.dropped++
@@ -160,14 +155,11 @@ func (h *hub) publish(seq uint64, e stream.Element) {
 		}
 	case SlowDisconnect:
 		for s := range h.subs {
-			if l := lag(h.next, s.cursor); l > uint64(h.queueLimit) {
+			if l := lag(next, s.cursor); l > uint64(h.queueLimit) {
 				s.err = fmt.Errorf("%s: subscriber lagged %d > %d deliveries", h.name, l, h.queueLimit)
 				delete(h.subs, s)
 			}
 		}
-	}
-	if len(h.entries) > h.retain {
-		h.entries = append(h.entries[:0], h.entries[len(h.entries)-h.retain:]...)
 	}
 	h.mu.Unlock()
 	h.cond.Broadcast()
@@ -192,18 +184,11 @@ func lag(next, cursor uint64) uint64 {
 func (h *hub) slowest() uint64 {
 	var worst uint64
 	for s := range h.subs {
-		if l := lag(h.next, s.cursor); l > worst {
+		if l := lag(h.ring.next, s.cursor); l > worst {
 			worst = l
 		}
 	}
 	return worst
-}
-
-// entryAt returns the retained entry with the given seq (callers hold
-// h.mu and guarantee it is retained).
-func (h *hub) entryAt(seq uint64) stream.Element {
-	floor := h.next - uint64(len(h.entries))
-	return h.entries[seq-floor].elem
 }
 
 // attach registers a subscriber that has seen every delivery up to and
@@ -217,8 +202,7 @@ func (h *hub) attach(last uint64) (*subCursor, error) {
 	if h.killed || h.ended {
 		return nil, ErrServerClosed
 	}
-	floor := h.next - uint64(len(h.entries)) // oldest retained seq
-	if last+1 < floor {
+	if floor := h.ring.floor(); last+1 < floor {
 		return nil, fmt.Errorf("%w: resume at %d but oldest retained delivery is %d", ErrResumeExpired, last, floor)
 	}
 	s := &subCursor{cursor: last + 1}
@@ -235,10 +219,11 @@ func (h *hub) detach(s *subCursor) {
 	h.cond.Broadcast()
 }
 
-// collect waits for deliveries at or past s.cursor and appends up to
-// max of them to buf, advancing the cursor. It returns (entries, false,
-// nil) on data, (nil, true, nil) at a graceful end of stream, and an
-// error when the subscriber was severed or the hub killed.
+// collect waits for deliveries at or past s.cursor and copies up to max
+// of them out of the ring into buf, advancing the cursor. It returns
+// (entries, false, nil) on data, (nil, true, nil) at a graceful end of
+// stream, and an error when the subscriber was severed or the hub
+// killed.
 func (h *hub) collect(s *subCursor, buf []hubEntry, max int) ([]hubEntry, bool, error) {
 	h.mu.Lock()
 	defer func() {
@@ -252,13 +237,13 @@ func (h *hub) collect(s *subCursor, buf []hubEntry, max int) ([]hubEntry, bool, 
 		if h.killed {
 			return nil, false, ErrServerClosed
 		}
-		if h.next > s.cursor {
-			floor := h.next - uint64(len(h.entries))
-			i := int(s.cursor - floor)
-			for ; i < len(h.entries) && len(buf) < max; i++ {
-				buf = append(buf, h.entries[i])
+		if next := h.ring.next; next > s.cursor {
+			to := s.cursor + uint64(max-len(buf))
+			if to > next {
+				to = next
 			}
-			s.cursor = h.entries[i-1].seq + 1
+			buf = h.ring.appendRange(buf, s.cursor, to)
+			s.cursor = to
 			return buf, false, nil
 		}
 		if h.ended {
@@ -291,7 +276,7 @@ func (h *hub) drained() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for s := range h.subs {
-		if s.cursor < h.next {
+		if s.cursor < h.ring.next {
 			return false
 		}
 	}
@@ -305,11 +290,12 @@ func (h *hub) drained() bool {
 func (h *hub) snapshot(cut uint64) []hubEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []hubEntry
-	for _, e := range h.entries {
-		if e.seq <= cut {
-			out = append(out, e)
-		}
+	from, to := h.ring.floor(), cut+1
+	if to > h.ring.next {
+		to = h.ring.next
 	}
-	return out
+	if to <= from {
+		return nil
+	}
+	return h.ring.appendRange(make([]hubEntry, 0, to-from), from, to)
 }

@@ -1,10 +1,12 @@
 package server
 
-// White-box hub tests: the slow-consumer policies and the resume
-// window, deterministic and socket-free.
+// White-box hub tests: the slow-consumer policies, the resume window
+// and the retention ring's wrap-around arithmetic, deterministic and
+// socket-free.
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -25,29 +27,80 @@ func publishN(h *hub, from, n int) {
 	}
 }
 
+// requireRun fails unless got is exactly the deliveries from..to, each
+// carrying the element publishN gave that seq — a slot read at the wrong
+// offset shows up as a mismatched value, not just a mismatched seq.
+func requireRun(t *testing.T, label string, got []hubEntry, from, to uint64) {
+	t.Helper()
+	if want := int(to - from + 1); len(got) != want {
+		t.Fatalf("%s: got %d entries, want seqs %d..%d", label, len(got), from, to)
+	}
+	for i, e := range got {
+		seq := from + uint64(i)
+		if v := e.elem.Tuple().Values[0].AsInt(); e.seq != seq || v != int64(seq) {
+			t.Fatalf("%s: entry %d is seq %d value %d, want seq %d", label, i, e.seq, v, seq)
+		}
+	}
+}
+
+// TestHubRingWrap laps a ring whose capacity is not a power of two
+// several times, with a subscriber collecting in uneven batches so the
+// copied ranges start and end on every slot, wrapped and not.
+func TestHubRingWrap(t *testing.T) {
+	const retain = 7
+	h := newHub("q", testSchema(), retain, retain, SlowDrop)
+	s, err := h.attach(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uint64(1) // next seq to publish
+	want := uint64(1) // next seq the subscriber should see
+	for round := 0; round < 5*retain; round++ {
+		burst := 1 + round%retain
+		publishN(h, int(next), burst)
+		next += uint64(burst)
+		if got, floor := h.ring.len(), h.ring.floor(); got > retain || floor != next-uint64(got) {
+			t.Fatalf("round %d: ring holds %d entries from %d, head %d", round, got, floor, next-1)
+		}
+		for want < next {
+			max := 1 + (round+int(want))%4
+			got, ended, err := h.collect(s, nil, max)
+			if err != nil || ended {
+				t.Fatalf("collect: ended=%v err=%v", ended, err)
+			}
+			if len(got) == 0 || len(got) > max {
+				t.Fatalf("collect returned %d entries, max %d", len(got), max)
+			}
+			requireRun(t, fmt.Sprintf("round %d", round), got, want, want+uint64(len(got))-1)
+			want += uint64(len(got))
+		}
+	}
+	if s.dropped != 0 {
+		t.Fatalf("subscriber within its queue limit lost %d deliveries", s.dropped)
+	}
+}
+
 func TestHubDropPolicy(t *testing.T) {
-	var dropped []uint64
+	var dropped []hubEntry
 	h := newHub("q", testSchema(), 8, 4, SlowDrop)
 	h.onDrop = func(query string, elem stream.Element, seq uint64) {
-		dropped = append(dropped, seq)
+		dropped = append(dropped, hubEntry{seq: seq, elem: elem})
 	}
 	s, err := h.attach(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	publishN(h, 1, 10) // backlog 10 > limit 4: deliveries 1..6 dropped
-	if want := []uint64{1, 2, 3, 4, 5, 6}; len(dropped) != len(want) {
-		t.Fatalf("dropped %v, want %v", dropped, want)
-	}
+	// Backlog 30 > limit 4, over three laps of the ring: deliveries
+	// 1..26 are dropped, each reported with the element it carried.
+	publishN(h, 1, 30)
+	requireRun(t, "dropped", dropped, 1, 26)
 	got, ended, err := h.collect(s, nil, 100)
 	if err != nil || ended {
 		t.Fatalf("collect: ended=%v err=%v", ended, err)
 	}
-	if len(got) != 4 || got[0].seq != 7 || got[3].seq != 10 {
-		t.Fatalf("surviving deliveries %v, want seqs 7..10", got)
-	}
-	if s.dropped != 6 {
-		t.Fatalf("cursor counted %d drops, want 6", s.dropped)
+	requireRun(t, "surviving", got, 27, 30)
+	if s.dropped != 26 {
+		t.Fatalf("cursor counted %d drops, want 26", s.dropped)
 	}
 }
 
@@ -106,8 +159,11 @@ func TestHubBlockPolicy(t *testing.T) {
 func TestHubResumeWindow(t *testing.T) {
 	h := newHub("q", testSchema(), 4, 4, SlowDrop)
 	publishN(h, 1, 10) // retained: 7..10
-	if _, err := h.attach(2); !errors.Is(err, ErrResumeExpired) {
-		t.Fatalf("resume below the retention floor: got %v, want ErrResumeExpired", err)
+	// 5 is floor-2: delivery 6 is already gone.
+	for _, last := range []uint64{2, 5} {
+		if _, err := h.attach(last); !errors.Is(err, ErrResumeExpired) {
+			t.Fatalf("resume at %d, below the retention floor: got %v, want ErrResumeExpired", last, err)
+		}
 	}
 	s, err := h.attach(6) // cursor 7 == floor: exactly resumable
 	if err != nil {
@@ -136,6 +192,132 @@ func TestHubResumeWindow(t *testing.T) {
 	}
 	h.kill()
 	<-done
+}
+
+// TestHubSnapshotBounds takes the checkpoint cut below the floor, inside
+// the retained run and above the head of a wrapped ring.
+func TestHubSnapshotBounds(t *testing.T) {
+	h := newHub("q", testSchema(), 7, 4, SlowDrop)
+	publishN(h, 1, 17) // retained: 11..17, wrapped
+	if snap := h.snapshot(10); len(snap) != 0 {
+		t.Fatalf("snapshot below the floor = %v, want nothing", snap)
+	}
+	snap := h.snapshot(11)
+	requireRun(t, "snapshot(floor)", snap, 11, 11)
+	snap = h.snapshot(14)
+	requireRun(t, "snapshot(inside)", snap, 11, 14)
+	if cap(snap) != len(snap) {
+		t.Fatalf("snapshot(14) allocated %d slots for %d entries", cap(snap), len(snap))
+	}
+	requireRun(t, "snapshot(head)", h.snapshot(17), 11, 17)
+	requireRun(t, "snapshot(above head)", h.snapshot(40), 11, 17)
+	if snap := newHub("q", testSchema(), 7, 4, SlowDrop).snapshot(3); len(snap) != 0 {
+		t.Fatalf("snapshot of an empty hub = %v", snap)
+	}
+}
+
+// TestHubSeedRoundTrip restores a wrapped ring's snapshot into a fresh
+// hub and continues publishing at cut+1, across the next wrap.
+func TestHubSeedRoundTrip(t *testing.T) {
+	h := newHub("q", testSchema(), 7, 4, SlowDrop)
+	publishN(h, 1, 19) // retained: 13..19
+	snap := h.snapshot(16)
+
+	h2 := newHub("q", testSchema(), 7, 7, SlowDrop)
+	h2.seed(snap, 16)
+	if _, err := h2.attach(11); !errors.Is(err, ErrResumeExpired) {
+		t.Fatalf("resume below the seeded floor: got %v, want ErrResumeExpired", err)
+	}
+	s, err := h2.attach(12) // floor-1
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishN(h2, 15, 2) // engine replay at or below the cut: ignored
+	publishN(h2, 17, 3) // 13..19 now fills all seven slots
+	got, _, err := h2.collect(s, nil, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRun(t, "post-seed", got, 13, 19)
+	publishN(h2, 20, 5) // wraps past the seeded entries
+	got, _, err = h2.collect(s, nil, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRun(t, "post-seed wrap", got, 20, 24)
+	requireRun(t, "post-seed ring", h2.snapshot(24), 18, 24)
+}
+
+// TestHubSeedShrunkRetain seeds more entries than the hub retains (the
+// server restarted with a smaller Retain): the newest survive and the
+// resume floor follows them.
+func TestHubSeedShrunkRetain(t *testing.T) {
+	h := newHub("q", testSchema(), 16, 4, SlowDrop)
+	publishN(h, 1, 20) // retained: 5..20
+	snap := h.snapshot(20)
+
+	h2 := newHub("q", testSchema(), 5, 5, SlowDrop)
+	h2.seed(snap, 20)
+	requireRun(t, "seeded ring", h2.snapshot(20), 16, 20)
+	if _, err := h2.attach(14); !errors.Is(err, ErrResumeExpired) {
+		t.Fatalf("resume hint older than the shrunk ring: got %v, want ErrResumeExpired", err)
+	}
+	s, err := h2.attach(15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := h2.collect(s, nil, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRun(t, "after shrink", got, 16, 20)
+	publishN(h2, 21, 2)
+	if got, _, err = h2.collect(s, nil, 100); err != nil {
+		t.Fatal(err)
+	}
+	requireRun(t, "after shrink, live", got, 21, 22)
+
+	// Nothing retained at the cut: the hub is empty and resumes at cut+1.
+	h3 := newHub("q", testSchema(), 5, 4, SlowDrop)
+	h3.seed(nil, 9)
+	if _, err := h3.attach(8); !errors.Is(err, ErrResumeExpired) {
+		t.Fatalf("resume below an empty seeded hub: got %v, want ErrResumeExpired", err)
+	}
+	if _, err := h3.attach(9); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHubPublishAllocs pins the steady-state cost of a delivery: one
+// slot write, no allocation, whatever the ring holds.
+func TestHubPublishAllocs(t *testing.T) {
+	h := newHub("q", testSchema(), 64, 64, SlowDrop)
+	publishN(h, 1, 200) // full and wrapped
+	seq, e := uint64(201), intElem(7)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.publish(seq, e)
+		seq++
+	}); n != 0 {
+		t.Fatalf("publish allocates %v times per delivery, want 0", n)
+	}
+}
+
+// BenchmarkHubPublish is the per-delivery cost on the shard worker with
+// no subscriber attached. It must not depend on Retain.
+func BenchmarkHubPublish(b *testing.B) {
+	for _, retain := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprintf("retain=%d", retain), func(b *testing.B) {
+			h := newHub("q", testSchema(), retain, retain, SlowBlock)
+			publishN(h, 1, 2*retain)
+			seq, e := uint64(2*retain+1), intElem(7)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.publish(seq, e)
+				seq++
+			}
+		})
+	}
 }
 
 func TestHubSnapshotCut(t *testing.T) {

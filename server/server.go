@@ -20,17 +20,12 @@ import (
 
 // serverCkptMagic seals the server checkpoint: the engine snapshot plus
 // every hub's retained deliveries at the same cut, in one atomic file.
-// v02 adds the fencing epoch right after the magic; v01 files (no
-// epoch) are still restored, at epoch 1.
 //
 //	"PSRVCK02" uvarint(epoch) uvarint(len(engineBlob)) engineBlob
 //	uvarint(nqueries) { str(name) uvarint(cut) uvarint(nentries)
 //	                    { uvarint(seq) uvarint(len) codecPayload } }
 //	crc32-IEEE(everything before)
-const (
-	serverCkptMagic   = "PSRVCK02"
-	serverCkptMagicV1 = "PSRVCK01"
-)
+const serverCkptMagic = "PSRVCK02"
 
 // ErrCorruptServerCheckpoint classifies an unreadable server snapshot.
 var ErrCorruptServerCheckpoint = errors.New("server: corrupt checkpoint")
@@ -62,7 +57,12 @@ type Config struct {
 	QueueLimit int
 	// Retain is how many recent deliveries each query keeps for
 	// reconnecting subscribers (default 1024). A subscriber resuming
-	// below the retention floor is rejected with ErrResumeExpired.
+	// below the retention floor is rejected with ErrResumeExpired. It is
+	// a memory and checkpoint-size setting, not a speed one: the ring is
+	// allocated once at Retain slots per query, a delivery costs one slot
+	// write whatever its size, and every checkpoint persists the whole
+	// ring. Restarting with a smaller Retain keeps the newest deliveries
+	// of the restored ring.
 	Retain int
 	// Slow selects the slow-consumer policy (default SlowBlock).
 	Slow SlowPolicy
@@ -765,26 +765,17 @@ func (s *Server) restoreEnvelope(p *enginePack, raw []byte) ([]byte, uint64, err
 	fail := func(what string) ([]byte, uint64, error) {
 		return nil, 0, fmt.Errorf("%w: %s", ErrCorruptServerCheckpoint, what)
 	}
-	if len(raw) < len(serverCkptMagic)+4 {
+	if len(raw) < len(serverCkptMagic)+4 || string(raw[:len(serverCkptMagic)]) != serverCkptMagic {
 		return fail("bad magic")
 	}
-	epoch := uint64(1)
-	switch string(raw[:len(serverCkptMagic)]) {
-	case serverCkptMagic, serverCkptMagicV1:
-	default:
-		return fail("bad magic")
-	}
-	v2 := string(raw[:len(serverCkptMagic)]) == serverCkptMagic
 	bodyEnd := len(raw) - 4
 	if crc32.ChecksumIEEE(raw[:bodyEnd]) != binary.LittleEndian.Uint32(raw[bodyEnd:]) {
 		return fail("checksum mismatch")
 	}
 	rd := bytes.NewReader(raw[len(serverCkptMagic):bodyEnd])
-	if v2 {
-		var err error
-		if epoch, err = binary.ReadUvarint(rd); err != nil || epoch == 0 {
-			return fail("epoch")
-		}
+	epoch, err := binary.ReadUvarint(rd)
+	if err != nil || epoch == 0 {
+		return fail("epoch")
 	}
 	blobLen, err := binary.ReadUvarint(rd)
 	if err != nil || blobLen > uint64(rd.Len()) {
@@ -816,8 +807,10 @@ func (s *Server) restoreEnvelope(p *enginePack, raw []byte) ([]byte, uint64, err
 		}
 		entries := make([]hubEntry, 0, n)
 		for j := uint64(0); j < n; j++ {
+			// The ring is the contiguous run of n deliveries ending at
+			// the cut; anything else cannot be addressed by seq.
 			seq, err := binary.ReadUvarint(br)
-			if err != nil || seq > cut {
+			if err != nil || seq != cut-n+1+j {
 				return fail("retained entry seq")
 			}
 			payload, err := readLenBytes(br)

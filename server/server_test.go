@@ -293,13 +293,10 @@ func runFailover(t *testing.T, feed []workload.Input, want []string, k int, chao
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got <-chan []server.Delivery
-	var errc <-chan error
-	if chaos != nil {
-		got, errc = collectNAsync(sub, len(want))
-	} else {
-		got, errc = collectAsync(sub)
-	}
+	// Collect by count, not by end-of-stream: after the kill the
+	// subscriber is in reconnect backoff, and a Shutdown that raced it
+	// would end the stream before it re-attached.
+	got, errc := collectNAsync(sub, len(want))
 
 	prod, err := prodDl.Producer("feed", item, bid)
 	if err != nil {
@@ -322,9 +319,12 @@ func runFailover(t *testing.T, feed []workload.Input, want []string, k int, chao
 	if err := srv.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
+	// Hold the last element back for the restarted server: it yields the
+	// final deliveries, so a subscriber that has them all is provably
+	// attached to srv2 when the drain below starts.
 	post := k + 25
-	if post > len(feed) {
-		post = len(feed)
+	if post > len(feed)-1 {
+		post = len(feed) - 1
 	}
 	send(k, post)
 
@@ -338,26 +338,23 @@ func runFailover(t *testing.T, feed []workload.Input, want []string, k int, chao
 	send(post, len(feed))
 	waitIngested(t, srv2, prod, "feed")
 	prod.Close()
-	if chaos != nil {
-		// Collect the known-size stream first, then shut down: under
-		// chaos the end marker itself can be severed mid-write.
-		if err := <-errc; err != nil {
-			t.Fatalf("subscriber after failover: %v", err)
-		}
-		requireSameStream(t, "failover", deliveryStrings(<-got), want)
-		sub.Close()
-		if err := srv2.Shutdown(); err != nil {
-			t.Fatalf("shutdown after failover: %v", err)
-		}
-		return
-	}
-	if err := srv2.Shutdown(); err != nil {
-		t.Fatalf("shutdown after failover: %v", err)
-	}
 	if err := <-errc; err != nil {
 		t.Fatalf("subscriber after failover: %v", err)
 	}
 	requireSameStream(t, "failover", deliveryStrings(<-got), want)
+	if chaos != nil {
+		// Under chaos the end marker itself can be severed mid-write,
+		// and the shut-down server is not there to resume from.
+		sub.Close()
+	}
+	if err := srv2.Shutdown(); err != nil {
+		t.Fatalf("shutdown after failover: %v", err)
+	}
+	if chaos == nil {
+		if d, err := sub.Next(); err != io.EOF {
+			t.Fatalf("after shutdown: got delivery %v, err %v; want a clean end of stream", d, err)
+		}
+	}
 }
 
 func TestSourceBusy(t *testing.T) {

@@ -26,6 +26,10 @@ type Scheme struct {
 	// Ordered marks the punctuatable attribute carrying <= bounds; nil
 	// when the scheme is pure-equality. Ordered[i] implies Punctuatable[i].
 	Ordered []bool
+
+	// idx caches PunctuatableIndexes; the constructors fill it. Nil on a
+	// Scheme built as a struct literal, which computes it per call.
+	idx []int
 }
 
 // NewScheme builds a scheme for the named stream. At least one attribute
@@ -45,7 +49,9 @@ func NewScheme(streamName string, punctuatable ...bool) (Scheme, error) {
 	if len(punctuatable) == 0 || !any {
 		return Scheme{}, fmt.Errorf("stream: scheme on %q must mark at least one attribute punctuatable", streamName)
 	}
-	return Scheme{Stream: streamName, Punctuatable: punctuatable}, nil
+	s := Scheme{Stream: streamName, Punctuatable: punctuatable}
+	s.idx = s.punctuatableIndexes()
+	return s, nil
 }
 
 // MustScheme is NewScheme that panics on error.
@@ -128,8 +134,17 @@ func MustOrderedScheme(streamName string, punctuatable, ordered []bool) Scheme {
 // Arity returns the number of attribute slots.
 func (s Scheme) Arity() int { return len(s.Punctuatable) }
 
-// PunctuatableIndexes returns the positions marked "+", ascending.
+// PunctuatableIndexes returns the positions marked "+", ascending. The
+// purge path calls it per tuple examined, so the result is shared
+// between calls: callers must not modify it.
 func (s Scheme) PunctuatableIndexes() []int {
+	if s.idx != nil {
+		return s.idx
+	}
+	return s.punctuatableIndexes()
+}
+
+func (s Scheme) punctuatableIndexes() []int {
 	var out []int
 	for i, p := range s.Punctuatable {
 		if p {

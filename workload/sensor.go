@@ -80,14 +80,11 @@ func Sensor(cfg SensorConfig) []Input {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// pending[s] holds generated readings not yet emitted, shuffled into
-	// the future by at most Disorder steps.
-	type reading struct {
-		stream string
-		emitAt int
-		tuple  stream.Tuple
-	}
-	var pendings []reading
+	// buckets[step] holds the readings emitted at that step, in the order
+	// they were generated: each is shuffled into the future by at most
+	// Disorder steps.
+	lastStep := cfg.Epochs - 1 + cfg.Disorder
+	buckets := make([][]Input, lastStep+1)
 	for e := 0; e < cfg.Epochs; e++ {
 		for r := 0; r < cfg.ReadingsPerEpoch; r++ {
 			delayT := 0
@@ -96,12 +93,10 @@ func Sensor(cfg SensorConfig) []Input {
 				delayT = rng.Intn(cfg.Disorder + 1)
 				delayH = rng.Intn(cfg.Disorder + 1)
 			}
-			pendings = append(pendings,
-				reading{stream: "temp", emitAt: e + delayT, tuple: stream.NewTuple(
-					stream.Int(int64(e)), stream.Float(15+10*rng.Float64()))},
-				reading{stream: "humid", emitAt: e + delayH, tuple: stream.NewTuple(
-					stream.Int(int64(e)), stream.Float(30+40*rng.Float64()))},
-			)
+			temp := stream.NewTuple(stream.Int(int64(e)), stream.Float(15+10*rng.Float64()))
+			humid := stream.NewTuple(stream.Int(int64(e)), stream.Float(30+40*rng.Float64()))
+			buckets[e+delayT] = append(buckets[e+delayT], Input{Stream: "temp", Elem: stream.TupleElement(temp)})
+			buckets[e+delayH] = append(buckets[e+delayH], Input{Stream: "humid", Elem: stream.TupleElement(humid)})
 		}
 	}
 
@@ -110,13 +105,8 @@ func Sensor(cfg SensorConfig) []Input {
 	}
 
 	var out []Input
-	lastStep := cfg.Epochs - 1 + cfg.Disorder
-	for step := 0; step <= lastStep; step++ {
-		for _, r := range pendings {
-			if r.emitAt == step {
-				out = append(out, Input{Stream: r.stream, Elem: stream.TupleElement(r.tuple)})
-			}
-		}
+	for step, b := range buckets {
+		out = append(out, b...)
 		if cfg.Heartbeats && step%cfg.HeartbeatEvery == 0 {
 			bound := int64(step - cfg.Disorder - 1)
 			if bound >= 0 {

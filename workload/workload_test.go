@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"punctsafe/exec"
@@ -214,5 +216,46 @@ func TestFeedRejectsUnknownStream(t *testing.T) {
 	_, err := NewFeed(q, []Input{{Stream: "nope", Elem: stream.TupleElement(stream.NewTuple(stream.Int(1)))}})
 	if err == nil {
 		t.Fatal("unknown stream must be rejected")
+	}
+}
+
+// TestSensorGolden pins the sensor feed element for element: the values
+// were recorded from the generator that rescanned every pending reading
+// at every step, before readings were bucketed by emission step.
+func TestSensorGolden(t *testing.T) {
+	feed := Sensor(SensorConfig{Epochs: 200, ReadingsPerEpoch: 3, Disorder: 12,
+		HeartbeatEvery: 5, Heartbeats: true, Seed: 42})
+	render := func(in Input) string { return in.Stream + "|" + in.Elem.String() }
+	if len(feed) != 1282 {
+		t.Fatalf("feed has %d elements, want 1282", len(feed))
+	}
+	head := []string{
+		"temp|tuple(1, 21.64010947684509)",
+		"humid|tuple(1, 68.83122474549268)",
+		"temp|tuple(0, 23.128771359243785)",
+		"humid|tuple(3, 51.74331868018004)",
+	}
+	tail := []string{
+		"temp|punct(<=197, *)",
+		"humid|punct(<=197, *)",
+		"temp|punct(<=199, *)",
+		"humid|punct(<=199, *)",
+	}
+	for i, want := range head {
+		if got := render(feed[i]); got != want {
+			t.Errorf("element %d = %s, want %s", i, got, want)
+		}
+	}
+	for i, want := range tail {
+		if got := render(feed[len(feed)-len(tail)+i]); got != want {
+			t.Errorf("element %d from the end = %s, want %s", len(tail)-i, got, want)
+		}
+	}
+	h := fnv.New64a()
+	for _, in := range feed {
+		fmt.Fprintf(h, "%s\n", render(in))
+	}
+	if got := h.Sum64(); got != 0x5aaae65490fe2c08 {
+		t.Errorf("feed hash %#x, want 0x5aaae65490fe2c08", got)
 	}
 }
