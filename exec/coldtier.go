@@ -20,21 +20,11 @@ import (
 // intersect cold-with-cold and hot-with-hot independently and
 // concatenate — the concatenation is still sorted.
 type coldSegment struct {
-	ids  []tupleID      // sorted ascending, all < owner's frozenBound
-	tups []stream.Tuple // parallel to ids
-	dead []bool         // parallel tombstones (purges after freezing)
-	// index[attr][valueKey] = sorted live ids, mirroring the hot index.
-	index map[int]map[stream.ValueKey][]tupleID
+	ids   []tupleID      // sorted ascending, all < owner's frozenBound
+	tups  []stream.Tuple // parallel to ids
+	dead  []bool         // parallel tombstones (purges after freezing)
+	index stateIndex     // sorted live ids, mirroring the hot index
 	nDead int
-}
-
-// newColdSegment mirrors the attribute set of the hot index.
-func newColdSegment(hotIndex map[int]map[stream.ValueKey][]tupleID) *coldSegment {
-	c := &coldSegment{index: make(map[int]map[stream.ValueKey][]tupleID, len(hotIndex))}
-	for a := range hotIndex {
-		c.index[a] = make(map[stream.ValueKey][]tupleID)
-	}
-	return c
 }
 
 // pos returns the row of id in the sorted id column, or -1. Segments are
@@ -99,16 +89,7 @@ func (c *coldSegment) remove(id tupleID) bool {
 	c.dead[p] = true
 	c.tups[p] = stream.Tuple{}
 	c.nDead++
-	for a, idx := range c.index {
-		k := t.Values[a].Key()
-		if bucket := idx[k]; bucket != nil {
-			if b := deleteSorted(bucket, id); len(b) == 0 {
-				delete(idx, k)
-			} else {
-				idx[k] = b
-			}
-		}
-	}
+	c.index.drop(t, id)
 	return true
 }
 
@@ -134,33 +115,13 @@ func (c *coldSegment) compact() {
 // size returns the number of live frozen tuples.
 func (c *coldSegment) size() int { return len(c.ids) - c.nDead }
 
-// lookup returns the sorted live ids whose attribute attr equals key k.
-func (c *coldSegment) lookup(attr int, k stream.ValueKey) []tupleID {
-	idx := c.index[attr]
-	if idx == nil {
-		return nil
-	}
-	return idx[k]
-}
-
 // appendRow adds one frozen row. The caller guarantees ids arrive in
-// ascending order and above every id already present, so columns and
-// (via appendBucketRun) buckets stay sorted by construction.
+// ascending order and above every id already present, so the columns stay
+// sorted by construction; the caller indexes the row.
 func (c *coldSegment) appendRow(id tupleID, t stream.Tuple) {
 	c.ids = append(c.ids, id)
 	c.tups = append(c.tups, t)
 	c.dead = append(c.dead, false)
-}
-
-// appendBucketRun extends the bucket for (attr, k) with a sorted run of
-// ids, all above the bucket's current maximum.
-func (c *coldSegment) appendBucketRun(attr int, k stream.ValueKey, run []tupleID) {
-	idx := c.index[attr]
-	if idx == nil {
-		idx = make(map[stream.ValueKey][]tupleID)
-		c.index[attr] = idx
-	}
-	idx[k] = append(idx[k], run...)
 }
 
 // tierBuckets is a two-tier candidate set: the cold and hot index
@@ -217,7 +178,7 @@ func (st *joinState) freeze() int {
 		return 0
 	}
 	if st.cold == nil {
-		st.cold = newColdSegment(st.index)
+		st.cold = &coldSegment{index: st.index.emptyLike()}
 	}
 	c := st.cold
 	moved := 0
@@ -229,20 +190,24 @@ func (st *joinState) freeze() int {
 		moved++
 	}
 	for a, idx := range st.index {
-		for k, bucket := range idx {
+		if idx == nil {
+			continue
+		}
+		frozen := c.index[a]
+		idx.each(func(k mapKey, bucket []tupleID) {
 			i := sort.Search(len(bucket), func(i int) bool { return bucket[i] >= st.freezeAt })
 			if i == 0 {
-				continue
+				return
 			}
-			c.appendBucketRun(a, k, bucket[:i])
-			rest := bucket[i:]
-			if len(rest) == 0 {
-				delete(idx, k)
-				continue
+			// The frozen bucket's ids are all below the run: it stays sorted.
+			run, _ := frozen.get(k)
+			frozen.put(k, append(run, bucket[:i]...))
+			if i == len(bucket) {
+				idx.del(k)
+				return
 			}
-			n := copy(bucket, rest)
-			idx[k] = bucket[:n]
-		}
+			idx.put(k, bucket[:copy(bucket, bucket[i:])])
+		})
 	}
 	n := len(st.ids) - cut
 	if cap(st.ids) >= 64 && n*4 <= cap(st.ids) {

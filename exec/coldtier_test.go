@@ -95,7 +95,7 @@ func TestTieredTreeBisimulation(t *testing.T) {
 // the watermark move cold, lookups see both tiers in arrival order,
 // removals reach into the segment, and heavy cold deletion recompacts.
 func TestJoinStateFreeze(t *testing.T) {
-	st := newJoinState([]int{0})
+	st := newJoinState(mustSchema("T", "K", "V"), []int{0})
 	const n = 200
 	for i := 0; i < n; i++ {
 		st.insert(tup(int64(i%5), int64(i)))

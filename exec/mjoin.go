@@ -128,8 +128,14 @@ type MJoin struct {
 	// allocates a fresh slice per call, which the probe and purge hot
 	// paths must not pay per element.
 	predsTouching [][]query.Predicate
-	// partners[i] caches the streams sharing a predicate with input i.
-	partners [][]int
+	// punctPlans[i][k] is the compiled plan for punctuations instantiating
+	// input i's scheme k, removedProbes[i] the stored partner punctuations
+	// a tuple removed from input i may unblock, and outTemplate the
+	// all-wildcard output punctuation they are propagated into
+	// (punctplan.go).
+	punctPlans    [][]punctPlan
+	removedProbes [][]removedProbe
+	outTemplate   []stream.Pattern
 	// pr and pg hold the operator's reusable probe and purge scratch;
 	// steady-state probing and purging allocate nothing beyond the result
 	// tuples themselves.
@@ -152,18 +158,13 @@ type probeScratch struct {
 	candB [][]tupleID
 	coldA [][]tupleID
 	coldB [][]tupleID
-	// consts is the promise-check scratch.
-	consts []stream.Value
 }
 
-// pendingPunct is an accepted punctuation awaiting its purge round. idx
-// and consts are p's constant positions and values, ascending — worked
-// out once on acceptance, read many times per round.
+// pendingPunct is an accepted punctuation awaiting its purge round:
+// input's scheme number scheme is the one p instantiates.
 type pendingPunct struct {
-	input  int
-	p      stream.Punctuation
-	idx    []int
-	consts []stream.Value
+	input, scheme int
+	p             stream.Punctuation
 }
 
 // NewMJoin builds the operator. The safety analysis runs once here: each
@@ -189,8 +190,8 @@ func NewMJoin(cfg Config) (*MJoin, error) {
 	}
 	gpg := safety.BuildGPG(q, cfg.Schemes)
 	for i := 0; i < q.N(); i++ {
-		m.states[i] = newJoinState(q.JoinAttrs(i))
-		m.puncts[i] = newPunctStore(cfg.Schemes.ForStream(q.Stream(i).Name()))
+		m.states[i] = newJoinState(q.Stream(i), q.JoinAttrs(i))
+		m.puncts[i] = newPunctStore(q.Stream(i), cfg.Schemes.ForStream(q.Stream(i).Name()))
 		m.plans[i] = gpg.PurgePlan(i)
 	}
 	m.stepScheme = make([][]int, q.N())
@@ -208,10 +209,8 @@ func NewMJoin(cfg Config) (*MJoin, error) {
 		m.stepScheme[i] = idx
 	}
 	m.predsTouching = make([][]query.Predicate, q.N())
-	m.partners = make([][]int, q.N())
 	for i := 0; i < q.N(); i++ {
 		m.predsTouching[i] = q.PredicatesTouching(i)
-		m.partners[i] = partnerStreamsOf(m.predsTouching[i], i)
 	}
 	m.pr = probeScratch{
 		bound:   make([]stream.Tuple, q.N()),
@@ -223,29 +222,9 @@ func NewMJoin(cfg Config) (*MJoin, error) {
 	}
 	m.initPurgeScratch()
 	m.buildOutputSchema()
+	m.compilePunctPlans()
 	m.buildProbeOrders()
 	return m, nil
-}
-
-// partnerStreamsOf returns the distinct streams the predicate list links
-// input to, in first-predicate order (matching the historical
-// partnerStreams helper).
-func partnerStreamsOf(preds []query.Predicate, input int) []int {
-	var out []int
-	for _, p := range preds {
-		other, _, _ := p.Other(input)
-		dup := false
-		for _, o := range out {
-			if o == other {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, other)
-		}
-	}
-	return out
 }
 
 // Purgeable reports whether input i's join state is purgeable (Theorem 3).
@@ -443,7 +422,7 @@ func (m *MJoin) pushPunct(out []stream.Element, input int, p stream.Punctuation)
 		return out, fmt.Errorf("%w: input %d: %v", ErrMalformedElement, input, err)
 	}
 	m.stats.PunctsIn[input]++
-	entry := m.puncts[input].add(p, m.clock, m.cfg.PunctLifespan)
+	entry, scheme := m.puncts[input].add(p, m.clock, m.cfg.PunctLifespan)
 	m.stats.PunctStoreSize[input] = m.puncts[input].size
 	if entry == nil {
 		// Irrelevant (no registered scheme) or duplicate punctuation:
@@ -451,8 +430,7 @@ func (m *MJoin) pushPunct(out []stream.Element, input int, p stream.Punctuation)
 		// punctuations" filtering of §1.
 		return out, nil
 	}
-	// add left the entry holding exactly p's constants (fresh or widened).
-	pp := pendingPunct{input: input, p: p, idx: entry.idx, consts: entry.consts}
+	pp := pendingPunct{input: input, scheme: scheme, p: p}
 	if m.cfg.PurgeBatch <= 1 {
 		m.pg.one = append(m.pg.one[:0], pp)
 		out = m.purgeRound(out, m.pg.one)
@@ -461,7 +439,7 @@ func (m *MJoin) pushPunct(out []stream.Element, input int, p stream.Punctuation)
 	}
 	// Output punctuation propagation for the freshly arrived punctuation.
 	if !m.cfg.DisableOutputPuncts {
-		if op, ok := m.tryEmitPunct(input, entry); ok {
+		if op, ok := m.tryEmitPunct(input, scheme, entry); ok {
 			out = append(out, op)
 		}
 	}

@@ -1,24 +1,19 @@
 package exec
 
 import (
-	"sort"
-
 	"punctsafe/stream"
 )
 
 // punctEntry is one stored punctuation together with its §5.1 lifecycle
-// metadata. For an ordered (watermark) scheme the entry is the compacted
-// representative of every instantiation seen for its equality constants:
-// only the widest bound needs keeping, since a <=T promise subsumes every
-// <=T' with T' <= T.
+// metadata. Its constants are read out of punct at the scheme's
+// punctuatable positions (punctStore.constant). For an ordered
+// (watermark) scheme the entry is the compacted representative of every
+// instantiation seen for its equality constants: only the widest bound
+// needs keeping, since a <=T promise subsumes every <=T' with T' <= T.
 type punctEntry struct {
 	punct stream.Punctuation
-	// consts are the constant values in punctuatable-attribute order
-	// (the ordered slot, if any, holds the current bound).
-	consts []stream.Value
-	// idx are the positions consts sit at: the punctuatable positions of
-	// the scheme the punctuation instantiates (shared with the scheme).
-	idx []int
+	// key is the entry's key in its scheme's container.
+	key mapKey
 	// arrived is the operator clock value when the punctuation arrived
 	// (or was last widened).
 	arrived uint64
@@ -30,6 +25,9 @@ type punctEntry struct {
 	// punctuation to its output (so tree plans do not emit duplicates).
 	// Widening a watermark bound resets it: the wider promise is news.
 	emitted bool
+	// round is the last §5.1 purge round that evaluated the entry, so a
+	// round evaluates each candidate once. Not serialized.
+	round uint64
 }
 
 // punctStore holds the punctuations received on one operator input,
@@ -39,59 +37,97 @@ type punctEntry struct {
 // schemes compare the ordered slot against the stored bound instead.
 type punctStore struct {
 	schemes []stream.Scheme
-	// ordSlot[k] is the position of schemes[k]'s ordered attribute within
-	// its punctuatable-attribute order, or -1.
+	// idx[k] are schemes[k]'s punctuatable positions: constant slot i of
+	// an instantiation sits at attribute idx[k][i].
+	idx [][]int
+	// ordSlot[k] is the slot of schemes[k]'s ordered attribute, or -1. The
+	// ordered constant is a bound, not part of the key.
 	ordSlot []int
-	// entries[k] holds the stored instantiations of schemes[k], keyed by
-	// the equality constants.
-	entries []map[string]*punctEntry
+	// eqSlot[k] is schemes[k]'s only equality slot when that attribute is
+	// numeric — entries are then keyed by the constant's bits — or -1 when
+	// entries are keyed by the encoding of all equality constants.
+	eqSlot []int
+	// entries[k] holds the stored instantiations of schemes[k].
+	entries []*keyMap[*punctEntry]
 	size    int
-	// keyBuf is the reusable composite-key buffer: probes go through
-	// m[string(keyBuf)], which the compiler compiles without a string
-	// allocation, so the coverage checks inside purge chains cost no
-	// allocations.
-	keyBuf []byte
-	// keysBuf is each()'s reusable sort buffer.
-	keysBuf []string
+	// keyBuf is the reusable encoded-key buffer: probing with it allocates
+	// nothing, so the coverage checks inside purge chains cost no
+	// allocations. constBuf is add's constant scratch.
+	keyBuf   []byte
+	constBuf []stream.Value
 }
 
-func newPunctStore(schemes []stream.Scheme) *punctStore {
-	ps := &punctStore{
-		schemes: schemes,
-		ordSlot: make([]int, len(schemes)),
-		entries: make([]map[string]*punctEntry, len(schemes)),
-	}
-	for i, s := range schemes {
-		ps.entries[i] = make(map[string]*punctEntry)
-		ps.ordSlot[i] = -1
-		oi := s.OrderedIndex()
-		for slot, a := range s.PunctuatableIndexes() {
-			if a == oi {
-				ps.ordSlot[i] = slot
+func newPunctStore(sc *stream.Schema, schemes []stream.Scheme) *punctStore {
+	ps := &punctStore{schemes: schemes}
+	for _, s := range schemes {
+		idx := s.PunctuatableIndexes()
+		ord, eq, nEq := -1, -1, 0
+		for slot, a := range idx {
+			if a == s.OrderedIndex() {
+				ord = slot
+			} else {
+				eq = slot
+				nEq++
 			}
 		}
+		if nEq != 1 || sc.Attr(idx[eq]).Kind == stream.KindString {
+			eq = -1
+		}
+		ps.idx = append(ps.idx, idx)
+		ps.ordSlot = append(ps.ordSlot, ord)
+		ps.eqSlot = append(ps.eqSlot, eq)
+		ps.entries = append(ps.entries, newKeyMap[*punctEntry](eq >= 0))
 	}
 	return ps
 }
 
-// appendEqKey drops the ordered slot (if any) from the constant list and
-// appends the key encoding of the rest to dst.
-func (ps *punctStore) appendEqKey(dst []byte, schemeIdx int, consts []stream.Value) []byte {
-	slot := ps.ordSlot[schemeIdx]
-	for i, v := range consts {
-		if i == slot {
-			continue
-		}
-		dst = stream.AppendKey(dst, v)
-	}
-	return dst
+// constant returns constant slot i of a stored instantiation of scheme k.
+func (ps *punctStore) constant(k int, e *punctEntry, i int) stream.Value {
+	return e.punct.Patterns[ps.idx[k][i]].Value()
 }
 
-// eqKeyBuf encodes the equality key into the store's reusable buffer.
-// The result is valid until the next eqKeyBuf call.
+// constants cuts the constants of an instantiation of scheme k out of its
+// patterns, in slot order, into the store's scratch: valid until the next
+// call.
+func (ps *punctStore) constants(k int, p stream.Punctuation) []stream.Value {
+	ps.constBuf = ps.constBuf[:0]
+	for _, a := range ps.idx[k] {
+		ps.constBuf = append(ps.constBuf, p.Patterns[a].Value())
+	}
+	return ps.constBuf
+}
+
+// eqKeyBuf encodes the equality constants (the ordered slot, if any, is
+// dropped) into the store's reusable buffer. The result is valid until
+// the next eqKeyBuf call.
 func (ps *punctStore) eqKeyBuf(schemeIdx int, consts []stream.Value) []byte {
-	ps.keyBuf = ps.appendEqKey(ps.keyBuf[:0], schemeIdx, consts)
+	ps.keyBuf = ps.keyBuf[:0]
+	for i, v := range consts {
+		if i != ps.ordSlot[schemeIdx] {
+			ps.keyBuf = stream.AppendKey(ps.keyBuf, v)
+		}
+	}
 	return ps.keyBuf
+}
+
+// find returns the stored entry — live or expired — whose equality
+// constants equal those of consts.
+func (ps *punctStore) find(schemeIdx int, consts []stream.Value) (*punctEntry, bool) {
+	if slot := ps.eqSlot[schemeIdx]; slot >= 0 {
+		return ps.entries[schemeIdx].get(mapKey{bits: consts[slot].Bits()})
+	}
+	return ps.entries[schemeIdx].getEncoded(ps.eqKeyBuf(schemeIdx, consts))
+}
+
+// put stores a fresh entry under the constants' equality part, replacing
+// whatever was there.
+func (ps *punctStore) put(schemeIdx int, consts []stream.Value, e *punctEntry) {
+	if slot := ps.eqSlot[schemeIdx]; slot >= 0 {
+		e.key = mapKey{bits: consts[slot].Bits()}
+	} else {
+		e.key = mapKey{s: string(ps.eqKeyBuf(schemeIdx, consts))}
+	}
+	ps.entries[schemeIdx].put(e.key, e)
 }
 
 // schemeIndex returns the index of the scheme the punctuation
@@ -119,97 +155,72 @@ func (ps *punctStore) indexOfScheme(s stream.Scheme) int {
 // lookup returns the live entry for the scheme with the given constants'
 // equality part, or nil.
 func (ps *punctStore) lookup(schemeIdx int, consts []stream.Value, now uint64) *punctEntry {
-	e, ok := ps.entries[schemeIdx][string(ps.eqKeyBuf(schemeIdx, consts))]
+	e, ok := ps.find(schemeIdx, consts)
 	if !ok || e.expired(now) {
 		return nil
 	}
 	return e
 }
 
-// add stores a punctuation. It returns the entry when the punctuation is
-// new information (fresh entry, or a widened watermark bound), or nil
-// when it instantiates no registered scheme or adds nothing.
-func (ps *punctStore) add(p stream.Punctuation, now, lifespan uint64) *punctEntry {
+// add stores a punctuation. It returns the entry and the index of the
+// scheme it instantiates when the punctuation is new information (fresh
+// entry, or a widened watermark bound), or nil when it instantiates no
+// registered scheme or adds nothing.
+func (ps *punctStore) add(p stream.Punctuation, now, lifespan uint64) (*punctEntry, int) {
 	si := ps.schemeIndex(p)
 	if si < 0 {
-		return nil
+		return nil, -1
 	}
-	consts := constsOf(p)
-	slot := ps.ordSlot[si]
-	if old, ok := ps.entries[si][string(ps.eqKeyBuf(si, consts))]; ok && !old.expired(now) {
+	consts := ps.constants(si, p)
+	e, ok := ps.find(si, consts)
+	if ok && !e.expired(now) {
+		slot := ps.ordSlot[si]
 		if slot < 0 {
-			return nil // exact duplicate
+			return nil, -1 // exact duplicate
 		}
 		// Watermark: keep only the widest bound.
-		le, cmp := stream.LessEq(consts[slot], old.consts[slot])
-		if cmp && le {
-			return nil // not wider than what we hold
+		if le, cmp := stream.LessEq(consts[slot], ps.constant(si, e, slot)); cmp && le {
+			return nil, -1 // not wider than what we hold
 		}
-		old.punct = p
-		old.consts = consts
-		old.arrived = now
-		if lifespan > 0 {
-			old.expires = now + lifespan
+		e.punct = p
+		e.emitted = false
+	} else {
+		if !ok {
+			ps.size++ // otherwise an expired entry is replaced
 		}
-		old.emitted = false
-		return old
-	} else if ok {
-		ps.size-- // replace an expired entry
+		e = &punctEntry{punct: p}
+		ps.put(si, consts, e)
 	}
-	e := &punctEntry{punct: p, consts: consts, idx: ps.schemes[si].PunctuatableIndexes(), arrived: now}
+	e.arrived = now
 	if lifespan > 0 {
 		e.expires = now + lifespan
 	}
-	ps.entries[si][string(ps.eqKeyBuf(si, consts))] = e
-	ps.size++
-	return e
+	return e, si
 }
 
 func (e *punctEntry) expired(now uint64) bool {
 	return e.expires != 0 && now > e.expires
 }
 
-// covered reports whether a live stored punctuation guarantees the given
-// constants: for equality slots an exact match, for the ordered slot a
-// stored bound at or above the value.
-func (ps *punctStore) covered(schemeIdx int, consts []stream.Value, now uint64) bool {
+// covering returns the live stored punctuation that guarantees the given
+// constants — for equality slots an exact match, for the ordered slot a
+// stored bound at or above the value — or nil.
+func (ps *punctStore) covering(schemeIdx int, consts []stream.Value, now uint64) *punctEntry {
 	e := ps.lookup(schemeIdx, consts, now)
-	if e == nil {
-		return false
-	}
-	slot := ps.ordSlot[schemeIdx]
-	if slot < 0 {
-		return true
-	}
-	le, ok := stream.LessEq(consts[slot], e.consts[slot])
-	return ok && le
-}
-
-// coveredSimple reports whether a live stored punctuation constrains
-// exactly the single attribute attr so as to forbid the value v — the
-// guarantee "no future tuple carries v at attr" needed by plain
-// purge-chain steps.
-func (ps *punctStore) coveredSimple(attr int, v stream.Value, now uint64) bool {
-	for si, s := range ps.schemes {
-		idx := s.PunctuatableIndexes()
-		if len(idx) != 1 || idx[0] != attr {
-			continue
-		}
-		if ps.covered(si, []stream.Value{v}, now) {
-			return true
+	if slot := ps.ordSlot[schemeIdx]; e != nil && slot >= 0 {
+		if le, ok := stream.LessEq(consts[slot], ps.constant(schemeIdx, e, slot)); !ok || !le {
+			return nil
 		}
 	}
-	return false
+	return e
 }
 
-// remove deletes the stored entry matching the constants' equality part;
-// it reports whether an entry was removed.
-func (ps *punctStore) remove(schemeIdx int, consts []stream.Value) bool {
-	key := ps.eqKeyBuf(schemeIdx, consts)
-	if _, ok := ps.entries[schemeIdx][string(key)]; !ok {
+// remove deletes a stored entry; it reports whether it was still stored.
+func (ps *punctStore) remove(schemeIdx int, e *punctEntry) bool {
+	if _, ok := ps.entries[schemeIdx].get(e.key); !ok {
 		return false
 	}
-	delete(ps.entries[schemeIdx], string(key))
+	ps.entries[schemeIdx].del(e.key)
 	ps.size--
 	return true
 }
@@ -218,12 +229,12 @@ func (ps *punctStore) remove(schemeIdx int, consts []stream.Value) bool {
 func (ps *punctStore) expire(now uint64) int {
 	removed := 0
 	for _, m := range ps.entries {
-		for k, e := range m {
+		m.each(func(k mapKey, e *punctEntry) {
 			if e.expired(now) {
-				delete(m, k)
+				m.del(k)
 				removed++
 			}
-		}
+		})
 	}
 	ps.size -= removed
 	return removed
@@ -233,33 +244,14 @@ func (ps *punctStore) expire(now uint64) int {
 // visited per scheme in sorted key order (not Go map order) so sweep-time
 // punctuation emission is deterministic across runs.
 func (ps *punctStore) each(now uint64, fn func(schemeIdx int, e *punctEntry) bool) {
+	more := true
 	for si, m := range ps.entries {
-		keys := ps.keysBuf[:0]
-		for k := range m {
-			keys = append(keys, k)
-		}
-		ps.keysBuf = keys
-		sort.Strings(keys)
-		for _, k := range keys {
-			e, ok := m[k]
-			if !ok || e.expired(now) {
-				continue
-			}
-			if !fn(si, e) {
-				return
-			}
+		m.eachSorted(func(e *punctEntry) bool {
+			more = e.expired(now) || fn(si, e)
+			return more
+		})
+		if !more {
+			return
 		}
 	}
-}
-
-// constsOf extracts the constant values of a punctuation in ascending
-// attribute order (bounds included).
-func constsOf(p stream.Punctuation) []stream.Value {
-	var out []stream.Value
-	for _, pat := range p.Patterns {
-		if !pat.IsWildcard() {
-			out = append(out, pat.Value())
-		}
-	}
-	return out
 }

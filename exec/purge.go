@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"slices"
 
 	"punctsafe/stream"
@@ -23,8 +22,8 @@ type sid struct {
 // purgeScratch is the operator's reusable purge-path state. Like the
 // probe scratch, it exists so steady-state purge rounds allocate nothing:
 // candidate sets are per-input sorted id slices filtered in place,
-// frontiers and value sets reuse per-input buffers, and composite map
-// keys are built in a shared byte buffer.
+// frontiers and value sets reuse per-input buffers, and punctuation
+// constants are assembled in one slice sized to the widest scheme.
 type purgeScratch struct {
 	one     []pendingPunct // single-punctuation batch for eager rounds
 	cand    [][]tupleID    // per-input purge candidates (sorted before fixpoint)
@@ -35,15 +34,17 @@ type purgeScratch struct {
 	frontiers [][]stream.Tuple
 	covered   []bool
 	valueSets [][]stream.Value
-	consts    []stream.Value
 	valSeen   map[stream.ValueKey]struct{} // big-set dedup fallback
+	// consts is the shared constant scratch (compilePunctPlans sizes it):
+	// every lookup into a punctuation store assembles its constants here.
+	consts []stream.Value
 	// frontier() constraint scratch.
 	consAttrs []int
 	consKeys  [][]stream.ValueKey
-	// purgePunctStores scratch.
-	keyBuf   []byte
-	seenKeys map[string]bool
-	victims  []punctVictim
+	// purgePunctStores scratch: round stamps the entries a round has
+	// evaluated (punctEntry.round), victims collects the purgeable ones.
+	round   uint64
+	victims []punctVictim
 }
 
 func (m *MJoin) initPurgeScratch() {
@@ -55,7 +56,6 @@ func (m *MJoin) initPurgeScratch() {
 		covered:   make([]bool, n),
 		seen:      make(map[sid]struct{}),
 		valSeen:   make(map[stream.ValueKey]struct{}),
-		seenKeys:  make(map[string]bool),
 	}
 }
 
@@ -90,30 +90,25 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 	// Anchor tuples: stored tuples in partner states carrying a value a
 	// new punctuation constrains.
 	for _, pp := range batch {
-		for _, a := range pp.idx {
-			pat := pp.p.Patterns[a]
-			for _, p := range m.predsTouching[pp.input] {
-				other, myAttr, otherAttr := p.Other(pp.input)
-				if myAttr != a {
-					continue
-				}
-				if pat.IsLeq() {
-					// Ordered bound: the hash index cannot answer range
-					// queries, so scan the partner state (watermarks are
-					// periodic and few, so this stays cheap).
-					m.states[other].each(func(id tupleID, u stream.Tuple) bool {
-						if pat.MatchesValue(u.Values[otherAttr]) {
-							m.pgPush(other, id)
-						}
-						return true
-					})
-					continue
-				}
-				tb := m.states[other].lookup2(otherAttr, pat.Value())
-				for _, run := range tb.runs() {
-					for _, id := range run {
-						m.pgPush(other, id)
+		pl := &m.punctPlans[pp.input][pp.scheme]
+		for _, an := range pl.anchors {
+			pat := pp.p.Patterns[pl.idx[an.slot]]
+			if an.slot == pl.ordSlot {
+				// Ordered bound: the hash index cannot answer range
+				// queries, so scan the partner state (watermarks are
+				// periodic and few, so this stays cheap).
+				m.states[an.other].each(func(id tupleID, u stream.Tuple) bool {
+					if pat.MatchesValue(u.Values[an.attr]) {
+						m.pgPush(an.other, id)
 					}
+					return true
+				})
+				continue
+			}
+			tb := m.states[an.other].lookup2(an.attr, pat.Value())
+			for _, run := range tb.runs() {
+				for _, id := range run {
+					m.pgPush(an.other, id)
 				}
 			}
 		}
@@ -277,15 +272,12 @@ func (m *MJoin) purgeableTuple(root int, t stream.Tuple) bool {
 // value sets has a live stored punctuation on input j instantiating
 // scheme schemeIdx.
 func (m *MJoin) coveredProduct(j, schemeIdx int, valueSets [][]stream.Value) bool {
-	if cap(m.pg.consts) < len(valueSets) {
-		m.pg.consts = make([]stream.Value, len(valueSets))
-	}
 	return m.coveredProductRec(j, schemeIdx, valueSets, m.pg.consts[:len(valueSets)], 0)
 }
 
 func (m *MJoin) coveredProductRec(j, schemeIdx int, valueSets [][]stream.Value, consts []stream.Value, k int) bool {
 	if k == len(valueSets) {
-		return m.puncts[j].covered(schemeIdx, consts, m.clock)
+		return m.puncts[j].covering(schemeIdx, consts, m.clock) != nil
 	}
 	for _, v := range valueSets[k] {
 		consts[k] = v
@@ -448,23 +440,22 @@ func dedupKeysInto(dst []stream.ValueKey, frontier []stream.Tuple, attr int, see
 // output tuple can carry the punctuated values in that input's columns,
 // so downstream operators may rely on it (the propagation invariant that
 // lets tree plans purge their upper operators).
-func (m *MJoin) tryEmitPunct(input int, e *punctEntry) (stream.Element, bool) {
+func (m *MJoin) tryEmitPunct(input, schemeIdx int, e *punctEntry) (stream.Element, bool) {
 	if e.emitted || e.expired(m.clock) {
 		return stream.Element{}, false
 	}
-	if m.hasMatchingTuple(input, e) {
+	pl := &m.punctPlans[input][schemeIdx]
+	if m.hasMatchingTuple(input, pl, e.punct) {
 		return stream.Element{}, false
 	}
 	e.emitted = true
 	m.stats.OutPuncts++
-	pats := make([]stream.Pattern, m.out.Arity())
-	for i := range pats {
-		pats[i] = stream.Wildcard()
+	// Output punctuations are dense: one pattern per output column.
+	pats := append([]stream.Pattern(nil), m.outTemplate...)
+	for k, col := range pl.outCols {
+		pats[col] = e.punct.Patterns[pl.idx[k]]
 	}
-	for _, a := range e.idx {
-		pats[m.colBase[input]+a] = e.punct.Patterns[a]
-	}
-	return stream.PunctElement(stream.MustPunctuation(pats...)), true
+	return stream.PunctElement(stream.Punctuation{Patterns: pats}), true
 }
 
 // emitForRemoved re-tests exactly the stored punctuations a purge round
@@ -475,22 +466,13 @@ func (m *MJoin) tryEmitPunct(input int, e *punctEntry) (stream.Element, bool) {
 // else needs rechecking.
 func (m *MJoin) emitForRemoved(out []stream.Element, removed [][]stream.Tuple) []stream.Element {
 	for input, tuples := range removed {
-		ps := m.puncts[input]
 		for _, u := range tuples {
-			for si, scheme := range ps.schemes {
-				idx := scheme.PunctuatableIndexes()
-				if cap(m.pg.consts) < len(idx) {
-					m.pg.consts = make([]stream.Value, len(idx))
-				}
-				consts := m.pg.consts[:len(idx)]
-				for k, a := range idx {
-					consts[k] = u.Values[a]
-				}
-				e := ps.lookup(si, consts, m.clock)
+			for si := range m.punctPlans[input] {
+				e := m.puncts[input].lookup(si, m.tupleConsts(u, m.punctPlans[input][si].idx), m.clock)
 				if e == nil {
 					continue
 				}
-				if el, emitted := m.tryEmitPunct(input, e); emitted {
+				if el, emitted := m.tryEmitPunct(input, si, e); emitted {
 					out = append(out, el)
 				}
 			}
@@ -503,8 +485,8 @@ func (m *MJoin) emitForRemoved(out []stream.Element, removed [][]stream.Tuple) [
 // full pass, used by the background clean-up Sweep).
 func (m *MJoin) emitPendingPuncts(out []stream.Element) []stream.Element {
 	for input := range m.puncts {
-		m.puncts[input].each(m.clock, func(_ int, e *punctEntry) bool {
-			if el, ok := m.tryEmitPunct(input, e); ok {
+		m.puncts[input].each(m.clock, func(si int, e *punctEntry) bool {
+			if el, ok := m.tryEmitPunct(input, si, e); ok {
 				out = append(out, el)
 			}
 			return true
@@ -514,17 +496,12 @@ func (m *MJoin) emitPendingPuncts(out []stream.Element) []stream.Element {
 }
 
 // hasMatchingTuple reports whether any stored tuple of the input matches
-// the stored punctuation's constant patterns. Indexed attributes are
-// probed; otherwise the state is scanned.
-func (m *MJoin) hasMatchingTuple(input int, e *punctEntry) bool {
-	p := e.punct
+// the punctuation (an instantiation of pl's scheme). The plan's indexed
+// equality attribute is probed; without one the state is scanned.
+func (m *MJoin) hasMatchingTuple(input int, pl *punctPlan, p stream.Punctuation) bool {
 	st := m.states[input]
-	for _, a := range e.idx {
-		// The hash index answers equality constraints only.
-		if st.index[a] == nil || p.Patterns[a].IsLeq() {
-			continue
-		}
-		tb := st.lookup2(a, p.Patterns[a].Value())
+	if pl.probeSlot >= 0 {
+		tb := st.lookup2(pl.idx[pl.probeSlot], pl.constant(p, pl.probeSlot))
 		for _, run := range tb.runs() {
 			for _, id := range run {
 				if u, ok := st.get(id); ok && p.Matches(u) {
@@ -534,14 +511,10 @@ func (m *MJoin) hasMatchingTuple(input int, e *punctEntry) bool {
 		}
 		return false
 	}
-	// No constrained attribute is indexed: scan.
 	found := false
 	st.each(func(_ tupleID, u stream.Tuple) bool {
-		if p.Matches(u) {
-			found = true
-			return false
-		}
-		return true
+		found = p.Matches(u)
+		return !found
 	})
 	return found
 }
@@ -550,7 +523,7 @@ func (m *MJoin) hasMatchingTuple(input int, e *punctEntry) bool {
 type punctVictim struct {
 	input     int
 	schemeIdx int
-	consts    []stream.Value
+	e         *punctEntry
 }
 
 // violatedPromise reports whether a live punctuation stored on the
@@ -558,20 +531,12 @@ type punctVictim struct {
 // check is one exact-key lookup per registered scheme: a tuple matches a
 // scheme's instantiation iff its values at the punctuatable positions
 // equal the stored constants (with <= for the ordered slot) — exactly the
-// covered() query over constants drawn from the tuple itself.
+// covering() query over constants drawn from the tuple itself.
 func (m *MJoin) violatedPromise(input int, t stream.Tuple) (stream.Punctuation, bool) {
-	ps := m.puncts[input]
-	for si, scheme := range ps.schemes {
-		idx := scheme.PunctuatableIndexes()
-		if cap(m.pg.consts) < len(idx) {
-			m.pg.consts = make([]stream.Value, len(idx))
-		}
-		consts := m.pg.consts[:len(idx)]
-		for k, a := range idx {
-			consts[k] = t.Values[a]
-		}
-		if ps.covered(si, consts, m.clock) {
-			return ps.lookup(si, consts, m.clock).punct, true
+	for si := range m.punctPlans[input] {
+		consts := m.tupleConsts(t, m.punctPlans[input][si].idx)
+		if e := m.puncts[input].covering(si, consts, m.clock); e != nil {
+			return e.punct, true
 		}
 	}
 	return stream.Punctuation{}, false
@@ -589,74 +554,37 @@ func (m *MJoin) violatedPromise(input int, t stream.Tuple) (stream.Punctuation, 
 // pass instead.
 func (m *MJoin) purgePunctStores(batch []pendingPunct, removed [][]stream.Tuple) {
 	pg := &m.pg
-	clear(pg.seenKeys)
+	pg.round++
 	pg.victims = pg.victims[:0]
-	consider := func(input, schemeIdx int, e *punctEntry) {
-		var hdr [16]byte
-		binary.LittleEndian.PutUint64(hdr[:8], uint64(input))
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(schemeIdx))
-		pg.keyBuf = append(pg.keyBuf[:0], hdr[:]...)
-		pg.keyBuf = stream.AppendKey(pg.keyBuf, e.consts...)
-		if pg.seenKeys[string(pg.keyBuf)] {
-			return
-		}
-		pg.seenKeys[string(pg.keyBuf)] = true
-		if m.punctPurgeable(input, schemeIdx, e) {
-			pg.victims = append(pg.victims, punctVictim{input: input, schemeIdx: schemeIdx, consts: e.consts})
-		}
-	}
 
 	// (a) New punctuations: they may complete the counter-coverage of a
 	// partner stream's stored punctuation with the mapped constants.
 	for _, pp := range batch {
-		m.eachMappedEntry(pp, consider)
-		// The new punctuation itself may already be droppable.
-		if si := m.puncts[pp.input].schemeIndex(pp.p); si >= 0 {
-			if e := m.puncts[pp.input].lookup(si, pp.consts, m.clock); e != nil {
-				consider(pp.input, si, e)
+		pl := &m.punctPlans[pp.input][pp.scheme]
+		for i := range pl.partners {
+			pr := &pl.partners[i]
+			if pl.conflicting(pr, pp.p) {
+				continue
 			}
+			for _, c := range pr.counters {
+				if e := m.puncts[pr.other].lookup(c.scheme, m.mappedConsts(pl, pp.p, c), m.clock); e != nil {
+					m.considerPunct(pr.other, c.scheme, e)
+				}
+			}
+		}
+		// The new punctuation itself may already be droppable.
+		ps := m.puncts[pp.input]
+		if e := ps.lookup(pp.scheme, ps.constants(pp.scheme, pp.p), m.clock); e != nil {
+			m.considerPunct(pp.input, pp.scheme, e)
 		}
 	}
 	// (b) Removed tuples: a stored punctuation that matched them on a
 	// partner stream may have lost its last blocker.
 	for input, tuples := range removed {
 		for _, u := range tuples {
-			for _, p := range m.predsTouching[input] {
-				other, myAttr, otherAttr := p.Other(input)
-				ps := m.puncts[other]
-				for si, scheme := range ps.schemes {
-					idx := scheme.PunctuatableIndexes()
-					if len(idx) != 1 || idx[0] != otherAttr {
-						continue
-					}
-					if e := ps.lookup(si, []stream.Value{u.Values[myAttr]}, m.clock); e != nil {
-						consider(other, si, e)
-					}
-				}
-				// Multi-attribute schemes: reconstruct the constants from
-				// the removed tuple when every punctuatable attribute maps
-				// back to this input.
-				for si, scheme := range ps.schemes {
-					idx := scheme.PunctuatableIndexes()
-					if len(idx) < 2 {
-						continue
-					}
-					consts := make([]stream.Value, len(idx))
-					ok := true
-					for k, a := range idx {
-						back := m.q.PartnerAttr(other, a, input)
-						if back < 0 {
-							ok = false
-							break
-						}
-						consts[k] = u.Values[back]
-					}
-					if !ok {
-						continue
-					}
-					if e := ps.lookup(si, consts, m.clock); e != nil {
-						consider(other, si, e)
-					}
+			for _, rp := range m.removedProbes[input] {
+				if e := m.puncts[rp.other].lookup(rp.scheme, m.tupleConsts(u, rp.from), m.clock); e != nil {
+					m.considerPunct(rp.other, rp.scheme, e)
 				}
 			}
 		}
@@ -668,16 +596,26 @@ func (m *MJoin) purgePunctStores(batch []pendingPunct, removed [][]stream.Tuple)
 	m.removeVictims(pg.victims)
 }
 
+// considerPunct evaluates a §5.1 candidate once per round.
+func (m *MJoin) considerPunct(input, schemeIdx int, e *punctEntry) {
+	if e.round == m.pg.round {
+		return
+	}
+	e.round = m.pg.round
+	if m.punctPurgeable(input, schemeIdx, e) {
+		m.pg.victims = append(m.pg.victims, punctVictim{input: input, schemeIdx: schemeIdx, e: e})
+	}
+}
+
 // sweepPunctStores is the full §5.1 pass used by Sweep: every stored
 // punctuation is re-evaluated.
 func (m *MJoin) sweepPunctStores() {
 	pg := &m.pg
 	pg.victims = pg.victims[:0]
 	for j := range m.puncts {
-		ps := m.puncts[j]
-		ps.each(m.clock, func(si int, e *punctEntry) bool {
+		m.puncts[j].each(m.clock, func(si int, e *punctEntry) bool {
 			if m.punctPurgeable(j, si, e) {
-				pg.victims = append(pg.victims, punctVictim{input: j, schemeIdx: si, consts: e.consts})
+				pg.victims = append(pg.victims, punctVictim{input: j, schemeIdx: si, e: e})
 			}
 			return true
 		})
@@ -687,57 +625,9 @@ func (m *MJoin) sweepPunctStores() {
 
 func (m *MJoin) removeVictims(victims []punctVictim) {
 	for _, v := range victims {
-		if m.puncts[v.input].remove(v.schemeIdx, v.consts) {
+		if m.puncts[v.input].remove(v.schemeIdx, v.e) {
 			m.stats.PunctsPurged[v.input]++
 			m.stats.PunctStoreSize[v.input] = m.puncts[v.input].size
-		}
-	}
-}
-
-// eachMappedEntry maps a punctuation's constraint through the join
-// predicates onto each partner stream and invokes fn for every stored
-// partner punctuation whose constants equal the mapped values.
-func (m *MJoin) eachMappedEntry(pp pendingPunct, fn func(input, schemeIdx int, e *punctEntry)) {
-	input, p := pp.input, pp.p
-	for _, other := range m.partners[input] {
-		// mapped[attr of other] = value implied by p.
-		mapped := make(map[int]stream.Value)
-		conflict := false
-		for _, a := range pp.idx {
-			v := p.Patterns[a].Value()
-			for _, pr := range m.predsTouching[input] {
-				o, myAttr, otherAttr := pr.Other(input)
-				if o != other || myAttr != a {
-					continue
-				}
-				if prev, ok := mapped[otherAttr]; ok && !prev.Equal(v) {
-					conflict = true
-				}
-				mapped[otherAttr] = v
-			}
-		}
-		if conflict || len(mapped) == 0 {
-			continue
-		}
-		ps := m.puncts[other]
-		for si, scheme := range ps.schemes {
-			idx := scheme.PunctuatableIndexes()
-			vals := make([]stream.Value, len(idx))
-			ok := true
-			for k, a := range idx {
-				v, has := mapped[a]
-				if !has {
-					ok = false
-					break
-				}
-				vals[k] = v
-			}
-			if !ok {
-				continue
-			}
-			if e := ps.lookup(si, vals, m.clock); e != nil {
-				fn(other, si, e)
-			}
 		}
 	}
 }
@@ -745,129 +635,59 @@ func (m *MJoin) eachMappedEntry(pp pendingPunct, fn func(input, schemeIdx int, e
 // punctPurgeable decides whether a stored punctuation e on input j can be
 // dropped: for every join partner reachable through e's constrained
 // attributes, the partner must hold a live counter-punctuation implied by
-// e's mapped constraint and store no tuple still matching it. Constrained
-// attributes that join nothing keep the punctuation alive (nothing can
-// certify they will not be needed).
+// e's mapped constraint and store no tuple still matching it. A partner
+// on which e's constants contradict each other can never match e and
+// certifies nothing; schemes that are not certifiable at all (see
+// punctPlan) are kept for good.
 func (m *MJoin) punctPurgeable(j, schemeIdx int, e *punctEntry) bool {
-	if m.puncts[j].ordSlot[schemeIdx] >= 0 {
-		// Watermark entries are self-compacting (one entry per equality
-		// key, bound monotonically widened), so counter-punctuation
-		// purging is unnecessary for them; lifespans still apply.
+	pl := &m.punctPlans[j][schemeIdx]
+	if !pl.certifiable {
 		return false
 	}
-	scheme := m.puncts[j].schemes[schemeIdx]
-	idx := scheme.PunctuatableIndexes()
-	partnersTouched := false
-	for _, other := range m.partners[j] {
-		// Map e's constraint onto the partner.
-		mapped := make(map[int]stream.Value)
-		for k, a := range idx {
-			v := e.consts[k]
-			for _, pr := range m.predsTouching[j] {
-				o, myAttr, otherAttr := pr.Other(j)
-				if o == other && myAttr == a {
-					if prev, ok := mapped[otherAttr]; ok && !prev.Equal(v) {
-						// Contradictory constraint: no partner tuple can
-						// ever match e through this stream.
-						mapped = nil
-					}
-					if mapped != nil {
-						mapped[otherAttr] = v
-					}
-				}
-			}
-			if mapped == nil {
-				break
-			}
+	touched := false
+	for i := range pl.partners {
+		pr := &pl.partners[i]
+		if pl.conflicting(pr, e.punct) {
+			continue
 		}
-		if mapped == nil {
-			continue // e matches nothing on this partner
-		}
-		if len(mapped) == 0 {
-			continue // partner not linked through constrained attributes
-		}
-		partnersTouched = true
-		if !m.counterCovered(other, mapped) {
-			return false
-		}
-		if m.hasTupleMatching(other, mapped) {
+		touched = true
+		if !m.counterCovered(pl, pr, e.punct) || m.partnerHolds(pl, pr, e.punct) {
 			return false
 		}
 	}
-	// Every constrained attribute must join at least one partner;
-	// otherwise the punctuation's purpose cannot be certified away.
-	for _, a := range idx {
-		if len(m.q.JoinPartners(j, a)) == 0 {
-			return false
-		}
-	}
-	return partnersTouched
+	return touched
 }
 
-// counterCovered reports whether stream s holds a live punctuation whose
-// constrained attributes are a subset of the mapped constraint with equal
-// values — such a punctuation forbids every future s-tuple matching the
-// constraint.
-func (m *MJoin) counterCovered(s int, mapped map[int]stream.Value) bool {
-	ps := m.puncts[s]
-	for si, scheme := range ps.schemes {
-		idx := scheme.PunctuatableIndexes()
-		consts := make([]stream.Value, len(idx))
-		ok := true
-		for k, a := range idx {
-			v, has := mapped[a]
-			if !has {
-				ok = false
-				break
-			}
-			consts[k] = v
-		}
-		if ok && ps.covered(si, consts, m.clock) {
+// counterCovered reports whether the partner holds a live
+// counter-punctuation for p's mapped constraint.
+func (m *MJoin) counterCovered(pl *punctPlan, pr *partnerPlan, p stream.Punctuation) bool {
+	for _, c := range pr.counters {
+		if m.puncts[pr.other].covering(c.scheme, m.mappedConsts(pl, p, c), m.clock) != nil {
 			return true
 		}
 	}
 	return false
 }
 
-// hasTupleMatching reports whether stream s stores a tuple matching every
-// (attr, value) pair of the constraint.
-func (m *MJoin) hasTupleMatching(s int, mapped map[int]stream.Value) bool {
-	// Probe the first indexed attribute; verify the rest.
-	st := m.states[s]
-	for a, v := range mapped {
-		if st.index[a] == nil {
-			continue
-		}
-		tb := st.lookup2(a, v)
-		for _, run := range tb.runs() {
-			for _, id := range run {
-				u, live := st.get(id)
-				if !live {
-					continue
-				}
-				all := true
-				for a2, v2 := range mapped {
-					if !u.Values[a2].Equal(v2) {
-						all = false
-						break
-					}
-				}
-				if all {
-					return true
+// partnerHolds reports whether the partner stores a tuple matching p's
+// mapped constraint.
+func (m *MJoin) partnerHolds(pl *punctPlan, pr *partnerPlan, p stream.Punctuation) bool {
+	st := m.states[pr.other]
+	tb := st.lookup2(pr.attrs[0], pl.constant(p, pr.slots[0]))
+	for _, run := range tb.runs() {
+	candidates:
+		for _, id := range run {
+			u, live := st.get(id)
+			if !live {
+				continue
+			}
+			for i := 1; i < len(pr.attrs); i++ {
+				if !u.Values[pr.attrs[i]].Equal(pl.constant(p, pr.slots[i])) {
+					continue candidates
 				}
 			}
+			return true
 		}
-		return false
 	}
-	found := false
-	st.each(func(_ tupleID, u stream.Tuple) bool {
-		for a, v := range mapped {
-			if !u.Values[a].Equal(v) {
-				return true
-			}
-		}
-		found = true
-		return false
-	})
-	return found
+	return false
 }

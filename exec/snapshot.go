@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"punctsafe/stream"
 )
@@ -20,7 +19,8 @@ import (
 // The index side of a joinState is NOT serialized: buckets are derivable
 // from the ordered columns, and rebuilding them on load (inserting rows
 // in ascending tupleID order, which keeps every bucket sorted for free)
-// is cheaper and safer than trusting bytes from disk.
+// is cheaper and safer than trusting bytes from disk. The same goes for
+// a stored punctuation's key and its purge-round stamp.
 //
 // Decoding is two-phase: DecodeState parses and validates a complete
 // TreeState without touching the live operators; InstallState swaps it in
@@ -207,24 +207,19 @@ func (m *MJoin) appendInputState(dst []byte, input int, codec *stream.Codec) ([]
 	}
 	ps := m.puncts[input]
 	dst = binary.AppendUvarint(dst, uint64(len(ps.schemes)))
-	var keys []string
-	for k := range ps.entries {
-		keys = keys[:0]
-		for key := range ps.entries[k] {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		dst = binary.AppendUvarint(dst, uint64(len(keys)))
-		for _, key := range keys {
-			e := ps.entries[k][key]
-			var err error
-			dst, err = codec.Encode(dst, stream.PunctElement(e.punct))
-			if err != nil {
-				return nil, fmt.Errorf("exec: serializing stored punctuation: %w", err)
+	for _, entries := range ps.entries {
+		dst = binary.AppendUvarint(dst, uint64(entries.len()))
+		entries.eachSorted(func(e *punctEntry) bool {
+			if dst, encErr = codec.Encode(dst, stream.PunctElement(e.punct)); encErr != nil {
+				return false
 			}
 			dst = binary.AppendUvarint(dst, e.arrived)
 			dst = binary.AppendUvarint(dst, e.expires)
 			dst = append(dst, boolByte(e.emitted))
+			return true
+		})
+		if encErr != nil {
+			return nil, fmt.Errorf("exec: serializing stored punctuation: %w", encErr)
 		}
 	}
 	return dst, nil
@@ -286,7 +281,11 @@ func (m *MJoin) decodeState(blob []byte) (*opState, error) {
 			return nil, fmt.Errorf("%w: pending entry is not a punctuation", ErrCorruptState)
 		}
 		p := e.Punct()
-		os.pending = append(os.pending, pendingPunct{input: input, p: p, idx: p.ConstIndexes(), consts: constsOf(p)})
+		scheme := m.puncts[input].schemeIndex(p)
+		if scheme < 0 {
+			return nil, fmt.Errorf("%w: pending punctuation %s instantiates no scheme of input %d", ErrCorruptState, p, input)
+		}
+		os.pending = append(os.pending, pendingPunct{input: input, scheme: scheme, p: p})
 	}
 	pressured, err := d.byteVal("pressure latch")
 	if err != nil {
@@ -323,12 +322,9 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 			ErrCorruptState, frozenBound, freezeAt, nextID)
 	}
 	st := &joinState{
-		index:       make(map[int]map[stream.ValueKey][]tupleID, len(m.states[input].index)),
+		index:       m.states[input].index.emptyLike(),
 		frozenBound: tupleID(frozenBound),
 		freezeAt:    tupleID(freezeAt),
-	}
-	for a := range m.states[input].index {
-		st.index[a] = make(map[stream.ValueKey][]tupleID)
 	}
 	coldLive, err := d.count("frozen tuple count")
 	if err != nil {
@@ -357,16 +353,14 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 		return tupleID(id64), e.Tuple(), nil
 	}
 	if coldLive > 0 {
-		st.cold = newColdSegment(st.index)
+		st.cold = &coldSegment{index: st.index.emptyLike()}
 		for r := 0; r < coldLive; r++ {
 			id, t, err := decodeRow("frozen tuple id", frozenBound)
 			if err != nil {
 				return nil, err
 			}
 			st.cold.appendRow(id, t)
-			for a := range st.cold.index {
-				st.cold.appendBucketRun(a, t.Values[a].Key(), []tupleID{id})
-			}
+			st.cold.index.add(t, id)
 		}
 	}
 	live, err := d.count("live tuple count")
@@ -384,10 +378,7 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 		st.ids = append(st.ids, id)
 		st.tups = append(st.tups, t)
 		st.dead = append(st.dead, false)
-		for a, idx := range st.index {
-			k := t.Values[a].Key()
-			idx[k] = append(idx[k], id)
-		}
+		st.index.add(t, id)
 	}
 	st.nextID = tupleID(nextID)
 	return st, nil
@@ -397,7 +388,7 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 // each entry's equality key and validating it against the scheme it was
 // stored under.
 func (m *MJoin) decodePunctStore(d *stateDec, input int, codec *stream.Codec, clock uint64) (*punctStore, error) {
-	ps := newPunctStore(m.puncts[input].schemes)
+	ps := newPunctStore(m.q.Stream(input), m.puncts[input].schemes)
 	nSchemes, err := d.count("scheme count")
 	if err != nil {
 		return nil, err
@@ -422,7 +413,7 @@ func (m *MJoin) decodePunctStore(d *stateDec, input int, codec *stream.Codec, cl
 			if !ps.schemes[k].Instantiates(p) {
 				return nil, fmt.Errorf("%w: punctuation %s does not instantiate scheme %s", ErrCorruptState, p, ps.schemes[k])
 			}
-			entry := &punctEntry{punct: p, consts: constsOf(p), idx: ps.schemes[k].PunctuatableIndexes()}
+			entry := &punctEntry{punct: p}
 			if entry.arrived, err = d.uvarint("punctuation arrival clock"); err != nil {
 				return nil, err
 			}
@@ -437,11 +428,11 @@ func (m *MJoin) decodePunctStore(d *stateDec, input int, codec *stream.Codec, cl
 			if entry.arrived > clock {
 				return nil, fmt.Errorf("%w: punctuation arrival clock %d beyond operator clock %d", ErrCorruptState, entry.arrived, clock)
 			}
-			key := string(ps.appendEqKey(nil, k, entry.consts))
-			if _, dup := ps.entries[k][key]; dup {
+			consts := ps.constants(k, p)
+			if _, dup := ps.find(k, consts); dup {
 				return nil, fmt.Errorf("%w: duplicate punctuation entry for scheme %s", ErrCorruptState, ps.schemes[k])
 			}
-			ps.entries[k][key] = entry
+			ps.put(k, consts, entry)
 			ps.size++
 		}
 	}

@@ -147,14 +147,15 @@ func TestCheckpointedLifespanExpiresOnSchedule(t *testing.T) {
 
 	// White-box: both trees hold the entry with the same absolute deadline.
 	entryExpiry := func(tr *Tree) uint64 {
-		ps := tr.Root().puncts[0]
-		for _, m := range ps.entries {
-			for _, e := range m {
-				return e.expires
-			}
+		expires, found := uint64(0), false
+		tr.Root().puncts[0].each(0, func(_ int, e *punctEntry) bool {
+			expires, found = e.expires, true
+			return false
+		})
+		if !found {
+			t.Fatal("no stored punctuation entry")
 		}
-		t.Fatal("no stored punctuation entry")
-		return 0
+		return expires
 	}
 	wantExpiry := entryExpiry(orig)
 	if got := entryExpiry(restored); got != wantExpiry {

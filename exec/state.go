@@ -19,21 +19,19 @@ type tupleID uint64
 // requirement (probe expansion, purge cascades, sweeps all walk in
 // arrival order) is a linear walk instead of a collect-and-sort over map
 // keys. Removal tombstones the row; compaction rewrites the columns once
-// tombstones dominate. The per-attribute hash index stores sorted
-// []tupleID buckets — appends keep them sorted for free, and candidate
-// iteration and intersection need no per-probe allocation.
+// tombstones dominate. The per-attribute hash index (stateIndex) stores
+// sorted []tupleID buckets — appends keep them sorted for free, and
+// candidate iteration and intersection need no per-probe allocation.
 // The state is two-tiered (coldtier.go): rows older than the freeze
 // watermark compact into an immutable-layout cold segment, keeping the
 // hot columns short under long-lived state. Every cold id < frozenBound
 // <= every hot id, so id-based dispatch and per-tier intersection are a
 // single comparison.
 type joinState struct {
-	ids  []tupleID      // sorted ascending (monotonic assignment)
-	tups []stream.Tuple // parallel to ids
-	dead []bool         // parallel tombstones
-	// index[attr][valueKey] = sorted ids of live tuples whose attribute
-	// attr holds the value. Only join attributes are indexed.
-	index   map[int]map[stream.ValueKey][]tupleID
+	ids     []tupleID      // sorted ascending (monotonic assignment)
+	tups    []stream.Tuple // parallel to ids
+	dead    []bool         // parallel tombstones
+	index   stateIndex
 	nDead   int
 	nextID  tupleID
 	walkers int // >0 while each() iterates; defers compaction & freezing
@@ -52,14 +50,69 @@ type joinState struct {
 // tombstones cost less than the rewrite.
 const compactMinDead = 64
 
-func newJoinState(joinAttrs []int) *joinState {
-	st := &joinState{
-		index: make(map[int]map[stream.ValueKey][]tupleID, len(joinAttrs)),
-	}
+// stateIndex is the hash index of one tier of a joinState, by attribute
+// position: index[attr] maps the attribute's values to the sorted ids of
+// the live tuples holding them. Only join attributes are indexed; the
+// other positions are nil. Each attribute's container is keyed by the
+// attribute's schema kind (keymap.go).
+type stateIndex []*keyMap[[]tupleID]
+
+func newJoinState(sc *stream.Schema, joinAttrs []int) *joinState {
+	index := make(stateIndex, sc.Arity())
 	for _, a := range joinAttrs {
-		st.index[a] = make(map[stream.ValueKey][]tupleID)
+		index[a] = newKeyMap[[]tupleID](sc.Attr(a).Kind != stream.KindString)
 	}
-	return st
+	return &joinState{index: index}
+}
+
+// emptyLike returns an empty index over the same attributes.
+func (ix stateIndex) emptyLike() stateIndex {
+	out := make(stateIndex, len(ix))
+	for a, idx := range ix {
+		if idx != nil {
+			out[a] = newKeyMap[[]tupleID](idx.num != nil)
+		}
+	}
+	return out
+}
+
+// add indexes a tuple under an id above every id already present, so the
+// buckets stay sorted by construction.
+func (ix stateIndex) add(t stream.Tuple, id tupleID) {
+	for a, idx := range ix {
+		if idx != nil {
+			k := idx.keyOf(t.Values[a])
+			bucket, _ := idx.get(k)
+			idx.put(k, append(bucket, id))
+		}
+	}
+}
+
+// drop unindexes a tuple.
+func (ix stateIndex) drop(t stream.Tuple, id tupleID) {
+	for a, idx := range ix {
+		if idx == nil {
+			continue
+		}
+		k := idx.keyOf(t.Values[a])
+		if bucket, ok := idx.get(k); ok {
+			if b := deleteSorted(bucket, id); len(b) == 0 {
+				idx.del(k)
+			} else {
+				idx.put(k, b)
+			}
+		}
+	}
+}
+
+// lookup returns the sorted live ids whose attribute attr equals v.
+func (ix stateIndex) lookup(attr int, v stream.Value) []tupleID {
+	idx := ix[attr]
+	if idx == nil {
+		return nil
+	}
+	bucket, _ := idx.get(idx.keyOf(v))
+	return bucket
 }
 
 // insert stores a tuple and indexes its join attributes.
@@ -69,10 +122,7 @@ func (st *joinState) insert(t stream.Tuple) tupleID {
 	st.ids = append(st.ids, id)
 	st.tups = append(st.tups, t)
 	st.dead = append(st.dead, false)
-	for a, idx := range st.index {
-		k := t.Values[a].Key()
-		idx[k] = append(idx[k], id) // id is the largest yet: stays sorted
-	}
+	st.index.add(t, id)
 	return id
 }
 
@@ -146,16 +196,7 @@ func (st *joinState) remove(id tupleID) bool {
 	st.dead[p] = true
 	st.tups[p] = stream.Tuple{} // release the value storage now
 	st.nDead++
-	for a, idx := range st.index {
-		k := t.Values[a].Key()
-		if bucket := idx[k]; bucket != nil {
-			if b := deleteSorted(bucket, id); len(b) == 0 {
-				delete(idx, k)
-			} else {
-				idx[k] = b
-			}
-		}
-	}
+	st.index.drop(t, id)
 	if st.walkers == 0 && st.nDead >= compactMinDead && st.nDead*2 >= len(st.ids) {
 		st.compact()
 	}
@@ -213,13 +254,9 @@ func (st *joinState) coldSize() int {
 // attribute attr equals v. The buckets are owned by the state; callers
 // must not modify or retain them across inserts, removes, or freezes.
 func (st *joinState) lookup2(attr int, v stream.Value) tierBuckets {
-	var tb tierBuckets
-	k := v.Key()
-	if idx := st.index[attr]; idx != nil {
-		tb.hot = idx[k]
-	}
+	tb := tierBuckets{hot: st.index.lookup(attr, v)}
 	if st.cold != nil {
-		tb.cold = st.cold.lookup(attr, k)
+		tb.cold = st.cold.index.lookup(attr, v)
 	}
 	return tb
 }

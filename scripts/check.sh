@@ -55,9 +55,10 @@ stage_ckptsmoke() {
 stage_allocfloors() {
   # Allocation floors for the hot path (testing.AllocsPerRun guards): the
   # steady-state probe must stay ~alloc-free, a chained-purge cycle within
-  # its scratch budget, and the cold-tier probe at parity with the all-hot
-  # probe; frame decoding keeps its per-frame bound.
-  go test -run 'TestSteadyStateProbeAllocs|TestChainedPurgeAllocs|TestColdTierProbeAllocs' -count 1 ./exec/...
+  # its scratch budget with and without §5.1 punctuation purging, and the
+  # cold-tier probe at parity with the all-hot probe; frame decoding keeps
+  # its per-frame bound.
+  go test -run 'TestSteadyStateProbeAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestColdTierProbeAllocs' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
   # Shared-tree fan-out alloc floor: delivering one output batch to extra
   # subscribers (callback or passive) must not allocate per batch — sharing

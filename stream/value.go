@@ -89,6 +89,13 @@ func (v Value) AsString() string {
 	return v.str
 }
 
+// Bits returns the 64 payload bits of a numeric value (the integer, or the
+// float's normalized IEEE bits): two values of one numeric kind are Equal
+// exactly when their Bits are, so containers whose kind is fixed by a
+// schema can key on it directly. A string value has no numeric payload
+// and returns 0.
+func (v Value) Bits() uint64 { return v.num }
+
 // Equal reports whether two values have the same kind and payload.
 func (v Value) Equal(o Value) bool {
 	return v.kind == o.kind && v.num == o.num && v.str == o.str
