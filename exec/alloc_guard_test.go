@@ -10,11 +10,14 @@ package exec_test
 // in a benchmark trend.
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"punctsafe/exec"
 	"punctsafe/query"
 	"punctsafe/stream"
+	"punctsafe/workload"
 )
 
 func intAttr(n string) stream.Attribute { return stream.Attribute{Name: n, Kind: stream.KindInt} }
@@ -235,5 +238,137 @@ func TestPunctStorePurgeAllocs(t *testing.T) {
 	}
 	if avg > 24 {
 		t.Fatalf("punctuation-purging cycle averages %.1f allocs, want <= 24", avg)
+	}
+}
+
+// compactedWindowJoin builds a two-stream windowed join whose R state has
+// churned through its window five times (1000 rows, keys i%500: two rows
+// per key), so its columns have compacted — at least twice, checked — and
+// every index bucket has been renumbered. The S side is warmed the same
+// way. It returns the join and S tuples that each hit two R rows.
+func compactedWindowJoin(tb testing.TB) (*exec.WindowedMJoin, []stream.Element) {
+	tb.Helper()
+	q := query.NewBuilder().
+		AddStream(stream.MustSchema("R", intAttr("K"), intAttr("V"))).
+		AddStream(stream.MustSchema("S", intAttr("K"), intAttr("W"))).
+		JoinOn("R", "S", "K").
+		MustBuild()
+	wj, err := exec.NewWindowedMJoin(exec.Config{Query: q, Schemes: stream.NewSchemeSet()}, exec.Window{Rows: 1000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	probes := make([]stream.Element, 500)
+	for k := range probes {
+		probes[k] = stream.TupleElement(stream.NewTuple(stream.Int(int64(k)), stream.Int(int64(k))))
+	}
+	compactions, rows := 0, 0
+	for i := int64(0); i < 5000; i++ {
+		for input, e := range []stream.Element{
+			stream.TupleElement(stream.NewTuple(stream.Int(i%500), stream.Int(i))),
+			stream.TupleElement(stream.NewTuple(stream.Int(1<<20+i), stream.Int(i))), // joins nothing
+		} {
+			if _, err := wj.Push(input, e); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if n := wj.HotRows(0); n < rows {
+			compactions++
+		}
+		rows = wj.HotRows(0)
+	}
+	if compactions < 2 {
+		tb.Fatalf("R state compacted %d times, want >= 2: the guard is vacuous", compactions)
+	}
+	return wj, probes
+}
+
+// TestProbeAfterCompactionAllocs: a probe into a state that has compacted
+// allocates what a probe into a never-compacted one does — the results.
+// Candidates are rows, read straight out of the column, so a compaction
+// history leaves nothing for the probe to search or rebuild. Each probe
+// here finds the two newest R rows of its key (checked once up front).
+func TestProbeAfterCompactionAllocs(t *testing.T) {
+	wj, probes := compactedWindowJoin(t)
+	outs, err := wj.Push(1, probes[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != 2 || outs[0].Tuple().Values[1].AsInt() != 4007 || outs[1].Tuple().Values[1].AsInt() != 4507 {
+		t.Fatalf("probe of key 7 returned %v, want the R rows 4007 and 4507 in arrival order", outs)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(4000, func() {
+		if _, err := wj.Push(1, probes[i%len(probes)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if avg > 4 {
+		t.Fatalf("probe after compaction averages %.2f allocs/element, want <= 4 (two result tuples and the output slice)", avg)
+	}
+}
+
+// TestOrderedPurgeRoundAllocs: a warmed heartbeat round on the sensor join
+// — an ordered <= bound that scans the partner state, queues 128 tuples,
+// checks and removes each, and every few rounds compacts the columns and
+// renumbers the buckets — allocates nothing: candidates, the closure
+// queue, the dedup stamps and the renumbering table are all reused.
+func TestOrderedPurgeRoundAllocs(t *testing.T) {
+	// Mallocs is read around the two heartbeats alone, so the count must be
+	// exact: one P, as testing.AllocsPerRun runs, and no collection, whose
+	// own bookkeeping would land in the window now and then.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m, err := exec.NewMJoin(exec.Config{Query: workload.SensorQuery(), Schemes: workload.SensorSchemes(),
+		EnforcePromises: true, PurgePunctuations: true, DisableOutputPuncts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(input int, e stream.Element) {
+		if _, err := m.Push(input, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One round: 64 epochs of 2 readings per stream arrive, then a
+	// heartbeat on each stream closes the 64 epochs that are 256 old, so
+	// 640 tuples stay resident per state and each heartbeat purges 128.
+	epoch := int64(0)
+	var ms runtime.MemStats
+	round := func() (mallocs, purged uint64) {
+		for end := epoch + 64; epoch < end; epoch++ {
+			for r := 0; r < 2; r++ {
+				push(0, stream.TupleElement(stream.NewTuple(stream.Int(epoch), stream.Float(20))))
+				push(1, stream.TupleElement(stream.NewTuple(stream.Int(epoch), stream.Float(50))))
+			}
+		}
+		hb := stream.PunctElement(stream.MustPunctuation(stream.Leq(stream.Int(epoch-1-256)), stream.Wildcard()))
+		before := m.StatsSnapshot().TuplesPurged
+		runtime.ReadMemStats(&ms)
+		m0 := ms.Mallocs
+		push(0, hb)
+		push(1, hb)
+		runtime.ReadMemStats(&ms)
+		after := m.StatsSnapshot().TuplesPurged
+		return ms.Mallocs - m0, after[0] + after[1] - before[0] - before[1]
+	}
+	for i := 0; i < 32; i++ {
+		round()
+	}
+	compactions, rows := 0, m.HotRows(0)
+	for i := 0; i < 32; i++ {
+		mallocs, purged := round()
+		if purged != 256 {
+			t.Fatalf("round %d purged %d tuples, want 256 (128 per state)", i, purged)
+		}
+		if mallocs != 0 {
+			t.Fatalf("round %d: the two heartbeats allocated %d times, want 0", i, mallocs)
+		}
+		if n := m.HotRows(0); n < rows {
+			compactions++
+		}
+		rows = m.HotRows(0)
+	}
+	if compactions < 2 {
+		t.Fatalf("%d compactions in 32 measured rounds: the guard does not cover the renumbering", compactions)
 	}
 }

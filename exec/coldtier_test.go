@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"punctsafe/plan"
@@ -120,52 +121,49 @@ func TestJoinStateFreeze(t *testing.T) {
 		st.insert(tup(int64(i%5), int64(i)))
 	}
 	tb := st.lookup2(0, stream.Int(3))
-	if len(tb.cold) == 0 || len(tb.hot) == 0 {
-		t.Fatalf("lookup2 found cold=%d hot=%d buckets, want both tiers populated", len(tb.cold), len(tb.hot))
+	if len(tb[coldTier]) == 0 || len(tb[hotTier]) == 0 {
+		t.Fatalf("lookup2 found cold=%d hot=%d buckets, want both tiers populated", len(tb[coldTier]), len(tb[hotTier]))
 	}
-	if tb.cold[len(tb.cold)-1] >= tb.hot[0] {
-		t.Fatalf("tier invariant broken: max cold id %d >= min hot id %d", tb.cold[len(tb.cold)-1], tb.hot[0])
-	}
-	seen := 0
-	for _, run := range tb.runs() {
-		for _, id := range run {
-			u, ok := st.get(id)
-			if !ok {
-				t.Fatalf("candidate id %d not retrievable", id)
+	seen, last := 0, int64(-1)
+	for ti, rs := range st.tiers() {
+		for _, r := range tb[ti] {
+			u := rs.tups[r]
+			if rs.dead[r] || u.Values[0].AsInt() != 3 {
+				t.Fatalf("tier %d row %d: dead %v, key %v, want live with key 3", ti, r, rs.dead[r], u.Values[0])
 			}
-			if u.Values[0].AsInt() != 3 {
-				t.Fatalf("candidate id %d has key %v, want 3", id, u.Values[0])
+			if v := u.Values[1].AsInt(); v <= last {
+				t.Fatalf("arrival order broken: %d visited after %d", v, last)
+			} else {
+				last = v
 			}
 			seen++
 		}
 	}
-	if seen != tb.total() {
-		t.Fatalf("walked %d candidates, total() says %d", seen, tb.total())
+	if seen != tb.total() || seen != (n+50)/5 {
+		t.Fatalf("walked %d candidates, total() says %d, want %d", seen, tb.total(), (n+50)/5)
 	}
-	// Remove every frozen row with key 3: tombstones first, then the
-	// deferred recompaction once the dead fraction crosses the policy.
-	coldVictims := append([]tupleID(nil), tb.cold...)
-	for _, id := range coldVictims {
-		if !st.remove(id) {
-			t.Fatalf("remove(%d) found nothing", id)
+	// Remove every frozen row with key 3, under a pin so the rows hold
+	// still; the deferred recompaction runs at the unpin.
+	removeCold := func(key int64) {
+		st.pin()
+		for _, r := range slices.Clone(st.lookup2(0, stream.Int(key))[coldTier]) {
+			st.remove(mkRef(coldTier, r))
 		}
+		st.unpin()
 	}
-	if got := st.lookup2(0, stream.Int(3)); len(got.cold) != 0 {
-		t.Fatalf("cold bucket still holds %d ids after removal", len(got.cold))
+	removeCold(3)
+	if got := st.lookup2(0, stream.Int(3)); len(got[coldTier]) != 0 || len(got[hotTier]) != 10 {
+		t.Fatalf("after removal: %d cold and %d hot rows under key 3, want 0 and 10", len(got[coldTier]), len(got[hotTier]))
 	}
-	for _, id := range coldVictims {
-		if _, ok := st.get(id); ok {
-			t.Fatalf("removed cold id %d still retrievable", id)
-		}
+	if st.size() != n+50-n/5 {
+		t.Fatalf("size() = %d, want %d", st.size(), n+50-n/5)
 	}
-	// Drain the rest of the segment; it must recompact away entirely.
+	// Drain the rest of the segment; it must be released entirely.
 	for _, key := range []int64{0, 1, 2, 4} {
-		for _, id := range append([]tupleID(nil), st.lookup2(0, stream.Int(key)).cold...) {
-			st.remove(id)
-		}
+		removeCold(key)
 	}
 	if st.cold != nil {
-		t.Fatalf("fully drained cold segment not released: %d ids, %d dead", len(st.cold.ids), st.cold.nDead)
+		t.Fatalf("fully drained cold segment not released: %d rows, %d dead", len(st.cold.ids), st.cold.nDead)
 	}
 }
 

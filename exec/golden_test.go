@@ -137,6 +137,11 @@ func TestGoldenScenarios(t *testing.T) {
 	want := map[string]string{
 		"auction": "e8b51c5d4dafe3db", "netmon": "b51fb32994a34473", "sensor": "65c6a9a545d52d65",
 		"mixed": "5bb93f418a673537", "mixed-tiered": "4eb5027d586b3afc", "mixed-enforced": "9a8184cc84195d3a",
+		// Recorded at the commit before the row-addressed state (PR 14): the
+		// sensor feed at the benchmark's shape, where every heartbeat purges
+		// ~256 tuples per state and forces a compaction, all-hot and with
+		// the purges landing in a cold segment that recompacts.
+		"sensor-bench": "1a7d4217d0205145", "sensor-bench-tiered": "3a9319cbd88d9c7d",
 	}
 	check := func(name string, q *query.CJQ, set *stream.SchemeSet, inputs []workload.Input, extra func(*Config)) {
 		t.Run(name, func(t *testing.T) {
@@ -155,6 +160,13 @@ func TestGoldenScenarios(t *testing.T) {
 	check("sensor", workload.SensorQuery(), workload.SensorSchemes(), workload.Sensor(workload.SensorConfig{
 		Epochs: 120, ReadingsPerEpoch: 3, Disorder: 4, HeartbeatEvery: 2, Heartbeats: true, Seed: 33,
 	}), func(c *Config) { c.EnforcePromises = true })
+	bench := workload.Sensor(workload.SensorConfig{
+		Epochs: 1500, ReadingsPerEpoch: 4, Disorder: 256, HeartbeatEvery: 64, Heartbeats: true, Seed: 35,
+	})
+	check("sensor-bench", workload.SensorQuery(), workload.SensorSchemes(), bench,
+		func(c *Config) { c.EnforcePromises = true })
+	check("sensor-bench-tiered", workload.SensorQuery(), workload.SensorSchemes(), bench,
+		func(c *Config) { c.EnforcePromises = true; c.ColdAfter = 512 })
 	q, set, inputs := goldenMixedScenario(34)
 	check("mixed", q, set, inputs, nil)
 	check("mixed-tiered", q, set, inputs, func(c *Config) { c.ColdAfter = 32; c.PunctLifespan = 500 })

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"punctsafe/query"
@@ -122,8 +123,10 @@ type MJoin struct {
 	// tuple arriving on input i.
 	probeOrders [][]int
 	// stepScheme[i][k] caches the punct-store scheme index used by step k
-	// of input i's purge plan.
-	stepScheme [][]int
+	// of input i's purge plan; needFrontier[i][k] is whether a later step
+	// reads the joinable frontier step k advances into its stream.
+	stepScheme   [][]int
+	needFrontier [][]bool
 	// predsTouching[i] caches q.PredicatesTouching(i): the accessor
 	// allocates a fresh slice per call, which the probe and purge hot
 	// paths must not pay per element.
@@ -149,15 +152,11 @@ type probeScratch struct {
 	bound   []stream.Tuple
 	isBound []bool
 	results []stream.Tuple
-	// candA/candB are per-depth double buffers for multi-predicate bucket
+	// cand holds per-depth double buffers for multi-predicate bucket
 	// intersections (two, so an intersection never reads the buffer it is
-	// writing). Intersections run per tier — cold ids and hot ids are
-	// disjoint ranges, so tierwise intersection is exact — with coldA/
-	// coldB as the cold-tier counterparts.
-	candA [][]tupleID
-	candB [][]tupleID
-	coldA [][]tupleID
-	coldB [][]tupleID
+	// writing). Intersections run per tier — the tiers hold disjoint
+	// tuples, so tierwise intersection is exact.
+	cand [2][]tierBuckets
 }
 
 // pendingPunct is an accepted punctuation awaiting its purge round:
@@ -195,6 +194,8 @@ func NewMJoin(cfg Config) (*MJoin, error) {
 		m.plans[i] = gpg.PurgePlan(i)
 	}
 	m.stepScheme = make([][]int, q.N())
+	m.needFrontier = make([][]bool, q.N())
+	jg := q.JoinGraph()
 	for i, plan := range m.plans {
 		if plan == nil {
 			continue
@@ -207,6 +208,17 @@ func NewMJoin(cfg Config) (*MJoin, error) {
 			}
 		}
 		m.stepScheme[i] = idx
+		// Step k's frontier is read by a later step that draws constants
+		// from it, or that semijoins its own (needed) frontier against it.
+		need := make([]bool, len(plan.Steps))
+		for k := len(need) - 2; k >= 0; k-- {
+			j := plan.Steps[k].Stream
+			for l := k + 1; l < len(need) && !need[k]; l++ {
+				later := plan.Steps[l]
+				need[k] = slices.Contains(later.Sources, j) || need[l] && jg.HasEdge(j, later.Stream)
+			}
+		}
+		m.needFrontier[i] = need
 	}
 	m.predsTouching = make([][]query.Predicate, q.N())
 	for i := 0; i < q.N(); i++ {
@@ -215,10 +227,7 @@ func NewMJoin(cfg Config) (*MJoin, error) {
 	m.pr = probeScratch{
 		bound:   make([]stream.Tuple, q.N()),
 		isBound: make([]bool, q.N()),
-		candA:   make([][]tupleID, q.N()),
-		candB:   make([][]tupleID, q.N()),
-		coldA:   make([][]tupleID, q.N()),
-		coldB:   make([][]tupleID, q.N()),
+		cand:    [2][]tierBuckets{make([]tierBuckets, q.N()), make([]tierBuckets, q.N())},
 	}
 	m.initPurgeScratch()
 	m.buildOutputSchema()
@@ -494,9 +503,9 @@ func (m *MJoin) probe(input int, t stream.Tuple) ([]stream.Tuple, error) {
 // exact candidate, recurse, unbind. Candidates come from intersecting the
 // index buckets of every predicate into the bound prefix, so no
 // per-candidate predicate re-verification is needed (buckets are keyed by
-// exact value, and all join predicates are equalities). Buckets are
-// sorted by construction, so candidates are visited in tupleID (arrival)
-// order and the emitted result sequence is identical run to run.
+// exact value, and all join predicates are equalities). Buckets hold live
+// rows in ascending order by construction, so candidates are visited in
+// arrival order and the emitted result sequence is identical run to run.
 func (m *MJoin) expand(order []int, k int) error {
 	pr := &m.pr
 	if k == len(order) {
@@ -504,20 +513,15 @@ func (m *MJoin) expand(order []int, k int) error {
 		return nil
 	}
 	j := order[k]
-	cand, err := m.candidateIDs(j, k)
+	cand, err := m.candidateRows(j, k)
 	if err != nil {
 		return err
 	}
-	st := m.states[j]
-	// Cold run first, then hot: candidate ids ascend across the pair, so
-	// results keep exact arrival order regardless of tiering.
-	for _, run := range cand.runs() {
-		for _, id := range run {
-			u, ok := st.get(id)
-			if !ok {
-				continue
-			}
-			pr.bound[j] = u
+	// Cold run first, then hot: results keep exact arrival order
+	// regardless of tiering.
+	for ti, rs := range m.states[j].tiers() {
+		for _, r := range cand[ti] {
+			pr.bound[j] = rs.tups[r]
 			pr.isBound[j] = true
 			if err := m.expand(order, k+1); err != nil {
 				return err
@@ -528,16 +532,16 @@ func (m *MJoin) expand(order []int, k int) error {
 	return nil
 }
 
-// candidateIDs returns the sorted ids of stream j's stored tuples that
-// satisfy every predicate between j and the bound prefix: the
+// candidateRows returns the ascending rows of stream j's stored tuples
+// that satisfy every predicate between j and the bound prefix: the
 // intersection of the per-predicate index buckets (galloping, into the
 // depth's scratch buffer). A single-predicate candidate set is the bucket
 // itself, borrowed read-only from the state.
-func (m *MJoin) candidateIDs(j, depth int) (tierBuckets, error) {
+func (m *MJoin) candidateRows(j, depth int) (tierBuckets, error) {
 	pr := &m.pr
 	var cand tierBuckets
 	first := true
-	flip := false
+	flip := 0
 	for _, p := range m.predsTouching[j] {
 		other, jAttr, otherAttr := p.Other(j)
 		if !pr.isBound[other] {
@@ -547,20 +551,15 @@ func (m *MJoin) candidateIDs(j, depth int) (tierBuckets, error) {
 		if first {
 			cand, first = tb, false
 		} else {
-			// Intersect tierwise — cold ids and hot ids occupy disjoint
-			// ranges, so cold∩cold ++ hot∩hot is the exact intersection —
-			// alternating the two depth buffers so an intersection never
-			// writes the slice it reads.
-			if flip {
-				pr.candB[depth] = intersectSorted(pr.candB[depth], cand.hot, tb.hot)
-				pr.coldB[depth] = intersectSorted(pr.coldB[depth], cand.cold, tb.cold)
-				cand = tierBuckets{cold: pr.coldB[depth], hot: pr.candB[depth]}
-			} else {
-				pr.candA[depth] = intersectSorted(pr.candA[depth], cand.hot, tb.hot)
-				pr.coldA[depth] = intersectSorted(pr.coldA[depth], cand.cold, tb.cold)
-				cand = tierBuckets{cold: pr.coldA[depth], hot: pr.candA[depth]}
+			// Intersect tierwise — cold∩cold then hot∩hot is the exact
+			// intersection — alternating the two depth buffers so an
+			// intersection never writes the slice it reads.
+			buf := &pr.cand[flip][depth]
+			for ti := range buf {
+				buf[ti] = intersectSorted(buf[ti], cand[ti], tb[ti])
 			}
-			flip = !flip
+			cand = *buf
+			flip ^= 1
 		}
 		if cand.empty() {
 			return tierBuckets{}, nil
@@ -614,13 +613,9 @@ func (m *MJoin) probeDynamic(boundCount int) error {
 	if best < 0 {
 		return fmt.Errorf("%w: no unbound stream adjacent to bound set (query %s)", ErrProbeDisconnected, m.q)
 	}
-	st := m.states[best]
-	for _, run := range bestBucket.runs() {
-		for _, id := range run {
-			u, ok := st.get(id)
-			if !ok {
-				continue
-			}
+	for ti, rs := range m.states[best].tiers() {
+		for _, r := range bestBucket[ti] {
+			u := rs.tups[r]
 			if !m.matchesBound(best, u) {
 				continue
 			}

@@ -355,7 +355,7 @@ func (pt *PartitionedTree) bucketLoad(t *Tree, load *[plan.PartitionBuckets]uint
 		m := op.join
 		for ci, st := range m.states {
 			col := pt.coValueCol(op.node, ci)
-			st.each(func(_ tupleID, u stream.Tuple) bool {
+			st.each(func(_ rowRef, u stream.Tuple) bool {
 				if col < len(u.Values) {
 					load[u.Values[col].Hash()%plan.PartitionBuckets]++
 				}
@@ -445,21 +445,16 @@ func (pt *PartitionedTree) Split(hot int) (int, []stream.Element, error) {
 // size gauges. Removals bypass the purge counters: the tuples move to
 // the sibling replica, they do not leave the query's state.
 func (pt *PartitionedTree) filterReplica(t *Tree, part int, spec *plan.PartitionSpec) {
-	var doomed []tupleID
 	for _, op := range t.ops {
 		m := op.join
 		for ci, st := range m.states {
 			col := pt.coValueCol(op.node, ci)
-			doomed = doomed[:0]
-			st.each(func(id tupleID, u stream.Tuple) bool {
+			st.each(func(ref rowRef, u stream.Tuple) bool {
 				if col < len(u.Values) && spec.OwnerOf(u.Values[col].Hash()) != part {
-					doomed = append(doomed, id)
+					st.remove(ref)
 				}
 				return true
 			})
-			for _, id := range doomed {
-				st.remove(id)
-			}
 			m.stats.StateSize[ci] = st.size()
 			m.stats.ColdSize[ci] = st.coldSize()
 		}

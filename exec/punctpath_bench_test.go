@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"punctsafe/exec"
+	"punctsafe/query"
 	"punctsafe/stream"
 	"punctsafe/workload"
 )
@@ -24,9 +25,44 @@ func BenchmarkPunctPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	schemes := workload.AllJoinAttrSchemes(q)
-	inputs := workload.Closed(q, schemes, workload.ClosedConfig{
+	benchPunctPath(b, q, schemes, workload.Closed(q, schemes, workload.ClosedConfig{
 		Rounds: 40, TuplesPerRound: 32, Window: 64, PunctFraction: 1, PunctDelay: 2, Seed: 5,
-	})
+	}))
+}
+
+// BenchmarkWatermarkRound is the same replay over the join-watermark
+// shape: two sensor streams 256 epochs out of order, 4 readings per epoch,
+// an ordered <= heartbeat per stream every 64 epochs. ns/punct is one
+// heartbeat's purge round (~256 tuples scanned out, checked and removed,
+// a compaction every few rounds); ns/tuple is a probe into, and an insert
+// behind, ~1600 resident tuples whose columns have compacted many times.
+//
+//	go test ./exec/ -run '^$' -bench WatermarkRound -benchmem
+func BenchmarkWatermarkRound(b *testing.B) {
+	benchPunctPath(b, workload.SensorQuery(), workload.SensorSchemes(), workload.Sensor(workload.SensorConfig{
+		Epochs: 4000, ReadingsPerEpoch: 4, Disorder: 256, HeartbeatEvery: 64, Heartbeats: true, Seed: 5,
+	}))
+}
+
+// BenchmarkProbeCompacted times the probe alone on a state that has
+// compacted (compactedWindowJoin): each op finds the two R rows of its key
+// through a renumbered index bucket and emits two results.
+//
+//	go test ./exec/ -run '^$' -bench ProbeCompacted -benchmem
+func BenchmarkProbeCompacted(b *testing.B) {
+	wj, probes := compactedWindowJoin(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wj.Push(1, probes[i%len(probes)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchPunctPath replays a feed that drains its own state, in the
+// configuration the benchmark module runs.
+func benchPunctPath(b *testing.B, q *query.CJQ, schemes *stream.SchemeSet, inputs []workload.Input) {
 	// Cut the feed into runs PushBatch can take: one stream, one kind.
 	type run struct {
 		input int
@@ -59,7 +95,7 @@ func BenchmarkPunctPath(b *testing.B) {
 			})
 		}
 		if left := m.StatsSnapshot().TotalState(); left != 0 {
-			b.Fatalf("closed feed left %d tuples", left)
+			b.Fatalf("the feed left %d tuples", left)
 		}
 	}
 

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"punctsafe/query"
 	"punctsafe/stream"
+	"punctsafe/workload"
 )
 
 // Corner cases of §5.1 punctuation purging, each pinned by what the
@@ -179,7 +181,7 @@ func TestPunctPlanStringJoinAttr(t *testing.T) {
 		Join("R.k", "S.k").
 		MustBuild()
 	m := planMJoin(t, q, Config{EnforcePromises: true}, stream.MustScheme("R", true, false), stream.MustScheme("S", true, false))
-	if idx := m.states[0].index[0]; idx.num != nil || idx.str == nil {
+	if idx := m.states[0].hot.index[0]; idx.num != nil || idx.str == nil {
 		t.Fatal("string join attribute indexed by numeric bits")
 	}
 	if m.puncts[0].eqSlot[0] != -1 || m.puncts[0].entries[0].str == nil {
@@ -216,3 +218,82 @@ func TestPunctPlanStringJoinAttr(t *testing.T) {
 }
 
 func intAttr(n string) stream.Attribute { return stream.Attribute{Name: n, Kind: stream.KindInt} }
+
+// TestNeedFrontier pins the compiled per-step bit: a purge plan advances
+// the joinable frontier into a step's stream only when a later step reads
+// it — never for a plan's last step, so never on a binary join.
+func TestNeedFrontier(t *testing.T) {
+	chain, err := workload.SyntheticQuery(workload.Chain, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMJoin(Config{Query: chain, Schemes: workload.AllJoinAttrSchemes(chain)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Root 0 walks S2, S3, S4, each step drawing from the one before;
+	// root 1 covers S1 first, a dead end nothing later reads.
+	if got, want := m.needFrontier[0], []bool{true, true, false}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("chain root 0: needFrontier %v (plan %+v), want %v", got, m.plans[0].Steps, want)
+	}
+	for k, st := range m.plans[1].Steps {
+		if leaf := st.Stream == 0 || st.Stream == 3; m.needFrontier[1][k] == leaf {
+			t.Fatalf("chain root 1 step %d (stream %d): needFrontier %v", k, st.Stream, m.needFrontier[1][k])
+		}
+	}
+	sensor, err := NewMJoin(Config{Query: workload.SensorQuery(), Schemes: workload.SensorSchemes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sensor.needFrontier, [][]bool{{false}, {false}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sensor needFrontier %v, want %v", got, want)
+	}
+}
+
+// TestRoundStampWrap runs a purge-heavy feed across the point where the
+// 32-bit row stamp wraps: the rounds on either side must queue, check and
+// purge exactly what an operator far from the wrap does.
+func TestRoundStampWrap(t *testing.T) {
+	q, err := workload.SyntheticQuery(workload.Chain, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := workload.AllJoinAttrSchemes(q)
+	inputs := workload.Closed(q, schemes, workload.ClosedConfig{Rounds: 6, TuplesPerRound: 8, Window: 3, PunctFraction: 1, Seed: 9})
+	run := func(round uint64) (string, Stats) {
+		m, err := NewMJoin(Config{Query: q, Schemes: schemes, PurgePunctuations: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.pg.round = round
+		var out strings.Builder
+		feed, err := workload.NewFeed(q, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := feed.Each(func(i int, e stream.Element) error {
+			outs, err := m.Push(i, e)
+			for _, o := range outs {
+				out.WriteString(o.String() + "\n")
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if uint32(m.pg.round) >= uint32(round) && round != 0 {
+			t.Fatalf("round counter %d → %d never wrapped its low word", round, m.pg.round)
+		}
+		return out.String(), *m.StatsSnapshot()
+	}
+	wantOut, wantStats := run(0)
+	// Let the wrap land on each of the feed's first rounds in turn.
+	for d := uint64(1); d <= 48; d++ {
+		gotOut, gotStats := run(1<<32 - d)
+		if gotOut != wantOut || !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("wrap at round %d: stats %+v, want %+v (outputs equal: %v)", d, gotStats, wantStats, gotOut == wantOut)
+		}
+	}
+	if wantStats.TotalState() != 0 || wantStats.PurgeChecks == 0 {
+		t.Fatalf("feed did not purge its state: %+v", wantStats)
+	}
+}

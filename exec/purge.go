@@ -12,22 +12,21 @@ import (
 // surfaces how often that happens.
 const productCap = 4096
 
-// sid identifies a stored tuple across states (stream + id), the node
+// sid identifies a stored tuple across states (stream + row), the node
 // type of the purge round's join-connected closure walk.
 type sid struct {
-	s  int
-	id tupleID
+	s   int
+	ref rowRef
 }
 
 // purgeScratch is the operator's reusable purge-path state. Like the
 // probe scratch, it exists so steady-state purge rounds allocate nothing:
-// candidate sets are per-input sorted id slices filtered in place,
+// candidate sets are per-input sorted rowRef slices filtered in place,
 // frontiers and value sets reuse per-input buffers, and punctuation
 // constants are assembled in one slice sized to the widest scheme.
 type purgeScratch struct {
 	one     []pendingPunct // single-punctuation batch for eager rounds
-	cand    [][]tupleID    // per-input purge candidates (sorted before fixpoint)
-	seen    map[sid]struct{}
+	cand    [][]rowRef     // per-input purge candidates (sorted before fixpoint)
 	queue   []sid
 	removed [][]stream.Tuple // per-input removed-tuple buffers
 	// purgeableTuple scratch.
@@ -41,8 +40,10 @@ type purgeScratch struct {
 	// frontier() constraint scratch.
 	consAttrs []int
 	consKeys  [][]stream.ValueKey
-	// purgePunctStores scratch: round stamps the entries a round has
-	// evaluated (punctEntry.round), victims collects the purgeable ones.
+	// round numbers the purge rounds. Its low word stamps the rows a round
+	// has queued (rowStore.mark), round itself the punctuation entries the
+	// §5.1 pass has evaluated (punctEntry.round): dedup is a compare, not a
+	// set. victims collects the purgeable punctuations.
 	round   uint64
 	victims []punctVictim
 }
@@ -50,24 +51,61 @@ type purgeScratch struct {
 func (m *MJoin) initPurgeScratch() {
 	n := m.q.N()
 	m.pg = purgeScratch{
-		cand:      make([][]tupleID, n),
+		cand:      make([][]rowRef, n),
 		removed:   make([][]stream.Tuple, n),
 		frontiers: make([][]stream.Tuple, n),
 		covered:   make([]bool, n),
-		seen:      make(map[sid]struct{}),
 		valSeen:   make(map[stream.ValueKey]struct{}),
 	}
 }
 
-// pgPush adds a candidate to the purge round's closure (deduplicated).
-func (m *MJoin) pgPush(s int, id tupleID) {
-	k := sid{s, id}
-	if _, ok := m.pg.seen[k]; ok {
+// pgPush adds a candidate to the purge round's closure, once: the round
+// stamps the rows it has queued.
+func (m *MJoin) pgPush(s int, ref rowRef) {
+	rs, r := m.states[s].at(ref)
+	if rs.mark[r] == uint32(m.pg.round) {
 		return
 	}
-	m.pg.seen[k] = struct{}{}
-	m.pg.cand[s] = append(m.pg.cand[s], id)
-	m.pg.queue = append(m.pg.queue, k)
+	rs.mark[r] = uint32(m.pg.round)
+	m.pg.cand[s] = append(m.pg.cand[s], ref)
+	m.pg.queue = append(m.pg.queue, sid{s, ref})
+}
+
+// pgPushAll adds every row of a candidate set to the closure.
+func (m *MJoin) pgPushAll(s int, tb tierBuckets) {
+	for ti, run := range tb {
+		for _, r := range run {
+			m.pgPush(s, mkRef(ti, r))
+		}
+	}
+}
+
+// beginRound numbers a new purge round and pins every state, so the
+// rowRefs the round collects stay valid while it removes rows; endRound
+// unpins them, which runs the compactions the round deferred.
+func (m *MJoin) beginRound() {
+	m.pg.round++
+	if uint32(m.pg.round) == 0 {
+		// The stamp wrapped: forget every old one and skip zero, the mark
+		// of a row no round has queued.
+		m.pg.round++
+		for _, st := range m.states {
+			for _, rs := range st.tiers() {
+				if rs != nil {
+					clear(rs.mark)
+				}
+			}
+		}
+	}
+	for _, st := range m.states {
+		st.pin()
+	}
+}
+
+func (m *MJoin) endRound() {
+	for _, st := range m.states {
+		st.unpin()
+	}
 }
 
 // purgeRound runs the chained purge strategy for a batch of freshly
@@ -84,8 +122,8 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 	for i := range pg.cand {
 		pg.cand[i] = pg.cand[i][:0]
 	}
-	clear(pg.seen)
 	pg.queue = pg.queue[:0]
+	m.beginRound()
 
 	// Anchor tuples: stored tuples in partner states carrying a value a
 	// new punctuation constrains.
@@ -95,40 +133,28 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 			pat := pp.p.Patterns[pl.idx[an.slot]]
 			if an.slot == pl.ordSlot {
 				// Ordered bound: the hash index cannot answer range
-				// queries, so scan the partner state (watermarks are
-				// periodic and few, so this stays cheap).
-				m.states[an.other].each(func(id tupleID, u stream.Tuple) bool {
+				// queries, so scan the partner state — one compare per
+				// stored tuple per watermark.
+				m.states[an.other].each(func(ref rowRef, u stream.Tuple) bool {
 					if pat.MatchesValue(u.Values[an.attr]) {
-						m.pgPush(an.other, id)
+						m.pgPush(an.other, ref)
 					}
 					return true
 				})
 				continue
 			}
-			tb := m.states[an.other].lookup2(an.attr, pat.Value())
-			for _, run := range tb.runs() {
-				for _, id := range run {
-					m.pgPush(an.other, id)
-				}
-			}
+			m.pgPushAll(an.other, m.states[an.other].lookup2(an.attr, pat.Value()))
 		}
 	}
 	// Closure: everything join-reachable from an anchor may have had its
 	// purge requirements (or frontiers) touched.
 	for head := 0; head < len(pg.queue); head++ {
 		k := pg.queue[head]
-		u, ok := m.states[k.s].get(k.id)
-		if !ok {
-			continue
-		}
+		rs, r := m.states[k.s].at(k.ref)
+		u := rs.tups[r]
 		for _, p := range m.predsTouching[k.s] {
 			other, myAttr, otherAttr := p.Other(k.s)
-			tb := m.states[other].lookup2(otherAttr, u.Values[myAttr])
-			for _, run := range tb.runs() {
-				for _, id := range run {
-					m.pgPush(other, id)
-				}
-			}
+			m.pgPushAll(other, m.states[other].lookup2(otherAttr, u.Values[myAttr]))
 		}
 	}
 	// Sorted candidate order keeps the removal sequence — and therefore
@@ -139,6 +165,7 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 	}
 
 	removed := m.purgeFixpoint(pg.cand)
+	m.endRound()
 
 	if !m.cfg.DisableOutputPuncts {
 		out = m.emitForRemoved(out, removed)
@@ -152,14 +179,15 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 // purgeFixpoint repeatedly attempts to purge every candidate until a pass
 // makes no progress (removals shrink frontiers, which can unlock further
 // removals — the cascade of the chained purge strategy). Candidate lists
-// must be sorted ascending; they are filtered in place (which preserves
-// the order). It returns the removed tuples per input — scratch buffers
-// valid until the next fixpoint — so punctuation re-emission and §5.1
-// store purging can be targeted instead of rescanning whole stores.
-func (m *MJoin) purgeFixpoint(cand [][]tupleID) [][]stream.Tuple {
+// must be sorted ascending and their states pinned; they are filtered in
+// place (which preserves the order). It returns the removed tuples per
+// input — scratch buffers valid until the next fixpoint — so punctuation
+// re-emission and §5.1 store purging can be targeted instead of
+// rescanning whole stores.
+func (m *MJoin) purgeFixpoint(cand [][]rowRef) [][]stream.Tuple {
 	removed := m.pg.removed
 	for s := range removed {
-		clearTuples(removed[s])
+		clear(removed[s])
 		removed[s] = removed[s][:0]
 	}
 	for changed := true; changed; {
@@ -168,26 +196,26 @@ func (m *MJoin) purgeFixpoint(cand [][]tupleID) [][]stream.Tuple {
 			if m.plans[s] == nil {
 				continue
 			}
-			w := 0
-			for _, id := range cand[s] {
-				t, ok := m.states[s].get(id)
-				if !ok {
-					continue // gone: drop from the candidate list
-				}
+			st, w := m.states[s], 0
+			for _, ref := range cand[s] {
+				rs, r := st.at(ref)
+				t := rs.tups[r]
 				m.stats.PurgeChecks++
 				if !m.purgeableTuple(s, t) {
-					cand[s][w] = id
+					cand[s][w] = ref
 					w++
 					continue
 				}
-				m.states[s].remove(id)
-				m.stats.TuplesPurged[s]++
-				m.stats.StateSize[s] = m.states[s].size()
-				m.stats.ColdSize[s] = m.states[s].coldSize()
+				rs.remove(r)
 				removed[s] = append(removed[s], t)
+			}
+			if purged := len(cand[s]) - w; purged > 0 {
+				m.stats.TuplesPurged[s] += uint64(purged)
+				m.stats.StateSize[s] = st.size()
+				m.stats.ColdSize[s] = st.coldSize()
+				cand[s] = cand[s][:w]
 				changed = true
 			}
-			cand[s] = cand[s][:w]
 		}
 	}
 	m.pg.removed = removed
@@ -202,14 +230,16 @@ func (m *MJoin) Sweep() (int, []stream.Element) {
 		return 0, nil
 	}
 	pg := &m.pg
+	m.beginRound()
 	for i := range pg.cand {
 		pg.cand[i] = pg.cand[i][:0]
-		m.states[i].each(func(id tupleID, _ stream.Tuple) bool {
-			pg.cand[i] = append(pg.cand[i], id) // each() walks in id order: already sorted
+		m.states[i].each(func(ref rowRef, _ stream.Tuple) bool {
+			pg.cand[i] = append(pg.cand[i], ref) // each() walks in arrival order: already sorted
 			return true
 		})
 	}
 	removed := m.purgeFixpoint(pg.cand)
+	m.endRound()
 	total := 0
 	for _, r := range removed {
 		total += len(r)
@@ -262,7 +292,9 @@ func (m *MJoin) purgeableTuple(root int, t stream.Tuple) bool {
 		if !vacuous && !m.coveredProduct(j, m.stepScheme[root][k], pg.valueSets[:len(st.Attrs)]) {
 			return false
 		}
-		pg.frontiers[j] = m.frontier(pg.frontiers[j][:0], j, pg.covered, pg.frontiers)
+		if m.needFrontier[root][k] {
+			pg.frontiers[j] = m.frontier(pg.frontiers[j][:0], j, pg.covered, pg.frontiers)
+		}
 		pg.covered[j] = true
 	}
 	return true
@@ -314,7 +346,7 @@ func (m *MJoin) frontier(dst []stream.Tuple, j int, covered []bool, frontiers []
 		// Cannot happen for purge plans (each step's stream is adjacent
 		// to its sources), but guard against programming errors: with no
 		// constraint every stored tuple is joinable.
-		m.states[j].each(func(_ tupleID, u stream.Tuple) bool {
+		m.states[j].each(func(_ rowRef, u stream.Tuple) bool {
 			dst = append(dst, u)
 			return true
 		})
@@ -322,7 +354,7 @@ func (m *MJoin) frontier(dst []stream.Tuple, j int, covered []bool, frontiers []
 	}
 	// Probe the index with the smallest constraint set; verify the rest.
 	// Distinct values of one attribute index disjoint buckets and the key
-	// sets are deduplicated, so no id is visited twice.
+	// sets are deduplicated, so no row is visited twice.
 	best := 0
 	for i := 1; i < nc; i++ {
 		if len(pg.consKeys[i]) < len(pg.consKeys[best]) {
@@ -332,12 +364,9 @@ func (m *MJoin) frontier(dst []stream.Tuple, j int, covered []bool, frontiers []
 	st := m.states[j]
 	for _, vk := range pg.consKeys[best] {
 		tb := st.lookup2(pg.consAttrs[best], vk.Value())
-		for _, run := range tb.runs() {
-			for _, id := range run {
-				u, live := st.get(id)
-				if !live {
-					continue
-				}
+		for ti, rs := range st.tiers() {
+			for _, r := range tb[ti] {
+				u := rs.tups[r]
 				ok := true
 				for ci := 0; ci < nc; ci++ {
 					if ci == best {
@@ -502,9 +531,9 @@ func (m *MJoin) hasMatchingTuple(input int, pl *punctPlan, p stream.Punctuation)
 	st := m.states[input]
 	if pl.probeSlot >= 0 {
 		tb := st.lookup2(pl.idx[pl.probeSlot], pl.constant(p, pl.probeSlot))
-		for _, run := range tb.runs() {
-			for _, id := range run {
-				if u, ok := st.get(id); ok && p.Matches(u) {
+		for ti, rs := range st.tiers() {
+			for _, r := range tb[ti] {
+				if p.Matches(rs.tups[r]) {
 					return true
 				}
 			}
@@ -512,7 +541,7 @@ func (m *MJoin) hasMatchingTuple(input int, pl *punctPlan, p stream.Punctuation)
 		return false
 	}
 	found := false
-	st.each(func(_ tupleID, u stream.Tuple) bool {
+	st.each(func(_ rowRef, u stream.Tuple) bool {
 		found = p.Matches(u)
 		return !found
 	})
@@ -554,7 +583,6 @@ func (m *MJoin) violatedPromise(input int, t stream.Tuple) (stream.Punctuation, 
 // pass instead.
 func (m *MJoin) purgePunctStores(batch []pendingPunct, removed [][]stream.Tuple) {
 	pg := &m.pg
-	pg.round++
 	pg.victims = pg.victims[:0]
 
 	// (a) New punctuations: they may complete the counter-coverage of a
@@ -674,13 +702,10 @@ func (m *MJoin) counterCovered(pl *punctPlan, pr *partnerPlan, p stream.Punctuat
 func (m *MJoin) partnerHolds(pl *punctPlan, pr *partnerPlan, p stream.Punctuation) bool {
 	st := m.states[pr.other]
 	tb := st.lookup2(pr.attrs[0], pl.constant(p, pr.slots[0]))
-	for _, run := range tb.runs() {
+	for ti, rs := range st.tiers() {
 	candidates:
-		for _, id := range run {
-			u, live := st.get(id)
-			if !live {
-				continue
-			}
+		for _, r := range tb[ti] {
+			u := rs.tups[r]
 			for i := 1; i < len(pr.attrs); i++ {
 				if !u.Values[pr.attrs[i]].Equal(pl.constant(p, pr.slots[i])) {
 					continue candidates

@@ -183,26 +183,20 @@ func (m *MJoin) appendInputState(dst []byte, input int, codec *stream.Codec) ([]
 	dst = binary.AppendUvarint(dst, uint64(st.frozenBound))
 	dst = binary.AppendUvarint(dst, uint64(st.freezeAt))
 	var encErr error
-	dst = binary.AppendUvarint(dst, uint64(st.coldSize()))
-	if c := st.cold; c != nil {
-		for r := range c.ids {
-			if c.dead[r] {
-				continue
-			}
-			dst = binary.AppendUvarint(dst, uint64(c.ids[r]))
-			if dst, encErr = codec.Encode(dst, stream.TupleElement(c.tups[r])); encErr != nil {
-				return nil, fmt.Errorf("exec: serializing frozen tuple: %w", encErr)
-			}
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(st.ids)-st.nDead))
-	for r := range st.ids {
-		if st.dead[r] {
+	for _, rs := range st.tiers() {
+		if rs == nil {
+			dst = binary.AppendUvarint(dst, 0)
 			continue
 		}
-		dst = binary.AppendUvarint(dst, uint64(st.ids[r]))
-		if dst, encErr = codec.Encode(dst, stream.TupleElement(st.tups[r])); encErr != nil {
-			return nil, fmt.Errorf("exec: serializing stored tuple: %w", encErr)
+		dst = binary.AppendUvarint(dst, uint64(rs.size()))
+		for r := range rs.ids {
+			if rs.dead[r] {
+				continue
+			}
+			dst = binary.AppendUvarint(dst, uint64(rs.ids[r]))
+			if dst, encErr = codec.Encode(dst, stream.TupleElement(rs.tups[r])); encErr != nil {
+				return nil, fmt.Errorf("exec: serializing stored tuple: %w", encErr)
+			}
 		}
 	}
 	ps := m.puncts[input]
@@ -322,7 +316,7 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 			ErrCorruptState, frozenBound, freezeAt, nextID)
 	}
 	st := &joinState{
-		index:       m.states[input].index.emptyLike(),
+		hot:         rowStore{index: m.states[input].hot.index.emptyLike()},
 		frozenBound: tupleID(frozenBound),
 		freezeAt:    tupleID(freezeAt),
 	}
@@ -353,14 +347,13 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 		return tupleID(id64), e.Tuple(), nil
 	}
 	if coldLive > 0 {
-		st.cold = &coldSegment{index: st.index.emptyLike()}
+		st.cold = &rowStore{index: st.hot.index.emptyLike()}
 		for r := 0; r < coldLive; r++ {
 			id, t, err := decodeRow("frozen tuple id", frozenBound)
 			if err != nil {
 				return nil, err
 			}
-			st.cold.appendRow(id, t)
-			st.cold.index.add(t, id)
+			st.cold.append(id, t)
 		}
 	}
 	live, err := d.count("live tuple count")
@@ -375,10 +368,7 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 		if uint64(id) < frozenBound {
 			return nil, fmt.Errorf("%w: hot tuple id %d below frozenBound %d", ErrCorruptState, id, frozenBound)
 		}
-		st.ids = append(st.ids, id)
-		st.tups = append(st.tups, t)
-		st.dead = append(st.dead, false)
-		st.index.add(t, id)
+		st.hot.append(id, t)
 	}
 	st.nextID = tupleID(nextID)
 	return st, nil

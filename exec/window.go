@@ -27,8 +27,6 @@ type Window struct {
 type WindowedMJoin struct {
 	m *MJoin
 	w Window
-	// fifo[i] holds the ids of input i's stored tuples in arrival order.
-	fifo [][]tupleID
 	// Evicted counts tuples dropped by window slide, per input.
 	Evicted []uint64
 }
@@ -47,7 +45,6 @@ func NewWindowedMJoin(cfg Config, w Window) (*WindowedMJoin, error) {
 	return &WindowedMJoin{
 		m:       m,
 		w:       w,
-		fifo:    make([][]tupleID, cfg.Query.N()),
 		Evicted: make([]uint64, cfg.Query.N()),
 	}, nil
 }
@@ -76,15 +73,15 @@ func (wj *WindowedMJoin) Push(input int, e stream.Element) ([]stream.Element, er
 		return nil, err
 	}
 	wj.m.stats.Results += uint64(len(results))
-	id := wj.m.states[input].insert(t)
-	wj.fifo[input] = append(wj.fifo[input], id)
-	if len(wj.fifo[input]) > wj.w.Rows {
-		oldest := wj.fifo[input][0]
-		wj.fifo[input] = wj.fifo[input][1:]
-		wj.m.states[input].remove(oldest)
+	// Only the window removes, so the state holds exactly the window and
+	// its oldest tuple is the one that slides out.
+	st := wj.m.states[input]
+	st.insert(t)
+	if st.size() > wj.w.Rows {
+		st.removeOldest()
 		wj.Evicted[input]++
 	}
-	wj.m.stats.StateSize[input] = wj.m.states[input].size()
+	wj.m.stats.StateSize[input] = st.size()
 	wj.m.stats.noteWatermarks()
 	out := make([]stream.Element, 0, len(results))
 	for _, r := range results {

@@ -35,9 +35,10 @@ stage_soakfailover() {
 
 # Fuzz targets over their checked-in seed corpus: wire-format framing
 # (truncated frames, oversized lengths, unknown streams), the serving
-# handshake front door (bad magic, bad role, absurd name lengths), and
-# the tiered join-state snapshot decoder (torn cold segments, corrupted
-# bytes). `go test -fuzz` explores further; the seed set is the gate.
+# handshake front door (bad magic, bad role, absurd name lengths), the
+# tiered join-state snapshot decoder (torn cold segments, corrupted
+# bytes), and the join-state model (operation strings replayed against a
+# plain map). `go test -fuzz` explores further; the seed set is the gate.
 stage_fuzzseed() { go test -run Fuzz ./engine/... ./server/... ./exec/...; }
 
 # Checkpoint round-trip smoke: run a sharded workload writing periodic
@@ -54,11 +55,12 @@ stage_ckptsmoke() {
 
 stage_allocfloors() {
   # Allocation floors for the hot path (testing.AllocsPerRun guards): the
-  # steady-state probe must stay ~alloc-free, a chained-purge cycle within
-  # its scratch budget with and without §5.1 punctuation purging, and the
-  # cold-tier probe at parity with the all-hot probe; frame decoding keeps
-  # its per-frame bound.
-  go test -run 'TestSteadyStateProbeAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestColdTierProbeAllocs' -count 1 ./exec/...
+  # steady-state probe must stay ~alloc-free, also into a state that has
+  # compacted, a chained-purge cycle within its scratch budget with and
+  # without §5.1 punctuation purging, a warmed ordered-bound (heartbeat)
+  # purge round at zero, and the cold-tier probe at parity with the all-hot
+  # probe; frame decoding keeps its per-frame bound.
+  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
   # Shared-tree fan-out alloc floor: delivering one output batch to extra
   # subscribers (callback or passive) must not allocate per batch — sharing
