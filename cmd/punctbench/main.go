@@ -7,45 +7,6 @@
 //	punctbench            # run all experiments
 //	punctbench -e E4,E8   # run a subset
 //	punctbench -md        # emit markdown tables (for EXPERIMENTS.md)
-//
-// It is also the JSON formatter behind scripts/bench.sh:
-//
-//	punctbench -bench-json current.txt -baseline scripts/bench_baseline.txt \
-//	    -prev BENCH_hotpath.json -sha abc1234 -time 2026-01-01T00:00:00Z
-//
-// parses raw `go test -bench -benchmem` output and prints the
-// baseline-vs-current trajectory consumed as BENCH_hotpath.json, carrying
-// the previous report's run history forward and appending this run to it.
-//
-//	punctbench -partition-json partition.txt -prev BENCH_partition.json \
-//	    -sha abc1234 -time ...
-//
-// parses BenchmarkPartitionedIngest output and prints the partitioned
-// MJoin scaling report consumed as BENCH_partition.json, appending this
-// run to the previous report's trajectory the same way -bench-json does.
-//
-//	punctbench -serving-json serving.txt -prev BENCH_serving.json \
-//	    -sha abc1234 -time ...
-//
-// parses BenchmarkServe output (sustained producer/subscriber connection
-// throughput of the punctserve front-end) and prints the serving report
-// consumed as BENCH_serving.json, with the same appended trajectory.
-//
-//	punctbench -tiering-json tiering.txt -prev BENCH_tiering.json \
-//	    -sha abc1234 -time ...
-//
-// parses BenchmarkTiering output (cold-tier probe parity and skew-split
-// state bounds, run with -count for per-name medians) and prints the
-// state-tiering report consumed as BENCH_tiering.json, with the same
-// appended trajectory.
-//
-//	punctbench -multiquery-json multiquery.txt -prev BENCH_multiquery.json \
-//	    -sha abc1234 -time ...
-//
-// parses BenchmarkMultiQuery output (shared-subplan execution: view
-// ladders per overlap shape, run with -count for per-name medians) and
-// prints the shared-execution report consumed as BENCH_multiquery.json,
-// with the same appended trajectory.
 package main
 
 import (
@@ -60,52 +21,7 @@ import (
 func main() {
 	only := flag.String("e", "", "comma-separated experiment ids (default: all)")
 	md := flag.Bool("md", false, "emit markdown tables")
-	benchJSON := flag.String("bench-json", "", "parse a `go test -bench` output file and emit trajectory JSON")
-	baseline := flag.String("baseline", "", "recorded baseline bench output to pair with -bench-json")
-	prev := flag.String("prev", "", "previous report (BENCH_hotpath.json or BENCH_partition.json) whose trajectory this run appends to")
-	sha := flag.String("sha", "", "git commit SHA to stamp on this run's trajectory entry")
-	timeStr := flag.String("time", "", "UTC timestamp to stamp on this run's trajectory entry")
-	partitionJSON := flag.String("partition-json", "", "parse BenchmarkPartitionedIngest output and emit scaling JSON")
-	servingJSON := flag.String("serving-json", "", "parse BenchmarkServe output and emit serving throughput JSON")
-	tieringJSON := flag.String("tiering-json", "", "parse BenchmarkTiering output and emit state-tiering JSON")
-	multiqueryJSON := flag.String("multiquery-json", "", "parse BenchmarkMultiQuery output and emit shared-execution JSON")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := emitBenchJSON(*benchJSON, *baseline, *prev, *sha, *timeStr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *partitionJSON != "" {
-		if err := emitPartitionJSON(*partitionJSON, *prev, *sha, *timeStr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *servingJSON != "" {
-		if err := emitServingJSON(*servingJSON, *prev, *sha, *timeStr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tieringJSON != "" {
-		if err := emitTieringJSON(*tieringJSON, *prev, *sha, *timeStr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *multiqueryJSON != "" {
-		if err := emitMultiQueryJSON(*multiqueryJSON, *prev, *sha, *timeStr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	if *only != "" {

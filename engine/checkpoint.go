@@ -33,11 +33,11 @@ import (
 // runtime's close lock (no new sends can start) and posts a barrier
 // message to every shard; mailbox FIFO order means each worker has fully
 // applied everything enqueued before the barrier when it serializes its
-// own tree. Offsets committed via SendAt/SendBatchAt/IngestWireFrom move
-// under the same lock's read side, so a snapshot never pairs applied
-// elements with a stale offset or an advanced offset with unapplied
-// elements. Results delivered downstream after the checkpoint are
-// replayed on resume — the runtime is exactly-once for state and
+// own tree. Offsets committed via SendAt and IngestWireResume move under
+// the same lock's read side (Runtime.commit), so a snapshot never pairs
+// applied elements with a stale offset or an advanced offset with
+// unapplied elements. Results delivered downstream after the checkpoint
+// are replayed on resume — the runtime is exactly-once for state and
 // at-least-once for output, as DESIGN.md § Recovery model spells out.
 
 // ErrCorruptCheckpoint is returned (wrapped) when a checkpoint fails to
@@ -67,38 +67,6 @@ func (rt *Runtime) Kill() {
 	})
 }
 
-// SendAt is Send plus offset bookkeeping: on success it records offset
-// as the named ingest source's committed resume position. The commit
-// happens under the same lock hold as the send, so a concurrent
-// Checkpoint observes either both or neither — the consistent cut that
-// makes resume-after-restore exactly-once.
-func (rt *Runtime) SendAt(source, streamName string, e stream.Element, offset int64) error {
-	rt.closeMu.RLock()
-	defer rt.closeMu.RUnlock()
-	if err := rt.sendGuard("SendAt"); err != nil {
-		return err
-	}
-	if err := rt.sendLocked(streamName, e); err != nil {
-		return err
-	}
-	rt.commitOffset(source, offset)
-	return nil
-}
-
-// SendBatchAt is SendBatch plus the same atomic offset commit as SendAt.
-func (rt *Runtime) SendBatchAt(source, streamName string, elems []stream.Element, offset int64) error {
-	rt.closeMu.RLock()
-	defer rt.closeMu.RUnlock()
-	if err := rt.sendGuard("SendBatchAt"); err != nil {
-		return err
-	}
-	if err := rt.sendBatchLocked(streamName, elems); err != nil {
-		return err
-	}
-	rt.commitOffset(source, offset)
-	return nil
-}
-
 // ResumeOffset returns the named source's committed resume position:
 // zero on a fresh runtime, the restored offset after RestoreRuntime, the
 // last committed offset while feeding. Producers resume feeding from
@@ -115,14 +83,6 @@ func (rt *Runtime) ResumeOffset(source string) int64 {
 // is configured.
 func (rt *Runtime) SourceOffsets() map[string]int64 {
 	return rt.sourceOffsets()
-}
-
-// commitOffset records a source's resume position; the caller holds
-// closeMu's read side (see SendAt).
-func (rt *Runtime) commitOffset(source string, offset int64) {
-	rt.srcMu.Lock()
-	rt.sources[source] = offset
-	rt.srcMu.Unlock()
 }
 
 // sourceOffsets copies the committed offsets map.
@@ -187,7 +147,7 @@ func (rt *Runtime) CheckpointSummary(w io.Writer) (CheckpointSummary, error) {
 				continue
 			}
 			var buf bytes.Buffer
-			if err := s.reg.writeState(&buf); err != nil {
+			if err := s.reg.ex.WriteState(&buf); err != nil {
 				return sum, fmt.Errorf("engine: checkpoint: query %q: %w", s.reg.Name, err)
 			}
 			states[i] = buf.Bytes()
@@ -329,12 +289,11 @@ type shardState struct {
 // ErrCorruptCheckpoint and leaves the register exactly as it was.
 //
 // After a successful restore, feed each ingest source from its
-// ResumeOffset (IngestWireFrom does this automatically): elements up to
-// the recorded offsets are already inside the restored state, elements
-// after them have left no trace, so resumption neither loses nor
-// duplicates input. Result tuples delivered between the checkpoint and
-// the crash are emitted again on resume; Registered result buffers are
-// not part of the snapshot.
+// ResumeOffset: elements up to the recorded offsets are already inside
+// the restored state, elements after them have left no trace, so
+// resumption neither loses nor duplicates input. Result tuples delivered
+// between the checkpoint and the crash are emitted again on resume;
+// Registered result buffers are not part of the snapshot.
 func (d *DSMS) RestoreRuntime(r io.Reader, opts RuntimeOptions) (*Runtime, error) {
 	snap, err := readCheckpoint(r)
 	if err != nil {
@@ -846,168 +805,4 @@ func (d *ckptDec) str(what string) (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-// IngestWireFrom is the resumable counterpart of IngestWire: it opens
-// the named source through open at the runtime's committed resume offset
-// (zero on a fresh runtime, the checkpointed offset after a restore),
-// reads frames until EOF, and commits the advancing offset atomically
-// with each routed batch. A runtime restored from a checkpoint therefore
-// resumes exactly after the last frame inside the snapshot — no lost and
-// no duplicated tuples. The transport is wrapped in a RetryReader, so
-// transient failures reconnect at the right offset automatically.
-//
-// Under Drop and Quarantine the reader runs in skip-and-resync mode;
-// a corrupt region is dead-lettered in the same commit as the first
-// batch whose offset moves past it, so faults are exactly-once across a
-// crash too.
-func (rt *Runtime) IngestWireFrom(source string, open func(offset int64) (io.Reader, error), schemas ...*stream.Schema) (int, error) {
-	rr := &RetryReader{Open: open, StartOffset: rt.ResumeOffset(source)}
-	return rt.IngestWireResume(source, rr, schemas...)
-}
-
-// IngestWireResume is the transport-agnostic half of IngestWireFrom: r
-// must already be positioned at the source's committed resume offset
-// (rt.ResumeOffset(source)), and no reconnection is attempted — a read
-// failure surfaces after committing everything read before it. The
-// serving front-end feeds each producer connection through this path:
-// the connection handshake positions the client at the resume offset,
-// and reconnection is the client's job, not the reader's.
-func (rt *Runtime) IngestWireResume(source string, r io.Reader, schemas ...*stream.Schema) (int, error) {
-	start := rt.ResumeOffset(source)
-	var rec *tapRecorder
-	if rt.tap != nil {
-		rec = &tapRecorder{r: r, base: start, mark: start}
-		r = rec
-	}
-	wr := NewWireReader(r, schemas...)
-	wr.base = start
-	var pendingFaults []WireFault
-	if rt.policy != Fail {
-		wr.Lenient(func(f WireFault) {
-			pendingFaults = append(pendingFaults, f)
-		})
-	}
-	const ingestBatch = 128
-	batch := make([]stream.Element, 0, ingestBatch)
-	batchStream := ""
-	count := 0
-	commit := func(off int64) error {
-		var ready []DeadLetter
-		rest := pendingFaults[:0]
-		for _, f := range pendingFaults {
-			if f.Offset+int64(f.Skipped) <= off {
-				ready = append(ready, DeadLetter{Stream: f.Stream, Frame: f.Frame, Err: f.Err})
-			} else {
-				rest = append(rest, f)
-			}
-		}
-		pendingFaults = rest
-		if len(ready) == 0 && len(batch) == 0 {
-			return nil
-		}
-		if err := rt.ingestCommit(source, batchStream, batch, ready, off, rec); err != nil {
-			return err
-		}
-		count += len(batch)
-		batch = batch[:0]
-		return nil
-	}
-	lastEnd := start
-	for {
-		te, err := wr.Read()
-		if err == io.EOF {
-			// A clean EOF consumes the whole wire: trailing skipped regions
-			// commit with the final offset.
-			if ferr := commit(wr.Offset()); ferr != nil {
-				return count, ferr
-			}
-			return count, nil
-		}
-		if err != nil {
-			if ferr := commit(lastEnd); ferr != nil {
-				return count, ferr
-			}
-			if errors.Is(err, ErrWouldBlock) {
-				// The transport drained its buffered bytes: progress so
-				// far is committed, the next Read blocks for more.
-				continue
-			}
-			return count, err
-		}
-		if len(batch) > 0 && (te.Stream != batchStream || len(batch) >= ingestBatch) {
-			if ferr := commit(lastEnd); ferr != nil {
-				return count, ferr
-			}
-		}
-		batchStream = te.Stream
-		batch = append(batch, te.Elem)
-		lastEnd = wr.Offset()
-	}
-}
-
-// ingestCommit routes a batch and commits its source offset (plus any
-// wire faults whose regions the offset has passed) in one critical
-// section, so a concurrent Checkpoint sees all of it or none of it.
-// With a tap recorder attached, the whole commit additionally runs
-// under tapMu and finishes by handing the committed raw bytes to the
-// tap, so tap order equals send order across concurrent sources.
-func (rt *Runtime) ingestCommit(source, streamName string, elems []stream.Element, faults []DeadLetter, offset int64, rec *tapRecorder) error {
-	rt.closeMu.RLock()
-	defer rt.closeMu.RUnlock()
-	if err := rt.sendGuard("IngestWireFrom"); err != nil {
-		return err
-	}
-	if rec != nil {
-		rt.tapMu.Lock()
-		defer rt.tapMu.Unlock()
-	}
-	for _, f := range faults {
-		rt.dlq.add(f)
-	}
-	if len(elems) > 0 {
-		if err := rt.sendBatchLocked(streamName, elems); err != nil {
-			return err
-		}
-	}
-	rt.commitOffset(source, offset)
-	if rec != nil {
-		if raw, from := rec.pending(offset); len(raw) > 0 {
-			rt.tap(source, raw, from, offset)
-		}
-		rec.release(offset)
-	}
-	return nil
-}
-
-// tapRecorder wraps a wire-ingest reader, retaining every byte read
-// until the commit that covers it fires the tap. The retained window is
-// bounded by the ingest batch size plus one frame: release trims it at
-// every commit.
-type tapRecorder struct {
-	r    io.Reader
-	buf  []byte
-	base int64 // wire offset of buf[0]
-	mark int64 // bytes below mark have been handed to the tap
-}
-
-func (t *tapRecorder) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if n > 0 {
-		t.buf = append(t.buf, p[:n]...)
-	}
-	return n, err
-}
-
-// pending returns the raw bytes in [mark, off) and their start offset.
-// The slice is valid until release.
-func (t *tapRecorder) pending(off int64) ([]byte, int64) {
-	return t.buf[t.mark-t.base : off-t.base], t.mark
-}
-
-// release marks everything below off as committed and trims the buffer.
-func (t *tapRecorder) release(off int64) {
-	t.buf = append(t.buf[:0], t.buf[off-t.base:]...)
-	t.base = off
-	t.mark = off
 }

@@ -330,105 +330,3 @@ func TestCheckpointFileTornWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestIngestWireFromResumesAfterRestore: wire ingestion committed through
-// IngestWireFrom resumes exactly after the last checkpointed frame — the
-// restored runtime re-reads nothing and skips nothing, even over a flaky
-// transport, and the combined results equal an uninterrupted ingest.
-func TestIngestWireFromResumesAfterRestore(t *testing.T) {
-	feed := auctionFeed(30, 2)
-	item := workload.AuctionQuery().Stream(0)
-	bid := workload.AuctionQuery().Stream(1)
-	var buf bytes.Buffer
-	ww := NewWireWriter(&buf, item, bid)
-	var boundary int64 // wire offset after the first half's frames
-	for i, te := range feed {
-		if err := ww.Write(te.Stream, te.Elem); err != nil {
-			t.Fatal(err)
-		}
-		if i == len(feed)/2 {
-			boundary = int64(buf.Len())
-		}
-	}
-	wire := buf.Bytes()
-
-	// Uninterrupted reference.
-	ref, refRegs := newAuctionDSMS(t, 1)
-	rtRef := ref.RunSharded(RuntimeOptions{})
-	if _, err := rtRef.IngestWire(bytes.NewReader(wire), item, bid); err != nil {
-		t.Fatal(err)
-	}
-	rtRef.Close()
-	if err := rtRef.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	// First life: ingest only the wire's first half (the transport "ends"
-	// at the boundary), checkpoint, crash.
-	d, regs := newAuctionDSMS(t, 1)
-	rt := d.RunSharded(RuntimeOptions{})
-	n1, err := rt.IngestWireFrom("wire", func(off int64) (io.Reader, error) {
-		return faultinject.NewFlakyReader(wire[off:boundary], 900), nil
-	}, item, bid)
-	if err != nil {
-		t.Fatalf("first ingest: %v", err)
-	}
-	var snap bytes.Buffer
-	if err := rt.Checkpoint(&snap); err != nil {
-		t.Fatal(err)
-	}
-	prefix := resultStrings(regs[0])
-	rt.Kill()
-	rt.Close()
-	rt.Wait()
-
-	// Second life: same source, full wire; ingestion must resume at the
-	// committed boundary offset.
-	d2, regs2 := newAuctionDSMS(t, 1)
-	rt2, err := d2.RestoreRuntime(bytes.NewReader(snap.Bytes()), RuntimeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rt2.ResumeOffset("wire"); got != boundary {
-		t.Fatalf("ResumeOffset = %d, want wire boundary %d", got, boundary)
-	}
-	opens := 0
-	n2, err := rt2.IngestWireFrom("wire", func(off int64) (io.Reader, error) {
-		opens++
-		if opens == 1 && off != boundary {
-			t.Errorf("first reopen at %d, want %d", off, boundary)
-		}
-		return faultinject.NewFlakyReader(wire[off:], 900), nil
-	}, item, bid)
-	if err != nil {
-		t.Fatalf("resumed ingest: %v", err)
-	}
-	rt2.Close()
-	if err := rt2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if n1+n2 != len(feed) {
-		t.Fatalf("ingested %d + %d elements, want exactly %d (no loss, no duplication)", n1, n2, len(feed))
-	}
-	want := resultStrings(refRegs[0])
-	got := append(prefix, resultStrings(regs2[0])...)
-	if len(got) != len(want) {
-		t.Fatalf("%d results across the crash, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("result %d differs: %s vs %s", i, got[i], want[i])
-		}
-	}
-	wantStats, err := rtRef.Stats("q0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotStats, err := rt2.Stats("q0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotStats, wantStats) {
-		t.Fatalf("stats diverge:\n%v\nvs\n%v", gotStats, wantStats)
-	}
-}

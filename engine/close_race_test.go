@@ -1,7 +1,7 @@
 package engine
 
 // Graceful-shutdown ordering under contention: Runtime.Close (and Kill)
-// racing an in-flight IngestWireParallel and a goroutine hammering the
+// racing an in-flight IngestWire and a goroutine hammering the
 // Stats/Checkpoint control barriers. The merger's kill-drain path must
 // answer every pending barrier — no call may wedge, and under -race the
 // teardown must be free of data races. Producer-side errors are expected
@@ -79,7 +79,7 @@ func TestCloseRacesParallelIngestAndBarriers(t *testing.T) {
 					defer wg.Done()
 					// A closed runtime rejects the send: that error is the
 					// expected outcome, not a failure.
-					rt.IngestWireParallel(&trickleReader{data: wire}, 4, itemSchema, bidSchema)
+					rt.IngestWire(&trickleReader{data: wire}, itemSchema, bidSchema)
 				}()
 				stop := make(chan struct{})
 				go func() {

@@ -21,8 +21,7 @@ import (
 )
 
 // DSMS is a single-threaded data stream management system instance. All
-// methods must be called from one goroutine; RunAsync wraps the Push
-// entry point in a serial channel loop for concurrent feeding, and
+// methods must be called from one goroutine; for concurrent feeding,
 // RunSharded runs each registered query on its own goroutine behind a
 // stream router.
 type DSMS struct {
@@ -149,6 +148,7 @@ type Registered struct {
 	// Options.Partitions >= 1 and the query is co-partitionable.
 	Tree *exec.Tree
 	Part *exec.PartitionedTree
+	ex   executor // Tree or Part, set once at registration
 	// PartitionReason explains why a Partitions request fell back to the
 	// single-tree path ("" when partitioning was not requested or is
 	// active).
@@ -272,7 +272,7 @@ func (d *DSMS) Register(name string, q *query.CJQ, opts Options) (*Registered, e
 			// routed elements feed the shared tree under the indices it
 			// was built with.
 			drv := g.driver()
-			r.Tree, r.Part = drv.Tree, drv.Part
+			r.Tree, r.Part, r.ex = drv.Tree, drv.Part, drv.ex
 			r.PartitionReason = drv.PartitionReason
 			r.Output = r.OutputSchema()
 			for streamName, input := range drv.streamInput {
@@ -309,7 +309,7 @@ func (d *DSMS) Register(name string, q *query.CJQ, opts Options) (*Registered, e
 		part, err := exec.NewPartitionedTree(cfg, p, opts.Partitions)
 		switch {
 		case err == nil:
-			r.Part = part
+			r.Part, r.ex = part, part
 		case errors.Is(err, plan.ErrNotCoPartitionable):
 			// Fall back to the single-tree path — loudly, not silently: the
 			// reason lands on the handle for callers (punctrun warns on it).
@@ -323,7 +323,7 @@ func (d *DSMS) Register(name string, q *query.CJQ, opts Options) (*Registered, e
 		if err != nil {
 			return nil, err
 		}
-		r.Tree = tree
+		r.Tree, r.ex = tree, tree
 	}
 	r.Output = r.OutputSchema()
 	for i := 0; i < q.N(); i++ {
@@ -384,7 +384,7 @@ func (d *DSMS) Push(streamName string, e stream.Element) error {
 		if !ok || !r.accepts(input, e) {
 			continue
 		}
-		outs, err := r.pushExec(input, e)
+		outs, err := r.ex.Push(input, e)
 		if err != nil {
 			return fmt.Errorf("engine: query %q: %w", name, err)
 		}
@@ -401,62 +401,28 @@ func (r *Registered) accepts(input int, e stream.Element) bool {
 	return r.filter == nil || e.IsPunct() || r.filter(input, e.Tuple())
 }
 
-// pushExec feeds one routed element into the query's executor and
-// returns the outputs undelivered — the caller (sequential Push, shard
-// worker) owns delivery, which for a shared tree fans out to every group
-// member. Everything it touches (tree state, stats) belongs to exactly
-// one goroutine at a time.
-func (r *Registered) pushExec(input int, e stream.Element) ([]stream.Element, error) {
-	if r.Part != nil {
-		return r.Part.Push(input, e)
-	}
-	return r.Tree.Push(input, e)
-}
-
-// pushBatchExec feeds a run of routed elements into the query's executor
-// via exec's batched path, exactly as if pushExec were called per
-// element. On error it returns the offender's index alongside the
-// outputs of the preceding elements, so the caller can deliver those,
-// classify the offender, and resume with the rest of the run.
-func (r *Registered) pushBatchExec(input int, elems []stream.Element) ([]stream.Element, int, error) {
-	if r.Part != nil {
-		return r.Part.PushBatch(input, elems)
-	}
-	return r.Tree.PushBatch(input, elems)
-}
-
-// sweepExec dispatches Sweep to the active executor.
-func (r *Registered) sweepExec() (int, []stream.Element, error) {
-	if r.Part != nil {
-		return r.Part.Sweep()
-	}
-	return r.Tree.Sweep()
-}
-
-// flushExec dispatches Flush to the active executor.
-func (r *Registered) flushExec() ([]stream.Element, error) {
-	if r.Part != nil {
-		return r.Part.Flush()
-	}
-	return r.Tree.Flush()
+// executor is the method set *exec.Tree and *exec.PartitionedTree share;
+// Registered.ex holds whichever of Tree and Part is active. Everything
+// behind it (tree state, stats) belongs to exactly one goroutine at a
+// time, and its Push/PushBatch/Sweep/Flush return outputs undelivered:
+// the caller (sequential Push, shard worker) owns delivery, which for a
+// shared tree fans out to every group member.
+type executor interface {
+	Push(input int, e stream.Element) ([]stream.Element, error)
+	PushBatch(input int, elems []stream.Element) ([]stream.Element, int, error)
+	Sweep() (int, []stream.Element, error)
+	Flush() ([]stream.Element, error)
+	StatsSnapshot() []*exec.Stats
+	WriteState(w io.Writer) error
+	TotalState() int
+	TotalPunctStore() int
+	MaxState() int
+	OutputSchema() *stream.Schema
 }
 
 // StatsSnapshot returns per-operator stats from the active executor; for
 // a partitioned query it returns per-operator sums across the replicas.
-func (r *Registered) StatsSnapshot() []*exec.Stats {
-	if r.Part != nil {
-		return r.Part.StatsSnapshot()
-	}
-	return r.Tree.StatsSnapshot()
-}
-
-// writeState dispatches state serialization to the active executor.
-func (r *Registered) writeState(w io.Writer) error {
-	if r.Part != nil {
-		return r.Part.WriteState(w)
-	}
-	return r.Tree.WriteState(w)
-}
+func (r *Registered) StatsSnapshot() []*exec.Stats { return r.ex.StatsSnapshot() }
 
 // Partitions returns the active partition count: 0 when the query runs on
 // the single-tree path.
@@ -469,36 +435,16 @@ func (r *Registered) Partitions() int {
 
 // TotalState sums the query's stored tuples across operators (and
 // replicas, when partitioned).
-func (r *Registered) TotalState() int {
-	if r.Part != nil {
-		return r.Part.TotalState()
-	}
-	return r.Tree.TotalState()
-}
+func (r *Registered) TotalState() int { return r.ex.TotalState() }
 
 // TotalPunctStore sums the query's stored punctuations.
-func (r *Registered) TotalPunctStore() int {
-	if r.Part != nil {
-		return r.Part.TotalPunctStore()
-	}
-	return r.Tree.TotalPunctStore()
-}
+func (r *Registered) TotalPunctStore() int { return r.ex.TotalPunctStore() }
 
 // MaxState sums the query's state high-water marks.
-func (r *Registered) MaxState() int {
-	if r.Part != nil {
-		return r.Part.MaxState()
-	}
-	return r.Tree.MaxState()
-}
+func (r *Registered) MaxState() int { return r.ex.MaxState() }
 
 // OutputSchema is the plan's root output schema.
-func (r *Registered) OutputSchema() *stream.Schema {
-	if r.Part != nil {
-		return r.Part.OutputSchema()
-	}
-	return r.Tree.OutputSchema()
-}
+func (r *Registered) OutputSchema() *stream.Schema { return r.ex.OutputSchema() }
 
 // Sweep runs the §5.1 background clean-up over every registered query
 // (once per share group) and returns the total number of tuples removed.
@@ -509,7 +455,7 @@ func (d *DSMS) Sweep() (int, error) {
 		if !r.isDriver() {
 			continue
 		}
-		removed, outs, err := r.sweepExec()
+		removed, outs, err := r.ex.Sweep()
 		if err != nil {
 			return total, err
 		}
@@ -527,7 +473,7 @@ func (d *DSMS) Flush() error {
 		if !r.isDriver() {
 			continue
 		}
-		outs, err := r.flushExec()
+		outs, err := r.ex.Flush()
 		if err != nil {
 			return err
 		}

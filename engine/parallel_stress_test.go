@@ -1,7 +1,7 @@
 package engine
 
 // Multi-producer race stress (ISSUE 6 satellite): concurrent SendBatch
-// producers and a parallel wire ingester all feeding one partitioned
+// producers and a wire ingester all feeding one partitioned
 // query, interleaved with Stats and Checkpoint barriers, must produce
 // exactly the single-tree result set. The concurrent phase carries
 // tuples only — tuple arrival order across streams never changes the
@@ -10,7 +10,7 @@ package engine
 // punctuation pass runs single-threaded afterwards and drains all state.
 // Run under -race this exercises every ingress path of the parallel
 // front-end at once: sender-side routing, epoch seals, control barriers,
-// and the parallel wire pipeline.
+// and the wire-ingest loop.
 
 import (
 	"bytes"
@@ -121,8 +121,8 @@ func TestParallelIngestStress(t *testing.T) {
 	}
 
 	// Partitioned run: three SendBatch producers (one per stream, each
-	// splitting its tuples into small batches), one parallel wire
-	// producer, and a barrier goroutine hammering Stats/Checkpoint.
+	// splitting its tuples into small batches), one wire producer, and a
+	// barrier goroutine hammering Stats/Checkpoint.
 	d, reg := newStressDSMS(t, 4)
 	rt := d.RunSharded(RuntimeOptions{})
 
@@ -150,9 +150,9 @@ func TestParallelIngestStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		n, err := rt.IngestWireParallel(bytes.NewReader(wire), 4, itemSchema, bidSchema, watchSchema)
+		n, err := rt.IngestWire(bytes.NewReader(wire), itemSchema, bidSchema, watchSchema)
 		if err != nil {
-			errs <- fmt.Errorf("IngestWireParallel: %w", err)
+			errs <- fmt.Errorf("IngestWire: %w", err)
 			return
 		}
 		if wantN := spWireKeys * (1 + spBids + spWatch); n != wantN {

@@ -176,11 +176,6 @@ func newPartFront(s *shard) *partFront {
 	return pf
 }
 
-// sendOne routes a single element (Send's path).
-func (pf *partFront) sendOne(input int, streamName string, e stream.Element) {
-	pf.sendRun(input, streamName, []stream.Element{e})
-}
-
 // sendRun routes one contiguous same-stream run: hash outside the lock,
 // enqueue under it. The caller must not reuse elems afterwards (the
 // merger keeps it until the run is delivered).

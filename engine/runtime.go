@@ -48,8 +48,8 @@ type RuntimeOptions struct {
 	// replaying the tapped records into a second runtime in call order
 	// reproduces the exact interleaving, and therefore the exact output
 	// and delivery sequence, of this one. The serving layer's
-	// primary→standby replication feed rides this hook. Only the
-	// IngestWireResume/IngestWireFrom path is tapped; direct Send calls
+	// primary→standby replication feed rides this hook. Only
+	// IngestWireResume is tapped; IngestWire and direct Send calls
 	// bypass it. The callback runs inside the commit critical section and
 	// must not call back into the runtime.
 	IngestTap func(source string, frames []byte, start, end int64)
@@ -88,7 +88,7 @@ type Runtime struct {
 	closed  bool
 
 	// srcMu guards sources, the per-ingest-source committed resume
-	// offsets (see SendAt and Checkpoint).
+	// offsets (see commit and Checkpoint).
 	srcMu   sync.Mutex
 	sources map[string]int64
 
@@ -523,7 +523,7 @@ func (s *shard) checkpointReply() shardCkpt {
 		return shardCkpt{idx: s.idx, err: fmt.Errorf("engine: query %q has failed; state not checkpointable", s.reg.Name)}
 	}
 	var buf bytes.Buffer
-	if err := s.reg.writeState(&buf); err != nil {
+	if err := s.reg.ex.WriteState(&buf); err != nil {
 		return shardCkpt{idx: s.idx, err: fmt.Errorf("engine: query %q: serializing state: %w", s.reg.Name, err)}
 	}
 	subs := make([]subDelivered, len(s.subs))
@@ -563,7 +563,7 @@ func (s *shard) pushBatchContained(input int, elems []stream.Element) (n int, er
 			err = newPanicError(r)
 		}
 	}()
-	outs, n, err := s.reg.pushBatchExec(input, elems)
+	outs, n, err := s.reg.ex.PushBatch(input, elems)
 	s.deliver(outs)
 	return n, err
 }
@@ -576,7 +576,7 @@ func (s *shard) flushContained() (err error) {
 			err = newPanicError(r)
 		}
 	}()
-	outs, err := s.reg.flushExec()
+	outs, err := s.reg.ex.Flush()
 	if err != nil {
 		return err
 	}
@@ -609,64 +609,16 @@ func (rt *Runtime) Err() error {
 // an error instead of panicking; with FailFast it returns the runtime's
 // first error once any shard has failed.
 func (rt *Runtime) Send(streamName string, e stream.Element) error {
-	rt.closeMu.RLock()
-	defer rt.closeMu.RUnlock()
-	if err := rt.sendGuard("Send"); err != nil {
-		return err
-	}
-	return rt.sendLocked(streamName, e)
+	return rt.commit("Send", "", streamName, []stream.Element{e}, nil, 0, nil)
 }
 
-// sendGuard applies the closed/fail-fast preflight checks shared by every
-// producer entry point; the caller holds closeMu.RLock.
-func (rt *Runtime) sendGuard(op string) error {
-	if rt.closed {
-		return fmt.Errorf("engine: runtime: %s after Close", op)
-	}
-	if rt.failFast {
-		select {
-		case <-rt.failed:
-			return rt.Err()
-		default:
-		}
-	}
-	return nil
-}
-
-// sendLocked is Send's routing body; the caller holds closeMu.RLock.
-func (rt *Runtime) sendLocked(streamName string, e stream.Element) error {
-	for _, s := range rt.route[streamName] {
-		input := s.reg.streamInput[streamName]
-		ok, err := safeAccepts(s.reg, input, e)
-		if err != nil {
-			// A panicking input filter leaves the element unclassifiable
-			// for this query: dead-letter it under Drop/Quarantine (once
-			// per subscribed query, as independent trees would), or fail
-			// the runtime under Fail — the router goroutine survives
-			// either way.
-			err = fmt.Errorf("engine: query %q: %w", s.reg.Name, err)
-			if rt.policy != Fail {
-				for _, m := range s.group.members {
-					rt.dlq.add(DeadLetter{Stream: streamName, Query: m.Name, Elem: e, Err: err})
-				}
-				continue
-			}
-			rt.fail(err)
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if s.pf != nil {
-			// Partitioned query: the producer routes the element itself
-			// — hash to the owning partition, or seal every partition's
-			// mailbox for a punctuation.
-			s.pf.sendOne(input, streamName, e)
-			continue
-		}
-		s.mb <- shardMsg{input: input, stream: streamName, elem: e}
-	}
-	return nil
+// SendAt is Send plus offset bookkeeping: on success it records offset
+// as the named ingest source's committed resume position. The commit
+// happens under the same lock hold as the send, so a concurrent
+// Checkpoint observes either both or neither — the consistent cut that
+// makes resume-after-restore exactly-once.
+func (rt *Runtime) SendAt(source, streamName string, e stream.Element, offset int64) error {
+	return rt.commit("SendAt", source, streamName, []stream.Element{e}, nil, offset, nil)
 }
 
 // SendBatch routes a run of elements of one named stream, equivalent to
@@ -679,57 +631,107 @@ func (rt *Runtime) sendLocked(streamName string, e stream.Element) error {
 // fails the runtime and the batch is not delivered to the failing
 // query's shard.
 func (rt *Runtime) SendBatch(streamName string, elems []stream.Element) error {
-	rt.closeMu.RLock()
-	defer rt.closeMu.RUnlock()
-	if err := rt.sendGuard("SendBatch"); err != nil {
-		return err
-	}
-	return rt.sendBatchLocked(streamName, elems)
+	return rt.commit("SendBatch", "", streamName, elems, nil, 0, nil)
 }
 
-// sendBatchLocked is SendBatch's routing body; the caller holds
-// closeMu.RLock and has passed sendGuard.
-func (rt *Runtime) sendBatchLocked(streamName string, elems []stream.Element) error {
-	if len(elems) == 1 {
-		// A one-element run gains nothing from the batch copy.
-		return rt.sendLocked(streamName, elems[0])
+// commit is the one way elements enter the runtime; every producer entry
+// point (op names it in errors) is a wrapper over it. Under one hold of
+// closeMu's read side it dead-letters the wire faults the offset has
+// passed, routes the run, and — unless source is empty, which means "no
+// offset to commit" — records offset as the source's resume position, so
+// a concurrent Checkpoint sees all of it or none of it. With a tap
+// recorder attached, the whole commit additionally runs under tapMu and
+// finishes by handing the committed raw bytes to the tap, so tap order
+// equals send order across concurrent sources.
+func (rt *Runtime) commit(op, source, streamName string, elems []stream.Element, faults []DeadLetter, offset int64, rec *tapRecorder) error {
+	rt.closeMu.RLock()
+	defer rt.closeMu.RUnlock()
+	if rt.closed {
+		return fmt.Errorf("engine: runtime: %s after Close", op)
 	}
+	if rt.failFast {
+		select {
+		case <-rt.failed:
+			return rt.Err()
+		default:
+		}
+	}
+	if rec != nil {
+		rt.tapMu.Lock()
+		defer rt.tapMu.Unlock()
+	}
+	for _, f := range faults {
+		rt.dlq.add(f)
+	}
+	if err := rt.routeRun(streamName, elems); err != nil {
+		return err
+	}
+	if source != "" {
+		rt.srcMu.Lock()
+		rt.sources[source] = offset
+		rt.srcMu.Unlock()
+	}
+	if rec != nil {
+		if raw, from := rec.pending(offset); len(raw) > 0 {
+			rt.tap(source, raw, from, offset)
+		}
+		rec.release(offset)
+	}
+	return nil
+}
+
+// routeRun is the one routing body: it hands a run of one stream's
+// elements to every subscribed shard, filtered per query. The caller
+// holds closeMu.RLock and keeps elems. A one-element run travels through
+// the mailbox by value; every other hand-off gets the shard's own copy of
+// the accepted elements.
+func (rt *Runtime) routeRun(streamName string, elems []stream.Element) error {
+	single := len(elems) == 1
 	for _, s := range rt.route[streamName] {
 		input := s.reg.streamInput[streamName]
-		accepted := make([]stream.Element, 0, len(elems))
-		var ferr error
+		var accepted []stream.Element
+		if !single || s.pf != nil {
+			accepted = make([]stream.Element, 0, len(elems))
+		}
+		kept := 0
 		for _, e := range elems {
 			ok, err := safeAccepts(s.reg, input, e)
 			if err != nil {
+				// A panicking input filter leaves the element unclassifiable
+				// for this query: dead-letter it under Drop/Quarantine (once
+				// per subscribed query, as independent trees would), or fail
+				// the runtime under Fail — the router goroutine survives
+				// either way.
 				err = fmt.Errorf("engine: query %q: %w", s.reg.Name, err)
-				if rt.policy != Fail {
-					for _, m := range s.group.members {
-						rt.dlq.add(DeadLetter{Stream: streamName, Query: m.Name, Elem: e, Err: err})
-					}
-					continue
+				if rt.policy == Fail {
+					rt.fail(err)
+					return err
 				}
-				ferr = err
-				break
+				for _, m := range s.group.members {
+					rt.dlq.add(DeadLetter{Stream: streamName, Query: m.Name, Elem: e, Err: err})
+				}
+				continue
 			}
-			if ok {
+			if !ok {
+				continue
+			}
+			kept++
+			if accepted != nil {
 				accepted = append(accepted, e)
 			}
 		}
-		if ferr != nil {
-			rt.fail(ferr)
-			return ferr
-		}
-		if len(accepted) == 0 {
-			continue
-		}
-		if s.pf != nil {
-			// Partitioned query: hash-scatter the run from this producer
-			// goroutine (accepted is this shard's own copy, so handing it
-			// to the front is safe).
+		switch {
+		case kept == 0:
+		case s.pf != nil:
+			// Partitioned query: no mailbox. The producer routes the run
+			// itself — hash each tuple to its owning partition, seal every
+			// partition's mailbox for a punctuation.
 			s.pf.sendRun(input, streamName, accepted)
-			continue
+		case single:
+			s.mb <- shardMsg{input: input, stream: streamName, elem: elems[0]}
+		default:
+			s.mb <- shardMsg{input: input, stream: streamName, elems: accepted}
 		}
-		s.mb <- shardMsg{input: input, stream: streamName, elems: accepted}
 	}
 	return nil
 }

@@ -180,8 +180,36 @@ func TestShardedDrainKeepsFeeding(t *testing.T) {
 	if err := rt.Wait(); err == nil {
 		t.Fatal("expected the malformed element's error")
 	}
-	if err := rt.Send("item", bad); err == nil {
-		t.Fatal("Send after Close must error")
+	// Every entry point refuses a closed runtime, naming itself.
+	item := workload.AuctionQuery().Stream(0)
+	good := stream.TupleElement(stream.NewTuple(stream.Int(1), stream.Int(1), stream.Str("x"), stream.Float(1)))
+	var wire bytes.Buffer
+	if err := NewWireWriter(&wire, item).Write("item", good); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		op   string
+		call func() error
+	}{
+		{"Send", func() error { return rt.Send("item", good) }},
+		{"SendAt", func() error { return rt.SendAt("src", "item", good, 1) }},
+		{"SendBatch", func() error { return rt.SendBatch("item", []stream.Element{good, good}) }},
+		{"IngestWire", func() error {
+			_, err := rt.IngestWire(bytes.NewReader(wire.Bytes()), item)
+			return err
+		}},
+		{"IngestWireResume", func() error {
+			_, err := rt.IngestWireResume("src", bytes.NewReader(wire.Bytes()), item)
+			return err
+		}},
+	} {
+		err := tc.call()
+		if want := "engine: runtime: " + tc.op + " after Close"; err == nil || err.Error() != want {
+			t.Fatalf("%s after Close: error %v, want %q", tc.op, err, want)
+		}
+	}
+	if off := rt.ResumeOffset("src"); off != 0 {
+		t.Fatalf("a refused send committed offset %d", off)
 	}
 }
 
@@ -233,48 +261,6 @@ func TestShardedStatsSnapshot(t *testing.T) {
 	}
 }
 
-// TestShardedWireIngest routes a binary wire feed through the sharded
-// runtime and checks it against the sequential IngestWire path.
-func TestShardedWireIngest(t *testing.T) {
-	itemSchema := workload.AuctionQuery().Stream(0)
-	bidSchema := workload.AuctionQuery().Stream(1)
-	var buf bytes.Buffer
-	ww := NewWireWriter(&buf, itemSchema, bidSchema)
-	const items = 25
-	for i := 0; i < items; i++ {
-		for _, te := range auctionElems(int64(i), 2) {
-			if err := ww.Write(te.Stream, te.Elem); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	wire := buf.Bytes()
-
-	ref, refRegs := newAuctionDSMS(t, 2)
-	if _, err := ref.IngestWire(bytes.NewReader(wire), itemSchema, bidSchema); err != nil {
-		t.Fatal(err)
-	}
-
-	d, regs := newAuctionDSMS(t, 2)
-	rt := d.RunSharded(RuntimeOptions{})
-	n, err := rt.IngestWire(bytes.NewReader(wire), itemSchema, bidSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Close()
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if want := items * 5; n != want {
-		t.Fatalf("routed %d elements, want %d", n, want)
-	}
-	for i := range regs {
-		if !equalStrings(sortedResults(regs[i]), sortedResults(refRegs[i])) {
-			t.Fatalf("query %d: wire-ingested results differ from sequential path", i)
-		}
-	}
-}
-
 // TestShardedRouting: a query subscribes only to its own streams; shards
 // of unrelated queries never see the element.
 func TestShardedRouting(t *testing.T) {
@@ -317,4 +303,52 @@ func TestShardedRouting(t *testing.T) {
 		}
 	}
 	_ = net
+}
+
+// TestRouteSingleElementAllocs is the producer-side alloc floor: Send,
+// SendAt and a one-element SendBatch hand their element to each shard by
+// value — no heap-allocated one-element slice on the way in, no accepted
+// copy in the routing body — and an n-element SendBatch allocates exactly
+// one accepted copy per subscribed shard. testing.AllocsPerRun counts the
+// whole process, so the shards here have mailboxes nobody drains during a
+// measurement: only the producer side runs. scripts/check.sh runs this
+// test by name.
+func TestRouteSingleElementAllocs(t *testing.T) {
+	_, regs := newAuctionDSMS(t, 2)
+	const runs = 100
+	rt := &Runtime{route: make(map[string][]*shard), sources: make(map[string]int64)}
+	for _, r := range regs {
+		s := &shard{reg: r, group: r.group, rt: rt, mb: make(chan shardMsg, runs+1)}
+		rt.shards = append(rt.shards, s)
+		rt.route["item"] = append(rt.route["item"], s)
+	}
+	e := stream.TupleElement(stream.NewTuple(stream.Int(1), stream.Int(1), stream.Str("x"), stream.Float(1)))
+	one, run := []stream.Element{e}, []stream.Element{e, e, e}
+	for _, tc := range []struct {
+		name string
+		send func() error
+		want float64
+	}{
+		{"Send", func() error { return rt.Send("item", e) }, 0},
+		{"SendAt", func() error { return rt.SendAt("src", "item", e, 1) }, 0},
+		{"SendBatch/1", func() error { return rt.SendBatch("item", one) }, 0},
+		{"SendBatch/3", func() error { return rt.SendBatch("item", run) }, float64(len(regs))},
+	} {
+		per := testing.AllocsPerRun(runs, func() {
+			if err := tc.send(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if per != tc.want {
+			t.Errorf("%s allocates %.1f times per call routing to %d shards, want %.0f", tc.name, per, len(regs), tc.want)
+		}
+		for _, s := range rt.shards {
+			if len(s.mb) != runs+1 {
+				t.Fatalf("%s: shard %q holds %d messages, want %d", tc.name, s.reg.Name, len(s.mb), runs+1)
+			}
+			for len(s.mb) > 0 {
+				<-s.mb
+			}
+		}
+	}
 }

@@ -106,9 +106,16 @@ type wireCorruption struct {
 func (c *wireCorruption) Error() string { return c.err.Error() }
 func (c *wireCorruption) Unwrap() error { return c.err }
 
+// TaggedElement is one element of a named stream, as delivered to the
+// input manager by the application environment (Figure 2).
+type TaggedElement struct {
+	Stream string
+	Elem   stream.Element
+}
+
 // WireReader decodes frames from a multiplexed element stream. It is the
 // shared front half of the ingestion paths: DSMS.IngestWire drains it
-// into the sequential Push, Runtime.IngestWire into the sharded router.
+// into the sequential Push, Runtime.ingestWire into the sharded router.
 //
 // The reader parses out of a single reusable window buffer: stream names
 // are interned and payloads are decoded in place, so steady-state reading
@@ -135,7 +142,7 @@ const wireReadChunk = 32 * 1024
 // (with zero bytes) to mean "everything available so far has been
 // consumed; the next read will block". Unlike every other reader error
 // it is NOT latched: the WireReader surfaces it to its caller — which
-// can commit partial progress, as IngestWireResume does at these
+// can commit partial progress, as Runtime.ingestWire does at these
 // drained-pipeline boundaries — and the next Read continues where the
 // parse left off.
 var ErrWouldBlock = errors.New("engine: wire read would block")
@@ -204,9 +211,7 @@ func (wr *WireReader) skipFrame(streamName string, frameLen int, err error) {
 // byte length; the caller consumes by advancing wr.pos. Framing-level
 // damage — bad varints, absurd lengths, unknown streams, truncation — is
 // skipped and reported here under Lenient; payload damage is the
-// caller's concern (the decode step may run on another goroutine, see
-// the parallel ingestion pipeline). Returns io.EOF at a clean end of
-// input.
+// caller's concern. Returns io.EOF at a clean end of input.
 func (wr *WireReader) readRaw() (wireStream, []byte, int, error) {
 	var zero wireStream
 	var scanStart int64
@@ -258,7 +263,7 @@ func (wr *WireReader) readRaw() (wireStream, []byte, int, error) {
 
 // Offset returns the absolute wire offset of the next unconsumed byte:
 // after a successful Read, the end of the frame just returned. Resumable
-// ingestion (IngestWireFrom) commits this as the source's resume
+// ingestion (IngestWireResume) commits this as the source's resume
 // position.
 func (wr *WireReader) Offset() int64 {
 	return wr.base + int64(wr.pos)
@@ -410,9 +415,7 @@ func (wr *WireReader) parseRawFrame() (wireStream, []byte, int, error) {
 	return ws, payload, frameLen, nil
 }
 
-// decodeWireFrame decodes one raw frame's payload. It touches no reader
-// state (stream.Codec is stateless), so decoding can run on any
-// goroutine — the parallel ingestion pipeline fans it out across cores.
+// decodeWireFrame decodes one raw frame's payload.
 func decodeWireFrame(ws wireStream, payload []byte) (stream.Element, error) {
 	e, rest, err := ws.codec.Decode(payload)
 	if err != nil {
@@ -451,53 +454,139 @@ func (d *DSMS) IngestWire(r io.Reader, schemas ...*stream.Schema) (int, error) {
 // asynchronous; Close and Wait to drain). Under the Drop and Quarantine
 // policies the reader runs in skip-and-resync mode: corrupt frames are
 // counted (and, under Quarantine, retained raw) in the dead-letter queue
-// instead of aborting the ingest.
-// Frames are decoded and routed in batches: contiguous same-stream runs
-// (up to ingestBatch frames) travel through SendBatch as one mailbox
-// hand-off per subscribed shard, preserving per-shard element order while
-// amortizing routing and channel overhead.
+// instead of aborting the ingest. It commits no resume offset and is not
+// tapped; IngestWireResume is the resumable form of the same loop.
 func (rt *Runtime) IngestWire(r io.Reader, schemas ...*stream.Schema) (int, error) {
+	return rt.ingestWire("IngestWire", "", r, schemas)
+}
+
+// IngestWireResume is the resumable counterpart of IngestWire: r must
+// already be positioned at the named source's committed resume offset
+// (rt.ResumeOffset(source): zero on a fresh runtime, the checkpointed
+// offset after a restore), and the advancing offset is committed
+// atomically with each routed batch. A runtime restored from a
+// checkpoint therefore resumes exactly after the last frame inside the
+// snapshot — no lost and no duplicated tuples. No reconnection is
+// attempted — a read failure surfaces after committing everything read
+// before it; wrap the transport in a RetryReader (StartOffset:
+// rt.ResumeOffset(source)) to reconnect at the right offset
+// automatically. The serving front-end feeds each producer connection
+// through this path: the connection handshake positions the client at
+// the resume offset, and reconnection is the client's job.
+//
+// Under Drop and Quarantine a corrupt region is dead-lettered in the same
+// commit as the first batch whose offset moves past it, so faults are
+// exactly-once across a crash too.
+func (rt *Runtime) IngestWireResume(source string, r io.Reader, schemas ...*stream.Schema) (int, error) {
+	return rt.ingestWire("IngestWireResume", source, r, schemas)
+}
+
+// ingestWire is the one wire-ingest loop. Frames are decoded and routed
+// in batches: contiguous same-stream runs (up to ingestBatch frames)
+// travel through commit as one mailbox hand-off per subscribed shard,
+// preserving per-shard element order while amortizing routing and
+// channel overhead. An empty source commits no offset and is not tapped.
+func (rt *Runtime) ingestWire(op, source string, r io.Reader, schemas []*stream.Schema) (int, error) {
+	start := rt.ResumeOffset(source)
+	var rec *tapRecorder
+	if rt.tap != nil && source != "" {
+		rec = &tapRecorder{r: r, base: start, mark: start}
+		r = rec
+	}
 	wr := NewWireReader(r, schemas...)
+	wr.base = start
+	var pendingFaults []WireFault
 	if rt.policy != Fail {
 		wr.Lenient(func(f WireFault) {
-			rt.dlq.add(DeadLetter{Stream: f.Stream, Frame: f.Frame, Err: f.Err})
+			pendingFaults = append(pendingFaults, f)
 		})
 	}
 	const ingestBatch = 128
 	batch := make([]stream.Element, 0, ingestBatch)
 	batchStream := ""
 	count := 0
-	flush := func() error {
-		if len(batch) == 0 {
+	flush := func(off int64) error {
+		var ready []DeadLetter
+		rest := pendingFaults[:0]
+		for _, f := range pendingFaults {
+			if f.Offset+int64(f.Skipped) <= off {
+				ready = append(ready, DeadLetter{Stream: f.Stream, Frame: f.Frame, Err: f.Err})
+			} else {
+				rest = append(rest, f)
+			}
+		}
+		pendingFaults = rest
+		if len(ready) == 0 && len(batch) == 0 {
 			return nil
 		}
-		if err := rt.SendBatch(batchStream, batch); err != nil {
+		if err := rt.commit(op, source, batchStream, batch, ready, off, rec); err != nil {
 			return err
 		}
 		count += len(batch)
 		batch = batch[:0]
 		return nil
 	}
+	lastEnd := start
 	for {
 		te, err := wr.Read()
 		if err == io.EOF {
-			if ferr := flush(); ferr != nil {
+			// A clean EOF consumes the whole wire: trailing skipped regions
+			// commit with the final offset.
+			if ferr := flush(wr.Offset()); ferr != nil {
 				return count, ferr
 			}
 			return count, nil
 		}
 		if err != nil {
-			if ferr := flush(); ferr != nil {
+			if ferr := flush(lastEnd); ferr != nil {
 				return count, ferr
+			}
+			if errors.Is(err, ErrWouldBlock) {
+				// The transport drained its buffered bytes: progress so
+				// far is committed, the next Read blocks for more.
+				continue
 			}
 			return count, err
 		}
-		if te.Stream != batchStream || len(batch) >= ingestBatch {
-			if ferr := flush(); ferr != nil {
+		if len(batch) > 0 && (te.Stream != batchStream || len(batch) >= ingestBatch) {
+			if ferr := flush(lastEnd); ferr != nil {
 				return count, ferr
 			}
-			batchStream = te.Stream
 		}
+		batchStream = te.Stream
 		batch = append(batch, te.Elem)
+		lastEnd = wr.Offset()
 	}
+}
+
+// tapRecorder wraps a wire-ingest reader, retaining every byte read
+// until the commit that covers it fires the tap. The retained window is
+// bounded by the ingest batch size plus one frame: release trims it at
+// every commit.
+type tapRecorder struct {
+	r    io.Reader
+	buf  []byte
+	base int64 // wire offset of buf[0]
+	mark int64 // bytes below mark have been handed to the tap
+}
+
+func (t *tapRecorder) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	if n > 0 {
+		t.buf = append(t.buf, p[:n]...)
+	}
+	return n, err
+}
+
+// pending returns the raw bytes in [mark, off) and their start offset.
+// The slice is valid until release.
+func (t *tapRecorder) pending(off int64) ([]byte, int64) {
+	return t.buf[t.mark-t.base : off-t.base], t.mark
+}
+
+// release marks everything below off as committed and trims the buffer.
+func (t *tapRecorder) release(off int64) {
+	t.buf = append(t.buf[:0], t.buf[off-t.base:]...)
+	t.base = off
+	t.mark = off
 }

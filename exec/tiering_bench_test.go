@@ -1,6 +1,6 @@
 package exec_test
 
-// BenchmarkTiering backs BENCH_tiering.json (make benchskew): the
+// BenchmarkTiering measures the cold tier and the skew split: the
 // long-state rows compare the steady-state probe over a large resident
 // join state with the cold tier off (all rows hot) and on (the bulk
 // frozen into compacted segments) — the acceptance bar is tiered ns/op

@@ -21,7 +21,7 @@ stage_race() { go test -race ./...; }
 
 # Multi-producer ingestion stress, repeated under the race detector: one
 # pass rarely covers the interleavings of concurrent SendBatch producers,
-# the parallel wire pipeline, and Stats/Checkpoint barriers.
+# a wire ingester, and Stats/Checkpoint barriers.
 stage_racestress() { go test -race -run TestParallelIngestStress -count 5 ./engine/; }
 
 # Warm-standby failover chaos soak under the race detector: repeated
@@ -62,6 +62,9 @@ stage_allocfloors() {
   # probe; frame decoding keeps its per-frame bound.
   go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
+  # Producer-side floor: a one-element send reaches each mailbox by value
+  # (0 allocations); an n-element batch costs one copy per subscribed shard.
+  go test -run 'TestRouteSingleElementAllocs' -count 1 ./engine/
   # Shared-tree fan-out alloc floor: delivering one output batch to extra
   # subscribers (callback or passive) must not allocate per batch — sharing
   # is O(subscribers) pointer work, never O(subscribers) copies.

@@ -4,8 +4,7 @@ package server_test
 // span from killing the primary to the first post-failover delivery
 // reaching an already-connected subscriber, covering standby promotion
 // (25ms silence timeout), client rotation, producer replay, and the
-// engine catching up. ns/op IS the RTO; scripts/bench.sh records it in
-// the BENCH_serving.json trajectory.
+// engine catching up. ns/op IS the RTO.
 
 import (
 	"testing"

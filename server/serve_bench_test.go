@@ -6,8 +6,7 @@ package server_test
 // periodic background checkpoints enabled so producer acks and replay
 // buffer trimming run at their production cadence. One op = every
 // producer sending the full feed and the server ingesting all of it;
-// the elements/op metric lets scripts/bench.sh derive frames per
-// second for the BENCH_serving.json trajectory.
+// the elements/op metric divided by ns/op is frames per second.
 
 import (
 	"fmt"
