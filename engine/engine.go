@@ -404,9 +404,10 @@ func (r *Registered) accepts(input int, e stream.Element) bool {
 // executor is the method set *exec.Tree and *exec.PartitionedTree share;
 // Registered.ex holds whichever of Tree and Part is active. Everything
 // behind it (tree state, stats) belongs to exactly one goroutine at a
-// time, and its Push/PushBatch/Sweep/Flush return outputs undelivered:
-// the caller (sequential Push, shard worker) owns delivery, which for a
-// shared tree fans out to every group member.
+// time, and its Push/PushBatch/Sweep/Flush return outputs undelivered, in
+// a slice that may be the executor's own and is valid until the next call
+// into it: the caller (sequential Push, shard worker) delivers at once,
+// which for a shared tree fans out to every group member.
 type executor interface {
 	Push(input int, e stream.Element) ([]stream.Element, error)
 	PushBatch(input int, elems []stream.Element) ([]stream.Element, int, error)

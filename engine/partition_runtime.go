@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"punctsafe/exec"
@@ -64,7 +65,8 @@ const opPunct = 0xFF
 
 // partChunk is one producer hand-off to a partition worker: that
 // partition's slice of a run (its owned tuples plus every punctuation,
-// in run order), or a control barrier.
+// in run order, in a takeRun buffer the worker gives back), or a control
+// barrier.
 type partChunk struct {
 	input int
 	elems []stream.Element
@@ -72,15 +74,24 @@ type partChunk struct {
 }
 
 // scriptBatch describes one run's global element order to the merger:
-// ops[i] says which partition's record stream element i's outputs come
-// from (or opPunct for a seal consumed from all P). elems carries the
-// original elements for dead-letter reporting.
+// run.ops[i] says which partition's record stream element i's outputs
+// come from (or opPunct for a seal consumed from all P). elems carries
+// the original elements for dead-letter reporting, in a takeRun buffer
+// the merger gives back with the run scratch once the run is delivered.
 type scriptBatch struct {
 	input  int
 	stream string
 	elems  []stream.Element
-	ops    []byte
+	run    *partRun
 	ctrl   *partCtrl
+}
+
+// partRun is one run's routing scratch — the script bytes and the
+// per-partition chunk table — recycled through partFront.runFree like the
+// records are through free.
+type partRun struct {
+	ops    []byte
+	chunks [][]stream.Element
 }
 
 // partCtrl is a control barrier travelling through every partition
@@ -109,7 +120,8 @@ type splitReq struct {
 // partRecord is one worker reply covering one chunk: the replica's
 // outputs with per-element boundaries, recoverable offenders, or a
 // fatal error with the local element index it struck at. Records are
-// recycled through the free lists once the merger has consumed them.
+// recycled through the free lists, reset, once the merger has consumed
+// them.
 type partRecord struct {
 	n       int // element count of the chunk this record covers
 	outs    []stream.Element
@@ -123,7 +135,7 @@ type partRecord struct {
 }
 
 func (r *partRecord) reset() {
-	clearElements(r.outs)
+	clear(r.outs)
 	r.n = 0
 	r.outs, r.ends = r.outs[:0], r.ends[:0]
 	r.offIdx, r.offErr = r.offIdx[:0], r.offErr[:0]
@@ -142,12 +154,17 @@ const (
 
 // partFront is one partitioned shard's parallel ingestion front.
 type partFront struct {
-	s      *shard
-	p      int
-	in     []chan partChunk   // per-partition worker mailboxes
-	out    []chan *partRecord // per-partition result streams (worker → merger, SPSC)
-	free   []chan *partRecord // record recycling (merger → worker)
-	script chan scriptBatch   // run scripts in ingress order (producers → merger)
+	s   *shard
+	p   int
+	in  []chan partChunk   // per-partition worker mailboxes
+	out []chan *partRecord // per-partition result streams (worker → merger, SPSC)
+	// free recycles records (merger → worker). Each holds every record a
+	// partition can have in flight — the out channel's, the one the worker
+	// fills and the one the merger reads — so none is ever dropped.
+	free   []chan *partRecord
+	script chan scriptBatch // run scripts in ingress order (producers → merger)
+	// runFree recycles run scratch (merger → producers).
+	runFree freeList[*partRun]
 
 	// mu is the ingress lock: it makes "chunks for a run, then its
 	// script" atomic across producers, so the script order equals each
@@ -170,15 +187,15 @@ func newPartFront(s *shard) *partFront {
 	for i := 0; i < p; i++ {
 		pf.in[i] = make(chan partChunk, partInBuffer)
 		pf.out[i] = make(chan *partRecord, partOutBuffer)
-		pf.free[i] = make(chan *partRecord, partOutBuffer)
+		pf.free[i] = make(chan *partRecord, partOutBuffer+2)
 		go pf.worker(i, pf.in[i], pf.out[i], pf.free[i])
 	}
 	return pf
 }
 
 // sendRun routes one contiguous same-stream run: hash outside the lock,
-// enqueue under it. The caller must not reuse elems afterwards (the
-// merger keeps it until the run is delivered).
+// enqueue under it. elems is a takeRun buffer and the front's from here
+// on (the merger keeps it until the run is delivered, then gives it back).
 //
 // Hashing runs against a snapshot of the routing spec taken before the
 // lock. A live repartition (splitPartition) replaces the spec while
@@ -187,42 +204,65 @@ func newPartFront(s *shard) *partFront {
 // simply rehashes — chunks routed by a stale table never enter a
 // mailbox.
 func (pf *partFront) sendRun(input int, streamName string, elems []stream.Element) {
-	pt := pf.s.reg.Part
-	ops := make([]byte, len(elems))
+	pt, s := pf.s.reg.Part, pf.s
+	run := pf.runFree.pop()
+	if run == nil {
+		run = &partRun{}
+	}
+	run.ops = slices.Grow(run.ops[:0], len(elems))[:len(elems)]
 	for {
 		spec := pt.RoutingSpec()
-		chunks := make([][]stream.Element, spec.Parts)
+		// Every chunk buffer is sized for the whole run, so that every
+		// buffer of the shard fits every use.
+		run.chunks = slices.Grow(run.chunks[:0], spec.Parts)[:spec.Parts] // all nil: cleared below
+		chunks := run.chunks
+		for p := range chunks {
+			chunks[p] = s.takeRun(len(elems))
+		}
 		for i, e := range elems {
 			if e.IsPunct() {
 				// Epoch seal: every partition sees the punctuation in
 				// position, preserving its order against the tuples that
 				// partition owns.
-				ops[i] = opPunct
+				run.ops[i] = opPunct
 				for p := range chunks {
 					chunks[p] = append(chunks[p], e)
 				}
 				continue
 			}
 			d := pt.PartitionOfSpec(spec, input, e.Tuple())
-			ops[i] = byte(d)
+			run.ops[i] = byte(d)
 			chunks[d] = append(chunks[d], e)
 		}
 		pf.mu.Lock()
-		if pt.RoutingSpec() != spec {
+		stale := pt.RoutingSpec() != spec
+		if stale {
 			// A repartition landed between hashing and the lock: rehash
 			// against the published table.
 			pf.mu.Unlock()
-			continue
 		}
-		for p := range chunks {
-			if len(chunks[p]) > 0 {
-				pf.in[p] <- partChunk{input: input, elems: chunks[p]}
+		for p, c := range chunks {
+			if stale || len(c) == 0 {
+				s.giveRun(c)
+			} else {
+				pf.in[p] <- partChunk{input: input, elems: c}
 			}
 		}
-		pf.script <- scriptBatch{input: input, stream: streamName, elems: elems, ops: ops}
+		clear(chunks)
+		if stale {
+			continue
+		}
+		pf.script <- scriptBatch{input: input, stream: streamName, elems: elems, run: run}
 		pf.mu.Unlock()
 		return
 	}
+}
+
+// recycle puts a delivered run's element buffer and routing scratch back
+// into circulation.
+func (pf *partFront) recycle(sb scriptBatch) {
+	pf.s.giveRun(sb.elems)
+	pf.runFree.push(sb.run)
 }
 
 // control enqueues a barrier to every partition mailbox and the script.
@@ -327,6 +367,7 @@ func (pf *partFront) worker(part int, in chan partChunk, out, free chan *partRec
 				fatal = true
 			}
 		}
+		pf.s.giveRun(ck.elems)
 		if !pf.emit(out, rec) {
 			drainIn(in)
 			return
@@ -345,7 +386,6 @@ func drainIn(in chan partChunk) {
 func (pf *partFront) record(free chan *partRecord) *partRecord {
 	select {
 	case r := <-free:
-		r.reset()
 		return r
 	default:
 		return &partRecord{}
@@ -516,6 +556,7 @@ func (m *partMerger) bump(p int) {
 func (m *partMerger) release(p int) {
 	r := m.rec[p]
 	m.rec[p] = nil
+	r.reset() // a waiting record holds nothing
 	select {
 	case m.pf.free[p] <- r:
 	default: // free list full; let the GC have it
@@ -533,7 +574,7 @@ func (m *partMerger) consume(sb scriptBatch) bool {
 	}
 	s := m.s
 	merged := m.merged[:0]
-	for g, op := range sb.ops {
+	for g, op := range sb.run.ops {
 		if s.failed {
 			// Keep the record streams aligned but deliver nothing; the
 			// sequential path likewise drains without processing after
@@ -578,8 +619,9 @@ func (m *partMerger) consume(sb scriptBatch) bool {
 	}
 	m.merged = merged
 	s.deliver(merged)
-	clearElements(m.merged)
+	clear(m.merged)
 	m.merged = m.merged[:0]
+	m.pf.recycle(sb)
 	return true
 }
 
@@ -592,7 +634,7 @@ func (m *partMerger) fail(fatal error, merged *[]stream.Element) {
 	if !errors.As(fatal, &pe) {
 		m.s.deliver(*merged)
 	}
-	clearElements(*merged)
+	clear(*merged)
 	*merged = (*merged)[:0]
 	m.s.failShard(fatal)
 }
@@ -749,7 +791,7 @@ func (m *partMerger) doSplit(hot int) error {
 	part := pf.p
 	in := make(chan partChunk, partInBuffer)
 	out := make(chan *partRecord, partOutBuffer)
-	free := make(chan *partRecord, partOutBuffer)
+	free := make(chan *partRecord, partOutBuffer+2)
 	pf.in = append(pf.in, in)
 	pf.out = append(pf.out, out)
 	pf.free = append(pf.free, free)

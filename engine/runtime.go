@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"punctsafe/exec"
@@ -151,6 +152,9 @@ type shard struct {
 	batch       []stream.Element
 	batchInput  int
 	batchStream string
+	// runs recycles the run buffers producers fill for this shard (takeRun,
+	// giveRun).
+	runs freeList[[]stream.Element]
 	// pf is the shard's parallel partition front-end, non-nil only when
 	// the query runs partitioned (Registered.Part). A partitioned shard
 	// has no mailbox: producers route into the front's per-partition
@@ -168,7 +172,7 @@ type shardMsg struct {
 	input  int
 	stream string
 	elem   stream.Element
-	elems  []stream.Element // batch payload; owned by the shard once sent
+	elems  []stream.Element // batch payload from takeRun; the shard's once sent
 	stats  chan<- []*exec.Stats
 	ckpt   chan<- shardCkpt
 	attach *Registered // new subscriber: outputs after this point fan to it
@@ -195,6 +199,62 @@ type subDelivered struct {
 // maxShardBatch caps how many elements a worker accumulates before
 // pushing, bounding both the batch buffer and output-delivery latency.
 const maxShardBatch = 256
+
+// freeList is a LIFO of recycled buffers belonging to one shard: whoever
+// is done with a buffer pushes it, whoever needs one pops (the zero T
+// when the list is empty) and allocates on a miss. It starts empty and
+// only ever holds buffers that were in flight at the same moment, so its
+// depth is bounded by the mailboxes it feeds; the lock is never held
+// across anything that blocks, so no goroutine ever waits for a buffer.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+func (f *freeList[T]) pop() (t T) {
+	f.mu.Lock()
+	if k := len(f.items) - 1; k >= 0 {
+		t, f.items[k] = f.items[k], t
+		f.items = f.items[:k]
+	}
+	f.mu.Unlock()
+	return t
+}
+
+func (f *freeList[T]) push(t T) {
+	f.mu.Lock()
+	f.items = append(f.items, t)
+	f.mu.Unlock()
+}
+
+// maxRunBuf is the capacity (in elements) above which a run buffer is left
+// to the collector instead of recycled, so one fat SendBatch pins nothing:
+// every run the wire ingester and the shard worker cut is shorter.
+const maxRunBuf = maxShardBatch
+
+// takeRun returns an empty buffer for a run of n elements bound for this
+// shard: the most recently recycled one when it is large enough, otherwise
+// a new one of n slots rounded up to a power of two. The rounding bounds
+// how often a circulating buffer is outgrown (eight times from 1 to
+// maxRunBuf, whatever order run lengths arrive in) at no more than twice
+// the run; a fixed minimum size would instead charge every short run for
+// the longest (DESIGN.md §3.6).
+func (s *shard) takeRun(n int) []stream.Element {
+	if b := s.runs.pop(); cap(b) >= n {
+		return b
+	}
+	return make([]stream.Element, 0, 1<<bits.Len(uint(n-1)))
+}
+
+// giveRun recycles a run buffer once its elements have been copied out,
+// cleared so that it holds nothing while it waits.
+func (s *shard) giveRun(b []stream.Element) {
+	if cap(b) > maxRunBuf {
+		return
+	}
+	clear(b)
+	s.runs.push(b[:0])
+}
 
 // RunSharded starts the sharded runtime over the currently registered
 // queries.
@@ -386,6 +446,7 @@ func (s *shard) handle(msg shardMsg) {
 	s.batchInput, s.batchStream = msg.input, msg.stream
 	if msg.elems != nil {
 		s.batch = append(s.batch, msg.elems...)
+		s.giveRun(msg.elems)
 	} else {
 		s.batch = append(s.batch, msg.elem)
 	}
@@ -511,7 +572,7 @@ func (s *shard) flushBatch() {
 		s.failed = true
 		s.rt.fail(fmt.Errorf("engine: query %q: %w", s.reg.Name, err))
 	}
-	clearElements(s.batch)
+	clear(s.batch)
 	s.batch = s.batch[:0]
 }
 
@@ -541,12 +602,6 @@ func (s *shard) finish() {
 	}
 	if err := s.flushContained(); err != nil {
 		s.rt.fail(fmt.Errorf("engine: query %q: %w", s.reg.Name, err))
-	}
-}
-
-func clearElements(elems []stream.Element) {
-	for i := range elems {
-		elems[i] = stream.Element{}
 	}
 }
 
@@ -683,15 +738,16 @@ func (rt *Runtime) commit(op, source, streamName string, elems []stream.Element,
 // routeRun is the one routing body: it hands a run of one stream's
 // elements to every subscribed shard, filtered per query. The caller
 // holds closeMu.RLock and keeps elems. A one-element run travels through
-// the mailbox by value; every other hand-off gets the shard's own copy of
-// the accepted elements.
+// the mailbox by value; every other hand-off copies the accepted elements
+// into one of the shard's recycled run buffers (takeRun), which the shard
+// gives back once it has copied them on.
 func (rt *Runtime) routeRun(streamName string, elems []stream.Element) error {
 	single := len(elems) == 1
 	for _, s := range rt.route[streamName] {
 		input := s.reg.streamInput[streamName]
 		var accepted []stream.Element
 		if !single || s.pf != nil {
-			accepted = make([]stream.Element, 0, len(elems))
+			accepted = s.takeRun(len(elems))
 		}
 		kept := 0
 		for _, e := range elems {
@@ -722,6 +778,9 @@ func (rt *Runtime) routeRun(streamName string, elems []stream.Element) error {
 		}
 		switch {
 		case kept == 0:
+			if accepted != nil {
+				s.giveRun(accepted)
+			}
 		case s.pf != nil:
 			// Partitioned query: no mailbox. The producer routes the run
 			// itself — hash each tuple to its owning partition, seal every

@@ -26,44 +26,46 @@ const (
 
 // WireWriter encodes tagged elements for transmission.
 type WireWriter struct {
-	w      io.Writer
-	codecs map[string]*stream.Codec
-	buf    []byte
+	w       io.Writer
+	streams map[string]wireOut
+	// buf holds the element encoding and frame the assembled frame; both
+	// are the writer's own scratch, reused by every Write.
+	buf, frame []byte
+}
+
+// wireOut is one stream's codec with its constant frame head,
+// uvarint(len(streamName)) streamName.
+type wireOut struct {
+	codec *stream.Codec
+	head  []byte
 }
 
 // NewWireWriter builds a writer for the given stream schemas.
 func NewWireWriter(w io.Writer, schemas ...*stream.Schema) *WireWriter {
-	ww := &WireWriter{w: w, codecs: make(map[string]*stream.Codec, len(schemas))}
+	ww := &WireWriter{w: w, streams: make(map[string]wireOut, len(schemas))}
 	for _, sc := range schemas {
-		ww.codecs[sc.Name()] = stream.NewCodec(sc)
+		head := binary.AppendUvarint(nil, uint64(len(sc.Name())))
+		ww.streams[sc.Name()] = wireOut{codec: stream.NewCodec(sc), head: append(head, sc.Name()...)}
 	}
 	return ww
 }
 
-// Write encodes one element of the named stream.
+// Write encodes one element of the named stream and hands the frame to
+// the underlying writer in one call.
 func (ww *WireWriter) Write(streamName string, e stream.Element) error {
-	c, ok := ww.codecs[streamName]
+	out, ok := ww.streams[streamName]
 	if !ok {
 		return fmt.Errorf("engine: wire writer has no schema for stream %q", streamName)
 	}
-	payload, err := c.Encode(ww.buf[:0], e)
+	payload, err := out.codec.Encode(ww.buf[:0], e)
 	if err != nil {
 		return err
 	}
 	ww.buf = payload[:0]
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(streamName)))
-	if _, err := ww.w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(ww.w, streamName); err != nil {
-		return err
-	}
-	n = binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := ww.w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err = ww.w.Write(payload)
+	ww.frame = append(ww.frame[:0], out.head...)
+	ww.frame = binary.AppendUvarint(ww.frame, uint64(len(payload)))
+	ww.frame = append(ww.frame, payload...)
+	_, err = ww.w.Write(ww.frame)
 	return err
 }
 

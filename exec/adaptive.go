@@ -60,8 +60,9 @@ func (a *AdaptiveMJoin) Push(input int, e stream.Element) ([]stream.Element, err
 		a.eager = true
 		a.Switches++
 		a.m.cfg.PurgeBatch = 1
-		// Catch up on the deferred work immediately.
-		out = append(out, a.m.Flush()...)
+		// Catch up on the deferred work immediately, into the same buffer.
+		out = a.m.flushPendingInto(out)
+		a.m.outBuf = out
 	case a.eager && total < a.policy.LowWater:
 		a.eager = false
 		a.Switches++

@@ -144,14 +144,23 @@ type MJoin struct {
 	// tuples themselves.
 	pr probeScratch
 	pg purgeScratch
+	// outBuf is the slice Push, PushBatch, Flush and Sweep return, lent to
+	// the caller until the next of them (takeOut); zero past its length.
+	outBuf []stream.Element
 }
+
+// maxOutBuf is the capacity (in elements of 56 B) above which the output
+// buffer is dropped, not reused, so one fat batch pins nothing past the
+// next call. A constant, not an option: it only has to exceed what a run
+// of the engine's batch size emits, and no caller has a reason to trade it.
+const maxOutBuf = 4096
 
 // probeScratch is the per-operator reusable state of result expansion.
 // MJoin is single-threaded, so one set of buffers serves every Push.
 type probeScratch struct {
 	bound   []stream.Tuple
 	isBound []bool
-	results []stream.Tuple
+	out     []stream.Element // where the running probe appends its results
 	// cand holds per-depth double buffers for multi-predicate bucket
 	// intersections (two, so an intersection never reads the buffer it is
 	// writing). Intersections run per tier — the tiers hold disjoint
@@ -301,10 +310,30 @@ func (m *MJoin) buildProbeOrders() {
 	}
 }
 
+// takeOut hands out the operator's output buffer for a new call: emptied,
+// with the previous call's elements cleared so it holds nothing, or nil
+// (the call allocates afresh) once it has grown past maxOutBuf. The caller
+// stores the slice it ends up with back into m.outBuf.
+func (m *MJoin) takeOut() []stream.Element {
+	out := m.outBuf
+	m.outBuf = nil
+	if cap(out) > maxOutBuf {
+		return nil
+	}
+	clear(out)
+	return out[:0]
+}
+
 // Push feeds one element into the given input and returns the emitted
 // output elements (result tuples first, then any output punctuations).
+// The returned slice is the operator's own buffer, borrowed: it is valid
+// until the next Push, PushBatch, Flush or Sweep on this operator, which
+// overwrites it. Copy the slice (slices.Clone) to keep it longer; the
+// tuples and punctuations in it are never overwritten.
 func (m *MJoin) Push(input int, e stream.Element) ([]stream.Element, error) {
-	return m.pushInto(nil, input, e)
+	out, err := m.pushInto(m.takeOut(), input, e)
+	m.outBuf = out
+	return out, err
 }
 
 // PushBatch feeds a run of elements into one input, exactly as if Push
@@ -312,23 +341,24 @@ func (m *MJoin) Push(input int, e stream.Element) ([]stream.Element, error) {
 // concatenated outputs, the number of elements fully processed, and the
 // first error. On error the outputs of the preceding elements are kept
 // (the offender is elems[n]); callers with element-level error policies
-// can record the offender and resume with elems[n+1:]. Batching exists to
-// amortize per-call overhead — notably the output buffer, which grows
-// once per batch instead of once per element.
+// can record the offender and resume with elems[n+1:]. The returned slice
+// is borrowed exactly as Push's is: valid until the next call into the
+// operator.
 func (m *MJoin) PushBatch(input int, elems []stream.Element) (out []stream.Element, n int, err error) {
-	for i := range elems {
-		out, err = m.pushInto(out, input, elems[i])
-		if err != nil {
-			return out, i, err
+	out = m.takeOut()
+	for ; n < len(elems); n++ {
+		if out, err = m.pushInto(out, input, elems[n]); err != nil {
+			break
 		}
 	}
-	return out, len(elems), nil
+	m.outBuf = out
+	return out, n, err
 }
 
-// pushInto is the shared Push/PushBatch body: it appends the element's
-// outputs to out and returns the extended slice. On error, out is
-// returned truncated to its length at entry (an element that fails emits
-// nothing).
+// pushInto is the one element body under Push and PushBatch: it appends
+// the element's outputs to out and returns the extended slice. On error,
+// out is returned truncated to its length at entry (an element that fails
+// emits nothing) with the cut slots cleared.
 func (m *MJoin) pushInto(out []stream.Element, input int, e stream.Element) ([]stream.Element, error) {
 	if input < 0 || input >= m.q.N() {
 		return out, fmt.Errorf("exec: input %d out of range [0,%d)", input, m.q.N())
@@ -342,6 +372,7 @@ func (m *MJoin) pushInto(out []stream.Element, input int, e stream.Element) ([]s
 		out, err = m.pushTuple(out, input, e.Tuple())
 	}
 	if err != nil {
+		clear(out[mark:])
 		return out[:mark], err
 	}
 	if m.cfg.PunctLifespan > 0 && m.clock%256 == 0 {
@@ -352,7 +383,7 @@ func (m *MJoin) pushInto(out []stream.Element, input int, e stream.Element) ([]s
 		}
 	}
 	// Lazy purge round when the batch threshold is crossed.
-	if len(m.pending) > 0 && m.cfg.PurgeBatch > 1 && m.clock%uint64(m.cfg.PurgeBatch) == 0 {
+	if m.cfg.PurgeBatch > 1 && m.clock%uint64(m.cfg.PurgeBatch) == 0 {
 		out = m.flushPendingInto(out)
 	}
 	if m.cfg.ColdAfter > 0 && m.clock%m.cfg.ColdAfter == 0 {
@@ -394,11 +425,12 @@ func (m *MJoin) pushTuple(out []stream.Element, input int, t stream.Tuple) ([]st
 		}
 	}
 	m.stats.TuplesIn[input]++
-	results, err := m.probe(input, t)
+	mark := len(out)
+	out, err := m.probe(out, input, t)
 	if err != nil {
 		return out, err
 	}
-	m.stats.Results += uint64(len(results))
+	m.stats.Results += uint64(len(out) - mark)
 	// Drop-at-insertion (eager mode): a tuple already covered by stored
 	// punctuations can never join future inputs — after emitting its
 	// results against the stored states, it need not be stored at all.
@@ -419,9 +451,6 @@ func (m *MJoin) pushTuple(out []stream.Element, input int, t stream.Tuple) ([]st
 		}
 		m.states[input].insert(t)
 		m.stats.StateSize[input] = m.states[input].size()
-	}
-	for _, r := range results {
-		out = append(out, stream.TupleElement(r))
 	}
 	return out, nil
 }
@@ -455,48 +484,48 @@ func (m *MJoin) pushPunct(out []stream.Element, input int, p stream.Punctuation)
 	return out, nil
 }
 
-// flushPendingInto runs one purge round over the accumulated punctuations
-// (the lazy strategy of §5.2), appending any emitted punctuations to out.
+// flushPendingInto runs one purge round over the accumulated punctuations,
+// if any (the lazy strategy of §5.2), appending any emitted punctuations
+// to out.
 func (m *MJoin) flushPendingInto(out []stream.Element) []stream.Element {
+	if len(m.pending) == 0 {
+		return out
+	}
 	batch := m.pending
 	m.pending = nil
 	return m.purgeRound(out, batch)
 }
 
 // Flush forces a purge round over any pending punctuations (used at the
-// end of a lazy-mode run).
+// end of a lazy-mode run). The returned slice is borrowed as Push's is.
 func (m *MJoin) Flush() []stream.Element {
-	if len(m.pending) == 0 {
-		return nil
-	}
-	return m.flushPendingInto(nil)
+	m.outBuf = m.flushPendingInto(m.takeOut())
+	return m.outBuf
 }
 
 // probe computes all join results involving the arriving tuple t on input
 // `input` and the stored tuples of every other input, by expanding along
 // the precomputed BFS order (or, with DynamicProbeOrder, the greedy
-// smallest-candidate-set order). The returned slice is the operator's
-// scratch result buffer: valid until the next probe, copied out by the
-// caller element-wise.
-func (m *MJoin) probe(input int, t stream.Tuple) ([]stream.Tuple, error) {
+// smallest-candidate-set order), and appends them to out as result
+// elements. It returns the extended slice also on error (the caller cuts
+// it back).
+func (m *MJoin) probe(out []stream.Element, input int, t stream.Tuple) ([]stream.Element, error) {
 	pr := &m.pr
-	pr.results = pr.results[:0]
+	pr.out = out
 	for i := range pr.isBound {
 		pr.isBound[i] = false
 	}
 	pr.bound[input] = t
 	pr.isBound[input] = true
 
+	var err error
 	if m.cfg.DynamicProbeOrder {
-		if err := m.probeDynamic(1); err != nil {
-			return nil, err
-		}
-		return pr.results, nil
+		err = m.probeDynamic(1)
+	} else {
+		err = m.expand(m.probeOrders[input], 0)
 	}
-	if err := m.expand(m.probeOrders[input], 0); err != nil {
-		return nil, err
-	}
-	return pr.results, nil
+	out, pr.out = pr.out, nil
+	return out, err
 }
 
 // expand is the static-order expansion step: bind stream order[k] to each
@@ -509,7 +538,7 @@ func (m *MJoin) probe(input int, t stream.Tuple) ([]stream.Tuple, error) {
 func (m *MJoin) expand(order []int, k int) error {
 	pr := &m.pr
 	if k == len(order) {
-		pr.results = append(pr.results, m.concat(pr.bound))
+		pr.out = append(pr.out, stream.TupleElement(m.concat(pr.bound)))
 		return nil
 	}
 	j := order[k]
@@ -579,7 +608,7 @@ func (m *MJoin) candidateRows(j, depth int) (tierBuckets, error) {
 func (m *MJoin) probeDynamic(boundCount int) error {
 	pr := &m.pr
 	if boundCount == m.q.N() {
-		pr.results = append(pr.results, m.concat(pr.bound))
+		pr.out = append(pr.out, stream.TupleElement(m.concat(pr.bound)))
 		return nil
 	}
 	best := -1

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"punctsafe/query"
@@ -459,7 +462,7 @@ func TestLazyPurgeBatching(t *testing.T) {
 			r := 0
 			r += countTuples(pushT(t, m, 0, tup(i, i*10)))
 			r += countTuples(pushT(t, m, 1, tup(i, i*100)))
-			o1 := pushP(t, m, 0, punct(i, -1))
+			o1 := slices.Clone(pushP(t, m, 0, punct(i, -1))) // borrowed until the next Push
 			o2 := pushP(t, m, 1, punct(i, -1))
 			r += countTuples(o1) + countTuples(o2)
 			if m == eager {
@@ -662,5 +665,71 @@ func TestUnsafeInputGrows(t *testing.T) {
 	}
 	if m.Stats().StateSize[1] != 100 {
 		t.Fatalf("S state = %d, want 100 (unpurgeable)", m.Stats().StateSize[1])
+	}
+}
+
+// TestOutputBufferHoldsNothing pins the operator-owned output buffer's
+// contract from the inside: what a call returns is the buffer itself; the
+// next call clears what the last one returned, so slots past the new
+// length are zero; an element that fails after it has emitted (the state
+// limit trips once the results are out) leaves no trace in it; and a
+// buffer grown past maxOutBuf by one fat batch is dropped at the next call.
+func TestOutputBufferHoldsNothing(t *testing.T) {
+	requireZeroTail := func(m *MJoin, when string) {
+		t.Helper()
+		for i, e := range m.outBuf[len(m.outBuf):cap(m.outBuf)] {
+			if !reflect.ValueOf(e).IsZero() {
+				t.Fatalf("%s: slot %d past the buffer's length still holds %v", when, len(m.outBuf)+i, e)
+			}
+		}
+	}
+	const fat = maxOutBuf + 100
+	m, err := NewMJoin(Config{Query: binaryQuery(t), Schemes: bothSideSchemes(), StateLimit: fat + 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := make([]stream.Element, 300)
+	for i := range rs {
+		rs[i] = stream.TupleElement(tup(1, int64(i)))
+	}
+	if _, _, err := m.PushBatch(0, rs); err != nil {
+		t.Fatal(err)
+	}
+	out := pushT(t, m, 1, tup(1, 100)) // joins all 300
+	if len(out) != len(rs) || &out[0] != &m.outBuf[0] {
+		t.Fatalf("Push returned %d elements (want %d) in a slice that is not the operator's buffer", len(out), len(rs))
+	}
+	kept := out[0].Tuple()
+	if out := pushP(t, m, 0, punct(2, -1)); len(out) != 1 || cap(m.outBuf) < len(rs) {
+		t.Fatalf("second Push: %d outputs in a buffer of capacity %d", len(out), cap(m.outBuf))
+	}
+	requireZeroTail(m, "after a Push that reused the buffer")
+	if got := kept.String(); got != tup(1, 0, 1, 100).String() {
+		t.Fatalf("a tuple taken from a returned slice changed under reuse: %s", got)
+	}
+
+	// Fill R up to the limit; the next S tuple emits against all of it and
+	// then fails to be stored.
+	for i := len(rs); i <= fat; i += len(rs) {
+		for j := range rs {
+			rs[j] = stream.TupleElement(tup(1, int64(i+j)))
+		}
+		if _, n, err := m.PushBatch(0, rs[:min(len(rs), fat-i)]); err != nil {
+			t.Fatalf("filling the state: %v after %d", err, n)
+		}
+	}
+	if m.stats.TotalState() != fat+1 {
+		t.Fatalf("state holds %d tuples, want %d", m.stats.TotalState(), fat+1)
+	}
+	if out := pushT(t, m, 1, tup(1, 101)); len(out) != fat || cap(m.outBuf) <= maxOutBuf {
+		t.Fatalf("fat Push: %d outputs in a buffer of capacity %d, want %d and more than %d", len(out), cap(m.outBuf), fat, maxOutBuf)
+	}
+	out, err = m.Push(1, stream.TupleElement(tup(1, 102)))
+	if !errors.Is(err, ErrStateLimit) || len(out) != 0 {
+		t.Fatalf("Push over the state limit: %d outputs, error %v", len(out), err)
+	}
+	requireZeroTail(m, "after a Push that failed once its results were out")
+	if out := m.Flush(); len(out) != 0 || cap(m.outBuf) > maxOutBuf {
+		t.Fatalf("Flush after the fat batch: %d outputs, buffer capacity %d, want at most %d", len(out), cap(m.outBuf), maxOutBuf)
 	}
 }

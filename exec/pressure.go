@@ -45,12 +45,9 @@ func (m *MJoin) relievePressure(out []stream.Element) []stream.Element {
 	}
 	m.pressured = true
 	m.stats.PressureEvents++
-	if len(m.pending) > 0 {
-		out = m.flushPendingInto(out)
-	}
+	out = m.flushPendingInto(out)
 	if m.stats.TotalState() >= m.cfg.SoftStateLimit {
-		_, souts := m.Sweep()
-		out = append(out, souts...)
+		_, out = m.sweepInto(out)
 	}
 	frozen := 0
 	if m.cfg.ColdAfter > 0 {

@@ -224,10 +224,18 @@ func (m *MJoin) purgeFixpoint(cand [][]rowRef) [][]stream.Tuple {
 
 // Sweep runs a full purge pass over every stored tuple of every purgeable
 // input (the §5.1 "background clean-up mechanism") and returns the number
-// of tuples removed plus any output punctuations that became emittable.
+// of tuples removed plus any output punctuations that became emittable
+// (borrowed as Push's result is).
 func (m *MJoin) Sweep() (int, []stream.Element) {
+	n, out := m.sweepInto(m.takeOut())
+	m.outBuf = out
+	return n, out
+}
+
+// sweepInto is Sweep appending its emissions to out.
+func (m *MJoin) sweepInto(out []stream.Element) (int, []stream.Element) {
 	if m.cfg.DisablePurge {
-		return 0, nil
+		return 0, out
 	}
 	pg := &m.pg
 	m.beginRound()
@@ -244,9 +252,8 @@ func (m *MJoin) Sweep() (int, []stream.Element) {
 	for _, r := range removed {
 		total += len(r)
 	}
-	var out []stream.Element
 	if !m.cfg.DisableOutputPuncts {
-		out = m.emitPendingPuncts(nil)
+		out = m.emitPendingPuncts(out)
 	}
 	if m.cfg.PurgePunctuations {
 		m.sweepPunctStores()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,6 +106,7 @@ func TestSelfJoinViaAlias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		o1 = slices.Clone(o1) // borrowed until the next Push
 		o2, err := m.Push(1, stream.TupleElement(tu))
 		if err != nil {
 			t.Fatal(err)

@@ -93,12 +93,13 @@ func NewTree(base Config, root *plan.Node) (*Tree, error) {
 }
 
 // Push feeds one raw stream element and returns the plan's final outputs.
+// The returned slice is the root operator's own buffer, borrowed: it is
+// valid until the next Push, PushBatch, Flush or Sweep on this tree, which
+// overwrites it. Copy the slice (slices.Clone) to keep it longer; the
+// tuples and punctuations in it are never overwritten.
 func (t *Tree) Push(streamIdx int, e stream.Element) ([]stream.Element, error) {
-	if streamIdx < 0 || streamIdx >= t.q.N() {
-		return nil, fmt.Errorf("exec: stream %d out of range", streamIdx)
-	}
-	route := t.leafRoute[streamIdx]
-	return t.feed(route.op, route.input, e)
+	out, _, err := t.PushBatch(streamIdx, []stream.Element{e})
+	return out, err
 }
 
 // PushBatch feeds a run of raw elements from one stream, exactly as if
@@ -106,129 +107,109 @@ func (t *Tree) Push(streamIdx int, e stream.Element) ([]stream.Element, error) {
 // the concatenated outputs, the number of elements fully processed, and
 // the first error; on error the offender is elems[n] and the preceding
 // elements' outputs are kept, so element-level error policies can record
-// it and resume with elems[n+1:].
+// it and resume with elems[n+1:]. The returned slice is borrowed exactly
+// as Push's is: valid until the next call into the tree.
 func (t *Tree) PushBatch(streamIdx int, elems []stream.Element) ([]stream.Element, int, error) {
-	if streamIdx < 0 || streamIdx >= t.q.N() {
-		return nil, 0, fmt.Errorf("exec: stream %d out of range", streamIdx)
-	}
-	route := t.leafRoute[streamIdx]
-	if route.op.parent == nil {
-		// Single-operator plan (the common case): batch straight into the
-		// root so the output buffer grows once per batch.
-		return route.op.join.PushBatch(route.input, elems)
-	}
-	var out []stream.Element
-	for i := range elems {
-		f, err := t.feed(route.op, route.input, elems[i])
-		if err != nil {
-			return out, i, err
-		}
-		out = append(out, f...)
-	}
-	return out, len(elems), nil
+	out, n, err := t.pushBatch(streamIdx, t.root.join.takeOut(), nil, elems)
+	t.root.join.outBuf = out
+	return out, n, err
 }
 
 // PushBatchEnds is PushBatch appending into caller-owned buffers while
 // recording per-element output boundaries: after processing elems[i], out
 // has length ends[base+i] where base is len(ends) at entry. The
 // partitioned runtime uses the boundaries to slice one partition's outputs
-// back into input-sequence order when merging partitions. Semantics
-// otherwise match PushBatch: on error the offender is elems[n], it emits
-// nothing (no ends entry is appended for it), and preceding elements'
-// outputs are kept.
+// back into input-sequence order when merging partitions. On error the
+// offender emits nothing and no ends entry is appended for it.
 func (t *Tree) PushBatchEnds(streamIdx int, out []stream.Element, ends []int, elems []stream.Element) ([]stream.Element, []int, int, error) {
-	if streamIdx < 0 || streamIdx >= t.q.N() {
-		return out, ends, 0, fmt.Errorf("exec: stream %d out of range", streamIdx)
-	}
-	route := t.leafRoute[streamIdx]
-	if route.op.parent == nil {
-		m := route.op.join
-		for i := range elems {
-			var err error
-			out, err = m.pushInto(out, route.input, elems[i])
-			if err != nil {
-				return out, ends, i, err
-			}
-			ends = append(ends, len(out))
-		}
-		return out, ends, len(elems), nil
-	}
-	for i := range elems {
-		f, err := t.feed(route.op, route.input, elems[i])
-		if err != nil {
-			return out, ends, i, err
-		}
-		out = append(out, f...)
-		ends = append(ends, len(out))
-	}
-	return out, ends, len(elems), nil
+	out, n, err := t.pushBatch(streamIdx, out, &ends, elems)
+	return out, ends, n, err
 }
 
-// feed pushes an element into an operator input and recursively forwards
-// the operator's outputs to its parent until the root emits.
-func (t *Tree) feed(op *treeOp, input int, e stream.Element) ([]stream.Element, error) {
-	outs, err := op.join.Push(input, e)
-	if err != nil {
-		return nil, err
+// pushBatch is the one batch body: it feeds elems one by one, appending
+// the plan's final outputs to out and, when ends is non-nil, each
+// element's output boundary to *ends.
+func (t *Tree) pushBatch(streamIdx int, out []stream.Element, ends *[]int, elems []stream.Element) ([]stream.Element, int, error) {
+	if streamIdx < 0 || streamIdx >= t.q.N() {
+		return out, 0, fmt.Errorf("exec: stream %d out of range", streamIdx)
 	}
-	if op.parent == nil {
-		return outs, nil
-	}
-	var final []stream.Element
-	for _, o := range outs {
-		f, err := t.feed(op.parent, op.inputIdx, o)
-		if err != nil {
-			return nil, err
+	route := t.leafRoute[streamIdx]
+	for i := range elems {
+		var err error
+		if out, err = t.feed(out, route.op, route.input, elems[i]); err != nil {
+			return out, i, err
 		}
-		final = append(final, f...)
+		if ends != nil {
+			*ends = append(*ends, len(out))
+		}
 	}
+	return out, len(elems), nil
+}
+
+// feed pushes an element into an operator input and forwards the
+// operator's outputs to its parent until the root emits, appending the
+// root's outputs to out. A non-root operator emits into its own buffer,
+// which is only read here, before anything calls into that operator
+// again. On error out comes back cut to its length at entry.
+func (t *Tree) feed(out []stream.Element, op *treeOp, input int, e stream.Element) ([]stream.Element, error) {
+	if op.parent == nil {
+		return op.join.pushInto(out, input, e)
+	}
+	mid, err := op.join.Push(input, e)
+	mark := len(out)
+	for i := 0; i < len(mid) && err == nil; i++ {
+		out, err = t.feed(out, op.parent, op.inputIdx, mid[i])
+	}
+	if err != nil {
+		clear(out[mark:])
+		out = out[:mark]
+	}
+	return out, err
+}
+
+// drain runs step on every operator bottom-up — the root appending to the
+// tree's output buffer, every other operator to its own — and forwards
+// what the non-root operators emitted; it returns the root's outputs.
+func (t *Tree) drain(step func(m *MJoin, out []stream.Element) []stream.Element) ([]stream.Element, error) {
+	final := t.root.join.takeOut()
+	for _, op := range t.ops {
+		if op.parent == nil {
+			final = step(op.join, final)
+			continue
+		}
+		op.join.outBuf = step(op.join, op.join.takeOut())
+		for _, o := range op.join.outBuf {
+			var err error
+			if final, err = t.feed(final, op.parent, op.inputIdx, o); err != nil {
+				return nil, err
+			}
+		}
+	}
+	t.root.join.outBuf = final
 	return final, nil
 }
 
 // Flush forces pending lazy purge rounds in every operator (bottom-up)
 // and forwards any resulting output punctuations; it returns the root's
-// outputs.
+// outputs, borrowed as Push's are.
 func (t *Tree) Flush() ([]stream.Element, error) {
-	var final []stream.Element
-	for _, op := range t.ops {
-		outs := op.join.Flush()
-		if op.parent == nil {
-			final = append(final, outs...)
-			continue
-		}
-		for _, o := range outs {
-			f, err := t.feed(op.parent, op.inputIdx, o)
-			if err != nil {
-				return nil, err
-			}
-			final = append(final, f...)
-		}
-	}
-	return final, nil
+	return t.drain((*MJoin).flushPendingInto)
 }
 
 // Sweep runs a full background clean-up pass over every operator and
 // forwards any punctuations that became emittable. It returns the number
-// of tuples removed across the tree plus the root's outputs.
+// of tuples removed across the tree plus the root's outputs (borrowed).
 func (t *Tree) Sweep() (int, []stream.Element, error) {
 	removed := 0
-	var final []stream.Element
-	for _, op := range t.ops {
-		n, outs := op.join.Sweep()
+	out, err := t.drain(func(m *MJoin, out []stream.Element) []stream.Element {
+		n, out := m.sweepInto(out)
 		removed += n
-		if op.parent == nil {
-			final = append(final, outs...)
-			continue
-		}
-		for _, o := range outs {
-			f, err := t.feed(op.parent, op.inputIdx, o)
-			if err != nil {
-				return 0, nil, err
-			}
-			final = append(final, f...)
-		}
+		return out
+	})
+	if err != nil {
+		return 0, nil, err
 	}
-	return removed, final, nil
+	return removed, out, nil
 }
 
 // emitUnblocked re-tests every stored, not-yet-emitted punctuation in
@@ -239,22 +220,7 @@ func (t *Tree) Sweep() (int, []stream.Element, error) {
 // forever; this pass is Sweep's emission half without the tuple
 // clean-up.
 func (t *Tree) emitUnblocked() ([]stream.Element, error) {
-	var final []stream.Element
-	for _, op := range t.ops {
-		outs := op.join.emitPendingPuncts(nil)
-		if op.parent == nil {
-			final = append(final, outs...)
-			continue
-		}
-		for _, o := range outs {
-			f, err := t.feed(op.parent, op.inputIdx, o)
-			if err != nil {
-				return nil, err
-			}
-			final = append(final, f...)
-		}
-	}
-	return final, nil
+	return t.drain((*MJoin).emitPendingPuncts)
 }
 
 // Operators returns the MJoin operators bottom-up (the root is last).

@@ -68,11 +68,11 @@ func (wj *WindowedMJoin) Push(input int, e stream.Element) ([]stream.Element, er
 	}
 	wj.m.clock++
 	wj.m.stats.TuplesIn[input]++
-	results, err := wj.m.probe(input, t)
+	out, err := wj.m.probe(nil, input, t)
 	if err != nil {
 		return nil, err
 	}
-	wj.m.stats.Results += uint64(len(results))
+	wj.m.stats.Results += uint64(len(out))
 	// Only the window removes, so the state holds exactly the window and
 	// its oldest tuple is the one that slides out.
 	st := wj.m.states[input]
@@ -83,10 +83,6 @@ func (wj *WindowedMJoin) Push(input int, e stream.Element) ([]stream.Element, er
 	}
 	wj.m.stats.StateSize[input] = st.size()
 	wj.m.stats.noteWatermarks()
-	out := make([]stream.Element, 0, len(results))
-	for _, r := range results {
-		out = append(out, stream.TupleElement(r))
-	}
 	return out, nil
 }
 

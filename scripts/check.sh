@@ -59,18 +59,23 @@ stage_allocfloors() {
   # compacted, a chained-purge cycle within its scratch budget with and
   # without §5.1 punctuation purging, a warmed ordered-bound (heartbeat)
   # purge round at zero, and the cold-tier probe at parity with the all-hot
-  # probe; frame decoding keeps its per-frame bound.
-  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs' -count 1 ./exec/...
+  # probe; a batch through a warmed tree allocates what outlives it (result
+  # tuples, stored punctuations, emitted punctuations, state entries) and
+  # no container; frame decoding keeps its per-frame bound.
+  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs|TestPushBatchAllocFloor' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
-  # Producer-side floor: a one-element send reaches each mailbox by value
-  # (0 allocations); an n-element batch costs one copy per subscribed shard.
-  go test -run 'TestRouteSingleElementAllocs' -count 1 ./engine/
+  # Producer-side floor: a one-element send reaches each mailbox by value;
+  # an n-element batch fills a run buffer the shard handed back. Both are 0
+  # allocations in steady state, the batch also with the mailbox full, and
+  # so is a run scattered over two partitions by the partitioned front.
+  go test -run 'TestRouteSingleElementAllocs|TestPartitionFrontAllocFloor' -count 1 ./engine/
   # Shared-tree fan-out alloc floor: delivering one output batch to extra
   # subscribers (callback or passive) must not allocate per batch — sharing
   # is O(subscribers) pointer work, never O(subscribers) copies.
   go test -run 'TestFanOutDeliveryAllocs' -count 1 ./engine/
-  # Output-ring floor: retaining one more delivery is a slot write.
-  go test -run 'TestHubPublishAllocs' -count 1 ./server/
+  # Output-ring floor: retaining one more delivery is a slot write. Client
+  # floor: receiving one costs what decoding its element allocates.
+  go test -run 'TestHubPublishAllocs|TestSubscriberNextAllocs' -count 1 ./server/
 }
 
 # The benchmark module (its own go.mod) and its end-to-end correctness

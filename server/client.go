@@ -613,9 +613,12 @@ type Subscriber struct {
 	last   uint64
 	schema *stream.Schema
 	codec  *stream.Codec
-	ended  bool
-	closed bool
-	mu     sync.Mutex // guards conn/closed against concurrent Close
+	// payload is the frame scratch Next decodes from (Codec.Decode copies
+	// what it keeps).
+	payload []byte
+	ended   bool
+	closed  bool
+	mu      sync.Mutex // guards conn/closed against concurrent Close
 }
 
 // Subscribe connects a subscriber to the named query's delivery stream
@@ -711,11 +714,12 @@ func (s *Subscriber) Next() (Delivery, error) {
 			s.mu.Unlock()
 			return Delivery{}, io.EOF
 		}
-		payload, err := readLenBytes(s.br)
+		payload, err := readLenInto(s.br, s.payload)
 		if err != nil {
 			s.dropConn()
 			continue
 		}
+		s.payload = payload
 		elem, rest, err := s.codec.Decode(payload)
 		if err != nil || len(rest) != 0 {
 			s.dropConn() // torn mid-frame write; resume re-fetches it

@@ -9,10 +9,14 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
 	"time"
+
+	"punctsafe/stream"
 )
 
 // fakeClockDialer returns a Dialer whose sleeps are recorded instead of
@@ -115,5 +119,58 @@ func TestBackoffCapsAndPersistsAcrossCalls(t *testing.T) {
 	}
 	if want := ms(80, 80, 80, 80, 80); !sameDurations(sleeps, want) {
 		t.Fatalf("continued outage slept %v, want %v (progression lost across calls)", sleeps, want)
+	}
+}
+
+// TestSubscriberNextAllocs pins what receiving one delivery costs the
+// client: what Codec.Decode allocates for the element it returns, and
+// nothing for the frame around it — the payload is read into the
+// subscriber's own scratch, which is safe to reuse because Decode copies
+// every byte it keeps.
+func TestSubscriberNextAllocs(t *testing.T) {
+	schema := stream.MustSchema("out",
+		stream.Attribute{Name: "k", Kind: stream.KindInt},
+		stream.Attribute{Name: "name", Kind: stream.KindString},
+		stream.Attribute{Name: "v", Kind: stream.KindFloat})
+	codec := stream.NewCodec(schema)
+	elems := []stream.Element{
+		stream.TupleElement(stream.NewTuple(stream.Int(7), stream.Str("a string long enough to matter"), stream.Float(1.5))),
+		stream.PunctElement(stream.MustPunctuation(stream.Const(stream.Int(7)), stream.Wildcard(), stream.Wildcard())),
+	}
+	for _, e := range elems {
+		payload, err := codec.Encode(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 200
+		var wire []byte
+		for seq := uint64(1); seq <= n; seq++ {
+			wire = binary.AppendUvarint(wire, seq)
+			wire = binary.AppendUvarint(wire, uint64(len(payload)))
+			wire = append(wire, payload...)
+		}
+		decode := testing.AllocsPerRun(n, func() {
+			if _, _, err := codec.Decode(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		conn, peer := net.Pipe()
+		defer peer.Close()
+		defer conn.Close()
+		s := &Subscriber{conn: conn, br: bufio.NewReader(bytes.NewReader(wire)), schema: schema, codec: codec}
+		var last Delivery
+		next := testing.AllocsPerRun(n-1, func() { // AllocsPerRun adds a warm-up call
+			d, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = d
+		})
+		if last.Seq != n || last.Elem.String() != e.String() {
+			t.Fatalf("last delivery %d|%s, want %d|%s", last.Seq, last.Elem, n, e)
+		}
+		if next != decode || decode == 0 {
+			t.Errorf("Next allocates %.0f times per delivery of %s, want what Decode allocates: %.0f", next, e, decode)
+		}
 	}
 }

@@ -603,7 +603,7 @@ func (s *Server) serveSubscriber(c net.Conn, br *bufio.Reader, h hello) {
 		defer s.dropConn(c)
 		bw := bufio.NewWriter(c)
 		var batch []hubEntry
-		var payload []byte
+		var hdr, payload []byte // this connection's frame scratch
 		for {
 			var ended bool
 			var err error
@@ -612,7 +612,7 @@ func (s *Server) serveSubscriber(c net.Conn, br *bufio.Reader, h hello) {
 				return
 			}
 			if ended {
-				bw.Write(binary.AppendUvarint(nil, 0)) // end-of-stream
+				bw.WriteByte(0) // end-of-stream: seq 0
 				bw.Flush()
 				return
 			}
@@ -622,10 +622,9 @@ func (s *Server) serveSubscriber(c net.Conn, br *bufio.Reader, h hello) {
 					s.cfg.Logf("punctserve: subscriber %q: encode: %v", h.name, err)
 					return
 				}
-				var hdr [2 * binary.MaxVarintLen64]byte
-				n := binary.PutUvarint(hdr[:], e.seq)
-				n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-				if _, err := bw.Write(hdr[:n]); err != nil {
+				hdr = binary.AppendUvarint(hdr[:0], e.seq)
+				hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+				if _, err := bw.Write(hdr); err != nil {
 					return
 				}
 				if _, err := bw.Write(payload); err != nil {
@@ -828,7 +827,13 @@ func (s *Server) restoreEnvelope(p *enginePack, raw []byte) ([]byte, uint64, err
 	return blob, epoch, nil
 }
 
-func readLenBytes(br *bufio.Reader) ([]byte, error) {
+// readLenBytes reads one length-prefixed byte string into memory of its
+// own, for callers that keep what they read.
+func readLenBytes(br *bufio.Reader) ([]byte, error) { return readLenInto(br, nil) }
+
+// readLenInto is readLenBytes into buf's storage, grown when too small:
+// for callers that are done with the bytes before they read again.
+func readLenInto(br *bufio.Reader, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
@@ -836,11 +841,14 @@ func readLenBytes(br *bufio.Reader) ([]byte, error) {
 	if n > 1<<24 {
 		return nil, fmt.Errorf("length %d out of range", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}
-	return b, nil
+	return buf, nil
 }
 
 func sortedKeys(m map[string]int64) []string {
