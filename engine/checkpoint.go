@@ -690,6 +690,9 @@ func decodeAnyElement(d *ckptDec) (stream.Element, error) {
 					return stream.Element{}, err
 				}
 				if pk == anyPatLeq {
+					if k := v.Kind(); k != stream.KindInt && k != stream.KindFloat {
+						return stream.Element{}, fmt.Errorf("%w: ordered pattern on %s value", ErrCorruptCheckpoint, k)
+					}
 					pats[i] = stream.Leq(v)
 				} else {
 					pats[i] = stream.Const(v)

@@ -440,3 +440,103 @@ func TestPushBatchAllocFloor(t *testing.T) {
 			avg, want, results, stored, outPuncts, buckets)
 	}
 }
+
+// sizeClass rounds a small allocation up to the Go allocator's size class
+// (the classes up to 128 bytes; runtime/sizeclasses.go).
+func sizeClass(n uintptr) uint64 {
+	for _, c := range []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128} {
+		if n <= c {
+			return uint64(c)
+		}
+	}
+	panic("sizeClass: allocation above 128 bytes")
+}
+
+var bucketSink [][]uint32
+
+// bucketBytes measures what one 8-byte pointer-free allocation costs, the
+// size of a one-row index bucket: 8 bytes where two share a 16-byte tiny
+// block, 16 where tiny allocation is off (under the race detector).
+func bucketBytes() uint64 {
+	const n = 1024
+	bucketSink = make([][]uint32, 0, n)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		bucketSink = append(bucketSink, make([]uint32, 1, 2))
+	}
+	runtime.ReadMemStats(&m1)
+	bucketSink = nil
+	return (m1.TotalAlloc - m0.TotalAlloc) / n
+}
+
+// TestResultBytesFloor is TestPushBatchAllocFloor in bytes: the same cycle
+// through the same warmed tree, measured as runtime.MemStats.TotalAlloc
+// with the collector off. What a cycle allocates is 16 bytes per column of
+// every result tuple and of every emitted punctuation, one store entry per
+// accepted punctuation and one index bucket per stored tuple, each rounded
+// up to its size class — so a field added to stream.Value or
+// stream.Pattern (a third more bytes per column at the least) fails here,
+// not in a benchmark. The only other allocations are the join state's
+// periodic ones, which no formula over the cycle's outputs gives: the
+// index map dropping its tombstones and the columns regrowing after a
+// compaction, 1 % of the bytes; the gate allows 2 % above the sum and
+// nothing below it.
+func TestResultBytesFloor(t *testing.T) {
+	q := query.NewBuilder().
+		AddStream(stream.MustSchema("R", intAttr("K"), intAttr("V"))).
+		AddStream(stream.MustSchema("S", intAttr("K"), intAttr("W"))).
+		JoinOn("R", "S", "K").
+		MustBuild()
+	schemes := stream.NewSchemeSet(stream.MustScheme("R", true, false), stream.MustScheme("S", true, false))
+	tree, err := exec.NewTree(exec.Config{Query: q, Schemes: schemes, PurgePunctuations: true},
+		plan.Join(plan.Leaf(0), plan.Leaf(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 64
+	tuples, puncts := make([]stream.Element, keys), make([]stream.Element, keys)
+	for k := range tuples {
+		tuples[k] = stream.TupleElement(stream.NewTuple(stream.Int(int64(k)), stream.Int(int64(k))))
+		puncts[k] = stream.PunctElement(stream.MustPunctuation(stream.Const(stream.Int(int64(k))), stream.Wildcard()))
+	}
+	cycle := func() {
+		for input, elems := range [][]stream.Element{tuples, tuples, puncts, puncts} {
+			if _, _, err := tree.PushBatch(input%2, elems); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 100
+	var m0, m1 runtime.MemStats
+	before := tree.Root().StatsSnapshot()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&m1)
+	st := tree.Root().StatsSnapshot()
+	results := st.Results - before.Results
+	outPuncts := st.OutPuncts - before.OutPuncts
+	stored := st.PunctsIn[0] + st.PunctsIn[1] - before.PunctsIn[0] - before.PunctsIn[1]
+	if results != runs*keys || outPuncts != runs*2*keys || stored != runs*2*keys {
+		t.Fatalf("%d cycles: %d results, %d output punctuations, %d stored punctuations", runs, results, outPuncts, stored)
+	}
+	const (
+		column     = 16 // a stream.Value, and a stream.Pattern
+		outArity   = 4  // R.K, R.V, S.K, S.W
+		storeEntry = 80 // exec's punctuation-store entry
+		buckets    = runs * 2 * keys
+	)
+	bucket := bucketBytes()
+	perRow := sizeClass(column * outArity)
+	want := results*perRow + outPuncts*perRow + stored*storeEntry + buckets*bucket
+	if got := m1.TotalAlloc - m0.TotalAlloc; got < want || got > want+want/50 {
+		t.Fatalf("%d cycles allocated %d bytes (%.1f per cycle), want %d to 2 %% above it (= %d results and %d emitted punctuations at %d bytes, %d store entries at %d, %d index buckets at %d)",
+			runs, got, float64(got)/runs, want, results, outPuncts, perRow, stored, storeEntry, buckets, bucket)
+	}
+}

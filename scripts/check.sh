@@ -37,9 +37,11 @@ stage_soakfailover() {
 # (truncated frames, oversized lengths, unknown streams), the serving
 # handshake front door (bad magic, bad role, absurd name lengths), the
 # tiered join-state snapshot decoder (torn cold segments, corrupted
-# bytes), and the join-state model (operation strings replayed against a
-# plain map). `go test -fuzz` explores further; the seed set is the gate.
-stage_fuzzseed() { go test -run Fuzz ./engine/... ./server/... ./exec/...; }
+# bytes), the join-state model (operation strings replayed against a
+# plain map), and the two-word value model (pairs of values held to a
+# three-field reference). `go test -fuzz` explores further; the seed set
+# is the gate.
+stage_fuzzseed() { go test -run Fuzz ./stream/... ./engine/... ./server/... ./exec/...; }
 
 # Checkpoint round-trip smoke: run a sharded workload writing periodic
 # snapshots, then restore from the final snapshot and resume (a no-op
@@ -61,8 +63,11 @@ stage_allocfloors() {
   # purge round at zero, and the cold-tier probe at parity with the all-hot
   # probe; a batch through a warmed tree allocates what outlives it (result
   # tuples, stored punctuations, emitted punctuations, state entries) and
-  # no container; frame decoding keeps its per-frame bound.
-  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs|TestPushBatchAllocFloor' -count 1 ./exec/...
+  # no container, and in bytes those cost 16 per column of a result tuple
+  # or emitted punctuation (a value and a pattern are two words each, which
+  # the layout test pins); frame decoding keeps its per-frame bound.
+  go test -run 'TestValueLayout' -count 1 ./stream/
+  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs|TestPushBatchAllocFloor|TestResultBytesFloor' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
   # Producer-side floor: a one-element send reaches each mailbox by value;
   # an n-element batch fills a run buffer the shard handed back. Both are 0

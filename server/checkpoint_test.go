@@ -6,6 +6,7 @@ package server
 // no client sockets are involved.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -88,7 +89,7 @@ func TestRestoreShrunkRetain(t *testing.T) {
 	if head <= 2*retain {
 		t.Fatalf("feed yields only %d deliveries; cannot shrink to %d", head, retain)
 	}
-	want := h.snapshot(head)
+	want := h.snapshot(nil, head)
 	want = want[len(want)-retain:]
 	srv.Kill()
 
@@ -122,6 +123,63 @@ func TestRestoreShrunkRetain(t *testing.T) {
 	}
 }
 
+// TestEncodeCheckpointReusesScratch encodes one quiesced server three
+// times: into nothing, into a kept scratch, and into the same scratch
+// again. The bytes are the same each time, the second kept encoding
+// reuses the first one's body, and the kept entry slice pins no element.
+func TestEncodeCheckpointReusesScratch(t *testing.T) {
+	cfg := ckptTestConfig(t, t.TempDir())
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Kill()
+	feed := workload.Auction(workload.AuctionConfig{
+		Items: 40, MaxBidsPerItem: 4, OpenWindow: 3,
+		PunctuateItems: true, PunctuateClose: true, Seed: 5,
+	})
+	for _, it := range feed {
+		if err := srv.Runtime().Send(it.Stream, it.Elem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.CheckpointNow(); err != nil { // its barrier quiesces the worker
+		t.Fatal(err)
+	}
+	srv.ckptMu.Lock()
+	defer srv.ckptMu.Unlock()
+	owned, _, err := srv.encodeCheckpoint(srv.pack(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc ckptScratch
+	first, _, err := srv.encodeCheckpoint(srv.pack(), &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, owned) {
+		t.Fatal("encoding into a scratch changed the PSRVCK02 bytes")
+	}
+	if len(sc.entries) == 0 {
+		t.Fatal("the feed left nothing in the retention ring; the test checks nothing")
+	}
+	for i, e := range sc.entries {
+		if e.seq != 0 || e.elem.IsPunct() || len(e.elem.Tuple().Values) != 0 {
+			t.Fatalf("kept entry %d still holds %d|%s after the encoding", i, e.seq, e.elem)
+		}
+	}
+	second, _, err := srv.encodeCheckpoint(srv.pack(), &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second, owned) {
+		t.Fatal("re-encoding into a used scratch changed the PSRVCK02 bytes")
+	}
+	if &second[0] != &first[0] {
+		t.Fatal("the second encoding did not reuse the kept body buffer")
+	}
+}
+
 // ringEnvelope hand-builds a PSRVCK02 file (empty engine snapshot, one
 // query) whose retained ring carries the given seqs.
 func ringEnvelope(t *testing.T, h *hub, cut uint64, seqs []uint64, elem stream.Element) []byte {
@@ -130,6 +188,11 @@ func ringEnvelope(t *testing.T, h *hub, cut uint64, seqs []uint64, elem stream.E
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ringEnvelopeOf(h, cut, seqs, payload)
+}
+
+// ringEnvelopeOf is ringEnvelope over an already encoded element.
+func ringEnvelopeOf(h *hub, cut uint64, seqs []uint64, payload []byte) []byte {
 	body := binary.AppendUvarint([]byte(serverCkptMagic), 1) // epoch
 	body = binary.AppendUvarint(body, 0)                     // engine snapshot length
 	body = binary.AppendUvarint(body, 1)                     // queries
@@ -195,5 +258,38 @@ func TestRestoreRejectsBrokenRing(t *testing.T) {
 		case !errors.Is(err, ErrCorruptServerCheckpoint) || !strings.Contains(err.Error(), "retained entry seq"):
 			t.Errorf("%s: got %v, want ErrCorruptServerCheckpoint (retained entry seq)", tc.name, err)
 		}
+	}
+}
+
+// TestRestoreRejectsOrderedPatternOnString: a retained entry whose
+// punctuation carries the "<=" slot on a string attribute — a pattern the
+// data model cannot hold — is a corrupt checkpoint, not a panic.
+func TestRestoreRejectsOrderedPatternOnString(t *testing.T) {
+	cfg := ckptTestConfig(t, t.TempDir())
+	defer cfg.Listener.Close()
+	cfg.Retain, cfg.QueueLimit = 8, 8
+	s := &Server{cfg: cfg}
+	p, err := s.newPack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, _ := p.d.Get(ckptTestQuery)
+	out := reg.OutputSchema()
+	payload := []byte{1} // punctuation
+	hostile := false
+	for i := 0; i < out.Arity(); i++ {
+		if out.Attr(i).Kind == stream.KindString && !hostile {
+			payload = append(payload, 2, 1, 'x') // "<=" slot, string "x"
+			hostile = true
+		} else {
+			payload = append(payload, 0) // "*"
+		}
+	}
+	if !hostile {
+		t.Fatal("the auction output has no string attribute")
+	}
+	_, _, err = s.restoreEnvelope(p, ringEnvelopeOf(p.hubs[ckptTestQuery], 1, []uint64{1}, payload))
+	if !errors.Is(err, ErrCorruptServerCheckpoint) || !strings.Contains(err.Error(), "retained entry element") {
+		t.Fatalf("got %v, want ErrCorruptServerCheckpoint (retained entry element)", err)
 	}
 }

@@ -367,9 +367,10 @@ type Producer struct {
 
 	mu    sync.Mutex
 	ww    *engine.WireWriter
-	buf   []byte // encoded frames [base, base+len(buf))
-	base  int64  // wire offset of buf[0]
-	acked int64  // durable ack floor (-1 until the first ack)
+	buf   replayBuf // encoded frames [base, base+buf.len())
+	base  int64     // wire offset of the buffer's first byte
+	frame []byte    // the frame ww.Write just encoded (ww's scratch)
+	acked int64     // durable ack floor (-1 until the first ack)
 	conn  net.Conn
 	bw    *bufio.Writer
 	gen   int // connection generation, fences stale ack readers
@@ -392,11 +393,13 @@ func (d *Dialer) Producer(source string, schemas ...*stream.Schema) (*Producer, 
 	return p, nil
 }
 
-// producerSink routes WireWriter output into the replay buffer.
+// producerSink routes WireWriter output into the replay buffer and
+// leaves the frame for Send to write through.
 type producerSink struct{ p *Producer }
 
 func (s producerSink) Write(b []byte) (int, error) {
-	s.p.buf = append(s.p.buf, b...)
+	s.p.buf.append(b)
+	s.p.frame = b
 	return len(b), nil
 }
 
@@ -426,20 +429,15 @@ func (p *Producer) reconnectLocked() error {
 		if start < p.base {
 			return fmt.Errorf("%w: server resumes at %d, buffer trimmed to %d", ErrBadResume, start, p.base)
 		}
-		if start > p.base+int64(len(p.buf)) {
+		if start > p.base+int64(p.buf.len()) {
 			return fmt.Errorf("%w: server resumes at %d beyond sent %d (another producer on source %q?)",
-				ErrBadResume, start, p.base+int64(len(p.buf)), p.source)
+				ErrBadResume, start, p.base+int64(p.buf.len()), p.source)
 		}
 		preamble := binary.AppendUvarint(nil, uint64(start))
 		if _, err := c.Write(preamble); err != nil {
 			return err
 		}
-		if replay := p.buf[start-p.base:]; len(replay) > 0 {
-			if _, err := c.Write(replay); err != nil {
-				return err
-			}
-		}
-		return nil
+		return p.buf.writeFrom(c, int(start-p.base))
 	})
 	if err != nil {
 		return err
@@ -474,8 +472,8 @@ func (p *Producer) readAcks(conn net.Conn, br *bufio.Reader, gen int) {
 		}
 		if ack := int64(off); ack > p.acked {
 			p.acked = ack
-			if trim := ack - p.base; trim > 0 && trim <= int64(len(p.buf)) {
-				p.buf = append(p.buf[:0], p.buf[trim:]...)
+			if trim := ack - p.base; trim > 0 && trim <= int64(p.buf.len()) {
+				p.buf.trim(int(trim))
 				p.base = ack
 			}
 		}
@@ -492,11 +490,9 @@ func (p *Producer) Send(streamName string, e stream.Element) error {
 	if p.err != nil {
 		return p.err
 	}
-	pre := len(p.buf)
 	if err := p.ww.Write(streamName, e); err != nil {
 		return err // encoding error: nothing appended, nothing sent
 	}
-	frame := p.buf[pre:]
 	for {
 		if p.conn == nil {
 			if err := p.reconnectLocked(); err != nil {
@@ -507,7 +503,7 @@ func (p *Producer) Send(streamName string, e stream.Element) error {
 			// including the frame just appended.
 			return nil
 		}
-		if _, err := p.bw.Write(frame); err == nil {
+		if _, err := p.bw.Write(p.frame); err == nil {
 			return nil
 		}
 		p.conn.Close()
@@ -571,7 +567,7 @@ func (p *Producer) Acked() int64 {
 func (p *Producer) Buffered() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.buf)
+	return p.buf.len()
 }
 
 // Sent returns the total wire offset encoded so far — when the server's
@@ -580,7 +576,7 @@ func (p *Producer) Buffered() int {
 func (p *Producer) Sent() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.base + int64(len(p.buf))
+	return p.base + int64(p.buf.len())
 }
 
 // Epoch returns the highest fencing epoch this producer has seen.

@@ -283,11 +283,11 @@ func (h *hub) drained() bool {
 	return true
 }
 
-// snapshot returns the retained entries with seq ≤ cut, for the server
-// checkpoint. Entries above the cut are NOT persisted: the engine
+// snapshot appends the retained entries with seq ≤ cut to dst, for the
+// server checkpoint. Entries above the cut are NOT persisted: the engine
 // replays them deterministically after restore, with the same sequence
 // numbers (the delivery counter is part of the engine snapshot).
-func (h *hub) snapshot(cut uint64) []hubEntry {
+func (h *hub) snapshot(dst []hubEntry, cut uint64) []hubEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	from, to := h.ring.floor(), cut+1
@@ -295,7 +295,10 @@ func (h *hub) snapshot(cut uint64) []hubEntry {
 		to = h.ring.next
 	}
 	if to <= from {
-		return nil
+		return dst
 	}
-	return h.ring.appendRange(make([]hubEntry, 0, to-from), from, to)
+	if n := int(to - from); cap(dst)-len(dst) < n {
+		dst = append(make([]hubEntry, 0, len(dst)+n), dst...)
+	}
+	return h.ring.appendRange(dst, from, to)
 }

@@ -199,19 +199,19 @@ func TestHubResumeWindow(t *testing.T) {
 func TestHubSnapshotBounds(t *testing.T) {
 	h := newHub("q", testSchema(), 7, 4, SlowDrop)
 	publishN(h, 1, 17) // retained: 11..17, wrapped
-	if snap := h.snapshot(10); len(snap) != 0 {
+	if snap := h.snapshot(nil, 10); len(snap) != 0 {
 		t.Fatalf("snapshot below the floor = %v, want nothing", snap)
 	}
-	snap := h.snapshot(11)
+	snap := h.snapshot(nil, 11)
 	requireRun(t, "snapshot(floor)", snap, 11, 11)
-	snap = h.snapshot(14)
+	snap = h.snapshot(nil, 14)
 	requireRun(t, "snapshot(inside)", snap, 11, 14)
 	if cap(snap) != len(snap) {
 		t.Fatalf("snapshot(14) allocated %d slots for %d entries", cap(snap), len(snap))
 	}
-	requireRun(t, "snapshot(head)", h.snapshot(17), 11, 17)
-	requireRun(t, "snapshot(above head)", h.snapshot(40), 11, 17)
-	if snap := newHub("q", testSchema(), 7, 4, SlowDrop).snapshot(3); len(snap) != 0 {
+	requireRun(t, "snapshot(head)", h.snapshot(nil, 17), 11, 17)
+	requireRun(t, "snapshot(above head)", h.snapshot(nil, 40), 11, 17)
+	if snap := newHub("q", testSchema(), 7, 4, SlowDrop).snapshot(nil, 3); len(snap) != 0 {
 		t.Fatalf("snapshot of an empty hub = %v", snap)
 	}
 }
@@ -221,7 +221,7 @@ func TestHubSnapshotBounds(t *testing.T) {
 func TestHubSeedRoundTrip(t *testing.T) {
 	h := newHub("q", testSchema(), 7, 4, SlowDrop)
 	publishN(h, 1, 19) // retained: 13..19
-	snap := h.snapshot(16)
+	snap := h.snapshot(nil, 16)
 
 	h2 := newHub("q", testSchema(), 7, 7, SlowDrop)
 	h2.seed(snap, 16)
@@ -245,7 +245,7 @@ func TestHubSeedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireRun(t, "post-seed wrap", got, 20, 24)
-	requireRun(t, "post-seed ring", h2.snapshot(24), 18, 24)
+	requireRun(t, "post-seed ring", h2.snapshot(nil, 24), 18, 24)
 }
 
 // TestHubSeedShrunkRetain seeds more entries than the hub retains (the
@@ -254,11 +254,11 @@ func TestHubSeedRoundTrip(t *testing.T) {
 func TestHubSeedShrunkRetain(t *testing.T) {
 	h := newHub("q", testSchema(), 16, 4, SlowDrop)
 	publishN(h, 1, 20) // retained: 5..20
-	snap := h.snapshot(20)
+	snap := h.snapshot(nil, 20)
 
 	h2 := newHub("q", testSchema(), 5, 5, SlowDrop)
 	h2.seed(snap, 20)
-	requireRun(t, "seeded ring", h2.snapshot(20), 16, 20)
+	requireRun(t, "seeded ring", h2.snapshot(nil, 20), 16, 20)
 	if _, err := h2.attach(14); !errors.Is(err, ErrResumeExpired) {
 		t.Fatalf("resume hint older than the shrunk ring: got %v, want ErrResumeExpired", err)
 	}
@@ -323,7 +323,7 @@ func BenchmarkHubPublish(b *testing.B) {
 func TestHubSnapshotCut(t *testing.T) {
 	h := newHub("q", testSchema(), 16, 8, SlowDrop)
 	publishN(h, 1, 10)
-	snap := h.snapshot(7)
+	snap := h.snapshot(nil, 7)
 	if len(snap) != 7 || snap[0].seq != 1 || snap[6].seq != 7 {
 		t.Fatalf("snapshot(7) = %v, want seqs 1..7", snap)
 	}

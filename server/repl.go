@@ -261,7 +261,7 @@ func (s *Server) serveReplica(c net.Conn, br *bufio.Reader, h hello) {
 	if p == nil || p.rt == nil {
 		err = fmt.Errorf("server: no runtime to snapshot")
 	} else {
-		body, _, err = s.encodeCheckpoint(p)
+		body, _, err = s.encodeCheckpoint(p, nil)
 	}
 	s.ckptMu.Unlock()
 	if err != nil {

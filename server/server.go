@@ -144,7 +144,8 @@ type Server struct {
 	stopping  bool
 	killed    bool
 
-	ckptMu sync.Mutex // serializes checkpoints and the acks they send
+	ckptMu      sync.Mutex  // serializes checkpoints and the acks they send
+	ckptScratch ckptScratch // CheckpointNow's encoding buffers (ckptMu)
 
 	acceptWg sync.WaitGroup // accept loops + producer/subscriber handshakes
 	replWg   sync.WaitGroup // replica feed senders
@@ -654,37 +655,58 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
+// ckptScratch holds the buffers one checkpoint encoding fills. The
+// server keeps one (under ckptMu) for its periodic checkpoints, so a
+// long-lived server stops producing a checkpoint-sized block of garbage
+// every CheckpointEvery; it starts empty and grows on first use.
+type ckptScratch struct {
+	engine  bytes.Buffer
+	body    []byte
+	payload []byte
+	entries []hubEntry
+}
+
 // encodeCheckpoint serializes the full server checkpoint body (callers
-// hold ckptMu) and returns the engine summary taken at its cut.
-func (s *Server) encodeCheckpoint(p *enginePack) ([]byte, engine.CheckpointSummary, error) {
-	var engineBuf bytes.Buffer
-	sum, err := p.rt.CheckpointSummary(&engineBuf)
+// hold ckptMu) and returns the engine summary taken at its cut. It builds
+// the body in sc's buffers, so the body is valid until the next encoding
+// into the same sc; a caller that uses the body after releasing ckptMu
+// passes nil and owns what it gets.
+func (s *Server) encodeCheckpoint(p *enginePack, sc *ckptScratch) ([]byte, engine.CheckpointSummary, error) {
+	if sc == nil {
+		sc = new(ckptScratch)
+	}
+	sc.engine.Reset()
+	sum, err := p.rt.CheckpointSummary(&sc.engine)
 	if err != nil {
 		return nil, sum, err
 	}
-	body := binary.AppendUvarint([]byte(serverCkptMagic), s.epoch.Load())
-	body = binary.AppendUvarint(body, uint64(engineBuf.Len()))
-	body = append(body, engineBuf.Bytes()...)
+	body := append(sc.body[:0], serverCkptMagic...)
+	body = binary.AppendUvarint(body, s.epoch.Load())
+	body = binary.AppendUvarint(body, uint64(sc.engine.Len()))
+	body = append(body, sc.engine.Bytes()...)
 	body = binary.AppendUvarint(body, uint64(len(p.hubs)))
-	var payload []byte
+	// A kept scratch must not pin delivered elements until the next
+	// checkpoint; a shorter snapshot may leave a longer one's tail behind.
+	defer func() { clear(sc.entries[:cap(sc.entries)]) }()
 	for _, name := range p.d.Queries() {
 		h := p.hubs[name]
 		cut := sum.Delivered[name]
-		entries := h.snapshot(cut)
+		sc.entries = h.snapshot(sc.entries[:0], cut)
 		body = binary.AppendUvarint(body, uint64(len(name)))
 		body = append(body, name...)
 		body = binary.AppendUvarint(body, cut)
-		body = binary.AppendUvarint(body, uint64(len(entries)))
-		for _, e := range entries {
-			if payload, err = h.codec.Encode(payload[:0], e.elem); err != nil {
+		body = binary.AppendUvarint(body, uint64(len(sc.entries)))
+		for _, e := range sc.entries {
+			if sc.payload, err = h.codec.Encode(sc.payload[:0], e.elem); err != nil {
 				return nil, sum, fmt.Errorf("server: checkpoint encode: %w", err)
 			}
 			body = binary.AppendUvarint(body, e.seq)
-			body = binary.AppendUvarint(body, uint64(len(payload)))
-			body = append(body, payload...)
+			body = binary.AppendUvarint(body, uint64(len(sc.payload)))
+			body = append(body, sc.payload...)
 		}
 	}
 	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	sc.body = body
 	return body, sum, nil
 }
 
@@ -707,7 +729,7 @@ func (s *Server) CheckpointNow() error {
 	if p == nil || p.rt == nil {
 		return fmt.Errorf("server: no runtime to checkpoint")
 	}
-	body, sum, err := s.encodeCheckpoint(p)
+	body, sum, err := s.encodeCheckpoint(p, &s.ckptScratch)
 	if err != nil {
 		return err
 	}

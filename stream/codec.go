@@ -70,16 +70,10 @@ func (c *Codec) Encode(dst []byte, e Element) ([]byte, error) {
 
 func appendValue(dst []byte, v Value) []byte {
 	switch v.Kind() {
-	case KindInt:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v.AsInt()))
-		return append(dst, buf[:]...)
-	case KindFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.AsFloat()))
-		return append(dst, buf[:]...)
+	case KindInt, KindFloat:
+		return binary.LittleEndian.AppendUint64(dst, v.Bits())
 	case KindString:
-		s := v.AsString()
+		s := v.str()
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		return append(dst, s...)
 	default:
@@ -118,6 +112,9 @@ func (c *Codec) Decode(src []byte) (Element, []byte, error) {
 			case slotWildcard:
 				pats[i] = Wildcard()
 			case slotConst, slotLeq:
+				if k := c.schema.Attr(i).Kind; slot == slotLeq && k != KindInt && k != KindFloat {
+					return Element{}, nil, fmt.Errorf("stream: codec: ordered pattern on non-numeric attribute %q", c.schema.Attr(i).Name)
+				}
 				var v Value
 				var err error
 				v, src, err = c.decodeValue(src, c.schema.Attr(i).Kind)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,11 @@ func TestCodecErrors(t *testing.T) {
 	// Bad pattern slot.
 	if _, _, err := c.Decode([]byte{1, 0xEE}); err == nil {
 		t.Error("bad slot must fail")
+	}
+	// An ordered slot on the string attribute: a pattern with no
+	// representation, refused before a value is built from it.
+	if _, _, err := c.Decode([]byte{1, 0, 0, 2, 1, 'x'}); err == nil || !strings.Contains(err.Error(), "non-numeric") {
+		t.Errorf("\"<=\" on a string attribute: got %v, want a non-numeric error", err)
 	}
 	// A float NaN round-trips structurally (bit pattern preserved).
 	nan, err := c.Encode(nil, TupleElement(NewTuple(Int(0), Float(mathNaN()), Str(""))))

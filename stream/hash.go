@@ -9,17 +9,18 @@ func (v Value) Hash() uint64 {
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	h := uint64(offset64)
-	h ^= uint64(v.kind)
-	h *= prime64
-	n := v.num
+	// The hashed bytes are the kind, the eight payload bytes (zero for a
+	// string) and the string bytes (none for a number).
+	h := (uint64(offset64) ^ uint64(v.Kind())) * prime64
+	n := v.Bits()
 	for i := 0; i < 8; i++ {
 		h ^= n & 0xff
 		h *= prime64
 		n >>= 8
 	}
-	for i := 0; i < len(v.str); i++ {
-		h ^= uint64(v.str[i])
+	str := v.str()
+	for i := 0; i < len(str); i++ {
+		h ^= uint64(str[i])
 		h *= prime64
 	}
 	return h

@@ -10,61 +10,83 @@ import (
 // constraint, or an ordered "<=" bound (an extension of the paper's
 // model in the spirit of heartbeats [11] and modern watermarks: the
 // promise that no future tuple carries a value at or below the bound).
+//
+// A Pattern is one Value, 16 bytes: a constant is the value itself, and
+// the other forms use three more tag addresses in the pointer word —
+// wildcard, "<=" int bound, "<=" float bound — with the bound in the
+// numeric word. Like a Value it is compared with its methods, never ==.
+// The zero Pattern is the constant of the invalid value, which Validate
+// refuses on every schema.
 type Pattern struct {
-	wild bool
-	leq  bool
-	val  Value
+	v Value
 }
 
 // Wildcard is the "*" pattern.
-func Wildcard() Pattern { return Pattern{wild: true} }
+func Wildcard() Pattern { return Pattern{Value{p: tag(tagWild)}} }
 
 // Const returns an equal-value constant pattern.
-func Const(v Value) Pattern { return Pattern{val: v} }
+func Const(v Value) Pattern { return Pattern{v} }
 
 // Leq returns an ordered bound pattern: it matches every value <= v.
-// Only numeric values are comparable; Validate enforces that against the
-// schema.
-func Leq(v Value) Pattern { return Pattern{leq: true, val: v} }
+// Only int and float values are ordered. A bound of any other kind has no
+// representation: Leq returns the zero Pattern for it, which Validate
+// refuses, so a caller that skips the kind check gets an error later
+// rather than a pattern that matches the wrong values.
+func Leq(v Value) Pattern {
+	switch v.p {
+	case tag(tagInt):
+		return Pattern{Value{p: tag(tagLeqInt), n: v.n}}
+	case tag(tagFloat):
+		return Pattern{Value{p: tag(tagLeqFloat), n: v.n}}
+	}
+	return Pattern{}
+}
 
 // IsWildcard reports whether the pattern is "*".
-func (p Pattern) IsWildcard() bool { return p.wild }
+func (p Pattern) IsWildcard() bool { return p.v.p == tag(tagWild) }
 
 // IsLeq reports whether the pattern is an ordered bound.
-func (p Pattern) IsLeq() bool { return p.leq }
+func (p Pattern) IsLeq() bool {
+	return p.v.p == tag(tagLeqInt) || p.v.p == tag(tagLeqFloat)
+}
 
 // Value returns the constant (or bound) of a non-wildcard pattern; it
 // panics on "*".
 func (p Pattern) Value() Value {
-	if p.wild {
+	switch p.v.p {
+	case tag(tagWild):
 		panic("stream: Value of wildcard pattern")
+	case tag(tagLeqInt):
+		return Value{p: tag(tagInt), n: p.v.n}
+	case tag(tagLeqFloat):
+		return Value{p: tag(tagFloat), n: p.v.n}
 	}
-	return p.val
+	return p.v
 }
 
 // MatchesValue reports whether a single attribute value satisfies the
 // pattern: wildcards match everything, constants match by equality, and
 // ordered bounds match every value at or below the bound.
 func (p Pattern) MatchesValue(v Value) bool {
-	if p.wild {
+	if p.IsWildcard() {
 		return true
 	}
-	if p.leq {
-		le, ok := LessEq(v, p.val)
+	if p.IsLeq() {
+		le, ok := LessEq(v, p.Value())
 		return ok && le
 	}
-	return p.val.Equal(v)
+	return p.v.Equal(v)
 }
 
 // String renders "*", the constant literal, or "<=bound".
 func (p Pattern) String() string {
-	if p.wild {
+	if p.IsWildcard() {
 		return "*"
 	}
-	if p.leq {
-		return "<=" + p.val.String()
+	if p.IsLeq() {
+		return "<=" + p.Value().String()
 	}
-	return p.val.String()
+	return p.v.String()
 }
 
 // Punctuation is a promise that no future tuple of its stream matches all

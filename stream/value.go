@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // Kind enumerates the attribute types supported by the engine.
@@ -41,52 +42,114 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a compact tagged union holding one attribute value. It avoids
-// interface boxing on the join hot path: numeric payloads live in num and
-// strings in str.
+// Value is a compact tagged union holding one attribute value in two
+// machine words (16 bytes), so that a result tuple, a decoded element or a
+// punctuation costs 16 bytes per column on the heap. It avoids interface
+// boxing on the join hot path.
+//
+// The first word p is a pointer the garbage collector sees as any other:
+// it is nil (the invalid value), the address of one of the package's tag
+// bytes (tagInt, tagFloat, tagEmpty), or the data pointer of a non-empty
+// string. The second word n is the numeric payload (the integer, or the
+// float's normalized IEEE bits) or the string's length. Tag addresses are
+// only ever compared, never dereferenced; string bytes are immutable, so
+// rebuilding the string with unsafe.String is sound. The empty string has
+// its own tag because unsafe.StringData("") is unspecified.
+//
+// Two Values are compared with Equal, never with ==: the pointer word of
+// a string is its backing array, not its contents. The zero-length
+// func array makes the struct non-comparable, so == on a Value, Pattern or
+// Tuple and a Value map key do not compile; ValueKey is the comparable
+// form. reflect.DeepEqual compares the pointer word too: it agrees with
+// Equal on numeric values (every int shares one tag address) and on
+// strings sharing a backing array, and may report two equal strings from
+// different arrays as different.
 type Value struct {
-	kind Kind
-	num  uint64
-	str  string
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
 
+// tags provides the distinct addresses that mark a pointer word as a kind
+// (or, in a Pattern, a pattern form) instead of string data. No element
+// is ever read or written.
+var tags [6]byte
+
+// Indexes into tags. The last three mark pattern forms and appear only in
+// the Value inside a Pattern (punctuation.go).
+const (
+	tagInt = iota
+	tagFloat
+	tagEmpty
+	tagWild
+	tagLeqInt
+	tagLeqFloat
+)
+
+// tag returns the address standing for tag index i.
+func tag(i int) unsafe.Pointer { return unsafe.Pointer(&tags[i]) }
+
 // Int returns an integer Value.
-func Int(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
+func Int(v int64) Value { return Value{p: tag(tagInt), n: uint64(v)} }
 
 // Float returns a floating point Value.
 func Float(v float64) Value {
-	return Value{kind: KindFloat, num: floatBits(v)}
+	return Value{p: tag(tagFloat), n: floatBits(v)}
 }
 
 // String returns a string Value. (The constructor is named Str to leave
 // the String method for fmt.Stringer.)
-func Str(v string) Value { return Value{kind: KindString, str: v} }
+func Str(v string) Value {
+	if len(v) == 0 {
+		return Value{p: tag(tagEmpty)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Kind returns the kind of the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	// The first three tags are laid out in Kind order, so a tag's offset
+	// in the array is its kind less one; nil (far below the array) and
+	// string data (anywhere else) fall outside it.
+	if off := uintptr(v.p) - uintptr(tag(0)); off <= tagEmpty {
+		return Kind(off) + KindInt
+	}
+	if v.p == nil {
+		return KindInvalid
+	}
+	return KindString
+}
+
+// str returns the string payload of a string value and "" for any other.
+func (v Value) str() string {
+	if v.n == 0 || v.Kind() != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
 
 // AsInt returns the integer payload; it panics if the value is not an int.
 func (v Value) AsInt() int64 {
-	if v.kind != KindInt {
-		panic("stream: AsInt on " + v.kind.String() + " value")
+	if v.p != tag(tagInt) {
+		panic("stream: AsInt on " + v.Kind().String() + " value")
 	}
-	return int64(v.num)
+	return int64(v.n)
 }
 
 // AsFloat returns the float payload; it panics if the value is not a float.
 func (v Value) AsFloat() float64 {
-	if v.kind != KindFloat {
-		panic("stream: AsFloat on " + v.kind.String() + " value")
+	if v.p != tag(tagFloat) {
+		panic("stream: AsFloat on " + v.Kind().String() + " value")
 	}
-	return floatFromBits(v.num)
+	return math.Float64frombits(v.n) // not floatFromBits: its cost tips AsFloat over the inlining budget
 }
 
 // AsString returns the string payload; it panics if the value is not a string.
 func (v Value) AsString() string {
-	if v.kind != KindString {
-		panic("stream: AsString on " + v.kind.String() + " value")
+	if v.Kind() != KindString {
+		panic("stream: AsString on " + v.Kind().String() + " value")
 	}
-	return v.str
+	return v.str()
 }
 
 // Bits returns the 64 payload bits of a numeric value (the integer, or the
@@ -94,17 +157,33 @@ func (v Value) AsString() string {
 // exactly when their Bits are, so containers whose kind is fixed by a
 // schema can key on it directly. A string value has no numeric payload
 // and returns 0.
-func (v Value) Bits() uint64 { return v.num }
+func (v Value) Bits() uint64 {
+	// tagInt and tagFloat are the first two tags: one range check.
+	if uintptr(v.p)-uintptr(tag(0)) <= tagFloat {
+		return v.n
+	}
+	return 0
+}
 
 // Equal reports whether two values have the same kind and payload.
 func (v Value) Equal(o Value) bool {
-	return v.kind == o.kind && v.num == o.num && v.str == o.str
+	if v.p == o.p {
+		// Same tag, or the same string data: the second word decides.
+		return v.n == o.n
+	}
+	return v.n == o.n && equalStrings(v, o)
+}
+
+// equalStrings is Equal's slow path, for values whose pointer words
+// differ: only two non-empty strings of one length can still be equal.
+func equalStrings(v, o Value) bool {
+	return v.Kind() == KindString && o.Kind() == KindString && v.str() == o.str()
 }
 
 // Key returns a hashable representation suitable for use as a Go map key
 // in join hash tables and punctuation indexes.
 func (v Value) Key() ValueKey {
-	return ValueKey{kind: v.kind, num: v.num, str: v.str}
+	return ValueKey{kind: v.Kind(), num: v.Bits(), str: v.str()}
 }
 
 // ValueKey is the comparable form of a Value.
@@ -115,17 +194,28 @@ type ValueKey struct {
 }
 
 // Value reconstructs the Value a key was derived from.
-func (k ValueKey) Value() Value { return Value{kind: k.kind, num: k.num, str: k.str} }
+func (k ValueKey) Value() Value {
+	switch k.kind {
+	case KindInt:
+		return Value{p: tag(tagInt), n: k.num}
+	case KindFloat:
+		return Value{p: tag(tagFloat), n: k.num}
+	case KindString:
+		return Str(k.str)
+	default:
+		return Value{}
+	}
+}
 
 // String renders the value as a literal.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(floatFromBits(v.num), 'g', -1, 64)
+		return strconv.FormatFloat(floatFromBits(v.n), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.str())
 	default:
 		return "<invalid>"
 	}
@@ -149,14 +239,14 @@ func Zero(k Kind) Value {
 // false when the values are not comparable (different or non-numeric
 // kinds).
 func LessEq(v, bound Value) (le, ok bool) {
-	if v.kind != bound.kind {
+	if v.p != bound.p {
 		return false, false
 	}
-	switch v.kind {
-	case KindInt:
-		return int64(v.num) <= int64(bound.num), true
-	case KindFloat:
-		return floatFromBits(v.num) <= floatFromBits(bound.num), true
+	switch v.p {
+	case tag(tagInt):
+		return int64(v.n) <= int64(bound.n), true
+	case tag(tagFloat):
+		return floatFromBits(v.n) <= floatFromBits(bound.n), true
 	default:
 		return false, false
 	}
@@ -177,12 +267,13 @@ func KeyOf(values ...Value) string {
 func AppendKey(dst []byte, values ...Value) []byte {
 	var buf [8]byte
 	for _, v := range values {
-		dst = append(dst, byte(v.kind))
-		binary.LittleEndian.PutUint64(buf[:], v.num)
+		dst = append(dst, byte(v.Kind()))
+		binary.LittleEndian.PutUint64(buf[:], v.Bits())
 		dst = append(dst, buf[:]...)
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(v.str)))
+		str := v.str()
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(str)))
 		dst = append(dst, buf[:]...)
-		dst = append(dst, v.str...)
+		dst = append(dst, str...)
 	}
 	return dst
 }
