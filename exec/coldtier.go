@@ -72,14 +72,14 @@ func (st *joinState) freeze() int {
 		idx.each(func(k mapKey, bucket []row) {
 			i, _ := slices.BinarySearch(bucket, row(cut))
 			if i > 0 {
-				run, _ := frozen.get(k)
+				run := c.bucket(frozen, k)
 				for _, r := range bucket[:i] {
 					run = append(run, base+r)
 				}
 				frozen.put(k, run)
 			}
 			if i == len(bucket) {
-				idx.del(k)
+				hot.unindex(idx, k, bucket)
 				return
 			}
 			rest := bucket[:copy(bucket, bucket[i:])]

@@ -2,12 +2,15 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
+	"punctsafe/plan"
 	"punctsafe/query"
 	"punctsafe/stream"
+	"punctsafe/workload"
 )
 
 func intAttrs(names ...string) []stream.Attribute {
@@ -731,5 +734,132 @@ func TestOutputBufferHoldsNothing(t *testing.T) {
 	requireZeroTail(m, "after a Push that failed once its results were out")
 	if out := m.Flush(); len(out) != 0 || cap(m.outBuf) > maxOutBuf {
 		t.Fatalf("Flush after the fat batch: %d outputs, buffer capacity %d, want at most %d", len(out), cap(m.outBuf), maxOutBuf)
+	}
+}
+
+// TestRecycledStateHoldsNothing pins what purged state leaves behind once
+// it is kept for reuse. A closed-world chain-4 feed drains through a tree
+// (one 4-way operator, so the operator's stores are sampled after every
+// element they see), once with §5.1 punctuation purging and once with
+// punctuation lifespans. After every element: every free store entry is
+// zero and no retired one is still stored; every spare index bucket has
+// length 0 and shares its array with no live key's bucket; and a store
+// holds no more entries, live and pooled, than it held live at its peak,
+// nor a tier more buckets than its index held keys — so the pools are
+// the purged state's own high-water mark, not a leak. At the end the
+// store pools, reclaimed as the next add would, are all zero.
+func TestRecycledStateHoldsNothing(t *testing.T) {
+	q, err := workload.SyntheticQuery(workload.Chain, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := workload.AllJoinAttrSchemes(q)
+	inputs := workload.Closed(q, schemes, workload.ClosedConfig{Rounds: 24, TuplesPerRound: 16, Window: 32,
+		PunctFraction: 1, PunctDelay: 2, Seed: 3})
+	zero := func(e *punctEntry) bool { return reflect.ValueOf(*e).IsZero() }
+	for _, cfg := range []Config{{PurgePunctuations: true}, {PunctLifespan: 700}} {
+		cfg.Query, cfg.Schemes = q, schemes
+		tree, err := NewTree(cfg, plan.Join(plan.Leaf(0), plan.Leaf(1), plan.Leaf(2), plan.Leaf(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := tree.Root()
+		storePeak := make([]int, q.N())
+		keyPeak := map[*rowStore]int{}
+		pooled, spared := 0, 0
+		check := func(when string) {
+			t.Helper()
+			for i, ps := range m.puncts {
+				live := map[*punctEntry]bool{}
+				for _, em := range ps.entries {
+					em.each(func(_ mapKey, e *punctEntry) { live[e] = true })
+				}
+				for _, e := range ps.free {
+					if !zero(e) {
+						t.Fatalf("%s: input %d: free entry holds %+v", when, i, *e)
+					}
+				}
+				for _, e := range ps.retired {
+					if live[e] {
+						t.Fatalf("%s: input %d: retired entry %s is still stored", when, i, e.punct)
+					}
+				}
+				storePeak[i] = max(storePeak[i], ps.size)
+				if n := ps.size + len(ps.free) + len(ps.retired); n > storePeak[i] {
+					t.Fatalf("%s: input %d: %d entries (%d live, %d free, %d retired), peak %d live",
+						when, i, n, ps.size, len(ps.free), len(ps.retired), storePeak[i])
+				}
+				pooled = max(pooled, len(ps.free)+len(ps.retired))
+			}
+			for i, st := range m.states {
+				for _, rs := range st.tiers() {
+					if rs == nil {
+						continue
+					}
+					arrays := map[*row]bool{}
+					keys := 0
+					for _, idx := range rs.index {
+						if idx != nil {
+							keys += idx.len()
+							idx.each(func(_ mapKey, b []row) { arrays[&b[:cap(b)][0]] = true })
+						}
+					}
+					for _, b := range rs.spare {
+						if len(b) != 0 {
+							t.Fatalf("%s: input %d: spare bucket holds rows %v", when, i, b)
+						}
+						if cap(b) > 0 && arrays[&b[:1][0]] {
+							t.Fatalf("%s: input %d: spare bucket shares a live key's array", when, i)
+						}
+					}
+					keyPeak[rs] = max(keyPeak[rs], keys)
+					if keys+len(rs.spare) > keyPeak[rs] {
+						t.Fatalf("%s: input %d: %d keys and %d spare buckets, peak %d keys",
+							when, i, keys, len(rs.spare), keyPeak[rs])
+					}
+					spared = max(spared, len(rs.spare))
+				}
+			}
+		}
+		feed, err := workload.NewFeed(q, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		if err := feed.Each(func(i int, e stream.Element) error {
+			if e.IsPunct() {
+				// add's new entry raises the store before the purge round
+				// lowers it again: that is its peak.
+				ps := m.puncts[i]
+				if si := ps.schemeIndex(e.Punct()); si >= 0 {
+					if _, ok := ps.find(si, ps.constants(si, e.Punct())); !ok {
+						storePeak[i] = max(storePeak[i], ps.size+1)
+					}
+				}
+			}
+			_, err := tree.Push(i, e)
+			n++
+			check(fmt.Sprintf("element %d (%s)", n, e))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tree.Sweep(); err != nil {
+			t.Fatal(err)
+		}
+		check("after the drain")
+		st := m.StatsSnapshot()
+		if purged := st.PunctsPurged[0] + st.PunctsPurged[1] + st.PunctsPurged[2] + st.PunctsPurged[3]; purged == 0 || pooled == 0 || spared == 0 {
+			t.Fatalf("%+v: %d punctuations purged, at most %d entries pooled and %d buckets kept: nothing was recycled", cfg, purged, pooled, spared)
+		}
+		for i, ps := range m.puncts {
+			ps.reclaim()
+			if j := slices.IndexFunc(ps.free, func(e *punctEntry) bool { return !zero(e) }); len(ps.retired) != 0 || j >= 0 {
+				t.Fatalf("input %d: after reclaim %d entries retired, free entry %d not zero", i, len(ps.retired), j)
+			}
+		}
 	}
 }

@@ -48,8 +48,12 @@ type PartitionedTree struct {
 	route *plan.CoPartition
 	desc  string
 	// gate[punct identity] counts, per replica, output-punctuation
-	// emissions not yet released into the merged stream.
-	gate map[string][]uint32
+	// emissions not yet released into the merged stream. The identity is
+	// the punctuation's text, appended into gateKey for lookups; released
+	// entries leave their counts in spareCounts for the next new key.
+	gate        map[string][]uint32
+	gateKey     []byte
+	spareCounts [][]uint32
 	// routing is the current bucket→replica owner table.
 	routing atomic.Pointer[plan.PartitionSpec]
 	// base and root rebuild replica trees on Split and on restore of a
@@ -169,11 +173,11 @@ func (pt *PartitionedTree) MergeOutputs(dst []stream.Element, part int, outs []s
 			dst = append(dst, e)
 			continue
 		}
-		key := e.Punct().String()
-		counts := pt.gate[key]
+		pt.gateKey = e.Punct().AppendTo(pt.gateKey[:0])
+		counts := pt.gate[string(pt.gateKey)]
 		if counts == nil {
-			counts = make([]uint32, len(pt.parts))
-			pt.gate[key] = counts
+			counts = pt.newCounts()
+			pt.gate[string(pt.gateKey)] = counts
 		}
 		counts[part]++
 		ready := true
@@ -194,11 +198,27 @@ func (pt *PartitionedTree) MergeOutputs(dst []stream.Element, part int, outs []s
 			}
 		}
 		if allZero {
-			delete(pt.gate, key)
+			delete(pt.gate, string(pt.gateKey))
+			pt.spareCounts = append(pt.spareCounts, counts)
 		}
 		dst = append(dst, e)
 	}
 	return dst
+}
+
+// newCounts returns zeroed per-replica counts for a new gate key: the
+// counts of a released key when one of the current length is kept (Split
+// lengthens the live ones; kept ones of the old length are dropped).
+func (pt *PartitionedTree) newCounts() []uint32 {
+	for {
+		c, ok := popLast(&pt.spareCounts)
+		if !ok {
+			return make([]uint32, len(pt.parts))
+		}
+		if len(c) == len(pt.parts) {
+			return c // all zero: released at zero
+		}
+	}
 }
 
 // PushPartitionEnds drives one replica over a run of already-routed

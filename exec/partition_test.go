@@ -275,3 +275,45 @@ func TestAlignmentGateSingleEmission(t *testing.T) {
 		t.Fatalf("gate should be empty after balanced emissions, holds %d entries", len(pt.gate))
 	}
 }
+
+// TestAlignmentGateAllocs: a warmed gate allocates one key string per new
+// gate entry and nothing per replica emission — the identity is appended
+// into a kept buffer and looked up without a conversion, and a released
+// entry's counts serve the next new key. Counts of another length (kept
+// from before a Split grew the replica set) are never handed out.
+func TestAlignmentGateAllocs(t *testing.T) {
+	q := starQuery(t)
+	root := plan.Join(plan.Leaf(0), plan.Leaf(1), plan.Leaf(2))
+	pt, err := NewPartitionedTree(Config{Query: q, Schemes: starSchemes()}, root, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 64
+	puncts := make([]stream.Element, keys)
+	for k := range puncts {
+		puncts[k] = stream.PunctElement(punct(int64(k), -1, int64(k), -1, int64(k), -1))
+	}
+	var out []stream.Element
+	cycle := func() {
+		out = pt.MergeOutputs(out[:0], 0, puncts)
+		out = pt.MergeOutputs(out[:0], 1, puncts)
+		if len(out) != keys || len(pt.gate) != 0 {
+			t.Fatalf("gate released %d of %d and holds %d", len(out), keys, len(pt.gate))
+		}
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != keys {
+		t.Fatalf("a cycle of %d keys through 2 replicas allocates %v times, want %d (the keys)", keys, avg, keys)
+	}
+
+	kept := []uint32{0, 0}
+	pt.spareCounts = append(pt.spareCounts[:0], make([]uint32, 1), kept)
+	if c := pt.newCounts(); len(c) != 2 || &c[0] != &kept[0] {
+		t.Fatalf("newCounts did not reuse the kept counts of the current length: %v", c)
+	}
+	if c := pt.newCounts(); len(c) != 2 || c[0] != 0 || c[1] != 0 || len(pt.spareCounts) != 0 {
+		t.Fatalf("newCounts handed out %v with %d kept, want fresh zero counts for 2 replicas and none kept", c, len(pt.spareCounts))
+	}
+}

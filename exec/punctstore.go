@@ -10,6 +10,14 @@ import (
 // (watermark) scheme the entry is the compacted representative of every
 // instantiation seen for its equality constants: only the widest bound
 // needs keeping, since a <=T promise subsumes every <=T' with T' <= T.
+//
+// Entries are recycled (punctStore.free), so nothing may hold a
+// *punctEntry across calls into the operator. The holders, audited: a
+// punctVictim lives in purgeScratch.victims for one §5.1 pass, cleared
+// after it; pushPunct holds add's entry through its own purge round (which
+// may remove it) into tryEmitPunct; snapshots, Sweep and the §5.1 sweep
+// reach entries through each() inside the call; pendingPunct holds the
+// punctuation, not its entry.
 type punctEntry struct {
 	punct stream.Punctuation
 	// key is the entry's key in its scheme's container.
@@ -55,6 +63,12 @@ type punctStore struct {
 	// allocations. constBuf is add's constant scratch.
 	keyBuf   []byte
 	constBuf []stream.Value
+	// retired holds the entries removed (remove, expire) since the last
+	// add, untouched: pushPunct still reads the entry its own purge round
+	// may have removed. add zeroes them onto free, whose entries it reuses
+	// before allocating, so the store's entries number at most its
+	// high-water size.
+	retired, free []*punctEntry
 }
 
 func newPunctStore(sc *stream.Schema, schemes []stream.Scheme) *punctStore {
@@ -167,13 +181,15 @@ func (ps *punctStore) lookup(schemeIdx int, consts []stream.Value, now uint64) *
 // entry, or a widened watermark bound), or nil when it instantiates no
 // registered scheme or adds nothing.
 func (ps *punctStore) add(p stream.Punctuation, now, lifespan uint64) (*punctEntry, int) {
+	ps.reclaim()
 	si := ps.schemeIndex(p)
 	if si < 0 {
 		return nil, -1
 	}
 	consts := ps.constants(si, p)
 	e, ok := ps.find(si, consts)
-	if ok && !e.expired(now) {
+	switch {
+	case ok && !e.expired(now):
 		slot := ps.ordSlot[si]
 		if slot < 0 {
 			return nil, -1 // exact duplicate
@@ -184,11 +200,14 @@ func (ps *punctStore) add(p stream.Punctuation, now, lifespan uint64) (*punctEnt
 		}
 		e.punct = p
 		e.emitted = false
-	} else {
-		if !ok {
-			ps.size++ // otherwise an expired entry is replaced
+	case ok: // an expired entry is replaced in place, under its own key
+		*e = punctEntry{punct: p, key: e.key}
+	default:
+		ps.size++
+		if e, ok = popLast(&ps.free); !ok {
+			e = new(punctEntry)
 		}
-		e = &punctEntry{punct: p}
+		e.punct = p
 		ps.put(si, consts, e)
 	}
 	e.arrived = now
@@ -215,27 +234,42 @@ func (ps *punctStore) covering(schemeIdx int, consts []stream.Value, now uint64)
 	return e
 }
 
+// reclaim zeroes the entries retired since the last add onto free: no
+// punctuation stays pinned and no emitted, round or expires mark leaks
+// into the entry's next use.
+func (ps *punctStore) reclaim() {
+	for _, e := range ps.retired {
+		*e = punctEntry{}
+	}
+	ps.free = append(ps.free, ps.retired...)
+	clear(ps.retired)
+	ps.retired = ps.retired[:0]
+}
+
 // remove deletes a stored entry; it reports whether it was still stored.
+// The entry stays intact until the next add (see retired).
 func (ps *punctStore) remove(schemeIdx int, e *punctEntry) bool {
 	if _, ok := ps.entries[schemeIdx].get(e.key); !ok {
 		return false
 	}
 	ps.entries[schemeIdx].del(e.key)
 	ps.size--
+	ps.retired = append(ps.retired, e)
 	return true
 }
 
 // expire removes entries whose lifespan has elapsed and returns the count.
 func (ps *punctStore) expire(now uint64) int {
-	removed := 0
+	n := len(ps.retired)
 	for _, m := range ps.entries {
 		m.each(func(k mapKey, e *punctEntry) {
 			if e.expired(now) {
 				m.del(k)
-				removed++
+				ps.retired = append(ps.retired, e)
 			}
 		})
 	}
+	removed := len(ps.retired) - n
 	ps.size -= removed
 	return removed
 }

@@ -628,7 +628,7 @@ func (m *MJoin) purgePunctStores(batch []pendingPunct, removed [][]stream.Tuple)
 	// Collect all victims before removing any: two punctuations may
 	// certify each other (both sides closed on the same values), and
 	// removing one first would strand the other.
-	m.removeVictims(pg.victims)
+	m.removeVictims()
 }
 
 // considerPunct evaluates a §5.1 candidate once per round.
@@ -655,16 +655,20 @@ func (m *MJoin) sweepPunctStores() {
 			return true
 		})
 	}
-	m.removeVictims(pg.victims)
+	m.removeVictims()
 }
 
-func (m *MJoin) removeVictims(victims []punctVictim) {
-	for _, v := range victims {
+// removeVictims removes the collected victims and empties the list,
+// backing array included: the stores recycle what they removed.
+func (m *MJoin) removeVictims() {
+	for _, v := range m.pg.victims {
 		if m.puncts[v.input].remove(v.schemeIdx, v.e) {
 			m.stats.PunctsPurged[v.input]++
 			m.stats.PunctStoreSize[v.input] = m.puncts[v.input].size
 		}
 	}
+	clear(m.pg.victims)
+	m.pg.victims = m.pg.victims[:0]
 }
 
 // punctPurgeable decides whether a stored punctuation e on input j can be

@@ -49,6 +49,11 @@ type rowStore struct {
 	// it as its old-row→new-row table and leaves it zeroed.
 	mark  []uint32
 	index stateIndex
+	// spare holds the buckets of keys that left the index, emptied with
+	// their capacity kept; the next new key of any attribute starts from
+	// one (bucket). No live key shares their arrays, and there are at most
+	// as many as the tier's index held keys at once.
+	spare [][]row
 	nDead int
 	head  int // every row below head is dead (oldest)
 }
@@ -97,10 +102,39 @@ func (rs *rowStore) append(id tupleID, t stream.Tuple) {
 	for a, idx := range rs.index {
 		if idx != nil {
 			k := idx.keyOf(t.Values[a])
-			bucket, _ := idx.get(k)
-			idx.put(k, append(bucket, r))
+			idx.put(k, append(rs.bucket(idx, k), r))
 		}
 	}
+}
+
+// bucket returns idx's bucket for k or, for a key idx does not hold, a
+// spare one (nil when none is kept).
+func (rs *rowStore) bucket(idx *keyMap[[]row], k mapKey) []row {
+	if b, ok := idx.get(k); ok {
+		return b
+	}
+	b, _ := popLast(&rs.spare)
+	return b
+}
+
+// unindex deletes key k from idx as its last row leaves, keeping the
+// key's bucket b as a spare.
+func (rs *rowStore) unindex(idx *keyMap[[]row], k mapKey, b []row) {
+	idx.del(k)
+	rs.spare = append(rs.spare, b[:0])
+}
+
+// popLast removes the last element of a pool and returns it, clearing
+// its slot so the pool's array keeps nothing it handed out.
+func popLast[T any](pool *[]T) (T, bool) {
+	var v T
+	n := len(*pool)
+	if n == 0 {
+		return v, false
+	}
+	v, (*pool)[n-1] = (*pool)[n-1], v
+	*pool = (*pool)[:n-1]
+	return v, true
 }
 
 // remove tombstones the live row r and unindexes it.
@@ -116,7 +150,7 @@ func (rs *rowStore) remove(r row) {
 		k := idx.keyOf(t.Values[a])
 		bucket, _ := idx.get(k)
 		if len(bucket) == 1 {
-			idx.del(k)
+			rs.unindex(idx, k, bucket)
 			continue
 		}
 		i, _ := slices.BinarySearch(bucket, r)

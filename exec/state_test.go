@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -26,6 +27,10 @@ type stateModel struct {
 	m     *MJoin
 	model map[tupleID]stream.Tuple
 	next  tupleID
+	// keyPeak is each tier's high-water key count, summed over its
+	// indexes; reused records an insert that took a spare bucket.
+	keyPeak map[*rowStore]int
+	reused  bool
 }
 
 // modelQuery is R(K int, S string, V int) ⋈ T on K and S: one numeric and
@@ -69,6 +74,8 @@ func (sm *stateModel) step(code, arg byte) {
 	switch code % 8 {
 	case 0, 1: // insert a run; V carries the id the tuple must get
 		strs := []string{"", "a", "b", "cc"}
+		spare := len(st.hot.spare)
+		defer func() { sm.reused = sm.reused || len(st.hot.spare) < spare }()
 		for n := int(arg)%48 + 1; n > 0; n-- {
 			v := int64(sm.next)
 			u := stream.NewTuple(stream.Int((v*7+int64(arg))%6), stream.Str(strs[(v+int64(arg))%4]), stream.Int(v))
@@ -222,10 +229,12 @@ func (sm *stateModel) check(st *joinState) {
 		if dead != rs.nDead || rs.head > len(rs.ids) || slices.Contains(rs.dead[:rs.head], false) {
 			t.Fatalf("tier %d: nDead %d head %d, counted %d dead", ti, rs.nDead, rs.head, dead)
 		}
+		keys := 0
 		for a, idx := range rs.index {
 			if idx == nil {
 				continue
 			}
+			keys += idx.len()
 			if idx.len() != len(expect[a]) {
 				t.Fatalf("tier %d attr %d: %d buckets, want %d", ti, a, idx.len(), len(expect[a]))
 			}
@@ -235,13 +244,53 @@ func (sm *stateModel) check(st *joinState) {
 				}
 			}
 		}
+		sm.checkSpare(ti, rs, keys)
+	}
+}
+
+// checkSpare holds a tier's spare buckets to their rules: empty, sharing
+// no slot of their arrays with a live key's bucket or with each other, and
+// no more of them than the tier's index held keys at its peak, live keys
+// included (only a new key with no spare to take allocates a bucket).
+func (sm *stateModel) checkSpare(ti int, rs *rowStore, keys int) {
+	t := sm.t
+	t.Helper()
+	owner := map[*row]string{}
+	claim := func(b []row, who string) {
+		b = b[:cap(b)]
+		for i := range b {
+			if prev, ok := owner[&b[i]]; ok {
+				t.Fatalf("tier %d: %s shares an array slot with %s", ti, who, prev)
+			}
+			owner[&b[i]] = who
+		}
+	}
+	for a, idx := range rs.index {
+		if idx != nil {
+			idx.each(func(k mapKey, b []row) { claim(b, fmt.Sprintf("attr %d key %v", a, k)) })
+		}
+	}
+	for i, b := range rs.spare {
+		if len(b) != 0 {
+			t.Fatalf("tier %d: spare bucket %d holds rows %v", ti, i, b)
+		}
+		claim(b, fmt.Sprintf("spare bucket %d", i))
+	}
+	if sm.keyPeak == nil {
+		sm.keyPeak = map[*rowStore]int{}
+	}
+	sm.keyPeak[rs] = max(sm.keyPeak[rs], keys)
+	if keys+len(rs.spare) > sm.keyPeak[rs] {
+		t.Fatalf("tier %d: %d keys and %d spare buckets, but the index never held more than %d keys",
+			ti, keys, len(rs.spare), sm.keyPeak[rs])
 	}
 }
 
 // runStateModel drives ops — (code, argument) byte pairs — checking the
 // live state and a restored copy after every step. It reports whether the
-// hot and the cold tier were seen to compact.
-func runStateModel(t *testing.T, ops []byte) (compacted [2]bool) {
+// hot and the cold tier were seen to compact, and whether an insert took
+// a spare bucket.
+func runStateModel(t *testing.T, ops []byte) (compacted [2]bool, reused bool) {
 	sm := newStateModel(t)
 	for i := 0; i+1 < len(ops); i += 2 {
 		var rows [2]int
@@ -252,7 +301,13 @@ func runStateModel(t *testing.T, ops []byte) (compacted [2]bool) {
 		}
 		sm.step(ops[i], ops[i+1])
 		sm.check(sm.st())
-		sm.check(sm.roundTrip().states[0])
+		restored := sm.roundTrip().states[0]
+		sm.check(restored)
+		for ti, rs := range restored.tiers() {
+			if rs != nil && len(rs.spare) != 0 {
+				t.Fatalf("tier %d restored with %d spare buckets", ti, len(rs.spare))
+			}
+		}
 		// A tier that lost rows without a freeze (or a restore) compacted.
 		if code := ops[i] % 8; code != 5 && code != 7 {
 			for ti, rs := range sm.st().tiers() {
@@ -260,19 +315,22 @@ func runStateModel(t *testing.T, ops []byte) (compacted [2]bool) {
 			}
 		}
 	}
-	return compacted
+	return compacted, sm.reused
 }
 
 func TestJoinStateModel(t *testing.T) {
 	var compacted [2]bool
+	reused := false
 	for seed := int64(1); seed <= 40; seed++ {
 		ops := make([]byte, 2*150)
 		rand.New(rand.NewSource(seed)).Read(ops)
-		c := runStateModel(t, ops)
+		c, r := runStateModel(t, ops)
 		compacted = [2]bool{compacted[0] || c[0], compacted[1] || c[1]}
+		reused = reused || r
 	}
-	if !compacted[hotTier] || !compacted[coldTier] {
-		t.Fatalf("compaction seen: cold %v, hot %v — the test is vacuous", compacted[coldTier], compacted[hotTier])
+	if !compacted[hotTier] || !compacted[coldTier] || !reused {
+		t.Fatalf("compaction seen: cold %v, hot %v; spare bucket reused %v — the test is vacuous",
+			compacted[coldTier], compacted[hotTier], reused)
 	}
 }
 

@@ -37,9 +37,10 @@ stage_soakfailover() {
 # (truncated frames, oversized lengths, unknown streams), the serving
 # handshake front door (bad magic, bad role, absurd name lengths), the
 # tiered join-state snapshot decoder (torn cold segments, corrupted
-# bytes), the join-state model (operation strings replayed against a
-# plain map), and the two-word value model (pairs of values held to a
-# three-field reference). `go test -fuzz` explores further; the seed set
+# bytes), the join-state and punctuation-store models (operation strings
+# replayed against a plain map, pools checked against their rules), and
+# the two-word value model (pairs of values held to a three-field
+# reference). `go test -fuzz` explores further; the seed set
 # is the gate.
 stage_fuzzseed() { go test -run Fuzz ./stream/... ./engine/... ./server/... ./exec/...; }
 
@@ -61,13 +62,15 @@ stage_allocfloors() {
   # compacted, a chained-purge cycle within its scratch budget with and
   # without §5.1 punctuation purging, a warmed ordered-bound (heartbeat)
   # purge round at zero, and the cold-tier probe at parity with the all-hot
-  # probe; a batch through a warmed tree allocates what outlives it (result
-  # tuples, stored punctuations, emitted punctuations, state entries) and
-  # no container, and in bytes those cost 16 per column of a result tuple
-  # or emitted punctuation (a value and a pattern are two words each, which
-  # the layout test pins); frame decoding keeps its per-frame bound.
-  go test -run 'TestValueLayout' -count 1 ./stream/
-  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs|TestPushBatchAllocFloor|TestResultBytesFloor' -count 1 ./exec/...
+  # probe; a batch through a warmed tree allocates what it hands out: result
+  # tuples and emitted punctuations, 16 bytes per column each (a value and
+  # a pattern are two words, which the layout test pins). Store entries and
+  # index buckets come from what purges freed, and those pools hold nothing
+  # and never outgrow the state's high-water mark. The partitioned gate
+  # allocates one key per new punctuation identity, its text appended into
+  # a kept buffer. Frame decoding keeps its per-frame bound.
+  go test -run 'TestValueLayout|TestPunctuationAppendTo' -count 1 ./stream/
+  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs|TestPushBatchAllocFloor|TestResultBytesFloor|TestRecycledStateHoldsNothing|TestAlignmentGateAllocs' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
   # Producer-side floor: a one-element send reaches each mailbox by value;
   # an n-element batch fills a run buffer the shard handed back. Both are 0

@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Pattern is one attribute slot of a punctuation: the wildcard "*" (no
 // constraint on future values of that attribute), a constant equal-value
@@ -171,15 +168,24 @@ func (p Punctuation) Validate(s *Schema) error {
 }
 
 // String renders the punctuation as (*, 1, *).
-func (p Punctuation) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
+func (p Punctuation) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the punctuation's String form to dst and returns the
+// extended slice; into a reused buffer it allocates nothing.
+func (p Punctuation) AppendTo(dst []byte) []byte {
+	dst = append(dst, '(')
 	for i, pat := range p.Patterns {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(pat.String())
+		switch {
+		case pat.IsWildcard():
+			dst = append(dst, '*')
+		case pat.IsLeq():
+			dst = pat.Value().appendTo(append(dst, "<="...))
+		default:
+			dst = pat.v.appendTo(dst)
+		}
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }

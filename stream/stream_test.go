@@ -53,6 +53,67 @@ func TestValueString(t *testing.T) {
 	}
 }
 
+// TestPunctuationAppendTo holds AppendTo to the text String rendered
+// before it existed — "(", the patterns' String forms joined by ", ",
+// ")" — for every pattern form over every value kind, including the
+// floats and strings whose formatting has special cases. The text is the
+// partitioned alignment gate's key and lands in PTP2 snapshots, so it
+// must not move.
+func TestPunctuationAppendTo(t *testing.T) {
+	values := []Value{
+		Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(2.5), Float(1e100), Float(5e-324), Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(math.Copysign(0, -1)),
+		Str(""), Str("hi"), Str("a\"b\\c\n\t\x00"), Str("héllo 日本"), Str("\xff\xfe"), Str(" "),
+		{},
+	}
+	var pats []Pattern
+	for _, v := range values {
+		pats = append(pats, Const(v))
+		if k := v.Kind(); k == KindInt || k == KindFloat {
+			pats = append(pats, Leq(v))
+		}
+	}
+	pats = append(pats, Wildcard(), Pattern{})
+	old := func(ps []Pattern) string {
+		s := "("
+		for i, p := range ps {
+			if i > 0 {
+				s += ", "
+			}
+			s += p.String()
+		}
+		return s + ")"
+	}
+	buf := []byte("prefix")
+	for i, p := range pats {
+		for _, ps := range [][]Pattern{{p}, {Wildcard(), p}, {p, pats[(i+1)%len(pats)], Wildcard(), p}} {
+			pu := Punctuation{Patterns: ps}
+			want := old(ps)
+			buf = pu.AppendTo(buf[:len("prefix")])
+			if got := string(buf); got != "prefix"+want {
+				t.Errorf("AppendTo = %q, want %q", got, "prefix"+want)
+			}
+			if got := pu.String(); got != want {
+				t.Errorf("String = %q, want %q", got, want)
+			}
+		}
+	}
+	for want, p := range map[string]Pattern{
+		"NaN": Const(Float(math.NaN())), "<=+Inf": Leq(Float(math.Inf(1))), "-Inf": Const(Float(math.Inf(-1))),
+		"0": Const(Float(math.Copysign(0, -1))), `"a\"b\\c\n\t\x00"`: Const(Str("a\"b\\c\n\t\x00")),
+		`"\xff\xfe"`: Const(Str("\xff\xfe")), "<=-9223372036854775808": Leq(Int(math.MinInt64)),
+	} {
+		if got := string(Punctuation{Patterns: []Pattern{p}}.AppendTo(nil)); got != "("+want+")" {
+			t.Errorf("AppendTo = %s, want (%s)", got, want)
+		}
+	}
+	pu := MustPunctuation(Wildcard(), Const(Int(123456)), Leq(Float(2.5)), Const(Str("item")))
+	if allocs := testing.AllocsPerRun(100, func() { buf = pu.AppendTo(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendTo into a reused buffer allocates %v times", allocs)
+	}
+}
+
 func TestKeyOfInjective(t *testing.T) {
 	// Adjacent values whose naive concatenation would collide.
 	a := KeyOf(Str("ab"), Str("c"))

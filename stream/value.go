@@ -209,15 +209,21 @@ func (k ValueKey) Value() Value {
 
 // String renders the value as a literal.
 func (v Value) String() string {
+	var buf [24]byte
+	return string(v.appendTo(buf[:0]))
+}
+
+// appendTo appends the value's literal to dst.
+func (v Value) appendTo(dst []byte) []byte {
 	switch v.Kind() {
 	case KindInt:
-		return strconv.FormatInt(int64(v.n), 10)
+		return strconv.AppendInt(dst, int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(floatFromBits(v.n), 'g', -1, 64)
+		return strconv.AppendFloat(dst, floatFromBits(v.n), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.str())
+		return strconv.AppendQuote(dst, v.str())
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }
 
