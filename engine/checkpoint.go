@@ -601,9 +601,9 @@ func appendAnyElement(dst []byte, e stream.Element) []byte {
 	if e.IsPunct() {
 		p := e.Punct()
 		dst = append(dst, anyElemPunct)
-		dst = binary.AppendUvarint(dst, uint64(len(p.Patterns)))
-		for _, pat := range p.Patterns {
-			switch {
+		dst = binary.AppendUvarint(dst, uint64(p.Arity()))
+		for i := range p.Arity() {
+			switch pat := p.Pattern(i); {
 			case pat.IsWildcard():
 				dst = append(dst, anyPatWildcard)
 			case pat.IsLeq():

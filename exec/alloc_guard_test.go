@@ -163,12 +163,13 @@ func figure3Cycle(t *testing.T, cfg exec.Config) (*exec.MJoin, func()) {
 		Join("S1.B", "S2.B").
 		Join("S2.C", "S3.C").
 		MustBuild()
-	cfg.Schemes = stream.NewSchemeSet(
+	schemes := []stream.Scheme{
 		stream.MustScheme("S1", false, true),
 		stream.MustScheme("S2", true, false),
 		stream.MustScheme("S2", false, true),
 		stream.MustScheme("S3", true, false),
-	)
+	}
+	cfg.Schemes = stream.NewSchemeSet(schemes...)
 	m, err := exec.NewMJoin(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,10 +177,14 @@ func figure3Cycle(t *testing.T, cfg exec.Config) (*exec.MJoin, func()) {
 	tup := func(a, c int64) stream.Element {
 		return stream.TupleElement(stream.NewTuple(stream.Int(a), stream.Int(c)))
 	}
-	punct := func(pos int, v int64) stream.Element {
-		pats := []stream.Pattern{stream.Wildcard(), stream.Wildcard()}
-		pats[pos] = stream.Const(stream.Int(v))
-		return stream.PunctElement(stream.MustPunctuation(pats...))
+	// A punctuation is built as an instantiation of its scheme, whose shape
+	// it shares: its one allocation is its constant.
+	punct := func(scheme int, v int64) stream.Element {
+		p, err := schemes[scheme].Instantiate(stream.Int(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stream.PunctElement(p)
 	}
 	v := int64(0)
 	push := func(input int, e stream.Element) {
@@ -191,10 +196,10 @@ func figure3Cycle(t *testing.T, cfg exec.Config) (*exec.MJoin, func()) {
 		push(0, tup(v, v))
 		push(1, tup(v, v))
 		push(2, tup(v, v))
-		push(1, punct(0, v))
-		push(0, punct(1, v))
 		push(1, punct(1, v))
-		push(2, punct(0, v))
+		push(0, punct(0, v))
+		push(1, punct(2, v))
+		push(2, punct(3, v))
 		v++
 	}
 }
@@ -207,9 +212,11 @@ func figure3Cycle(t *testing.T, cfg exec.Config) (*exec.MJoin, func()) {
 // (constants read out of the stored patterns, bit-keyed store entries,
 // output punctuations copied from a template) to 24, the operator's own
 // output buffer (no slice grown from nil by each Push that emits) to 20,
-// and index buckets kept for the next new key (the cycle's three tuples
-// open a key in each of the four indexes) to 16 — 7 of them the test's own
-// elements. This guard holds the line there.
+// index buckets kept for the next new key (the cycle's three tuples open a
+// key in each of the four indexes) to 16, and output punctuations that
+// share the stored punctuation's constants instead of copying a template
+// to 12 — 7 of them the test's own elements. This guard holds the line
+// there.
 func TestChainedPurgeAllocs(t *testing.T) {
 	m, cycle := figure3Cycle(t, exec.Config{})
 	for i := 0; i < 256; i++ {
@@ -219,8 +226,8 @@ func TestChainedPurgeAllocs(t *testing.T) {
 	if m.StatsSnapshot().TotalState() != 0 {
 		t.Fatalf("chained purge left %d tuples", m.StatsSnapshot().TotalState())
 	}
-	if avg > 16 {
-		t.Fatalf("chained-purge cycle averages %.1f allocs, want <= 16", avg)
+	if avg > 12 {
+		t.Fatalf("chained-purge cycle averages %.1f allocs, want <= 12", avg)
 	}
 }
 
@@ -231,8 +238,10 @@ func TestChainedPurgeAllocs(t *testing.T) {
 // ends empty. The cycle cost 59 allocations while the §5.1 pass mapped
 // constraints through per-call maps and slices and 20 while each stored
 // punctuation got a new entry; the four entries the §5.1 pass frees are
-// now reused by the next cycle's punctuations, so it costs 12, four fewer
-// than the cycle without punctuation purging, whose store keeps growing.
+// reused by the next cycle's punctuations, which brought it to 12, and the
+// emitted punctuations allocate nothing, so it costs 8: the test's own
+// seven elements and one more, four fewer than the cycle without
+// punctuation purging, whose store keeps growing.
 func TestPunctStorePurgeAllocs(t *testing.T) {
 	m, cycle := figure3Cycle(t, exec.Config{PurgePunctuations: true, EnforcePromises: true})
 	for i := 0; i < 256; i++ {
@@ -242,8 +251,8 @@ func TestPunctStorePurgeAllocs(t *testing.T) {
 	if st := m.StatsSnapshot(); st.TotalState() != 0 || st.TotalPunctStore() != 0 {
 		t.Fatalf("cycle left %d tuples and %d punctuations", st.TotalState(), st.TotalPunctStore())
 	}
-	if avg > 12 {
-		t.Fatalf("punctuation-purging cycle averages %.1f allocs, want <= 12", avg)
+	if avg > 8 {
+		t.Fatalf("punctuation-purging cycle averages %.1f allocs, want <= 8", avg)
 	}
 }
 
@@ -380,13 +389,15 @@ func TestOrderedPurgeRoundAllocs(t *testing.T) {
 }
 
 // TestPushBatchAllocFloor: a batch through a warmed plan tree allocates
-// what it hands out — one value slice per result tuple and one pattern
-// slice per emitted output punctuation — and nothing else. The output
-// buffer is the operator's own, so no container is allocated per batch
-// (before, every batch with output grew one from nil), and what the
-// operator stores is made of what its purges freed: a punctuation-store
-// entry and an input tuple's index bucket (here always the first under
-// its key) are reused, not allocated (448 allocations per cycle before).
+// its result tuples, one value slice each, and nothing else. An emitted
+// output punctuation is the stored punctuation's constants under a shape
+// the plan compiled, so it allocates nothing (one pattern slice each
+// before). The output buffer is the operator's own, so no container is
+// allocated per batch (before, every batch with output grew one from
+// nil), and what the operator stores is made of what its purges freed: a
+// punctuation-store entry and an input tuple's index bucket (here always
+// the first under its key) are reused, not allocated (448 allocations per
+// cycle before).
 // Each cycle stores 64 R and 64 S tuples under 64 keys, joins them, and
 // punctuates every key away on both sides, so it ends where it began.
 func TestPushBatchAllocFloor(t *testing.T) {
@@ -438,9 +449,9 @@ func TestPushBatchAllocFloor(t *testing.T) {
 		t.Fatalf("per cycle: %v results, %v output punctuations, %v stored punctuations, %d outputs in all",
 			results, outPuncts, stored, outputs)
 	}
-	if want := results + outPuncts; avg != want {
-		t.Fatalf("a cycle of four batches allocates %.0f times, want %.0f (= %v results + %v emitted punctuations)",
-			avg, want, results, outPuncts)
+	if avg != results {
+		t.Fatalf("a cycle of four batches allocates %.0f times, want %.0f (the results; %v punctuations emitted for free)",
+			avg, results, outPuncts)
 	}
 }
 
@@ -458,11 +469,11 @@ func sizeClass(n uintptr) uint64 {
 // TestResultBytesFloor is TestPushBatchAllocFloor in bytes: the same cycle
 // through the same warmed tree, measured as runtime.MemStats.TotalAlloc
 // with the collector off. What a cycle allocates is 16 bytes per column of
-// every result tuple and of every emitted punctuation, rounded up to the
-// size class, and not a byte more — so a field added to stream.Value or
-// stream.Pattern (a third more bytes per column at the least) fails here,
-// not in a benchmark, and so does a store entry or an index bucket that
-// is allocated instead of reused.
+// every result tuple, rounded up to the size class, and not a byte more —
+// so a field added to stream.Value (a third more bytes per column at the
+// least) fails here, not in a benchmark, and so does an emitted
+// punctuation that copies its constants, or a store entry or an index
+// bucket that is allocated instead of reused.
 //
 // The warm-up is long because of Go's maps, not the operator's: a delete
 // from a full group leaves a tombstone, tombstones count against the load
@@ -518,17 +529,17 @@ func TestResultBytesFloor(t *testing.T) {
 		t.Fatalf("%d cycles: %d results, %d output punctuations, %d stored punctuations", runs, results, outPuncts, stored)
 	}
 	const (
-		column   = 16 // a stream.Value, and a stream.Pattern
+		column   = 16 // a stream.Value
 		outArity = 4  // R.K, R.V, S.K, S.W
 	)
 	perRow := sizeClass(column * outArity)
-	want := results*perRow + outPuncts*perRow
+	want := results * perRow
 	// The slack is for the process, not the cycle: once in a few dozen
 	// runs something outside the operator allocates 16 bytes inside the
 	// window. One index bucket more per cycle would be 800 bytes.
 	const slack = 256
 	if got := m1.TotalAlloc - m0.TotalAlloc; got < want || got > want+slack {
-		t.Fatalf("%d cycles allocated %d bytes (%.1f per cycle), want %d to %d above it (= %d results and %d emitted punctuations at %d bytes)",
-			runs, got, float64(got)/runs, want, slack, results, outPuncts, perRow)
+		t.Fatalf("%d cycles allocated %d bytes (%.1f per cycle), want %d to %d above it (= %d results at %d bytes; %d punctuations emitted)",
+			runs, got, float64(got)/runs, want, slack, results, perRow, outPuncts)
 	}
 }

@@ -122,7 +122,7 @@ func (g *GroupBy) Push(e stream.Element) ([]stream.Element, error) {
 	if len(consts) != 1 || consts[0] != g.groupAt {
 		return nil, nil // not a group-closing punctuation
 	}
-	key := p.Patterns[g.groupAt].Value()
+	key := p.Constant(0).Value()
 	acc, ok := g.groups[key.Key()]
 	if !ok {
 		return nil, nil // empty group: nothing to emit

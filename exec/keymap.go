@@ -25,9 +25,15 @@ type mapKey struct {
 // by the schema and every element is validated against the schema before
 // it reaches a state (pushTuple, pushPunct, the snapshot codec), and join
 // predicates only link attributes of one kind.
+//
+// The zero keyMap, with neither map, holds at most one entry, under any
+// key: the container of a punctuation scheme with no equality constant (a
+// pure watermark), whose every instantiation has the same, empty key.
 type keyMap[V any] struct {
 	num map[uint64]V
 	str map[string]V
+	one V
+	has bool     // whether a zero keyMap holds one
 	ord []mapKey // eachSorted's reusable sort buffer
 }
 
@@ -51,34 +57,52 @@ func (m *keyMap[V]) get(k mapKey) (V, bool) {
 		v, ok := m.num[k.bits]
 		return v, ok
 	}
-	v, ok := m.str[k.s]
-	return v, ok
+	if m.str != nil {
+		v, ok := m.str[k.s]
+		return v, ok
+	}
+	return m.one, m.has
 }
 
-// getEncoded probes a string container with key bytes; unlike
+// getEncoded probes a string or zero container with key bytes; unlike
 // get(mapKey{s: string(b)}) it does not allocate the string.
 func (m *keyMap[V]) getEncoded(b []byte) (V, bool) {
+	if m.str == nil {
+		return m.one, m.has
+	}
 	v, ok := m.str[string(b)]
 	return v, ok
 }
 
 func (m *keyMap[V]) put(k mapKey, v V) {
-	if m.num != nil {
+	switch {
+	case m.num != nil:
 		m.num[k.bits] = v
-	} else {
+	case m.str != nil:
 		m.str[k.s] = v
+	default:
+		m.one, m.has = v, true
 	}
 }
 
 func (m *keyMap[V]) del(k mapKey) {
-	if m.num != nil {
+	switch {
+	case m.num != nil:
 		delete(m.num, k.bits)
-	} else {
+	case m.str != nil:
 		delete(m.str, k.s)
+	default:
+		var zero V
+		m.one, m.has = zero, false
 	}
 }
 
-func (m *keyMap[V]) len() int { return len(m.num) + len(m.str) }
+func (m *keyMap[V]) len() int {
+	if m.has {
+		return 1
+	}
+	return len(m.num) + len(m.str)
+}
 
 // each visits every entry in no particular order; fn may put or delete
 // the key it is visiting.
@@ -88,6 +112,9 @@ func (m *keyMap[V]) each(fn func(mapKey, V)) {
 	}
 	for s, v := range m.str {
 		fn(mapKey{s: s}, v)
+	}
+	if m.has {
+		fn(mapKey{}, m.one)
 	}
 }
 
@@ -104,6 +131,9 @@ func (m *keyMap[V]) eachSorted(fn func(V) bool) {
 	}
 	for s := range m.str {
 		keys = append(keys, mapKey{s: s})
+	}
+	if m.has {
+		keys = append(keys, mapKey{})
 	}
 	m.ord = keys
 	slices.SortFunc(keys, func(a, b mapKey) int {

@@ -132,13 +132,10 @@ type MJoin struct {
 	// paths must not pay per element.
 	predsTouching [][]query.Predicate
 	// punctPlans[i][k] is the compiled plan for punctuations instantiating
-	// input i's scheme k, removedProbes[i] the stored partner punctuations
-	// a tuple removed from input i may unblock, and outTemplate the
-	// all-wildcard output punctuation they are propagated into
-	// (punctplan.go).
+	// input i's scheme k, and removedProbes[i] the stored partner
+	// punctuations a tuple removed from input i may unblock (punctplan.go).
 	punctPlans    [][]punctPlan
 	removedProbes [][]removedProbe
-	outTemplate   []stream.Pattern
 	// pr and pg hold the operator's reusable probe and purge scratch;
 	// steady-state probing and purging allocate nothing beyond the result
 	// tuples themselves.

@@ -517,7 +517,8 @@ func TestOutputPunctuationPropagation(t *testing.T) {
 			p := e.Punct()
 			// Output schema: R_K, R_V, S_K, S_W. The punctuation must
 			// constrain K columns only.
-			for i, pat := range p.Patterns {
+			for i := range p.Arity() {
+				pat := p.Pattern(i)
 				isK := i == 0 || i == 2
 				if isK && !pat.IsWildcard() && pat.Value().AsInt() != 1 {
 					t.Fatalf("bad output punct %s", p)
@@ -832,7 +833,7 @@ func TestRecycledStateHoldsNothing(t *testing.T) {
 				// lowers it again: that is its peak.
 				ps := m.puncts[i]
 				if si := ps.schemeIndex(e.Punct()); si >= 0 {
-					if _, ok := ps.find(si, ps.constants(si, e.Punct())); !ok {
+					if _, ok := ps.find(si, ps.constants(e.Punct())); !ok {
 						storePeak[i] = max(storePeak[i], ps.size+1)
 					}
 				}

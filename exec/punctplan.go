@@ -14,10 +14,9 @@ import (
 // purgeability test, the propagation test and the output punctuation are
 // all read off this table.
 type punctPlan struct {
-	// idx are the scheme's punctuatable positions: constant slot k of an
-	// instantiation sits at attribute idx[k]. ordSlot is the slot of the
+	// Constant slot k of an instantiation is its k-th constant, at the
+	// scheme's k-th punctuatable attribute. ordSlot is the slot of the
 	// ordered (<=) constant, or -1.
-	idx     []int
 	ordSlot int
 	// certifiable is the static half of §5.1 purgeability: the scheme has
 	// no ordered slot (watermark entries compact themselves instead) and
@@ -28,8 +27,9 @@ type punctPlan struct {
 	// punctuation's own input — the propagation test probes it and
 	// verifies the rest — or -1 when the state has to be scanned.
 	probeSlot int
-	// outCols[k] is the output column constant slot k is propagated to.
-	outCols []int
+	// outScheme marks the output columns the constants propagate to: an
+	// output punctuation is the stored punctuation re-shaped onto it.
+	outScheme stream.Scheme
 	// anchors are the partner attributes a constant reaches through a
 	// join predicate, in (slot, predicate) order: the stored tuples a new
 	// punctuation may have made purgeable.
@@ -85,26 +85,22 @@ func (m *MJoin) compilePunctPlans() {
 	m.removedProbes = make([][]removedProbe, n)
 	widest := 0
 	for j := 0; j < n; j++ {
-		for si := range m.puncts[j].schemes {
-			pl := m.compilePunctPlan(j, si)
-			m.punctPlans[j] = append(m.punctPlans[j], pl)
-			widest = max(widest, len(pl.idx))
+		for si, idx := range m.puncts[j].idx {
+			m.punctPlans[j] = append(m.punctPlans[j], m.compilePunctPlan(j, si))
+			widest = max(widest, len(idx))
 		}
 		m.removedProbes[j] = m.compileRemovedProbes(j)
 	}
 	m.pg.consts = make([]stream.Value, widest)
-	m.outTemplate = make([]stream.Pattern, m.out.Arity())
-	for i := range m.outTemplate {
-		m.outTemplate[i] = stream.Wildcard()
-	}
 }
 
 func (m *MJoin) compilePunctPlan(j, si int) punctPlan {
 	ps := m.puncts[j]
-	pl := punctPlan{idx: ps.idx[si], ordSlot: ps.ordSlot[si], certifiable: ps.ordSlot[si] < 0, probeSlot: -1}
+	pl := punctPlan{ordSlot: ps.ordSlot[si], certifiable: ps.ordSlot[si] < 0, probeSlot: -1}
 	joinAttrs := m.q.JoinAttrs(j)
-	for k, a := range pl.idx {
-		pl.outCols = append(pl.outCols, m.colBase[j]+a)
+	outMask := make([]bool, m.out.Arity())
+	for k, a := range ps.idx[si] {
+		outMask[m.colBase[j]+a] = true
 		if !slices.Contains(joinAttrs, a) {
 			pl.certifiable = false
 		} else if k != pl.ordSlot && pl.probeSlot < 0 {
@@ -116,6 +112,7 @@ func (m *MJoin) compilePunctPlan(j, si int) punctPlan {
 			}
 		}
 	}
+	pl.outScheme = stream.MustScheme(m.out.Name(), outMask...)
 	// The anchors, grouped by partner, are the mapped constraints.
 	for _, an := range pl.anchors {
 		i := slices.IndexFunc(pl.partners, func(pp partnerPlan) bool { return pp.other == an.other })
@@ -181,17 +178,14 @@ func (m *MJoin) compileRemovedProbes(input int) []removedProbe {
 	return probes
 }
 
-// constant returns constant slot k of an instantiation of the plan's
-// scheme.
-func (pl *punctPlan) constant(p stream.Punctuation, k int) stream.Value {
-	return p.Patterns[pl.idx[k]].Value()
-}
+// constant returns constant slot k of a punctuation.
+func constant(p stream.Punctuation, k int) stream.Value { return p.Constant(k).Value() }
 
 // conflicting reports whether p's constants contradict each other on the
 // partner (see partnerPlan.conflicts).
-func (pl *punctPlan) conflicting(pp *partnerPlan, p stream.Punctuation) bool {
+func conflicting(pp *partnerPlan, p stream.Punctuation) bool {
 	for _, c := range pp.conflicts {
-		if !pl.constant(p, c[0]).Equal(pl.constant(p, c[1])) {
+		if !constant(p, c[0]).Equal(constant(p, c[1])) {
 			return true
 		}
 	}
@@ -200,10 +194,10 @@ func (pl *punctPlan) conflicting(pp *partnerPlan, p stream.Punctuation) bool {
 
 // mappedConsts fills the shared scratch with the constants src draws from
 // p and returns it; valid until the next use of the scratch.
-func (m *MJoin) mappedConsts(pl *punctPlan, p stream.Punctuation, src constSource) []stream.Value {
+func (m *MJoin) mappedConsts(p stream.Punctuation, src constSource) []stream.Value {
 	consts := m.pg.consts[:len(src.from)]
 	for k, slot := range src.from {
-		consts[k] = pl.constant(p, slot)
+		consts[k] = constant(p, slot)
 	}
 	return consts
 }

@@ -5,11 +5,11 @@ import (
 )
 
 // punctEntry is one stored punctuation together with its §5.1 lifecycle
-// metadata. Its constants are read out of punct at the scheme's
-// punctuatable positions (punctStore.constant). For an ordered
-// (watermark) scheme the entry is the compacted representative of every
-// instantiation seen for its equality constants: only the widest bound
-// needs keeping, since a <=T promise subsumes every <=T' with T' <= T.
+// metadata. Constant slot i of its scheme is the punctuation's i-th
+// constant. For an ordered (watermark) scheme the entry is the compacted
+// representative of every instantiation seen for its equality constants:
+// only the widest bound needs keeping, since a <=T promise subsumes every
+// <=T' with T' <= T.
 //
 // Entries are recycled (punctStore.free), so nothing may hold a
 // *punctEntry across calls into the operator. The holders, audited: a
@@ -53,7 +53,8 @@ type punctStore struct {
 	ordSlot []int
 	// eqSlot[k] is schemes[k]'s only equality slot when that attribute is
 	// numeric — entries are then keyed by the constant's bits — or -1 when
-	// entries are keyed by the encoding of all equality constants.
+	// entries are keyed by the encoding of all equality constants. A
+	// scheme with none keeps its one entry in a zero keyMap, no map.
 	eqSlot []int
 	// entries[k] holds the stored instantiations of schemes[k].
 	entries []*keyMap[*punctEntry]
@@ -87,26 +88,24 @@ func newPunctStore(sc *stream.Schema, schemes []stream.Scheme) *punctStore {
 		if nEq != 1 || sc.Attr(idx[eq]).Kind == stream.KindString {
 			eq = -1
 		}
+		entries := new(keyMap[*punctEntry]) // a watermark: one entry at most
+		if nEq > 0 {
+			entries = newKeyMap[*punctEntry](eq >= 0)
+		}
 		ps.idx = append(ps.idx, idx)
 		ps.ordSlot = append(ps.ordSlot, ord)
 		ps.eqSlot = append(ps.eqSlot, eq)
-		ps.entries = append(ps.entries, newKeyMap[*punctEntry](eq >= 0))
+		ps.entries = append(ps.entries, entries)
 	}
 	return ps
 }
 
-// constant returns constant slot i of a stored instantiation of scheme k.
-func (ps *punctStore) constant(k int, e *punctEntry, i int) stream.Value {
-	return e.punct.Patterns[ps.idx[k][i]].Value()
-}
-
-// constants cuts the constants of an instantiation of scheme k out of its
-// patterns, in slot order, into the store's scratch: valid until the next
-// call.
-func (ps *punctStore) constants(k int, p stream.Punctuation) []stream.Value {
+// constants copies the values of p's constants, in slot order, into the
+// store's scratch: valid until the next call.
+func (ps *punctStore) constants(p stream.Punctuation) []stream.Value {
 	ps.constBuf = ps.constBuf[:0]
-	for _, a := range ps.idx[k] {
-		ps.constBuf = append(ps.constBuf, p.Patterns[a].Value())
+	for k := range p.ConstIndexes() {
+		ps.constBuf = append(ps.constBuf, constant(p, k))
 	}
 	return ps.constBuf
 }
@@ -186,7 +185,7 @@ func (ps *punctStore) add(p stream.Punctuation, now, lifespan uint64) (*punctEnt
 	if si < 0 {
 		return nil, -1
 	}
-	consts := ps.constants(si, p)
+	consts := ps.constants(p)
 	e, ok := ps.find(si, consts)
 	switch {
 	case ok && !e.expired(now):
@@ -195,7 +194,7 @@ func (ps *punctStore) add(p stream.Punctuation, now, lifespan uint64) (*punctEnt
 			return nil, -1 // exact duplicate
 		}
 		// Watermark: keep only the widest bound.
-		if le, cmp := stream.LessEq(consts[slot], ps.constant(si, e, slot)); cmp && le {
+		if le, cmp := stream.LessEq(consts[slot], constant(e.punct, slot)); cmp && le {
 			return nil, -1 // not wider than what we hold
 		}
 		e.punct = p
@@ -227,7 +226,7 @@ func (e *punctEntry) expired(now uint64) bool {
 func (ps *punctStore) covering(schemeIdx int, consts []stream.Value, now uint64) *punctEntry {
 	e := ps.lookup(schemeIdx, consts, now)
 	if slot := ps.ordSlot[schemeIdx]; e != nil && slot >= 0 {
-		if le, ok := stream.LessEq(consts[slot], ps.constant(schemeIdx, e, slot)); !ok || !le {
+		if le, ok := stream.LessEq(consts[slot], constant(e.punct, slot)); !ok || !le {
 			return nil
 		}
 	}

@@ -21,9 +21,10 @@ import (
 // than the store ever held at once. The operations come from a byte
 // string, so the randomised test and the fuzz target share one driver.
 
-// storeModelSchema is R(K int, S string, T int) with four schemes: K (a
+// storeModelSchema is R(K int, S string, T int) with five schemes: K (a
 // bit-keyed entry), S (a string key), K with T a <= bound (a watermark
-// keyed by K's bits), and K and S (a composite key).
+// keyed by K's bits), K and S (a composite key), and T alone a <= bound (a
+// pure watermark, one entry held without a map).
 func storeModelSchema() (*stream.Schema, []stream.Scheme) {
 	sc := stream.MustSchema("R",
 		stream.Attribute{Name: "K", Kind: stream.KindInt},
@@ -34,11 +35,12 @@ func storeModelSchema() (*stream.Schema, []stream.Scheme) {
 		stream.MustScheme("R", false, true, false),
 		stream.MustOrderedScheme("R", []bool{true, false, true}, []bool{false, false, true}),
 		stream.MustScheme("R", true, true, false),
+		stream.MustOrderedScheme("R", []bool{false, false, true}, []bool{false, false, true}),
 	}
 }
 
 // storeModelEq lists each scheme's equality attributes: the model's key.
-var storeModelEq = [][]int{{0}, {1}, {0}, {0, 1}}
+var storeModelEq = [][]int{{0}, {1}, {0}, {0, 1}, {}}
 
 type storeModel struct {
 	t       *testing.T
@@ -62,7 +64,7 @@ func newStoreModel(t *testing.T) *storeModel {
 func modelKey(si int, p stream.Punctuation) string {
 	var vs []stream.Value
 	for _, a := range storeModelEq[si] {
-		vs = append(vs, p.Patterns[a].Value())
+		vs = append(vs, p.Pattern(a).Value())
 	}
 	return fmt.Sprint(si, "|", stream.KeyOf(vs...))
 }
@@ -86,7 +88,7 @@ func (sm *storeModel) sortedKeys() []string {
 func (sm *storeModel) entryOf(k string) (int, *punctEntry) {
 	p := sm.model[k]
 	si := sm.ps.schemeIndex(p)
-	e, ok := sm.ps.find(si, sm.ps.constants(si, p))
+	e, ok := sm.ps.find(si, sm.ps.constants(p))
 	if !ok {
 		sm.t.Fatalf("model holds %s, the store does not", p)
 	}
@@ -160,14 +162,14 @@ func (sm *storeModel) step(code, arg byte) {
 	}
 }
 
-// add builds a punctuation from arg — scheme arg%5 (4: one that
+// add builds a punctuation from arg — scheme arg%6 (5: one that
 // instantiates no scheme), K, S and the bound from the rest — and adds it.
 func (sm *storeModel) add(arg byte, lifespan uint64) {
 	t := sm.t
-	si := int(arg % 5)
-	k := stream.Int(int64(arg / 5 % 3))
-	s := stream.Str([]string{"", "a", "b"}[arg/15%3])
-	bound := stream.Int(int64(arg / 45 % 4))
+	si := int(arg % 6)
+	k := stream.Int(int64(arg / 6 % 3))
+	s := stream.Str([]string{"", "a", "b"}[arg/18%3])
+	bound := stream.Int(int64(arg / 54 % 4))
 	var p stream.Punctuation
 	switch si {
 	case 0:
@@ -178,12 +180,14 @@ func (sm *storeModel) add(arg byte, lifespan uint64) {
 		p = stream.MustPunctuation(stream.Const(k), stream.Wildcard(), stream.Leq(bound))
 	case 3:
 		p = stream.MustPunctuation(stream.Const(k), stream.Const(s), stream.Wildcard())
+	case 4:
+		p = stream.MustPunctuation(stream.Wildcard(), stream.Wildcard(), stream.Leq(bound))
 	default:
 		p = stream.MustPunctuation(stream.Const(k), stream.Wildcard(), stream.Const(bound))
 	}
 	e, gotSi := sm.ps.add(p, sm.now, lifespan)
 	clear(sm.retired) // add reclaimed them
-	if si == 4 {
+	if si == 5 {
 		if e != nil {
 			t.Fatalf("add of %s, which instantiates no scheme, returned an entry", p)
 		}
@@ -193,10 +197,10 @@ func (sm *storeModel) add(arg byte, lifespan uint64) {
 	old, stored := sm.model[key]
 	news, fresh := true, false
 	switch {
-	case stored && !sm.expired(key) && si != 2:
+	case stored && !sm.expired(key) && si != 2 && si != 4:
 		news = false // duplicate
 	case stored && !sm.expired(key):
-		le, _ := stream.LessEq(bound, old.Patterns[2].Value())
+		le, _ := stream.LessEq(bound, old.Pattern(2).Value())
 		news = !le // widened
 		if news && lifespan > 0 {
 			sm.expires[key] = sm.now + lifespan
@@ -234,6 +238,9 @@ func (sm *storeModel) check() {
 	ps := sm.ps
 	live := map[*punctEntry]bool{}
 	for si, m := range ps.entries {
+		if len(storeModelEq[si]) == 0 && (m.num != nil || m.str != nil) {
+			t.Fatalf("scheme %d has no equality constant and holds its entry in a map", si)
+		}
 		m.each(func(k mapKey, e *punctEntry) {
 			if live[e] {
 				t.Fatalf("two live keys share the entry of %s", e.punct)
@@ -293,14 +300,15 @@ func TestPunctStoreModel(t *testing.T) {
 }
 
 // punctStoreSeeds are hand-written runs: fresh adds of every scheme, a
-// duplicate, a widened and a narrower bound, entries that expire and are
-// replaced in place, removals reused by the next add, marks on an entry
-// that a removal and a reuse must not carry over.
+// duplicate, widened and narrower bounds (keyed and pure watermarks),
+// entries that expire and are replaced in place, removals reused by the
+// next add, marks on an entry that a removal and a reuse must not carry
+// over.
 var punctStoreSeeds = [][]byte{
-	{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 0, 0, 47, 0, 92, 0, 47, 4, 0, 5, 0, 2, 0, 0, 5, 4, 0},
-	{1, 0, 1, 16, 5, 7, 3, 0, 1, 0, 4, 0, 5, 3, 1, 16, 3, 0, 0, 2, 4, 0},
-	{0, 0, 5, 0, 2, 0, 0, 5, 2, 0, 0, 10, 5, 1, 2, 1, 0, 0, 4, 0, 2, 0, 2, 0, 0, 3, 0, 8},
-	{1, 2, 1, 7, 1, 12, 5, 7, 0, 2, 0, 7, 0, 12, 2, 0, 3, 0, 4, 0},
+	{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 0, 0, 56, 0, 110, 0, 56, 0, 58, 0, 4, 4, 0, 5, 0, 2, 0, 0, 6, 4, 0},
+	{1, 0, 1, 19, 5, 7, 3, 0, 1, 0, 4, 0, 5, 3, 1, 19, 3, 0, 0, 2, 4, 0, 1, 4, 5, 7, 3, 0, 1, 58, 4, 0},
+	{0, 0, 5, 0, 2, 0, 0, 6, 2, 0, 0, 12, 5, 1, 2, 1, 0, 0, 4, 0, 2, 0, 2, 0, 0, 3, 0, 9, 0, 4, 2, 0, 0, 4, 4, 0},
+	{1, 2, 1, 8, 1, 14, 5, 7, 0, 2, 0, 8, 0, 14, 2, 0, 3, 0, 4, 0},
 }
 
 func FuzzPunctStore(f *testing.F) {

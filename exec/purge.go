@@ -130,7 +130,7 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 	for _, pp := range batch {
 		pl := &m.punctPlans[pp.input][pp.scheme]
 		for _, an := range pl.anchors {
-			pat := pp.p.Patterns[pl.idx[an.slot]]
+			pat := pp.p.Constant(an.slot)
 			if an.slot == pl.ordSlot {
 				// Ordered bound: the hash index cannot answer range
 				// queries, so scan the partner state — one compare per
@@ -486,12 +486,7 @@ func (m *MJoin) tryEmitPunct(input, schemeIdx int, e *punctEntry) (stream.Elemen
 	}
 	e.emitted = true
 	m.stats.OutPuncts++
-	// Output punctuations are dense: one pattern per output column.
-	pats := append([]stream.Pattern(nil), m.outTemplate...)
-	for k, col := range pl.outCols {
-		pats[col] = e.punct.Patterns[pl.idx[k]]
-	}
-	return stream.PunctElement(stream.Punctuation{Patterns: pats}), true
+	return stream.PunctElement(e.punct.Reshape(pl.outScheme)), true
 }
 
 // emitForRemoved re-tests exactly the stored punctuations a purge round
@@ -504,7 +499,7 @@ func (m *MJoin) emitForRemoved(out []stream.Element, removed [][]stream.Tuple) [
 	for input, tuples := range removed {
 		for _, u := range tuples {
 			for si := range m.punctPlans[input] {
-				e := m.puncts[input].lookup(si, m.tupleConsts(u, m.punctPlans[input][si].idx), m.clock)
+				e := m.puncts[input].lookup(si, m.tupleConsts(u, m.puncts[input].idx[si]), m.clock)
 				if e == nil {
 					continue
 				}
@@ -537,7 +532,7 @@ func (m *MJoin) emitPendingPuncts(out []stream.Element) []stream.Element {
 func (m *MJoin) hasMatchingTuple(input int, pl *punctPlan, p stream.Punctuation) bool {
 	st := m.states[input]
 	if pl.probeSlot >= 0 {
-		tb := st.lookup2(pl.idx[pl.probeSlot], pl.constant(p, pl.probeSlot))
+		tb := st.lookup2(p.ConstIndexes()[pl.probeSlot], constant(p, pl.probeSlot))
 		for ti, rs := range st.tiers() {
 			for _, r := range tb[ti] {
 				if p.Matches(rs.tups[r]) {
@@ -569,8 +564,8 @@ type punctVictim struct {
 // equal the stored constants (with <= for the ordered slot) — exactly the
 // covering() query over constants drawn from the tuple itself.
 func (m *MJoin) violatedPromise(input int, t stream.Tuple) (stream.Punctuation, bool) {
-	for si := range m.punctPlans[input] {
-		consts := m.tupleConsts(t, m.punctPlans[input][si].idx)
+	for si, idx := range m.puncts[input].idx {
+		consts := m.tupleConsts(t, idx)
 		if e := m.puncts[input].covering(si, consts, m.clock); e != nil {
 			return e.punct, true
 		}
@@ -598,18 +593,18 @@ func (m *MJoin) purgePunctStores(batch []pendingPunct, removed [][]stream.Tuple)
 		pl := &m.punctPlans[pp.input][pp.scheme]
 		for i := range pl.partners {
 			pr := &pl.partners[i]
-			if pl.conflicting(pr, pp.p) {
+			if conflicting(pr, pp.p) {
 				continue
 			}
 			for _, c := range pr.counters {
-				if e := m.puncts[pr.other].lookup(c.scheme, m.mappedConsts(pl, pp.p, c), m.clock); e != nil {
+				if e := m.puncts[pr.other].lookup(c.scheme, m.mappedConsts(pp.p, c), m.clock); e != nil {
 					m.considerPunct(pr.other, c.scheme, e)
 				}
 			}
 		}
 		// The new punctuation itself may already be droppable.
 		ps := m.puncts[pp.input]
-		if e := ps.lookup(pp.scheme, ps.constants(pp.scheme, pp.p), m.clock); e != nil {
+		if e := ps.lookup(pp.scheme, ps.constants(pp.p), m.clock); e != nil {
 			m.considerPunct(pp.input, pp.scheme, e)
 		}
 	}
@@ -686,11 +681,11 @@ func (m *MJoin) punctPurgeable(j, schemeIdx int, e *punctEntry) bool {
 	touched := false
 	for i := range pl.partners {
 		pr := &pl.partners[i]
-		if pl.conflicting(pr, e.punct) {
+		if conflicting(pr, e.punct) {
 			continue
 		}
 		touched = true
-		if !m.counterCovered(pl, pr, e.punct) || m.partnerHolds(pl, pr, e.punct) {
+		if !m.counterCovered(pr, e.punct) || m.partnerHolds(pr, e.punct) {
 			return false
 		}
 	}
@@ -699,9 +694,9 @@ func (m *MJoin) punctPurgeable(j, schemeIdx int, e *punctEntry) bool {
 
 // counterCovered reports whether the partner holds a live
 // counter-punctuation for p's mapped constraint.
-func (m *MJoin) counterCovered(pl *punctPlan, pr *partnerPlan, p stream.Punctuation) bool {
+func (m *MJoin) counterCovered(pr *partnerPlan, p stream.Punctuation) bool {
 	for _, c := range pr.counters {
-		if m.puncts[pr.other].covering(c.scheme, m.mappedConsts(pl, p, c), m.clock) != nil {
+		if m.puncts[pr.other].covering(c.scheme, m.mappedConsts(p, c), m.clock) != nil {
 			return true
 		}
 	}
@@ -710,15 +705,15 @@ func (m *MJoin) counterCovered(pl *punctPlan, pr *partnerPlan, p stream.Punctuat
 
 // partnerHolds reports whether the partner stores a tuple matching p's
 // mapped constraint.
-func (m *MJoin) partnerHolds(pl *punctPlan, pr *partnerPlan, p stream.Punctuation) bool {
+func (m *MJoin) partnerHolds(pr *partnerPlan, p stream.Punctuation) bool {
 	st := m.states[pr.other]
-	tb := st.lookup2(pr.attrs[0], pl.constant(p, pr.slots[0]))
+	tb := st.lookup2(pr.attrs[0], constant(p, pr.slots[0]))
 	for ti, rs := range st.tiers() {
 	candidates:
 		for _, r := range tb[ti] {
 			u := rs.tups[r]
 			for i := 1; i < len(pr.attrs); i++ {
-				if !u.Values[pr.attrs[i]].Equal(pl.constant(p, pr.slots[i])) {
+				if !u.Values[pr.attrs[i]].Equal(constant(p, pr.slots[i])) {
 					continue candidates
 				}
 			}

@@ -84,6 +84,8 @@ type Project struct {
 	in   *stream.Schema
 	out  *stream.Schema
 	keep []int
+	// kept maps an input position to its output position.
+	kept map[int]int
 	// Absorbed counts punctuations that could not be expressed in the
 	// output schema and were dropped.
 	Absorbed uint64
@@ -95,13 +97,14 @@ func NewProject(in *stream.Schema, attrs ...string) (*Project, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("exec: projection needs at least one attribute")
 	}
-	p := &Project{in: in}
+	p := &Project{in: in, kept: make(map[int]int, len(attrs))}
 	var outAttrs []stream.Attribute
 	for _, name := range attrs {
 		i := in.Index(name)
 		if i < 0 {
 			return nil, fmt.Errorf("exec: schema %s has no attribute %q", in, name)
 		}
+		p.kept[i] = len(p.keep)
 		p.keep = append(p.keep, i)
 		outAttrs = append(outAttrs, in.Attr(i))
 	}
@@ -136,24 +139,17 @@ func (p *Project) Push(e stream.Element) ([]stream.Element, error) {
 	}
 	// The punctuation survives iff every constant pattern's attribute is
 	// kept.
-	kept := make(map[int]int, len(p.keep))
-	for k, i := range p.keep {
-		kept[i] = k
-	}
 	pats := make([]stream.Pattern, len(p.keep))
 	for i := range pats {
 		pats[i] = stream.Wildcard()
 	}
-	for ci, pat := range punct.Patterns {
-		if pat.IsWildcard() {
-			continue
-		}
-		k, ok := kept[ci]
+	for c, ci := range punct.ConstIndexes() {
+		k, ok := p.kept[ci]
 		if !ok {
 			p.Absorbed++
 			return nil, nil
 		}
-		pats[k] = pat
+		pats[k] = punct.Constant(c)
 	}
 	out, err := stream.NewPunctuation(pats...)
 	if err != nil {
@@ -172,17 +168,13 @@ func (p *Project) Push(e stream.Element) ([]stream.Element, error) {
 // counterpart of Project.Push's punctuation rule, used to safety-check
 // queries over projected streams.
 func ProjectSchemes(p *Project, schemes []stream.Scheme) []stream.Scheme {
-	kept := make(map[int]int, len(p.keep))
-	for k, i := range p.keep {
-		kept[i] = k
-	}
 	var out []stream.Scheme
 	for _, s := range schemes {
 		mask := make([]bool, p.out.Arity())
 		ordered := make([]bool, p.out.Arity())
 		ok := true
 		for _, a := range s.PunctuatableIndexes() {
-			k, has := kept[a]
+			k, has := p.kept[a]
 			if !has {
 				ok = false
 				break
@@ -190,7 +182,7 @@ func ProjectSchemes(p *Project, schemes []stream.Scheme) []stream.Scheme {
 			mask[k] = true
 		}
 		if oi := s.OrderedIndex(); ok && oi >= 0 {
-			ordered[kept[oi]] = true
+			ordered[p.kept[oi]] = true
 		}
 		if ok {
 			out = append(out, stream.MustOrderedScheme(p.out.Name(), mask, ordered))

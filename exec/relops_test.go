@@ -65,7 +65,7 @@ func TestProjectTuplesAndPunctuations(t *testing.T) {
 		t.Fatal(out, err)
 	}
 	pp := out[0].Punct()
-	if !pp.Patterns[0].IsWildcard() || pp.Patterns[1].Value().AsInt() != 5 {
+	if !pp.Pattern(0).IsWildcard() || pp.Pattern(1).Value().AsInt() != 5 {
 		t.Fatalf("projected punctuation = %s", pp)
 	}
 	// Punctuation constraining dropped attribute B: absorbed.

@@ -418,7 +418,7 @@ func (m *MJoin) decodePunctStore(d *stateDec, input int, codec *stream.Codec, cl
 			if entry.arrived > clock {
 				return nil, fmt.Errorf("%w: punctuation arrival clock %d beyond operator clock %d", ErrCorruptState, entry.arrived, clock)
 			}
-			consts := ps.constants(k, p)
+			consts := ps.constants(p)
 			if _, dup := ps.find(k, consts); dup {
 				return nil, fmt.Errorf("%w: duplicate punctuation entry for scheme %s", ErrCorruptState, ps.schemes[k])
 			}

@@ -38,9 +38,10 @@ stage_soakfailover() {
 # handshake front door (bad magic, bad role, absurd name lengths), the
 # tiered join-state snapshot decoder (torn cold segments, corrupted
 # bytes), the join-state and punctuation-store models (operation strings
-# replayed against a plain map, pools checked against their rules), and
-# the two-word value model (pairs of values held to a three-field
-# reference). `go test -fuzz` explores further; the seed set
+# replayed against a plain map, pools checked against their rules), the
+# two-word value model (pairs of values held to a three-field reference)
+# and the shape-and-constants punctuation (held to the one-pattern-per-
+# column form it replaced). `go test -fuzz` explores further; the seed set
 # is the gate.
 stage_fuzzseed() { go test -run Fuzz ./stream/... ./engine/... ./server/... ./exec/...; }
 
@@ -62,14 +63,16 @@ stage_allocfloors() {
   # compacted, a chained-purge cycle within its scratch budget with and
   # without §5.1 punctuation purging, a warmed ordered-bound (heartbeat)
   # purge round at zero, and the cold-tier probe at parity with the all-hot
-  # probe; a batch through a warmed tree allocates what it hands out: result
-  # tuples and emitted punctuations, 16 bytes per column each (a value and
-  # a pattern are two words, which the layout test pins). Store entries and
-  # index buckets come from what purges freed, and those pools hold nothing
-  # and never outgrow the state's high-water mark. The partitioned gate
-  # allocates one key per new punctuation identity, its text appended into
-  # a kept buffer. Frame decoding keeps its per-frame bound.
-  go test -run 'TestValueLayout|TestPunctuationAppendTo' -count 1 ./stream/
+  # probe; a batch through a warmed tree allocates only its result tuples,
+  # 16 bytes per column (a value is two words, which the layout test pins).
+  # An emitted punctuation shares the stored one's constants and costs
+  # nothing; a decoded one costs one allocation, 16 bytes per constant.
+  # Store entries and index buckets come from what purges freed, and those
+  # pools hold nothing and never outgrow the state's high-water mark. The
+  # partitioned gate allocates one key per new punctuation identity, its
+  # text appended into a kept buffer. Frame decoding keeps its per-frame
+  # bound.
+  go test -run 'TestValueLayout|TestPunctuationAppendTo|TestDecodePunctAllocs' -count 1 ./stream/
   go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs|TestPushBatchAllocFloor|TestResultBytesFloor|TestRecycledStateHoldsNothing|TestAlignmentGateAllocs' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
   # Producer-side floor: a one-element send reaches each mailbox by value;

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync/atomic"
 )
 
 // Codec serializes stream elements against a fixed schema, so the input
@@ -18,8 +20,15 @@ import (
 //
 // Decoding validates against the schema, so a corrupted or mis-schema'd
 // payload fails loudly instead of producing garbage elements.
+//
+// A Codec is safe for concurrent use. It interns the shapes of the
+// punctuations it decodes, so a decoded punctuation allocates only its
+// constants.
 type Codec struct {
 	schema *Schema
+	// shapes is allocated by the first punctuation decoded, so a codec
+	// that only encodes stays two words.
+	shapes atomic.Pointer[shapeTable]
 }
 
 // NewCodec returns a codec bound to the schema.
@@ -43,17 +52,20 @@ func (c *Codec) Encode(dst []byte, e Element) ([]byte, error) {
 			return nil, err
 		}
 		dst = append(dst, codecPunct)
-		for _, pat := range p.Patterns {
-			switch {
-			case pat.IsWildcard():
+		idx := p.ConstIndexes()
+		for i, k := 0, 0; i < p.Arity(); i++ {
+			if k == len(idx) || idx[k] != i {
 				dst = append(dst, slotWildcard)
-			case pat.IsLeq():
-				dst = append(dst, slotLeq)
-				dst = appendValue(dst, pat.Value())
-			default:
-				dst = append(dst, slotConst)
-				dst = appendValue(dst, pat.Value())
+				continue
 			}
+			pat := p.consts[k]
+			k++
+			if pat.IsLeq() {
+				dst = append(dst, slotLeq)
+			} else {
+				dst = append(dst, slotConst)
+			}
+			dst = appendValue(dst, pat.Value())
 		}
 		return dst, nil
 	}
@@ -101,46 +113,54 @@ func (c *Codec) Decode(src []byte) (Element, []byte, error) {
 		}
 		return TupleElement(NewTuple(values...)), src, nil
 	case codecPunct:
-		pats := make([]Pattern, c.schema.Arity())
-		for i := range pats {
-			if len(src) == 0 {
-				return Element{}, nil, io.ErrUnexpectedEOF
-			}
-			slot := src[0]
-			src = src[1:]
-			switch slot {
-			case slotWildcard:
-				pats[i] = Wildcard()
-			case slotConst, slotLeq:
-				if k := c.schema.Attr(i).Kind; slot == slotLeq && k != KindInt && k != KindFloat {
-					return Element{}, nil, fmt.Errorf("stream: codec: ordered pattern on non-numeric attribute %q", c.schema.Attr(i).Name)
-				}
-				var v Value
-				var err error
-				v, src, err = c.decodeValue(src, c.schema.Attr(i).Kind)
-				if err != nil {
-					return Element{}, nil, err
-				}
-				if slot == slotLeq {
-					pats[i] = Leq(v)
-				} else {
-					pats[i] = Const(v)
-				}
-			default:
-				return Element{}, nil, fmt.Errorf("stream: codec: bad pattern slot 0x%02x", slot)
-			}
-		}
-		p, err := NewPunctuation(pats...)
-		if err != nil {
-			return Element{}, nil, fmt.Errorf("stream: codec: %w", err)
-		}
-		if err := p.Validate(c.schema); err != nil {
-			return Element{}, nil, fmt.Errorf("stream: codec: %w", err)
-		}
-		return PunctElement(p), src, nil
+		return c.decodePunct(src)
 	default:
 		return Element{}, nil, fmt.Errorf("stream: codec: bad element kind 0x%02x", kind)
 	}
+}
+
+// decodePunct is Decode for a punctuation's slots, in a function of its own
+// so that its stack buffers do not enlarge the frame every tuple is decoded
+// in. What it builds is valid for the schema by construction: one slot per
+// attribute, each value decoded as its attribute's kind.
+func (c *Codec) decodePunct(src []byte) (Element, []byte, error) {
+	var posBuf [8]int
+	var constBuf [8]Pattern
+	pos, consts := posBuf[:0], constBuf[:0]
+	for i := range c.schema.Arity() {
+		if len(src) == 0 {
+			return Element{}, nil, io.ErrUnexpectedEOF
+		}
+		slot := src[0]
+		src = src[1:]
+		switch slot {
+		case slotWildcard:
+		case slotConst, slotLeq:
+			if k := c.schema.Attr(i).Kind; slot == slotLeq && k != KindInt && k != KindFloat {
+				return Element{}, nil, fmt.Errorf("stream: codec: ordered pattern on non-numeric attribute %q", c.schema.Attr(i).Name)
+			}
+			v, rest, err := c.decodeValue(src, c.schema.Attr(i).Kind)
+			if err != nil {
+				return Element{}, nil, err
+			}
+			src = rest
+			pat := Const(v)
+			if slot == slotLeq {
+				pat = Leq(v)
+			}
+			pos, consts = append(pos, i), append(consts, pat)
+		default:
+			return Element{}, nil, fmt.Errorf("stream: codec: bad pattern slot 0x%02x", slot)
+		}
+	}
+	if c.shapes.Load() == nil {
+		c.shapes.CompareAndSwap(nil, new(shapeTable))
+	}
+	p, err := newPunctuation(c.schema.Arity(), pos, consts, c.shapes.Load())
+	if err != nil {
+		return Element{}, nil, fmt.Errorf("stream: codec: %w", err)
+	}
+	return PunctElement(p), src, nil
 }
 
 func (c *Codec) decodeValue(src []byte, k Kind) (Value, []byte, error) {
@@ -164,4 +184,31 @@ func (c *Codec) decodeValue(src []byte, k Kind) (Value, []byte, error) {
 	default:
 		return Value{}, nil, fmt.Errorf("stream: codec: invalid kind %d", k)
 	}
+}
+
+// shapeTable interns the shapes of one codec's decoded punctuations, so
+// each distinct set of positions is allocated once. The positions come
+// off the wire, so the table is capped; past the cap every decoded
+// punctuation gets a shape of its own. Slots fill in order and are never
+// cleared, so a lookup reads them without locking up to the first empty.
+type shapeTable [64]atomic.Pointer[shape]
+
+// intern returns the shape of an arity-wide punctuation constrained at
+// pos, copying pos if the shape is new. All shapes in one table have one
+// arity, its schema's; a nil table interns nothing.
+func (t *shapeTable) intern(arity int, pos []int) *shape {
+	for i := 0; t != nil && i < len(t); i++ {
+		sh := t[i].Load()
+		if sh == nil {
+			sh = &shape{arity: arity, idx: slices.Clone(pos)}
+			if t[i].CompareAndSwap(nil, sh) {
+				return sh
+			}
+			sh = t[i].Load() // another decoder filled the slot first
+		}
+		if slices.Equal(sh.idx, pos) {
+			return sh
+		}
+	}
+	return &shape{arity: arity, idx: slices.Clone(pos)}
 }

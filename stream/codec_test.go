@@ -50,8 +50,8 @@ func TestCodecPunctRoundTrip(t *testing.T) {
 		t.Fatal(err, len(rest))
 	}
 	p := got.Punct()
-	if !p.Patterns[0].Value().Equal(Int(7)) || !p.Patterns[1].IsWildcard() ||
-		!p.Patterns[2].Value().Equal(Str("x")) {
+	if !p.Pattern(0).Value().Equal(Int(7)) || !p.Pattern(1).IsWildcard() ||
+		!p.Pattern(2).Value().Equal(Str("x")) {
 		t.Fatalf("punct = %s", p)
 	}
 }

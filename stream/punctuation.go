@@ -1,6 +1,10 @@
 package stream
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"slices"
+)
 
 // Pattern is one attribute slot of a punctuation: the wildcard "*" (no
 // constraint on future values of that attribute), a constant equal-value
@@ -87,27 +91,52 @@ func (p Pattern) String() string {
 }
 
 // Punctuation is a promise that no future tuple of its stream matches all
-// of its non-wildcard patterns. Positionally aligned with the stream
-// schema. A punctuation whose patterns are all wildcards would assert the
-// end of the stream; constructors reject it because the paper's schemes
-// always instantiate at least one constant.
+// of its non-wildcard patterns (§2.3: an instantiation of a scheme). It is
+// a shape — arity and constrained positions — and the patterns at those
+// positions, in order; every other position is a wildcard. Constructors
+// reject a punctuation of wildcards only, which would assert the end of
+// the stream. Both parts are immutable and unexported, so punctuations
+// share them: a scheme's instantiations its shape, a re-shaped
+// punctuation the constants (Reshape). The zero Punctuation constrains
+// nothing and is no punctuation element: PunctElement of it is the zero
+// Element.
 type Punctuation struct {
-	Patterns []Pattern
+	shape  *shape
+	consts []Pattern
 }
 
-// NewPunctuation wraps patterns into a punctuation.
+// shape is the layout of a punctuation: its arity and the positions of its
+// constants, ascending.
+type shape struct {
+	arity int
+	idx   []int
+}
+
+var errNoConstraint = errors.New("stream: punctuation must constrain at least one attribute")
+
+// NewPunctuation builds the punctuation with the given pattern at each
+// position. It copies what it keeps, so the caller may reuse patterns.
 func NewPunctuation(patterns ...Pattern) (Punctuation, error) {
-	allWild := true
-	for _, p := range patterns {
+	var posBuf [8]int
+	var constBuf [8]Pattern
+	pos, consts := posBuf[:0], constBuf[:0]
+	for i, p := range patterns {
 		if !p.IsWildcard() {
-			allWild = false
-			break
+			pos, consts = append(pos, i), append(consts, p)
 		}
 	}
-	if len(patterns) == 0 || allWild {
-		return Punctuation{}, fmt.Errorf("stream: punctuation must constrain at least one attribute")
+	return newPunctuation(len(patterns), pos, consts, nil)
+}
+
+// newPunctuation is the arity-wide punctuation with consts at pos, its
+// shape taken from t. It copies consts, so callers collect them on the
+// stack: the punctuation allocates its constants and, unless t holds it,
+// its shape.
+func newPunctuation(arity int, pos []int, consts []Pattern, t *shapeTable) (Punctuation, error) {
+	if len(consts) == 0 {
+		return Punctuation{}, errNoConstraint
 	}
-	return Punctuation{Patterns: patterns}, nil
+	return Punctuation{shape: t.intern(arity, pos), consts: slices.Clone(consts)}, nil
 }
 
 // MustPunctuation is NewPunctuation that panics on error.
@@ -119,43 +148,81 @@ func MustPunctuation(patterns ...Pattern) Punctuation {
 	return p
 }
 
+// Arity returns the number of attribute slots.
+func (p Punctuation) Arity() int {
+	if p.shape == nil {
+		return 0
+	}
+	return p.shape.arity
+}
+
+// ConstIndexes returns the positions of the non-wildcard patterns, in
+// ascending order. The slice is the shape's own, shared by every
+// punctuation of the shape: callers must not modify it.
+func (p Punctuation) ConstIndexes() []int {
+	if p.shape == nil {
+		return nil
+	}
+	return p.shape.idx
+}
+
+// Constant returns the k-th non-wildcard pattern, the one at position
+// ConstIndexes()[k].
+func (p Punctuation) Constant(k int) Pattern { return p.consts[k] }
+
+// Pattern returns the pattern at position i: a constant, or "*".
+func (p Punctuation) Pattern(i int) Pattern {
+	if i < 0 || i >= p.Arity() {
+		panic(fmt.Sprintf("stream: pattern %d of a punctuation of arity %d", i, p.Arity()))
+	}
+	for k, at := range p.shape.idx {
+		if at == i {
+			return p.consts[k]
+		}
+		if at > i {
+			break
+		}
+	}
+	return Wildcard()
+}
+
+// Reshape returns the instantiation of s that carries p's constants, in
+// order: a join's output punctuation is its stored input punctuation
+// re-shaped onto an output scheme. The constants are shared, not copied,
+// and so is the shape of a scheme built by a constructor: it allocates
+// nothing. It panics when s has a different number of punctuatable
+// positions from p's constants.
+func (p Punctuation) Reshape(s Scheme) Punctuation {
+	sh := s.instances()
+	if len(sh.idx) != len(p.consts) {
+		panic(fmt.Sprintf("stream: reshaping %d constants onto %s", len(p.consts), s))
+	}
+	return Punctuation{shape: sh, consts: p.consts}
+}
+
 // Matches reports whether the tuple satisfies the punctuation's predicate,
 // i.e. whether the punctuation promises that tuples like t will never
 // arrive again.
 func (p Punctuation) Matches(t Tuple) bool {
-	if len(p.Patterns) != len(t.Values) {
+	if p.Arity() != len(t.Values) {
 		return false
 	}
-	for i, pat := range p.Patterns {
-		if !pat.MatchesValue(t.Values[i]) {
+	for k, i := range p.ConstIndexes() {
+		if !p.consts[k].MatchesValue(t.Values[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// ConstIndexes returns the positions of the non-wildcard patterns, in
-// ascending order.
-func (p Punctuation) ConstIndexes() []int {
-	var out []int
-	for i, pat := range p.Patterns {
-		if !pat.IsWildcard() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Validate checks arity and that every constant pattern's kind matches the
 // schema.
 func (p Punctuation) Validate(s *Schema) error {
-	if len(p.Patterns) != s.Arity() {
-		return fmt.Errorf("stream: punctuation arity %d does not match schema %s", len(p.Patterns), s)
+	if p.Arity() != s.Arity() {
+		return fmt.Errorf("stream: punctuation arity %d does not match schema %s", p.Arity(), s)
 	}
-	for i, pat := range p.Patterns {
-		if pat.IsWildcard() {
-			continue
-		}
+	for k, i := range p.ConstIndexes() {
+		pat := p.consts[k]
 		if pat.Value().Kind() != s.Attr(i).Kind {
 			return fmt.Errorf("stream: punctuation pattern %d expects %s, has %s",
 				i, s.Attr(i).Kind, pat.Value().Kind())
@@ -174,11 +241,11 @@ func (p Punctuation) String() string { return string(p.AppendTo(nil)) }
 // extended slice; into a reused buffer it allocates nothing.
 func (p Punctuation) AppendTo(dst []byte) []byte {
 	dst = append(dst, '(')
-	for i, pat := range p.Patterns {
+	for i := range p.Arity() {
 		if i > 0 {
 			dst = append(dst, ", "...)
 		}
-		switch {
+		switch pat := p.Pattern(i); {
 		case pat.IsWildcard():
 			dst = append(dst, '*')
 		case pat.IsLeq():

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,9 +28,10 @@ type Scheme struct {
 	// when the scheme is pure-equality. Ordered[i] implies Punctuatable[i].
 	Ordered []bool
 
-	// idx caches PunctuatableIndexes; the constructors fill it. Nil on a
+	// shape is the shape of the scheme's instantiations, whose positions
+	// PunctuatableIndexes returns; the constructors fill it. Nil on a
 	// Scheme built as a struct literal, which computes it per call.
-	idx []int
+	shape *shape
 }
 
 // NewScheme builds a scheme for the named stream. At least one attribute
@@ -50,7 +52,7 @@ func NewScheme(streamName string, punctuatable ...bool) (Scheme, error) {
 		return Scheme{}, fmt.Errorf("stream: scheme on %q must mark at least one attribute punctuatable", streamName)
 	}
 	s := Scheme{Stream: streamName, Punctuatable: punctuatable}
-	s.idx = s.punctuatableIndexes()
+	s.shape = s.instances()
 	return s, nil
 }
 
@@ -137,21 +139,20 @@ func (s Scheme) Arity() int { return len(s.Punctuatable) }
 // PunctuatableIndexes returns the positions marked "+", ascending. The
 // purge path calls it per tuple examined, so the result is shared
 // between calls: callers must not modify it.
-func (s Scheme) PunctuatableIndexes() []int {
-	if s.idx != nil {
-		return s.idx
-	}
-	return s.punctuatableIndexes()
-}
+func (s Scheme) PunctuatableIndexes() []int { return s.instances().idx }
 
-func (s Scheme) punctuatableIndexes() []int {
-	var out []int
+// instances returns the shape of the scheme's instantiations.
+func (s Scheme) instances() *shape {
+	if s.shape != nil {
+		return s.shape
+	}
+	sh := &shape{arity: len(s.Punctuatable)}
 	for i, p := range s.Punctuatable {
 		if p {
-			out = append(out, i)
+			sh.idx = append(sh.idx, i)
 		}
 	}
-	return out
+	return sh
 }
 
 // IsSimple reports whether the scheme has exactly one punctuatable
@@ -190,38 +191,37 @@ func (s Scheme) Validate(sc *Schema) error {
 // the scheme's punctuatable attributes (in ascending position order) and
 // wildcards elsewhere.
 func (s Scheme) Instantiate(consts ...Value) (Punctuation, error) {
-	idx := s.PunctuatableIndexes()
-	if len(consts) != len(idx) {
-		return Punctuation{}, fmt.Errorf("stream: scheme %s needs %d constants, got %d", s, len(idx), len(consts))
+	sh := s.instances()
+	if len(consts) != len(sh.idx) {
+		return Punctuation{}, fmt.Errorf("stream: scheme %s needs %d constants, got %d", s, len(sh.idx), len(consts))
 	}
-	pats := make([]Pattern, len(s.Punctuatable))
-	for i := range pats {
-		pats[i] = Wildcard()
+	if len(consts) == 0 {
+		return Punctuation{}, errNoConstraint
 	}
+	pats := make([]Pattern, len(consts))
 	oi := s.OrderedIndex()
-	for k, i := range idx {
+	for k, i := range sh.idx {
 		if i == oi {
-			pats[i] = Leq(consts[k])
+			pats[k] = Leq(consts[k])
 		} else {
-			pats[i] = Const(consts[k])
+			pats[k] = Const(consts[k])
 		}
 	}
-	return NewPunctuation(pats...)
+	return Punctuation{shape: sh, consts: pats}, nil
 }
 
 // Instantiates reports whether the punctuation is an instantiation of this
 // scheme: the punctuation's constant positions coincide exactly with the
-// scheme's punctuatable positions.
+// scheme's punctuatable positions, and its one ordered bound, if any, sits
+// at the scheme's ordered attribute.
 func (s Scheme) Instantiates(p Punctuation) bool {
-	if len(p.Patterns) != len(s.Punctuatable) {
+	sh := s.instances()
+	if p.shape != sh && (p.Arity() != sh.arity || !slices.Equal(p.ConstIndexes(), sh.idx)) {
 		return false
 	}
 	oi := s.OrderedIndex()
-	for i, pat := range p.Patterns {
-		if pat.IsWildcard() == s.Punctuatable[i] {
-			return false
-		}
-		if !pat.IsWildcard() && pat.IsLeq() != (i == oi) {
+	for k, i := range sh.idx {
+		if p.consts[k].IsLeq() != (i == oi) {
 			return false
 		}
 	}

@@ -88,7 +88,7 @@ func TestPunctuationAppendTo(t *testing.T) {
 	buf := []byte("prefix")
 	for i, p := range pats {
 		for _, ps := range [][]Pattern{{p}, {Wildcard(), p}, {p, pats[(i+1)%len(pats)], Wildcard(), p}} {
-			pu := Punctuation{Patterns: ps}
+			pu := punctOf(ps)
 			want := old(ps)
 			buf = pu.AppendTo(buf[:len("prefix")])
 			if got := string(buf); got != "prefix"+want {
@@ -104,7 +104,7 @@ func TestPunctuationAppendTo(t *testing.T) {
 		"0": Const(Float(math.Copysign(0, -1))), `"a\"b\\c\n\t\x00"`: Const(Str("a\"b\\c\n\t\x00")),
 		`"\xff\xfe"`: Const(Str("\xff\xfe")), "<=-9223372036854775808": Leq(Int(math.MinInt64)),
 	} {
-		if got := string(Punctuation{Patterns: []Pattern{p}}.AppendTo(nil)); got != "("+want+")" {
+		if got := string(punctOf([]Pattern{p}).AppendTo(nil)); got != "("+want+")" {
 			t.Errorf("AppendTo = %s, want (%s)", got, want)
 		}
 	}

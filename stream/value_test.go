@@ -29,6 +29,14 @@ func TestValueLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Pattern{}); n != 16 {
 		t.Errorf("unsafe.Sizeof(Pattern{}) = %d, want 16", n)
 	}
+	// An element is a tuple or a punctuation side by side, no tag: a
+	// punctuation is a shape pointer and its constants.
+	if n := unsafe.Sizeof(Element{}); n != 56 {
+		t.Errorf("unsafe.Sizeof(Element{}) = %d, want 56", n)
+	}
+	if n := unsafe.Sizeof(Punctuation{}); n > 32 {
+		t.Errorf("unsafe.Sizeof(Punctuation{}) = %d, want at most 32", n)
+	}
 	if reflect.TypeOf(Value{}).Comparable() || reflect.TypeOf(Pattern{}).Comparable() {
 		t.Error("Value and Pattern must not be comparable: == would compare string pointers")
 	}
@@ -167,7 +175,7 @@ func checkValue(t *testing.T, r refValue) {
 		}
 		var dv Value
 		if got.IsPunct() {
-			dv = got.Punct().Patterns[0].Value()
+			dv = got.Punct().Pattern(0).Value()
 		} else {
 			dv = got.Tuple().Values[0]
 		}

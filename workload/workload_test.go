@@ -34,7 +34,7 @@ func TestAuctionGeneratorInvariants(t *testing.T) {
 			}
 			itemsSeen[id] = true
 		case in.Stream == "item":
-			itemPunct[in.Elem.Punct().Patterns[1].Value().AsInt()] = true
+			itemPunct[in.Elem.Punct().Pattern(1).Value().AsInt()] = true
 		case in.Stream == "bid" && !in.Elem.IsPunct():
 			id := in.Elem.Tuple().Values[1].AsInt()
 			if !itemsSeen[id] {
@@ -44,7 +44,7 @@ func TestAuctionGeneratorInvariants(t *testing.T) {
 				t.Fatalf("bid for item %d after its close punctuation", id)
 			}
 		case in.Stream == "bid":
-			bidClosed[in.Elem.Punct().Patterns[1].Value().AsInt()] = true
+			bidClosed[in.Elem.Punct().Pattern(1).Value().AsInt()] = true
 		}
 	}
 	if len(itemsSeen) != 300 {
@@ -91,7 +91,7 @@ func TestNetMonGeneratorInvariants(t *testing.T) {
 			pkts++
 		case in.Stream == "pkt":
 			p := in.Elem.Punct()
-			ended[key{p.Patterns[0].Value().AsInt(), p.Patterns[1].Value().AsInt()}] = true
+			ended[key{p.Pattern(0).Value().AsInt(), p.Pattern(1).Value().AsInt()}] = true
 		}
 	}
 	if len(ended) != 200 {
