@@ -236,7 +236,6 @@ func main() {
 	var deadLetters *engine.DeadLetterSnapshot
 	if *parallel {
 		rtOpts := engine.RuntimeOptions{
-			Buffer:          256,
 			OnError:         policy,
 			DeadLetterLimit: *deadLetter,
 		}

@@ -57,8 +57,10 @@ const checkpointMagic = "PSCKPT02"
 
 // Kill simulates a crash: every worker stops processing mid-stream (no
 // batch flush, no final purge round) and the runtime reports ErrKilled.
-// Mailboxes keep draining without effect so blocked producers unwind;
-// call Close and Wait afterwards to reap the workers. The recovery test
+// Mailboxes keep draining without effect so blocked producers unwind; a
+// plain shard's worker notices Kill at its next take, so an idle one
+// stops at the next control request or at Close. Call Close and Wait
+// afterwards to reap the workers. The recovery test
 // harness uses this to prove checkpoint→crash→restore equivalence.
 func (rt *Runtime) Kill() {
 	rt.killOnce.Do(func() {
@@ -165,15 +167,11 @@ func (rt *Runtime) CheckpointSummary(w io.Writer) (CheckpointSummary, error) {
 				continue
 			}
 			live++
-			if s.pf != nil {
-				// Partitioned shard: the barrier travels as a control
-				// chunk through every partition mailbox plus the routing
-				// script; the merge stage serializes the quiesced
-				// replicas and the alignment gate in one consistent cut.
-				s.pf.control(&partCtrl{ckpt: reply, release: make(chan struct{})})
-				continue
-			}
-			s.mb <- shardMsg{ckpt: reply}
+			// On a partitioned shard the barrier travels as a control
+			// chunk through every partition mailbox plus the routing
+			// script; the merge stage serializes the quiesced replicas
+			// and the alignment gate in one consistent cut.
+			s.control(&shardCtrl{ckpt: reply})
 		}
 		var firstErr error
 		for i := 0; i < live; i++ {

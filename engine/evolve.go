@@ -92,11 +92,7 @@ func (rt *Runtime) attach(name string, q *query.CJQ, opts Options, wire func(*Re
 		// worker applies the delivery cut at this message's FIFO position.
 		s := rt.byName[r.group.members[0].Name]
 		rt.byName[name] = s
-		if s.pf != nil {
-			s.pf.control(&partCtrl{attach: r, release: make(chan struct{})})
-		} else {
-			s.mb <- shardMsg{attach: r}
-		}
+		s.control(&shardCtrl{attach: r})
 		return r, nil
 	}
 	rt.spawnShard(r)
@@ -146,18 +142,15 @@ func (rt *Runtime) Detach(name string) error {
 	}
 	rt.d.Unregister(name)
 	delete(rt.byName, name)
+	s.control(&shardCtrl{detach: name})
 	if len(s.group.members) > 0 {
-		if s.pf != nil {
-			s.pf.control(&partCtrl{detach: name, release: make(chan struct{})})
-		} else {
-			s.mb <- shardMsg{detach: name}
-		}
 		return nil
 	}
-	// Last subscriber gone: retire the tree. Unroute first so no later
-	// producer can enqueue, then cut the subscription and close the
-	// input; the worker drains, flushes, and exits. The shard stays in
-	// rt.shards (Wait still joins it) but Close and Checkpoint skip it.
+	// Last subscriber gone: retire the tree. With the subscription cut
+	// queued, unroute (no producer is in flight under the exclusive lock,
+	// and none can enqueue later) and close the input; the worker drains,
+	// flushes, and exits. The shard stays in rt.shards (Wait still joins
+	// it) but Close and Checkpoint skip it.
 	s.retired = true
 	for streamName := range s.reg.streamInput {
 		routes := rt.route[streamName]
@@ -169,11 +162,9 @@ func (rt *Runtime) Detach(name string) error {
 		}
 	}
 	if s.pf != nil {
-		s.pf.control(&partCtrl{detach: name, release: make(chan struct{})})
 		s.pf.close()
 	} else {
-		s.mb <- shardMsg{detach: name}
-		close(s.mb)
+		s.mb.close()
 	}
 	return nil
 }

@@ -1,16 +1,17 @@
 package engine
 
-// Multi-producer race stress (ISSUE 6 satellite): concurrent SendBatch
-// producers and a wire ingester all feeding one partitioned
-// query, interleaved with Stats and Checkpoint barriers, must produce
-// exactly the single-tree result set. The concurrent phase carries
-// tuples only — tuple arrival order across streams never changes the
-// final multiset of an equi-join, and purge waits for punctuation — so
-// the assertion is exact even though the interleaving is not. The
+// Multi-producer race stress: concurrent SendBatch producers and a wire
+// ingester all feeding one query — unpartitioned, then on four
+// partitions — interleaved with Stats and Checkpoint barriers, must
+// produce exactly the sequential result set. The concurrent phase
+// carries tuples only — tuple arrival order across streams never changes
+// the final multiset of an equi-join, and purge waits for punctuation —
+// so the assertion is exact even though the interleaving is not. The
 // punctuation pass runs single-threaded afterwards and drains all state.
-// Run under -race this exercises every ingress path of the parallel
-// front-end at once: sender-side routing, epoch seals, control barriers,
-// and the wire-ingest loop.
+// Run under -race this exercises every ingress path at once: the shard
+// mailbox's producers, take and control entries; the parallel front's
+// sender-side routing, epoch seals and control barriers; and the
+// wire-ingest loop.
 
 import (
 	"bytes"
@@ -120,10 +121,26 @@ func TestParallelIngestStress(t *testing.T) {
 		t.Fatalf("reference produced %d results, want %d", len(want), wantLen)
 	}
 
-	// Partitioned run: three SendBatch producers (one per stream, each
-	// splitting its tuples into small batches), one wire producer, and a
-	// barrier goroutine hammering Stats/Checkpoint.
-	d, reg := newStressDSMS(t, 4)
+	// Concurrent runs, on one tree and on four partitions: three SendBatch
+	// producers (one per stream, each splitting its tuples into small
+	// batches), one wire producer, and a barrier goroutine hammering
+	// Stats/Checkpoint.
+	for _, parts := range []int{0, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			stressConcurrent(t, parts, wire, want)
+		})
+	}
+}
+
+// stressConcurrent runs the concurrent phase against one query on parts
+// partitions (0: the unpartitioned mailbox) and compares its results
+// with the sequential reference.
+func stressConcurrent(t *testing.T, parts int, wire []byte, want []string) {
+	schemas := partitionQuery(t)
+	itemSchema := schemas.Stream(0)
+	bidSchema := schemas.Stream(1)
+	watchSchema := schemas.Stream(2)
+	d, reg := newStressDSMS(t, parts)
 	rt := d.RunSharded(RuntimeOptions{})
 
 	errs := make(chan error, 8)
@@ -193,11 +210,11 @@ func TestParallelIngestStress(t *testing.T) {
 	}
 	got := sortedResults(reg)
 	if !equalStrings(want, got) {
-		t.Fatalf("partitioned run diverged: %d results vs single-tree %d", len(got), len(want))
+		t.Fatalf("concurrent run diverged: %d results vs sequential %d", len(got), len(want))
 	}
 
-	// Punctuation broadcast drained every replica: total retained state
-	// across partitions must be zero.
+	// Every key was punctuated on every stream: no operator (summed over
+	// the replicas, when partitioned) retains a tuple.
 	stats, err := rt.Stats("q0")
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"punctsafe/exec"
 	"punctsafe/stream"
 )
 
@@ -70,7 +69,7 @@ const opPunct = 0xFF
 type partChunk struct {
 	input int
 	elems []stream.Element
-	ctrl  *partCtrl
+	ctrl  *shardCtrl
 }
 
 // scriptBatch describes one run's global element order to the merger:
@@ -83,7 +82,7 @@ type scriptBatch struct {
 	stream string
 	elems  []stream.Element
 	run    *partRun
-	ctrl   *partCtrl
+	ctrl   *shardCtrl
 }
 
 // partRun is one run's routing scratch — the script bytes and the
@@ -92,19 +91,6 @@ type scriptBatch struct {
 type partRun struct {
 	ops    []byte
 	chunks [][]stream.Element
-}
-
-// partCtrl is a control barrier travelling through every partition
-// mailbox and the script: a stats snapshot request, a checkpoint
-// request, a live repartition, a subscription change, or both sides of
-// the quiesce handshake.
-type partCtrl struct {
-	stats   chan<- []*exec.Stats
-	ckpt    chan<- shardCkpt
-	split   *splitReq
-	attach  *Registered   // new subscriber from this barrier on
-	detach  string        // departing subscriber name
-	release chan struct{} // closed by the merger once the snapshot is taken
 }
 
 // splitReq asks the merge stage to split a hot replica while every
@@ -131,7 +117,7 @@ type partRecord struct {
 	fatal   error
 	fatalAt int  // local index processing stopped at when fatal != nil
 	skipped bool // worker latched an earlier fatal and did not process
-	ctrl    *partCtrl
+	ctrl    *shardCtrl
 }
 
 func (r *partRecord) reset() {
@@ -266,10 +252,11 @@ func (pf *partFront) recycle(sb scriptBatch) {
 }
 
 // control enqueues a barrier to every partition mailbox and the script.
-// The reply arrives on the partCtrl's channel once the merger has
+// The reply arrives on the request's channel once the merger has
 // delivered everything enqueued before this call and quiesced the
 // workers.
-func (pf *partFront) control(c *partCtrl) {
+func (pf *partFront) control(c *shardCtrl) {
+	c.release = make(chan struct{})
 	pf.mu.Lock()
 	for p := 0; p < pf.p; p++ {
 		pf.in[p] <- partChunk{ctrl: c}
@@ -287,7 +274,7 @@ func (pf *partFront) control(c *partCtrl) {
 // With the lock held, every producer that raced the split re-validates
 // its spec snapshot in sendRun and rehashes.
 func (pf *partFront) splitPartition(hot int) error {
-	c := &partCtrl{
+	c := &shardCtrl{
 		split:   &splitReq{hot: hot, reply: make(chan error, 1)},
 		release: make(chan struct{}),
 	}
@@ -508,22 +495,10 @@ func (s *shard) killDrain() {
 	s.materializePassive()
 	for sb := range s.pf.script {
 		if sb.ctrl != nil {
-			answerCtrlKilled(s, sb.ctrl)
+			s.answerKilled(sb.ctrl)
 		}
 	}
 	s.pf.wg.Wait()
-}
-
-func answerCtrlKilled(s *shard, c *partCtrl) {
-	if c.stats != nil {
-		c.stats <- nil
-	}
-	if c.ckpt != nil {
-		c.ckpt <- shardCkpt{idx: s.idx, err: ErrKilled}
-	}
-	if c.split != nil {
-		c.split.reply <- ErrKilled
-	}
 }
 
 // current returns partition p's record under consumption, fetching the
@@ -728,17 +703,17 @@ func (m *partMerger) discardOne(p int) bool {
 // consumeCtrl is the merge-stage half of a control barrier: consume the
 // ack record from every partition — by mailbox FIFO all earlier records
 // are consumed and delivered, and every worker is parked on release, so
-// the replicas and the gate are quiescent — snapshot, reply, release.
+// the replicas and the gate are quiescent — split or answer, release.
 // Stats are answered even on a failed shard (matching the sequential
 // path); checkpointReply itself refuses failed state.
-func (m *partMerger) consumeCtrl(c *partCtrl) bool {
+func (m *partMerger) consumeCtrl(c *shardCtrl) bool {
 	s := m.s
 	for p := 0; p < m.pf.p; p++ {
 		rec, ok := m.current(p)
 		if !ok {
 			// Killed mid-barrier: answer like the kill drain so the
 			// waiter unwinds; parked workers unpark via the kill signal.
-			answerCtrlKilled(s, c)
+			s.answerKilled(c)
 			return false
 		}
 		if rec.ctrl != c {
@@ -746,24 +721,10 @@ func (m *partMerger) consumeCtrl(c *partCtrl) bool {
 		}
 		m.release(p)
 	}
-	if c.stats != nil {
-		s.materializePassive()
-		c.stats <- s.reg.StatsSnapshot()
-	}
-	if c.ckpt != nil {
-		c.ckpt <- s.checkpointReply()
-	}
 	if c.split != nil {
 		c.split.reply <- m.doSplit(c.split.hot)
 	}
-	if c.attach != nil {
-		// The barrier is the subscription cut: everything enqueued before
-		// it has been delivered to the old subscriber set.
-		s.attachSub(c.attach)
-	}
-	if c.detach != "" {
-		s.dropSub(c.detach)
-	}
+	s.answer(c)
 	close(c.release)
 	return true
 }

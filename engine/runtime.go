@@ -22,9 +22,13 @@ import (
 
 // RuntimeOptions tunes the sharded runtime.
 type RuntimeOptions struct {
-	// Buffer is the per-shard mailbox capacity (the backpressure knob):
-	// Send blocks once a subscribed shard's mailbox is full. <= 0 selects
-	// the default of 64.
+	// Buffer is the per-shard mailbox capacity in elements (the
+	// backpressure knob): a producer waits while a subscribed shard's
+	// mailbox has no room for its run. A run is enqueued whole, never
+	// split — a longer one enters an empty mailbox — so a mailbox holds at
+	// most Buffer elements or one run. <= 0 selects the default of 256. A
+	// partitioned query's per-partition mailboxes keep their own fixed
+	// depths.
 	Buffer int
 	// FailFast makes Send return the runtime's first error as soon as any
 	// shard has failed, so producers can stop feeding early. Without it
@@ -56,7 +60,7 @@ type RuntimeOptions struct {
 	IngestTap func(source string, frames []byte, start, end int64)
 }
 
-const defaultShardBuffer = 64
+const defaultShardBuffer = 256
 
 // Runtime executes the registered queries of a DSMS concurrently, one
 // shard per query. Register every query and scheme first, then call
@@ -69,7 +73,7 @@ type Runtime struct {
 	shards   []*shard
 	byName   map[string]*shard
 	route    map[string][]*shard
-	buffer   int // per-shard mailbox capacity (Attach reuses it)
+	buffer   int // per-shard mailbox capacity in elements (Attach reuses it)
 	failFast bool
 	policy   ErrorPolicy
 	dlq      *deadLetterQueue
@@ -119,7 +123,7 @@ type shard struct {
 	// read by producers under the read side (dead-letter fan-out).
 	group *shareGroup
 	// subs is the worker-owned subscriber list outputs fan out to. It
-	// tracks group.members through attach/detach mailbox messages, so the
+	// tracks group.members through attach/detach control requests, so the
 	// cut between "old subscribers" and "new subscribers" falls exactly
 	// on a mailbox FIFO boundary. active/passive split it by delivery
 	// mode (rebuildSubs): active subscribers carry callbacks and get
@@ -137,7 +141,7 @@ type shard struct {
 	// zero-copy slices of this log at barrier points (materialize).
 	logTuples []stream.Tuple
 	logCount  uint64
-	mb        chan shardMsg
+	mb        mailbox
 	done      chan struct{}
 	rt        *Runtime
 	idx       int  // position in rt.shards (checkpoint reply routing)
@@ -146,37 +150,212 @@ type shard struct {
 	// subscriber detaches and the tree is being drained; Close skips the
 	// shard's already-closed mailbox.
 	retired bool
-	// batch accumulates the current contiguous same-input run of mailbox
-	// elements; the worker pushes it through exec's batched path in one
-	// call, amortizing per-element overhead. Worker-goroutine-local.
-	batch       []stream.Element
-	batchInput  int
-	batchStream string
-	// runs recycles the run buffers producers fill for this shard (takeRun,
-	// giveRun).
+	// runs recycles the run buffers producers fill for a partitioned
+	// shard's front (takeRun, giveRun).
 	runs freeList[[]stream.Element]
 	// pf is the shard's parallel partition front-end, non-nil only when
 	// the query runs partitioned (Registered.Part). A partitioned shard
-	// has no mailbox: producers route into the front's per-partition
+	// leaves mb unused: producers route into the front's per-partition
 	// mailboxes themselves, and the shard goroutine runs the merge stage
 	// (runPartitioned) instead of run.
 	pf *partFront
 }
 
-// shardMsg is one mailbox entry: a routed stream element (or, from
-// SendBatch, a run of elements of one stream), a control request
-// answered by the worker itself — a stats snapshot (stats non-nil) or a
-// checkpoint barrier (ckpt non-nil) — or a live subscription change
-// (attach/detach) applied at this exact FIFO position.
+// shardCtrl is a control request, answered by a shard's own goroutine at
+// the request's FIFO position among the elements: a stats snapshot, a
+// checkpoint barrier, a live subscription change (attach/detach) or, on
+// a partitioned shard only, a live repartition. A partitioned shard
+// carries it through every partition mailbox and the script, and its
+// workers park on release until the merger has answered.
+type shardCtrl struct {
+	stats   chan<- []*exec.Stats
+	ckpt    chan<- shardCkpt
+	split   *splitReq
+	attach  *Registered   // new subscriber: outputs after this point fan to it
+	detach  string        // departing subscriber name: no outputs after this point
+	release chan struct{} // partitioned: closed by the merger once answered
+}
+
+// control hands a control request to the shard: to its mailbox, or
+// through its partition front.
+func (s *shard) control(c *shardCtrl) {
+	if s.pf != nil {
+		s.pf.control(c)
+		return
+	}
+	s.mb.control(c)
+}
+
+// answer serves a control request at its FIFO position, with everything
+// enqueued before it already delivered: the stats snapshot and the
+// checkpoint reply reflect exactly those elements, and a subscription
+// change cuts the subscriber list there.
+func (s *shard) answer(c *shardCtrl) {
+	if c.stats != nil {
+		s.materializePassive()
+		c.stats <- s.reg.StatsSnapshot()
+	}
+	if c.ckpt != nil {
+		c.ckpt <- s.checkpointReply()
+	}
+	if c.attach != nil {
+		s.attachSub(c.attach)
+	}
+	if c.detach != "" {
+		s.dropSub(c.detach)
+	}
+}
+
+// answerKilled unwinds a control request's waiter after Kill: a stats
+// request gets no snapshot (Stats reports ErrKilled), a checkpoint or a
+// split gets ErrKilled.
+func (s *shard) answerKilled(c *shardCtrl) {
+	if c.stats != nil {
+		c.stats <- nil
+	}
+	if c.ckpt != nil {
+		c.ckpt <- shardCkpt{idx: s.idx, err: ErrKilled}
+	}
+	if c.split != nil {
+		c.split.reply <- ErrKilled
+	}
+}
+
+// shardMsg is one mailbox entry: a routed run of n > 0 elements of one
+// input, queued back to back in the mailbox's elements, or a control
+// request (ctrl, with n zero).
 type shardMsg struct {
-	input  int
-	stream string
-	elem   stream.Element
-	elems  []stream.Element // batch payload from takeRun; the shard's once sent
-	stats  chan<- []*exec.Stats
-	ckpt   chan<- shardCkpt
-	attach *Registered // new subscriber: outputs after this point fan to it
-	detach string      // departing subscriber name: no outputs after this point
+	input int
+	n     int
+	ctrl  *shardCtrl
+}
+
+// mailbox is an unpartitioned shard's input queue: one FIFO of entries
+// under one mutex. A producer appends a routed run's elements and the one
+// entry describing it; a control request is an entry with no elements.
+// The worker swaps out everything queued in one step (take), giving the
+// producers the buffers it emptied last time, and clears what it consumed
+// before it looks again (release), so no slot pins a tuple while the
+// shard idles. Both buffer pairs start empty, grow on demand to the
+// shard's high-water mark and are reused from then on; one that held a
+// run longer than both the capacity and maxRunBuf is left to the
+// collector instead.
+type mailbox struct {
+	mu sync.Mutex
+	// space is where producers wait while their run does not fit; ready
+	// is where the worker waits while nothing is queued (parked).
+	space, ready sync.Cond
+	capacity     int
+	parked       bool
+	closed       bool
+	elems        []stream.Element // queued elements, runs back to back
+	msgs         []shardMsg       // queued entries, in FIFO order
+	// next and serving are the waiting producers' tickets: a producer
+	// that must wait takes ticket next and goes in once serving reaches
+	// it, so waiting runs enter in arrival order and a short run never
+	// overtakes a long one already waiting.
+	next, serving uint64
+	// takenElems/takenMsgs are what the last take swapped out: the
+	// worker's, without a lock, until release.
+	takenElems []stream.Element
+	takenMsgs  []shardMsg
+}
+
+func (mb *mailbox) init(capacity int) {
+	mb.capacity = capacity
+	mb.space.L, mb.ready.L = &mb.mu, &mb.mu
+}
+
+// wakeLocked wakes the worker if it is parked. Callers hold mu.
+func (mb *mailbox) wakeLocked() {
+	if mb.parked {
+		mb.parked = false
+		mb.ready.Signal()
+	}
+}
+
+// put enqueues one routed run of n elements: all of elems, or when keep
+// is non-nil the n elements whose bit keep sets. The run goes in whole,
+// behind every entry already queued, once it fits within capacity or
+// the mailbox is empty, and after every producer that was already
+// waiting; until then the producer waits. So a mailbox never holds more
+// than capacity elements or one run, and its buffers top out at that
+// size.
+func (mb *mailbox) put(input int, elems []stream.Element, keep []uint64, n int) {
+	mb.mu.Lock()
+	if mb.next != mb.serving || !mb.fits(n) {
+		ticket := mb.next
+		mb.next++
+		for mb.serving != ticket || !mb.fits(n) {
+			mb.space.Wait()
+		}
+		mb.serving++
+		if mb.next != mb.serving {
+			mb.space.Broadcast() // the next ticket's run may fit behind this one
+		}
+	}
+	if keep == nil {
+		mb.elems = append(mb.elems, elems...)
+	} else {
+		for i, e := range elems {
+			if keep[i/64]&(1<<(i%64)) != 0 {
+				mb.elems = append(mb.elems, e)
+			}
+		}
+	}
+	mb.msgs = append(mb.msgs, shardMsg{input: input, n: n})
+	mb.wakeLocked()
+	mb.mu.Unlock()
+}
+
+// fits reports whether a run of n elements may go in now. Callers hold mu.
+func (mb *mailbox) fits(n int) bool {
+	return len(mb.elems) == 0 || len(mb.elems)+n <= mb.capacity
+}
+
+// control enqueues a control request. It carries no elements, so it does
+// not wait for space.
+func (mb *mailbox) control(c *shardCtrl) {
+	mb.mu.Lock()
+	mb.msgs = append(mb.msgs, shardMsg{ctrl: c})
+	mb.wakeLocked()
+	mb.mu.Unlock()
+}
+
+// close ends the input: the worker drains what is queued and exits.
+func (mb *mailbox) close() {
+	mb.mu.Lock()
+	mb.closed = true
+	mb.wakeLocked()
+	mb.mu.Unlock()
+}
+
+// take parks the worker until something is queued or the mailbox is
+// closed, then swaps out everything queued under that one lock hold and
+// lets waiting producers in. It reports false once the mailbox is closed
+// and empty. The caller must have released the previous take.
+func (mb *mailbox) take() (elems []stream.Element, msgs []shardMsg, ok bool) {
+	mb.mu.Lock()
+	for len(mb.msgs) == 0 && !mb.closed {
+		mb.parked = true
+		mb.ready.Wait()
+	}
+	mb.elems, mb.takenElems = mb.takenElems, mb.elems
+	mb.msgs, mb.takenMsgs = mb.takenMsgs, mb.msgs
+	mb.space.Broadcast()
+	mb.mu.Unlock()
+	return mb.takenElems, mb.takenMsgs, len(mb.takenMsgs) > 0
+}
+
+// release clears the consumed take, keeping its buffers for the next
+// swap unless they held a run too long to be worth pinning.
+func (mb *mailbox) release() {
+	if len(mb.takenElems) > max(mb.capacity, maxRunBuf) {
+		mb.takenElems = nil
+	}
+	clear(mb.takenElems)
+	clear(mb.takenMsgs)
+	mb.takenElems, mb.takenMsgs = mb.takenElems[:0], mb.takenMsgs[:0]
 }
 
 // shardCkpt is a worker's answer to a checkpoint barrier: its tree's
@@ -196,8 +375,9 @@ type subDelivered struct {
 	delivered uint64
 }
 
-// maxShardBatch caps how many elements a worker accumulates before
-// pushing, bounding both the batch buffer and output-delivery latency.
+// maxShardBatch caps how many elements a worker pushes into its tree in
+// one call, bounding output-delivery latency and the tree's output
+// buffer.
 const maxShardBatch = 256
 
 // freeList is a LIFO of recycled buffers belonging to one shard: whoever
@@ -229,16 +409,17 @@ func (f *freeList[T]) push(t T) {
 
 // maxRunBuf is the capacity (in elements) above which a run buffer is left
 // to the collector instead of recycled, so one fat SendBatch pins nothing:
-// every run the wire ingester and the shard worker cut is shorter.
+// every run the wire ingester and the shard worker cut is shorter. A
+// mailbox keeps a buffer that held a run this long (mailbox.release).
 const maxRunBuf = maxShardBatch
 
 // takeRun returns an empty buffer for a run of n elements bound for this
-// shard: the most recently recycled one when it is large enough, otherwise
-// a new one of n slots rounded up to a power of two. The rounding bounds
-// how often a circulating buffer is outgrown (eight times from 1 to
-// maxRunBuf, whatever order run lengths arrive in) at no more than twice
-// the run; a fixed minimum size would instead charge every short run for
-// the longest (DESIGN.md §3.6).
+// shard's partition front: the most recently recycled one when it is
+// large enough, otherwise a new one of n slots rounded up to a power of
+// two. The rounding bounds how often a circulating buffer is outgrown
+// (eight times from 1 to maxRunBuf, whatever order run lengths arrive in)
+// at no more than twice the run; a fixed minimum size would instead
+// charge every short run for the longest (DESIGN.md §3.6).
 func (s *shard) takeRun(n int) []stream.Element {
 	if b := s.runs.pop(); cap(b) >= n {
 		return b
@@ -315,9 +496,9 @@ func (rt *Runtime) spawnShard(r *Registered) *shard {
 		rt.route[streamName] = append(rt.route[streamName], s)
 	}
 	if s.reg.Part != nil {
-		// Partitioned query: no mailbox. Producers scatter directly
-		// into the front's per-partition mailboxes and the shard
-		// goroutine becomes the merge stage.
+		// Partitioned query: no shard mailbox. Producers scatter
+		// directly into the front's per-partition mailboxes and the
+		// shard goroutine becomes the merge stage.
 		s.pf = newPartFront(s)
 		go s.runPartitioned()
 		if s.reg.pressure != nil && s.reg.maxSplits > 0 {
@@ -325,15 +506,16 @@ func (rt *Runtime) spawnShard(r *Registered) *shard {
 		}
 		return s
 	}
-	s.mb = make(chan shardMsg, rt.buffer)
+	s.mb.init(rt.buffer)
 	go s.run()
 	return s
 }
 
-// run is the shard worker: it drains the mailbox into the query's tree
-// and, on clean shutdown, flushes the tree's pending lazy purge rounds so
-// Wait leaves every shard fully purged. After the shard's first error it
-// keeps draining without processing so producers never block forever.
+// run is the shard worker: it empties the mailbox into the query's tree
+// one take at a time and, on clean shutdown, flushes the tree's pending
+// lazy purge rounds so Wait leaves every shard fully purged. After the
+// shard's first error it keeps draining without processing so producers
+// never block forever.
 //
 // Faults are contained per element and per shard: recoverable element
 // errors go to the dead-letter queue under Drop/Quarantine, and operator
@@ -342,116 +524,68 @@ func (rt *Runtime) spawnShard(r *Registered) *shard {
 func (s *shard) run() {
 	defer close(s.done)
 	for {
-		var msg shardMsg
-		var ok bool
+		elems, msgs, ok := s.mb.take()
 		select {
-		case msg, ok = <-s.mb:
 		case <-s.rt.kill:
-			s.discard()
+			// Checked before ok: a worker parked across Kill first wakes
+			// to Close, and must not run finish's final purge round.
+			s.discard(msgs)
 			return
+		default:
 		}
 		if !ok {
 			break
 		}
-		s.handle(msg)
-		// Greedy drain: while producers have more queued, keep
-		// accumulating the contiguous same-input run without blocking;
-		// the run is pushed in one batched call the moment the mailbox
-		// goes empty (so an idle stream never waits on a partial batch).
-	drain:
-		for {
-			select {
-			case next, ok := <-s.mb:
-				if !ok {
-					s.flushBatch()
-					s.finish()
-					return
-				}
-				s.handle(next)
-			case <-s.rt.kill:
-				s.discard()
-				return
-			default:
-				break drain
-			}
-		}
-		s.flushBatch()
+		s.handle(elems, msgs)
+		s.mb.release()
 	}
-	s.flushBatch()
 	s.finish()
 }
 
 // discard is the post-Kill worker loop: the crash model stops all
-// processing dead (no batch flush, no lazy-purge finish), but the
-// mailbox keeps draining without effect so producers blocked on a full
-// mailbox and control-message waiters all unwind. It returns when the
-// mailbox closes.
-func (s *shard) discard() {
+// processing dead (no further push, no lazy-purge finish), but the
+// mailbox keeps draining without effect so producers waiting for space
+// and control waiters all unwind. msgs is the take Kill was noticed in.
+// It returns when the mailbox is closed and empty.
+func (s *shard) discard(msgs []shardMsg) {
 	s.materializePassive()
-	for {
-		msg, ok := <-s.mb
-		if !ok {
-			return
+	for ok := true; ok; _, msgs, ok = s.mb.take() {
+		for _, m := range msgs {
+			if m.ctrl != nil {
+				s.answerKilled(m.ctrl)
+			}
 		}
-		if msg.stats != nil {
-			msg.stats <- nil
-		}
-		if msg.ckpt != nil {
-			msg.ckpt <- shardCkpt{idx: s.idx, err: ErrKilled}
-		}
+		s.mb.release()
 	}
 }
 
-// handle processes one mailbox message: stats requests are answered after
-// flushing the pending run (so the snapshot reflects every element queued
-// before the request); elements extend the current run, which is flushed
-// whenever the input switches or the batch cap is reached.
-func (s *shard) handle(msg shardMsg) {
-	if msg.stats != nil {
-		s.flushBatch()
-		s.materializePassive()
-		msg.stats <- s.reg.StatsSnapshot()
-		return
-	}
-	if msg.ckpt != nil {
-		// Checkpoint barrier: everything queued before it has been handled
-		// (mailbox FIFO); flushing the in-flight run makes the tree state a
-		// consistent cut, which the worker itself serializes (the tree is
-		// goroutine-confined). Pending lazy purges are NOT forced: they are
-		// part of the state and travel in the snapshot, so the restored run
-		// purges on the same schedule as an uninterrupted one.
-		s.flushBatch()
-		msg.ckpt <- s.checkpointReply()
-		return
-	}
-	if msg.attach != nil || msg.detach != "" {
-		// Live subscription change: flush the pending run first so its
-		// outputs reach exactly the subscribers that were attached when
-		// its elements were enqueued, then cut the list here.
-		s.flushBatch()
-		if msg.attach != nil {
-			s.attachSub(msg.attach)
+// handle processes one take in FIFO order. Consecutive runs of one input
+// form a segment, pushed through flushBatch in slices of at most
+// maxShardBatch; a control entry is answered once everything before it
+// has been pushed. A checkpoint barrier therefore serializes a consistent
+// cut (pending lazy purges are NOT forced: they are part of the state and
+// travel in the snapshot, so the restored run purges on the same schedule
+// as an uninterrupted one), and a subscription change cuts the
+// subscriber list exactly between the elements enqueued before and after
+// it.
+func (s *shard) handle(elems []stream.Element, msgs []shardMsg) {
+	for i := 0; i < len(msgs); {
+		m := msgs[i]
+		if m.ctrl != nil {
+			s.answer(m.ctrl)
+			i++
+			continue
 		}
-		if msg.detach != "" {
-			s.dropSub(msg.detach)
+		n := 0
+		for ; i < len(msgs) && msgs[i].ctrl == nil && msgs[i].input == m.input; i++ {
+			n += msgs[i].n
 		}
-		return
-	}
-	if s.failed {
-		return // drain without processing
-	}
-	if len(s.batch) > 0 && msg.input != s.batchInput {
-		s.flushBatch()
-	}
-	s.batchInput, s.batchStream = msg.input, msg.stream
-	if msg.elems != nil {
-		s.batch = append(s.batch, msg.elems...)
-		s.giveRun(msg.elems)
-	} else {
-		s.batch = append(s.batch, msg.elem)
-	}
-	if len(s.batch) >= maxShardBatch {
-		s.flushBatch()
+		for seg := elems[:n]; len(seg) > 0; {
+			k := min(len(seg), maxShardBatch)
+			s.flushBatch(m.input, seg[:k])
+			seg = seg[k:]
+		}
+		elems = elems[n:]
 	}
 }
 
@@ -553,27 +687,25 @@ func (s *shard) dropSub(name string) {
 	}
 }
 
-// flushBatch pushes the accumulated run through the tree's batched path,
-// applying the element-level error policy per offender: recoverable
-// offenders are dead-lettered and the rest of the run resumes after them,
-// so batching never changes which elements a policy keeps or drops.
-func (s *shard) flushBatch() {
-	elems := s.batch
+// flushBatch pushes a run of one input's elements through the tree's
+// batched path, applying the element-level error policy per offender:
+// recoverable offenders are dead-lettered and the rest of the run resumes
+// after them, so batching never changes which elements a policy keeps or
+// drops. A failed shard pushes nothing.
+func (s *shard) flushBatch(input int, elems []stream.Element) {
 	for len(elems) > 0 && !s.failed {
-		n, err := s.pushBatchContained(s.batchInput, elems)
+		n, err := s.pushBatchContained(input, elems)
 		if err == nil {
-			break
+			return
 		}
 		if s.rt.policy != Fail && recoverableError(err) {
-			s.deadLetter(s.batchStream, elems[n], err)
+			s.deadLetter(s.reg.Query.Stream(input).Name(), elems[n], err)
 			elems = elems[n+1:]
 			continue
 		}
 		s.failed = true
 		s.rt.fail(fmt.Errorf("engine: query %q: %w", s.reg.Name, err))
 	}
-	clear(s.batch)
-	s.batch = s.batch[:0]
 }
 
 // checkpointReply serializes the shard's tree for a checkpoint barrier,
@@ -659,8 +791,8 @@ func (rt *Runtime) Err() error {
 
 // Send routes one element of the named raw stream to every subscribed
 // shard, applying each query's input filter on the router side. It blocks
-// while a subscribed shard's mailbox is full (backpressure) and is safe
-// to call from any number of producer goroutines. After Close it returns
+// while a subscribed shard's mailbox has no room (backpressure) and is
+// safe to call from any number of producer goroutines. After Close it returns
 // an error instead of panicking; with FailFast it returns the runtime's
 // first error once any shard has failed.
 func (rt *Runtime) Send(streamName string, e stream.Element) error {
@@ -679,9 +811,9 @@ func (rt *Runtime) SendAt(source, streamName string, e stream.Element, offset in
 // SendBatch routes a run of elements of one named stream, equivalent to
 // calling Send per element but with one mailbox hand-off per subscribed
 // shard: the run is filtered per query on the router side and the
-// accepted elements travel as one message, so per-element routing, lock,
-// and channel overhead is amortized across the batch. The caller keeps
-// ownership of elems (each shard receives its own copy). Filter errors
+// accepted elements enter the mailbox as one run under one lock hold, so
+// per-element routing and locking is amortized across the batch. The
+// caller keeps ownership of elems (each shard copies the run in). Filter errors
 // follow Send's policy handling per element; under Fail the offender
 // fails the runtime and the batch is not delivered to the failing
 // query's shard.
@@ -737,62 +869,85 @@ func (rt *Runtime) commit(op, source, streamName string, elems []stream.Element,
 
 // routeRun is the one routing body: it hands a run of one stream's
 // elements to every subscribed shard, filtered per query. The caller
-// holds closeMu.RLock and keeps elems. A one-element run travels through
-// the mailbox by value; every other hand-off copies the accepted elements
-// into one of the shard's recycled run buffers (takeRun), which the shard
-// gives back once it has copied them on.
+// holds closeMu.RLock and keeps elems. An unpartitioned shard's mailbox
+// copies the accepted elements in as one run; a partitioned shard's front
+// gets them in one of the shard's recycled run buffers (takeRun).
 func (rt *Runtime) routeRun(streamName string, elems []stream.Element) error {
-	single := len(elems) == 1
+	if len(elems) == 0 {
+		return nil
+	}
 	for _, s := range rt.route[streamName] {
 		input := s.reg.streamInput[streamName]
-		var accepted []stream.Element
-		if !single || s.pf != nil {
-			accepted = s.takeRun(len(elems))
-		}
-		kept := 0
-		for _, e := range elems {
-			ok, err := safeAccepts(s.reg, input, e)
-			if err != nil {
-				// A panicking input filter leaves the element unclassifiable
-				// for this query: dead-letter it under Drop/Quarantine (once
-				// per subscribed query, as independent trees would), or fail
-				// the runtime under Fail — the router goroutine survives
-				// either way.
-				err = fmt.Errorf("engine: query %q: %w", s.reg.Name, err)
-				if rt.policy == Fail {
-					rt.fail(err)
+		if s.pf != nil {
+			// Partitioned query: the producer routes the run itself —
+			// hash each tuple to its owning partition, seal every
+			// partition's mailbox for a punctuation.
+			accepted := s.takeRun(len(elems))
+			for _, e := range elems {
+				ok, err := rt.admit(s, input, streamName, e)
+				if err != nil {
 					return err
 				}
-				for _, m := range s.group.members {
-					rt.dlq.add(DeadLetter{Stream: streamName, Query: m.Name, Elem: e, Err: err})
+				if ok {
+					accepted = append(accepted, e)
 				}
+			}
+			if len(accepted) == 0 {
+				s.giveRun(accepted)
 				continue
 			}
-			if !ok {
-				continue
+			s.pf.sendRun(input, streamName, accepted)
+			continue
+		}
+		if s.reg.filter == nil {
+			s.mb.put(input, elems, nil, len(elems))
+			continue
+		}
+		// Filter outside the mailbox lock, once per element, into a bit
+		// per element; the mailbox copies the kept ones in.
+		var words [maxShardBatch / 64]uint64
+		keep := words[:]
+		if w := (len(elems) + 63) / 64; w > len(words) {
+			keep = make([]uint64, w)
+		}
+		kept := 0
+		for i, e := range elems {
+			ok, err := rt.admit(s, input, streamName, e)
+			if err != nil {
+				return err
 			}
-			kept++
-			if accepted != nil {
-				accepted = append(accepted, e)
+			if ok {
+				keep[i/64] |= 1 << (i % 64)
+				kept++
 			}
 		}
-		switch {
-		case kept == 0:
-			if accepted != nil {
-				s.giveRun(accepted)
-			}
-		case s.pf != nil:
-			// Partitioned query: no mailbox. The producer routes the run
-			// itself — hash each tuple to its owning partition, seal every
-			// partition's mailbox for a punctuation.
-			s.pf.sendRun(input, streamName, accepted)
-		case single:
-			s.mb <- shardMsg{input: input, stream: streamName, elem: elems[0]}
-		default:
-			s.mb <- shardMsg{input: input, stream: streamName, elems: accepted}
+		if kept > 0 {
+			s.mb.put(input, elems, keep, kept)
 		}
 	}
 	return nil
+}
+
+// admit evaluates one query's input filter on one element with panic
+// containment. A panicking filter leaves the element unclassifiable for
+// this query: it is dead-lettered under Drop/Quarantine (once per
+// subscribed query, as independent trees would) and not admitted, or it
+// fails the runtime under Fail and the error is returned — the producer
+// goroutine survives either way.
+func (rt *Runtime) admit(s *shard, input int, streamName string, e stream.Element) (bool, error) {
+	ok, err := safeAccepts(s.reg, input, e)
+	if err == nil {
+		return ok, nil
+	}
+	err = fmt.Errorf("engine: query %q: %w", s.reg.Name, err)
+	if rt.policy == Fail {
+		rt.fail(err)
+		return false, err
+	}
+	for _, m := range s.group.members {
+		rt.dlq.add(DeadLetter{Stream: streamName, Query: m.Name, Elem: e, Err: err})
+	}
+	return false, nil
 }
 
 // safeAccepts evaluates the query's input filter with panic containment:
@@ -840,7 +995,7 @@ func (rt *Runtime) Close() {
 			s.pf.close()
 			continue
 		}
-		close(s.mb)
+		s.mb.close()
 	}
 }
 
@@ -873,13 +1028,19 @@ func (rt *Runtime) Wait() error {
 // the tree is read directly. Safe to call from any goroutine,
 // concurrently with Send and Close: the runtime's close lock serializes
 // the mailbox hand-off, and a request already queued when Close lands is
-// still answered during the drain.
+// still answered during the drain. A killed runtime has no consistent
+// state to report: Stats returns ErrKilled, as Checkpoint does.
 func (rt *Runtime) Stats(name string) ([]*exec.Stats, error) {
 	rt.closeMu.RLock()
 	defer rt.closeMu.RUnlock()
 	s, ok := rt.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: no query %q", name)
+	}
+	select {
+	case <-rt.kill:
+		return nil, ErrKilled
+	default:
 	}
 	if rt.closed {
 		// Mailbox closed: the worker is draining or done. Wait for it,
@@ -888,17 +1049,16 @@ func (rt *Runtime) Stats(name string) ([]*exec.Stats, error) {
 		<-s.done
 		return s.reg.StatsSnapshot(), nil
 	}
+	// The request travels behind every element enqueued before it (on a
+	// partitioned query, through every partition mailbox, answered by
+	// the merge stage once the workers are quiescent). A nil answer means
+	// Kill landed while it was queued.
 	reply := make(chan []*exec.Stats, 1)
-	if s.pf != nil {
-		// Partitioned query: the request travels as a control barrier
-		// through every partition mailbox; the merge stage answers once
-		// everything enqueued before it has been delivered and the
-		// workers are quiescent.
-		s.pf.control(&partCtrl{stats: reply, release: make(chan struct{})})
-		return <-reply, nil
+	s.control(&shardCtrl{stats: reply})
+	if st := <-reply; st != nil {
+		return st, nil
 	}
-	s.mb <- shardMsg{stats: reply}
-	return <-reply, nil
+	return nil, ErrKilled
 }
 
 // SplitPartition live-splits one replica of the named partitioned query:

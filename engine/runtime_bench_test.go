@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"punctsafe/stream"
+	"punctsafe/workload"
 )
 
 // BenchmarkIngest compares the sequential Push path against the sharded
@@ -107,6 +108,90 @@ func BenchmarkIngest(b *testing.B) {
 			b.ReportMetric(float64(len(feed)), "elements/op")
 		})
 	}
+}
+
+// BenchmarkShardHandoff measures what the runtime layer adds to the tree
+// on join-watermark's shape: the sensor query (ordered heartbeats,
+// promises enforced, punctuation purging on) fed runs of about two
+// elements that alternate between the streams. "tree" pushes every run
+// through exec.Tree.PushBatch and delivers the outputs on the benchmark
+// goroutine; "runtime" sends the same runs through Runtime.SendBatch, so
+// a shard worker does the same pushes and deliveries behind the mailbox.
+// The gap between their ns/elem is the hand-off's cost; run it with
+// -cpu 1 and -cpu 2 to see how much of it is the two goroutines
+// lock-stepping.
+func BenchmarkShardHandoff(b *testing.B) {
+	feed := workload.Sensor(workload.SensorConfig{Epochs: 4096, ReadingsPerEpoch: 4, Disorder: 256,
+		HeartbeatEvery: 64, Heartbeats: true, Seed: 1})
+	type run struct {
+		stream string
+		input  int
+		elems  []stream.Element
+	}
+	var runs []run
+	q := workload.SensorQuery()
+	for i := 0; i < len(feed); {
+		r := run{stream: feed[i].Stream}
+		for ; i < len(feed) && feed[i].Stream == r.stream; i++ {
+			r.elems = append(r.elems, feed[i].Elem)
+		}
+		r.input = q.StreamIndex(r.stream)
+		runs = append(runs, r)
+	}
+	register := func(b *testing.B) (*DSMS, *Registered) {
+		d := New()
+		for _, s := range workload.SensorSchemes().All() {
+			d.RegisterScheme(s)
+		}
+		reg, err := d.Register("q", workload.SensorQuery(), Options{
+			EnforcePromises: true, PurgePunctuations: true, OnResult: func(stream.Tuple) {}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d, reg
+	}
+	perElem := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(feed)), "ns/elem")
+		b.ReportMetric(float64(len(feed))/float64(len(runs)), "elems/run")
+	}
+	b.Run("tree", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			_, reg := register(b)
+			b.StartTimer()
+			for _, r := range runs {
+				outs, _, err := reg.Tree.PushBatch(r.input, r.elems)
+				if err != nil {
+					b.Fatal(err)
+				}
+				reg.deliver(outs)
+			}
+			outs, err := reg.Tree.Flush()
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg.deliver(outs)
+		}
+		perElem(b)
+	})
+	b.Run("runtime", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			d, _ := register(b)
+			b.StartTimer()
+			rt := d.RunSharded(RuntimeOptions{})
+			for _, r := range runs {
+				if err := rt.SendBatch(r.stream, r.elems); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rt.Close()
+			if err := rt.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perElem(b)
+	})
 }
 
 // BenchmarkCheckpoint measures the durability tax: serializing a live

@@ -310,86 +310,105 @@ func TestShardedRouting(t *testing.T) {
 }
 
 // TestRouteSingleElementAllocs is the producer-side alloc floor: Send,
-// SendAt and a one-element SendBatch hand their element to each shard by
-// value — no heap-allocated one-element slice on the way in, no accepted
-// copy in the routing body — and an n-element SendBatch to a shard that
-// drains fills a run buffer the shard has handed back, so it allocates
-// nothing either once as many buffers circulate as the mailbox holds.
-// testing.AllocsPerRun counts the whole process, so no worker runs here:
-// nobody drains the one-element cases, and for the runs the test is the
-// shard, handling one message (giveRun, as shard.handle does) ahead of
-// every send into an otherwise full mailbox. scripts/check.sh runs this
-// test by name.
+// SendAt and SendBatch of 1, 2, 3 and 128 elements copy the run straight
+// into each subscribed shard's mailbox — no one-element slice on the way
+// in, no accepted copy, no run buffer — and allocate nothing once the
+// mailbox's buffers have reached their high-water mark. The mailboxes
+// take runs while they fit in the capacity (the 128-element run enters
+// an empty one of 16 whole). testing.AllocsPerRun counts the whole
+// process, so no worker runs here: the test is the worker, taking and
+// releasing every mailbox as shard.run does once it is full.
+// scripts/check.sh runs this test by name.
 func TestRouteSingleElementAllocs(t *testing.T) {
 	_, regs := newAuctionDSMS(t, 2)
-	const runs = 100
+	const capacity = 16
 	rt := &Runtime{route: make(map[string][]*shard), sources: make(map[string]int64)}
 	for _, r := range regs {
-		s := &shard{reg: r, group: r.group, rt: rt, mb: make(chan shardMsg, runs+1)}
+		s := &shard{reg: r, group: r.group, rt: rt}
+		s.mb.init(capacity)
 		rt.shards = append(rt.shards, s)
 		rt.route["item"] = append(rt.route["item"], s)
 	}
 	e := stream.TupleElement(stream.NewTuple(stream.Int(1), stream.Int(1), stream.Str("x"), stream.Float(1)))
-	one := []stream.Element{e}
-	for _, tc := range []struct {
-		name string
-		send func() error
-	}{
-		{"Send", func() error { return rt.Send("item", e) }},
-		{"SendAt", func() error { return rt.SendAt("src", "item", e, 1) }},
-		{"SendBatch/1", func() error { return rt.SendBatch("item", one) }},
-	} {
-		per := testing.AllocsPerRun(runs, func() {
-			if err := tc.send(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if per != 0 {
-			t.Errorf("%s allocates %.1f times per call routing to %d shards, want 0", tc.name, per, len(regs))
-		}
-		for _, s := range rt.shards {
-			if len(s.mb) != runs+1 {
-				t.Fatalf("%s: shard %q holds %d messages, want %d", tc.name, s.reg.Name, len(s.mb), runs+1)
-			}
-			for len(s.mb) > 0 {
-				<-s.mb
-			}
-		}
-	}
-	handleOne := func() {
-		for _, s := range rt.shards {
-			msg := <-s.mb
-			if len(msg.elems) == 0 {
-				t.Fatalf("shard %q: message without a run", s.reg.Name)
-			}
-			s.giveRun(msg.elems)
-		}
-	}
-	for _, n := range []int{2, 3, 128} {
+	runOf := func(n int) []stream.Element {
 		run := make([]stream.Element, n)
 		for i := range run {
 			run[i] = e
 		}
-		send := func() {
-			if err := rt.SendBatch("item", run); err != nil {
-				t.Fatal(err)
+		return run
+	}
+	one, two, three, long := runOf(1), runOf(2), runOf(3), runOf(128)
+	for _, tc := range []struct {
+		name string
+		n    int
+		send func() error
+	}{
+		{"Send", 1, func() error { return rt.Send("item", e) }},
+		{"SendAt", 1, func() error { return rt.SendAt("src", "item", e, 1) }},
+		{"SendBatch/1", 1, func() error { return rt.SendBatch("item", one) }},
+		{"SendBatch/2", 2, func() error { return rt.SendBatch("item", two) }},
+		{"SendBatch/3", 3, func() error { return rt.SendBatch("item", three) }},
+		{"SendBatch/128", 128, func() error { return rt.SendBatch("item", long) }},
+	} {
+		sends := max(1, capacity/tc.n)
+		fillAndTake := func() {
+			for i := 0; i < sends; i++ {
+				if err := tc.send(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, s := range rt.shards {
+				elems, msgs, ok := s.mb.take()
+				if !ok || len(msgs) != sends || len(elems) != sends*tc.n {
+					t.Fatalf("%s: shard %q took %d runs of %d elements, want %d of %d",
+						tc.name, s.reg.Name, len(msgs), len(elems), sends, sends*tc.n)
+				}
+				s.mb.release()
 			}
 		}
-		for i := 0; i < cap(rt.shards[0].mb); i++ {
-			send() // fill the mailboxes: every buffer of the steady state is in flight
-		}
-		per := testing.AllocsPerRun(runs, func() {
-			handleOne()
-			send()
-		})
-		if per != 0 {
-			t.Errorf("SendBatch/%d allocates %.1f times per call into full mailboxes of %d draining shards, want 0", n, per, len(regs))
-		}
-		for len(rt.shards[0].mb) > 0 {
-			handleOne()
+		fillAndTake() // both buffer pairs reach the high-water mark
+		fillAndTake()
+		if per := testing.AllocsPerRun(100, fillAndTake); per != 0 {
+			t.Errorf("%s: filling the mailboxes of %d shards allocates %.1f times, want 0", tc.name, len(regs), per)
 		}
 		for _, s := range rt.shards {
-			requireRunsHoldNothing(t, s, cap(s.mb))
+			requireMailboxHoldsNothing(t, s, false)
+		}
+	}
+}
+
+// requireMailboxHoldsNothing checks that every slot of both of a shard's
+// mailbox buffer pairs is zero: the worker cleared what it consumed, so
+// an idle shard pins no tuple. With parked it first waits for the
+// shard's worker to park on the empty mailbox.
+func requireMailboxHoldsNothing(t *testing.T, s *shard, parked bool) {
+	t.Helper()
+	mb := &s.mb
+	if parked {
+		waitFor(t, "the worker to park", func() bool {
+			mb.mu.Lock()
+			defer mb.mu.Unlock()
+			return mb.parked
+		})
+	}
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if len(mb.elems) != 0 || len(mb.msgs) != 0 || len(mb.takenElems) != 0 || len(mb.takenMsgs) != 0 {
+		t.Errorf("shard %q: idle mailbox holds %d+%d elements and %d+%d entries",
+			s.reg.Name, len(mb.elems), len(mb.takenElems), len(mb.msgs), len(mb.takenMsgs))
+	}
+	for _, b := range [][]stream.Element{mb.elems, mb.takenElems} {
+		for i, e := range b[:cap(b)] {
+			if !reflect.ValueOf(e).IsZero() {
+				t.Fatalf("shard %q: mailbox slot %d still holds %v", s.reg.Name, i, e)
+			}
+		}
+	}
+	for _, b := range [][]shardMsg{mb.msgs, mb.takenMsgs} {
+		for i, m := range b[:cap(b)] {
+			if m != (shardMsg{}) {
+				t.Fatalf("shard %q: mailbox entry %d still holds %+v", s.reg.Name, i, m)
+			}
 		}
 	}
 }
@@ -488,9 +507,10 @@ func TestPartitionFrontAllocFloor(t *testing.T) {
 
 // TestRecycledBuffersHoldNothing drains a feed with large result batches
 // through a plain and a partitioned shard and then looks into every pool:
-// each run buffer, each partition record and each run scratch waiting for
-// reuse must be empty and zero in every slot — a pooled buffer that still
-// pointed at tuples would keep them alive for as long as the query idles.
+// each slot of the plain shard's mailbox, and each run buffer, partition
+// record and run scratch waiting for reuse, must be empty and zero — a
+// pooled buffer that still pointed at tuples would keep them alive for
+// as long as the query idles.
 // Then it checks that no stage waits for a buffer: with both shards stuck
 // in their result callback and every buffer in flight behind them, Kill,
 // Close and Wait complete and the blocked producer unwinds.
@@ -541,7 +561,7 @@ func TestRecycledBuffersHoldNothing(t *testing.T) {
 		t.Fatalf("%d results delivered, want %d", results.Load(), want)
 	}
 	plain, part := rt.byName["plain"], rt.byName["part"]
-	requireRunsHoldNothing(t, plain, rt.buffer+2)
+	requireMailboxHoldsNothing(t, plain, true)
 	requireRunsHoldNothing(t, part, 2*(partInBuffer+2)+partScriptBuffer+2)
 	requireZero := func(what string, elems []stream.Element) {
 		t.Helper()
@@ -572,15 +592,16 @@ func TestRecycledBuffersHoldNothing(t *testing.T) {
 	// must not need any.
 	armed.Store(true)
 	produced := make(chan error, 1)
+	const runLen = 5
 	go func() {
 		var err error
 		for r := 0; r < 10*rounds && err == nil; r++ {
-			err = rt.SendBatch("bid", bidRun[:5])
+			err = rt.SendBatch("bid", bidRun[:runLen])
 		}
 		produced <- err
 	}()
 	full := func() bool {
-		return len(plain.mb) == cap(plain.mb) || len(part.pf.script) == cap(part.pf.script) ||
+		return plain.mb.queued()+runLen > rt.buffer || len(part.pf.script) == cap(part.pf.script) ||
 			len(part.pf.in[0]) == cap(part.pf.in[0]) || len(part.pf.in[1]) == cap(part.pf.in[1])
 	}
 	for deadline := time.Now().Add(10 * time.Second); !full(); time.Sleep(time.Millisecond) {
@@ -606,5 +627,253 @@ func TestRecycledBuffersHoldNothing(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Kill with every buffer in flight did not unwind")
+	}
+}
+
+// queued returns how many elements the mailbox holds for its worker.
+func (mb *mailbox) queued() int {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return len(mb.elems)
+}
+
+// stall is an OnResult callback that counts its calls and, once armed,
+// signals entered and blocks every call until release is closed: it
+// holds a shard's goroutine inside delivery.
+type stall struct {
+	results atomic.Int64
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newStall() *stall {
+	return &stall{entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (st *stall) onResult(stream.Tuple) {
+	st.results.Add(1)
+	if st.armed.Load() {
+		select {
+		case st.entered <- struct{}{}:
+		default:
+		}
+		<-st.release
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestMailboxBackpressure: a mailbox is bounded in elements, not runs.
+// With its worker stalled, a run of 10 still enters an empty mailbox of
+// capacity 4 whole, and the next send waits until the worker takes them.
+func TestMailboxBackpressure(t *testing.T) {
+	d := New()
+	d.RegisterScheme(stream.MustScheme("item", false, true, false, false))
+	d.RegisterScheme(stream.MustScheme("bid", false, true, false))
+	st := newStall()
+	reg, err := d.Register("q", workload.AuctionQuery(), Options{OnResult: st.onResult})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := d.RunSharded(RuntimeOptions{Buffer: 4})
+	s := rt.byName["q"]
+	group := auctionElems(1, 11) // item, 11 bids, bid punctuation, item punctuation
+	st.armed.Store(true)
+	for _, te := range group[:2] {
+		if err := rt.Send(te.Stream, te.Elem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-st.entered // the worker is delivering the first result
+	run := make([]stream.Element, 10)
+	for i, te := range group[2:12] {
+		run[i] = te.Elem
+	}
+	if err := rt.SendBatch("bid", run); err != nil {
+		t.Fatal(err)
+	}
+	s.mb.mu.Lock()
+	elems, msgs := len(s.mb.elems), len(s.mb.msgs)
+	s.mb.mu.Unlock()
+	if elems != 10 || msgs != 1 {
+		t.Fatalf("mailbox of capacity 4 holds %d elements in %d entries, want the 10-element run whole", elems, msgs)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- rt.Send(group[12].Stream, group[12].Elem) }()
+	select {
+	case err := <-sent:
+		t.Fatalf("Send into a mailbox holding 10 elements of capacity 4 returned (%v) with its worker stalled", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(st.release)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Send(group[13].Stream, group[13].Elem); err != nil {
+		t.Fatal(err)
+	}
+	rt.Close()
+	if err := rt.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.results.Load(); n != 11 || reg.Tree.TotalState() != 0 {
+		t.Fatalf("%d results and %d stored tuples, want 11 and 0", n, reg.Tree.TotalState())
+	}
+}
+
+// TestMailboxWaitersInOrder: producers waiting for room go in in arrival
+// order. A short run that would fit must not overtake a long run already
+// waiting, as a buffered channel's blocked senders never overtook one
+// another.
+func TestMailboxWaitersInOrder(t *testing.T) {
+	var mb mailbox
+	mb.init(4)
+	waiting := func(n uint64) func() bool {
+		return func() bool {
+			mb.mu.Lock()
+			defer mb.mu.Unlock()
+			return mb.next-mb.serving == n
+		}
+	}
+	takeInputs := func() []int {
+		_, msgs, _ := mb.take()
+		var inputs []int
+		for _, m := range msgs {
+			inputs = append(inputs, m.input)
+		}
+		mb.release()
+		return inputs
+	}
+	mb.put(0, make([]stream.Element, 3), nil, 3)
+	long, short := make(chan struct{}), make(chan struct{})
+	go func() { mb.put(1, make([]stream.Element, 10), nil, 10); close(long) }()
+	waitFor(t, "the long run to wait", waiting(1))
+	go func() { mb.put(2, make([]stream.Element, 1), nil, 1); close(short) }()
+	waitFor(t, "the short run to wait behind it", waiting(2))
+	if got := takeInputs(); !slices.Equal(got, []int{0}) {
+		t.Fatalf("first take holds inputs %v, want [0]: the short run overtook the waiting long one", got)
+	}
+	<-long
+	if got := takeInputs(); !slices.Equal(got, []int{1}) {
+		t.Fatalf("second take holds inputs %v, want [1]", got)
+	}
+	<-short
+	if got := takeInputs(); !slices.Equal(got, []int{2}) {
+		t.Fatalf("third take holds inputs %v, want [2]", got)
+	}
+}
+
+// TestKillReachesParkedWorker: Kill stops a plain shard whose worker is
+// parked on an empty mailbox. Across Kill, Close and Wait it runs no
+// final purge round and delivers nothing, though lazy purges are pending.
+func TestKillReachesParkedWorker(t *testing.T) {
+	d := New()
+	d.RegisterScheme(stream.MustScheme("item", false, true, false, false))
+	d.RegisterScheme(stream.MustScheme("bid", false, true, false))
+	var calls atomic.Int64
+	reg, err := d.Register("q", workload.AuctionQuery(), Options{
+		PurgeBatch: 1 << 30,
+		OnResult:   func(stream.Tuple) { calls.Add(1) },
+		OnPunct:    func(stream.Punctuation) { calls.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := d.RunSharded(RuntimeOptions{})
+	s := rt.byName["q"]
+	for _, te := range append(auctionElems(1, 3), auctionElems(2, 2)...) {
+		if err := rt.Send(te.Stream, te.Elem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the worker to park", func() bool {
+		s.mb.mu.Lock()
+		defer s.mb.mu.Unlock()
+		return s.mb.parked
+	})
+	before, state := calls.Load(), reg.Tree.TotalState()
+	if before == 0 || state == 0 {
+		t.Fatalf("%d callbacks and %d stored tuples before Kill, want both > 0", before, state)
+	}
+	rt.Kill()
+	rt.Close()
+	if err := rt.Wait(); !errors.Is(err, ErrKilled) {
+		t.Fatalf("Wait = %v, want ErrKilled", err)
+	}
+	if after := calls.Load(); after != before {
+		t.Fatalf("%d callbacks after Kill", after-before)
+	}
+	if got := reg.Tree.TotalState(); got != state {
+		t.Fatalf("stored tuples %d → %d across Kill: the final purge round ran", state, got)
+	}
+}
+
+// TestStatsOnKilledRuntime: between Kill and Close, Stats reports
+// ErrKilled as Checkpoint does, never a nil snapshot without an error —
+// on a plain and on a partitioned shard, for a request made after Kill
+// and for one already queued when Kill lands.
+func TestStatsOnKilledRuntime(t *testing.T) {
+	for _, parts := range []int{0, 2} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			d := New()
+			d.RegisterScheme(stream.MustScheme("item", false, true, false, false))
+			d.RegisterScheme(stream.MustScheme("bid", false, true, false))
+			st := newStall()
+			if _, err := d.Register("q", workload.AuctionQuery(), Options{Partitions: parts, OnResult: st.onResult}); err != nil {
+				t.Fatal(err)
+			}
+			rt := d.RunSharded(RuntimeOptions{})
+			s := rt.byName["q"]
+			st.armed.Store(true)
+			for _, te := range auctionElems(1, 1)[:2] {
+				if err := rt.Send(te.Stream, te.Elem); err != nil {
+					t.Fatal(err)
+				}
+			}
+			<-st.entered // the shard's goroutine is delivering the result
+			type answer struct {
+				snapshot bool
+				err      error
+			}
+			queued := make(chan answer, 1)
+			go func() {
+				stats, err := rt.Stats("q")
+				queued <- answer{stats != nil, err}
+			}()
+			waitFor(t, "the stats request to queue", func() bool {
+				if s.pf != nil {
+					return len(s.pf.script) > 0
+				}
+				s.mb.mu.Lock()
+				defer s.mb.mu.Unlock()
+				return len(s.mb.msgs) > 0
+			})
+			rt.Kill()
+			close(st.release)
+			switch a := <-queued; {
+			case !a.snapshot && errors.Is(a.err, ErrKilled):
+			case parts > 0 && a.snapshot && a.err == nil:
+				// The merge stage may take the queued barrier before it
+				// sees the kill signal; a full snapshot is then fine.
+			default:
+				t.Fatalf("Stats queued across Kill: snapshot %v, error %v; want ErrKilled", a.snapshot, a.err)
+			}
+			if stats, err := rt.Stats("q"); stats != nil || !errors.Is(err, ErrKilled) {
+				t.Fatalf("Stats after Kill = (%v, %v), want ErrKilled", stats, err)
+			}
+			rt.Close()
+			if err := rt.Wait(); !errors.Is(err, ErrKilled) {
+				t.Fatalf("Wait = %v, want ErrKilled", err)
+			}
+		})
 	}
 }

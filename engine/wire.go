@@ -487,7 +487,7 @@ func (rt *Runtime) IngestWireResume(source string, r io.Reader, schemas ...*stre
 // in batches: contiguous same-stream runs (up to ingestBatch frames)
 // travel through commit as one mailbox hand-off per subscribed shard,
 // preserving per-shard element order while amortizing routing and
-// channel overhead. An empty source commits no offset and is not tapped.
+// locking. An empty source commits no offset and is not tapped.
 func (rt *Runtime) ingestWire(op, source string, r io.Reader, schemas []*stream.Schema) (int, error) {
 	start := rt.ResumeOffset(source)
 	var rec *tapRecorder

@@ -21,7 +21,8 @@ stage_race() { go test -race ./...; }
 
 # Multi-producer ingestion stress, repeated under the race detector: one
 # pass rarely covers the interleavings of concurrent SendBatch producers,
-# a wire ingester, and Stats/Checkpoint barriers.
+# a wire ingester, and Stats/Checkpoint barriers, against both the plain
+# shard's mailbox and the partitioned front.
 stage_racestress() { go test -race -run TestParallelIngestStress -count 5 ./engine/; }
 
 # Warm-standby failover chaos soak under the race detector: repeated
@@ -75,10 +76,10 @@ stage_allocfloors() {
   go test -run 'TestValueLayout|TestPunctuationAppendTo|TestDecodePunctAllocs' -count 1 ./stream/
   go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs|TestPushBatchAllocFloor|TestResultBytesFloor|TestRecycledStateHoldsNothing|TestAlignmentGateAllocs' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
-  # Producer-side floor: a one-element send reaches each mailbox by value;
-  # an n-element batch fills a run buffer the shard handed back. Both are 0
-  # allocations in steady state, the batch also with the mailbox full, and
-  # so is a run scattered over two partitions by the partitioned front.
+  # Producer-side floor: Send, SendAt and SendBatch of any length copy the
+  # run straight into each subscribed shard's mailbox, 0 allocations once
+  # its buffers have reached their high-water mark; so is a run scattered
+  # over two partitions by the partitioned front, in recycled buffers.
   go test -run 'TestRouteSingleElementAllocs|TestPartitionFrontAllocFloor' -count 1 ./engine/
   # Shared-tree fan-out alloc floor: delivering one output batch to extra
   # subscribers (callback or passive) must not allocate per batch — sharing
