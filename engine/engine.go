@@ -161,6 +161,10 @@ type Registered struct {
 	Output   *stream.Schema
 	onResult func(stream.Tuple)
 	onPunct  func(stream.Punctuation)
+	// project, when set (a SQL select list), maps every output onto
+	// Output before any delivery path sees it; a punctuation it absorbs
+	// is not delivered at all.
+	project *exec.Project
 	// delivered counts every output (result tuple or propagated
 	// punctuation) delivered over the query's life. It is owned by
 	// whatever goroutine drives the query (the shard worker, the
@@ -406,8 +410,9 @@ func (r *Registered) accepts(input int, e stream.Element) bool {
 // behind it (tree state, stats) belongs to exactly one goroutine at a
 // time, and its Push/PushBatch/Sweep/Flush return outputs undelivered, in
 // a slice that may be the executor's own and is valid until the next call
-// into it: the caller (sequential Push, shard worker) delivers at once,
-// which for a shared tree fans out to every group member.
+// into it (so are the result tuples' values while a shard has the tree
+// lend them): the caller (sequential Push, shard worker) delivers at
+// once, which for a shared tree fans out to every group member.
 type executor interface {
 	Push(input int, e stream.Element) ([]stream.Element, error)
 	PushBatch(input int, elems []stream.Element) ([]stream.Element, int, error)
@@ -492,6 +497,11 @@ func (d *DSMS) Flush() error {
 // an uninterrupted run would have used — the property the serving
 // layer's duplicate suppression rests on. Install the hook before the
 // runtime starts; it runs on the query's driving goroutine.
+//
+// The element is lent: a result tuple's Values are valid only until fn
+// returns, so a hook that keeps a tuple copies its Values. (A shard whose
+// every subscriber has a hook builds its results in memory it reuses.)
+// Punctuations may be kept.
 func (r *Registered) SetDeliveryHook(fn func(seq uint64, e stream.Element)) {
 	r.onDeliver = fn
 }
@@ -507,28 +517,29 @@ func (r *Registered) Delivered() uint64 { return r.delivered }
 // instead of per-element fan-out, so a shared tree's ingest cost is
 // independent of how many passive views subscribe to it.
 func (r *Registered) passiveSub() bool {
-	return r.onDeliver == nil && r.onResult == nil && r.onPunct == nil
+	return r.onDeliver == nil && r.onResult == nil && r.onPunct == nil && r.project == nil
 }
 
 func (r *Registered) deliver(outs []stream.Element) {
-	if r.onDeliver != nil {
-		for _, o := range outs {
-			r.delivered++
-			r.onDeliver(r.delivered, o)
-		}
-		return
-	}
 	for _, o := range outs {
+		if r.project != nil {
+			projected, err := r.project.Push(o)
+			if err != nil || len(projected) == 0 {
+				continue // absorbed: no delivery, no sequence number
+			}
+			o = projected[0]
+		}
 		r.delivered++
-		if o.IsPunct() {
+		switch {
+		case r.onDeliver != nil:
+			r.onDeliver(r.delivered, o)
+		case o.IsPunct():
 			if r.onPunct != nil {
 				r.onPunct(o.Punct())
 			}
-			continue
-		}
-		if r.onResult != nil {
+		case r.onResult != nil:
 			r.onResult(o.Tuple())
-		} else {
+		default:
 			r.Results = append(r.Results, o.Tuple())
 		}
 	}

@@ -523,6 +523,7 @@ func (rt *Runtime) spawnShard(r *Registered) *shard {
 // never takes down its siblings or the process.
 func (s *shard) run() {
 	defer close(s.done)
+	defer s.reg.Tree.Lend(false) // outside a runtime, results are owned
 	for {
 		elems, msgs, ok := s.mb.take()
 		select {
@@ -611,15 +612,22 @@ func (s *shard) deliver(outs []stream.Element) {
 
 // rebuildSubs recomputes the active/passive split after any change to
 // the subscriber list. Slices are rebuilt in subs order so fan-out order
-// stays deterministic.
+// stays deterministic. It also decides whether the tree lends its result
+// tuples (exec.Tree.Lend): it does while the tree is unpartitioned and
+// every subscriber has a delivery hook, since nothing else keeps them.
 func (s *shard) rebuildSubs() {
 	s.active, s.passive = s.active[:0], s.passive[:0]
+	lend := s.reg.Tree != nil
 	for _, m := range s.subs {
 		if m.passiveSub() {
 			s.passive = append(s.passive, m)
 		} else {
 			s.active = append(s.active, m)
 		}
+		lend = lend && m.onDeliver != nil
+	}
+	if s.reg.Tree != nil {
+		s.reg.Tree.Lend(lend)
 	}
 }
 

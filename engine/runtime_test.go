@@ -377,6 +377,73 @@ func TestRouteSingleElementAllocs(t *testing.T) {
 	}
 }
 
+// TestHookDeliveryAllocFloor is the delivery-side alloc floor: a shard
+// whose every subscriber has a delivery hook lends its result tuples, so
+// once its buffers have reached their high-water mark a batch allocates
+// nothing — 0 per result tuple, where an owned result costs its values.
+// The hook checks every lent tuple while it holds it. As in
+// TestRouteSingleElementAllocs the test is the worker, pushing runs
+// through the shard's own flushBatch. scripts/check.sh runs this test by
+// name.
+func TestHookDeliveryAllocFloor(t *testing.T) {
+	d := New()
+	for _, s := range workload.AuctionSchemes().All() {
+		d.RegisterScheme(s)
+	}
+	// Punctuation purging lets every cycle reuse the last one's item ids.
+	reg, err := d.Register("q", workload.AuctionQuery(), Options{PurgePunctuations: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := 0
+	reg.SetDeliveryHook(func(_ uint64, e stream.Element) {
+		if e.IsPunct() {
+			return
+		}
+		if v := e.Tuple().Values; !v[1].Equal(v[5]) { // item_itemid, bid_itemid
+			t.Fatalf("lent result %s joins two items", e)
+		}
+		results++
+	})
+	s := &shard{reg: reg, group: reg.group, subs: []*Registered{reg}, rt: &Runtime{}}
+	s.rebuildSubs()
+	// One cycle: every item, every bid, then every id punctuated away on
+	// both streams, so it ends where it began.
+	const items, bids = 64, 2
+	type run struct {
+		stream string
+		punct  bool
+		elems  []stream.Element
+	}
+	runs := []*run{{"item", false, nil}, {"bid", false, nil}, {"bid", true, nil}, {"item", true, nil}}
+	for id := int64(0); id < items; id++ {
+		for _, te := range auctionElems(id, bids) {
+			for _, r := range runs {
+				if r.stream == te.Stream && r.punct == te.Elem.IsPunct() {
+					r.elems = append(r.elems, te.Elem)
+				}
+			}
+		}
+	}
+	cycle := func() {
+		for _, r := range runs {
+			s.flushBatch(reg.streamInput[r.stream], r.elems)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	results = 0
+	const cycles = 100
+	avg := testing.AllocsPerRun(cycles-1, cycle) // AllocsPerRun adds a warm-up run
+	if s.failed || results != cycles*items*bids || reg.Tree.TotalState() != 0 {
+		t.Fatalf("%d cycles: %d results, %d tuples left, failed %v", cycles, results, reg.Tree.TotalState(), s.failed)
+	}
+	if avg != 0 {
+		t.Fatalf("a cycle of %d lent results allocates %.0f times, want 0", items*bids, avg)
+	}
+}
+
 // requireMailboxHoldsNothing checks that every slot of both of a shard's
 // mailbox buffer pairs is zero: the worker cleared what it consumed, so
 // an idle shard pins no tuple. With parked it first waits for the

@@ -58,7 +58,7 @@ func (d *DSMS) registerCompiled(name string, cq *streamsql.CompiledQuery, opts O
 	if err != nil {
 		return nil, err
 	}
-	if err := wireCompiled(reg, cq, opts.OnResult); err != nil {
+	if err := wireCompiled(reg, cq); err != nil {
 		d.Unregister(name)
 		return nil, err
 	}
@@ -71,17 +71,15 @@ func (d *DSMS) registerCompiled(name string, cq *streamsql.CompiledQuery, opts O
 // observes a half-wired registration.
 func (rt *Runtime) attachCompiled(name string, cq *streamsql.CompiledQuery, opts Options) (*Registered, error) {
 	return rt.attach(name, cq.Query, sqlExecOpts(cq, opts), func(reg *Registered) error {
-		return wireCompiled(reg, cq, opts.OnResult)
+		return wireCompiled(reg, cq)
 	})
 }
 
-// sqlExecOpts derives the executor-side options for a compiled SQL
-// query: the user's OnResult is stripped (the compiled wrapper
-// re-installs it around the projection), and under Share the canonical
-// filter key joins the share tag — filters select which tuples enter the
-// tree, so they are part of the physical tree's identity.
+// sqlExecOpts derives the options a compiled SQL query registers with:
+// under Share the canonical filter key joins the share tag — filters
+// select which tuples enter the tree, so they are part of the physical
+// tree's identity.
 func sqlExecOpts(cq *streamsql.CompiledQuery, opts Options) Options {
-	opts.OnResult = nil
 	if opts.Share {
 		opts.ShareTag = "sql:" + cq.FilterKey() + "|" + opts.ShareTag
 	}
@@ -89,38 +87,19 @@ func sqlExecOpts(cq *streamsql.CompiledQuery, opts Options) Options {
 }
 
 // wireCompiled installs a compiled query's delivery-side behavior on its
-// registration: the projection over the join output, the result hook,
+// registration: the projection over the join output (applied by
+// Registered.deliver on every delivery path, a delivery hook's included)
 // and the per-stream literal filters. Filters are keyed by the
 // registration's live stream indices (reg.streamInput), which for a
 // share-group follower are the DRIVER's indices — the index space the
 // router actually routes in.
-func wireCompiled(reg *Registered, cq *streamsql.CompiledQuery, userOnResult func(stream.Tuple)) error {
-	var project *exec.Project
+func wireCompiled(reg *Registered, cq *streamsql.CompiledQuery) error {
 	if len(cq.Projection) > 0 {
-		var err error
-		project, err = exec.NewProject(reg.OutputSchema(), cq.Projection...)
+		project, err := exec.NewProject(reg.OutputSchema(), cq.Projection...)
 		if err != nil {
 			return err
 		}
-		reg.Output = project.OutputSchema()
-	} else {
-		reg.Output = reg.OutputSchema()
-	}
-
-	// Result hook: project, then deliver.
-	reg.onResult = func(t stream.Tuple) {
-		if project != nil {
-			outs, err := project.Push(stream.TupleElement(t))
-			if err != nil || len(outs) == 0 {
-				return
-			}
-			t = outs[0].Tuple()
-		}
-		if userOnResult != nil {
-			userOnResult(t)
-		} else {
-			reg.Results = append(reg.Results, t)
-		}
+		reg.project, reg.Output = project, project.OutputSchema()
 	}
 
 	// Per-stream literal filters, evaluated before elements reach the

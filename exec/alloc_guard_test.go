@@ -400,7 +400,19 @@ func TestOrderedPurgeRoundAllocs(t *testing.T) {
 // cycle before).
 // Each cycle stores 64 R and 64 S tuples under 64 keys, joins them, and
 // punctuates every key away on both sides, so it ends where it began.
+//
+// A tree that lends its results (Tree.Lend) builds them in a buffer its
+// root reuses, so the same warmed cycle allocates only its emitted
+// punctuations — which is to say nothing.
 func TestPushBatchAllocFloor(t *testing.T) {
+	for _, lend := range []bool{false, true} {
+		t.Run(map[bool]string{false: "owned", true: "lent"}[lend], func(t *testing.T) {
+			testPushBatchAllocFloor(t, lend)
+		})
+	}
+}
+
+func testPushBatchAllocFloor(t *testing.T, lend bool) {
 	q := query.NewBuilder().
 		AddStream(stream.MustSchema("R", intAttr("K"), intAttr("V"))).
 		AddStream(stream.MustSchema("S", intAttr("K"), intAttr("W"))).
@@ -412,6 +424,7 @@ func TestPushBatchAllocFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree.Lend(lend)
 	const keys = 64
 	tuples, puncts := make([]stream.Element, keys), make([]stream.Element, keys)
 	for k := range tuples {
@@ -427,6 +440,15 @@ func TestPushBatchAllocFloor(t *testing.T) {
 			outs, _, err := tree.PushBatch(run.input, run.elems)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, o := range outs {
+				if o.IsPunct() {
+					continue
+				}
+				// R(k,k) ⋈ S(k,k): every column of a result is its key.
+				if v := o.Tuple().Values; !v[0].Equal(v[1]) || !v[1].Equal(v[2]) || !v[2].Equal(v[3]) {
+					t.Fatalf("result %v is not one key's join", o)
+				}
 			}
 			outputs += len(outs)
 		}
@@ -449,9 +471,13 @@ func TestPushBatchAllocFloor(t *testing.T) {
 		t.Fatalf("per cycle: %v results, %v output punctuations, %v stored punctuations, %d outputs in all",
 			results, outPuncts, stored, outputs)
 	}
-	if avg != results {
-		t.Fatalf("a cycle of four batches allocates %.0f times, want %.0f (the results; %v punctuations emitted for free)",
-			avg, results, outPuncts)
+	want := results
+	if lend {
+		want = 0
+	}
+	if avg != want {
+		t.Fatalf("a cycle of four batches allocates %.0f times, want %.0f (%v results, lent: %v; %v punctuations emitted for free)",
+			avg, want, results, lend, outPuncts)
 	}
 }
 

@@ -144,13 +144,23 @@ type MJoin struct {
 	// outBuf is the slice Push, PushBatch, Flush and Sweep return, lent to
 	// the caller until the next of them (takeOut); zero past its length.
 	outBuf []stream.Element
+	// lend makes concat carve result tuples out of outVals instead of
+	// allocating them (Tree.Lend; only ever set on a tree's root). The
+	// tuples are then lent exactly as outBuf is: takeOut clears outVals
+	// and the next call overwrites them.
+	lend    bool
+	outVals []stream.Value
 }
 
 // maxOutBuf is the capacity (in elements of 56 B) above which the output
 // buffer is dropped, not reused, so one fat batch pins nothing past the
 // next call. A constant, not an option: it only has to exceed what a run
 // of the engine's batch size emits, and no caller has a reason to trade it.
-const maxOutBuf = 4096
+// maxOutVals is the same bound for the lent result values.
+const (
+	maxOutBuf  = 4096
+	maxOutVals = 8 * maxOutBuf
+)
 
 // probeScratch is the per-operator reusable state of result expansion.
 // MJoin is single-threaded, so one set of buffers serves every Push.
@@ -310,8 +320,15 @@ func (m *MJoin) buildProbeOrders() {
 // takeOut hands out the operator's output buffer for a new call: emptied,
 // with the previous call's elements cleared so it holds nothing, or nil
 // (the call allocates afresh) once it has grown past maxOutBuf. The caller
-// stores the slice it ends up with back into m.outBuf.
+// stores the slice it ends up with back into m.outBuf. The lent result
+// values are emptied the same way.
 func (m *MJoin) takeOut() []stream.Element {
+	if cap(m.outVals) > maxOutVals {
+		m.outVals = nil
+	} else {
+		clear(m.outVals)
+		m.outVals = m.outVals[:0]
+	}
 	out := m.outBuf
 	m.outBuf = nil
 	if cap(out) > maxOutBuf {
@@ -672,7 +689,18 @@ func (m *MJoin) matchesBound(j int, u stream.Tuple) bool {
 	return true
 }
 
+// concat builds one result tuple from the bound input tuples: in values
+// of its own, or, when the operator lends, in the next columns of
+// outVals (capacity-clamped, so no append through one result can reach
+// the next).
 func (m *MJoin) concat(bound []stream.Tuple) stream.Tuple {
+	if m.lend {
+		start := len(m.outVals)
+		for i := range bound {
+			m.outVals = append(m.outVals, bound[i].Values...)
+		}
+		return stream.NewTuple(m.outVals[start:len(m.outVals):len(m.outVals)]...)
+	}
 	values := make([]stream.Value, 0, m.out.Arity())
 	for i := range bound {
 		values = append(values, bound[i].Values...)

@@ -738,6 +738,54 @@ func TestOutputBufferHoldsNothing(t *testing.T) {
 	}
 }
 
+// TestLentResultsHoldNothing is TestOutputBufferHoldsNothing for the
+// values a lending operator builds its results in: the results of one
+// call are carved back to back out of one buffer, each clamped to its
+// own columns; the next call clears them; and a buffer grown past
+// maxOutVals by one fat batch is dropped at the next call.
+func TestLentResultsHoldNothing(t *testing.T) {
+	m, err := NewMJoin(Config{Query: binaryQuery(t), Schemes: bothSideSchemes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.lend = true
+	const fat = maxOutVals/4 + 1 // results of four columns
+	rs := make([]stream.Element, fat)
+	for i := range rs {
+		rs[i] = stream.TupleElement(tup(1, int64(i)))
+	}
+	if _, _, err := m.PushBatch(0, rs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	pushT(t, m, 1, tup(1, 99)) // grows the buffer
+	out := pushT(t, m, 1, tup(1, 100))
+	if len(out) != 3 || len(m.outVals) != 12 {
+		t.Fatalf("3 results in %d lent values, want 12", len(m.outVals))
+	}
+	for i, o := range out {
+		v := o.Tuple().Values
+		if got, want := o.String(), stream.TupleElement(tup(1, int64(i), 1, 100)).String(); got != want || cap(v) != 4 || &v[0] != &m.outVals[4*i] {
+			t.Fatalf("result %d is %s in %d columns of its own, want %s carved from the buffer", i, got, cap(v), want)
+		}
+	}
+	pushP(t, m, 0, punct(2, -1))
+	for i, v := range m.outVals[:12] {
+		if !reflect.ValueOf(v).IsZero() {
+			t.Fatalf("value %d of the last call's results survived the next call: %v", i, v)
+		}
+	}
+
+	if _, _, err := m.PushBatch(0, rs[3:]); err != nil {
+		t.Fatal(err)
+	}
+	if out := pushT(t, m, 1, tup(1, 101)); len(out) != fat || cap(m.outVals) <= maxOutVals {
+		t.Fatalf("fat Push: %d results in %d lent values, want %d and more than %d", len(out), cap(m.outVals), fat, maxOutVals)
+	}
+	if m.Flush(); cap(m.outVals) > maxOutVals {
+		t.Fatalf("Flush after the fat batch kept %d lent values, want at most %d", cap(m.outVals), maxOutVals)
+	}
+}
+
 // TestRecycledStateHoldsNothing pins what purged state leaves behind once
 // it is kept for reuse. A closed-world chain-4 feed drains through a tree
 // (one 4-way operator, so the operator's stores are sampled after every

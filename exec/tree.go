@@ -96,7 +96,8 @@ func NewTree(base Config, root *plan.Node) (*Tree, error) {
 // The returned slice is the root operator's own buffer, borrowed: it is
 // valid until the next Push, PushBatch, Flush or Sweep on this tree, which
 // overwrites it. Copy the slice (slices.Clone) to keep it longer; the
-// tuples and punctuations in it are never overwritten.
+// tuples and punctuations in it are never overwritten, unless the tree
+// lends its result tuples (Lend).
 func (t *Tree) Push(streamIdx int, e stream.Element) ([]stream.Element, error) {
 	out, _, err := t.PushBatch(streamIdx, []stream.Element{e})
 	return out, err
@@ -115,14 +116,29 @@ func (t *Tree) PushBatch(streamIdx int, elems []stream.Element) ([]stream.Elemen
 	return out, n, err
 }
 
+// Lend switches how the root builds result tuples. Lent (on), a result
+// tuple's Values live in a buffer the root reuses: like the returned
+// slice they are valid until the next Push, PushBatch, Flush or Sweep,
+// and a caller that keeps a tuple past that must copy its Values. Owned
+// (off, the default), every result tuple has values of its own. Only the
+// root lends: what a lower operator emits is consumed inside the tree.
+// Punctuations are never lent, and neither is anything PushBatchEnds
+// returns.
+func (t *Tree) Lend(on bool) { t.root.join.lend = on }
+
 // PushBatchEnds is PushBatch appending into caller-owned buffers while
 // recording per-element output boundaries: after processing elems[i], out
 // has length ends[base+i] where base is len(ends) at entry. The
 // partitioned runtime uses the boundaries to slice one partition's outputs
 // back into input-sequence order when merging partitions. On error the
-// offender emits nothing and no ends entry is appended for it.
+// offender emits nothing and no ends entry is appended for it. The
+// outputs are the caller's for good, whatever Lend says.
 func (t *Tree) PushBatchEnds(streamIdx int, out []stream.Element, ends []int, elems []stream.Element) ([]stream.Element, []int, int, error) {
+	root := t.root.join
+	lend := root.lend
+	root.lend = false
 	out, n, err := t.pushBatch(streamIdx, out, &ends, elems)
+	root.lend = lend
 	return out, ends, n, err
 }
 

@@ -65,7 +65,8 @@ stage_allocfloors() {
   # without §5.1 punctuation purging, a warmed ordered-bound (heartbeat)
   # purge round at zero, and the cold-tier probe at parity with the all-hot
   # probe; a batch through a warmed tree allocates only its result tuples,
-  # 16 bytes per column (a value is two words, which the layout test pins).
+  # 16 bytes per column (a value is two words, which the layout test pins),
+  # and a tree that lends its results allocates not even those.
   # An emitted punctuation shares the stored one's constants and costs
   # nothing; a decoded one costs one allocation, 16 bytes per constant.
   # Store entries and index buckets come from what purges freed, and those
@@ -83,10 +84,13 @@ stage_allocfloors() {
   go test -run 'TestRouteSingleElementAllocs|TestPartitionFrontAllocFloor' -count 1 ./engine/
   # Shared-tree fan-out alloc floor: delivering one output batch to extra
   # subscribers (callback or passive) must not allocate per batch — sharing
-  # is O(subscribers) pointer work, never O(subscribers) copies.
-  go test -run 'TestFanOutDeliveryAllocs' -count 1 ./engine/
-  # Output-ring floor: retaining one more delivery is a slot write. Client
-  # floor: receiving one costs what decoding its element allocates.
+  # is O(subscribers) pointer work, never O(subscribers) copies. A shard
+  # whose every subscriber is a delivery hook lends its result tuples: 0
+  # allocations per result once warmed.
+  go test -run 'TestFanOutDeliveryAllocs|TestHookDeliveryAllocFloor' -count 1 ./engine/
+  # Output-ring floor: retaining one more delivery is one encoding into the
+  # bytes its slot already holds, 0 allocations. Client floor: receiving one
+  # costs what decoding its element allocates.
   go test -run 'TestHubPublishAllocs|TestSubscriberNextAllocs' -count 1 ./server/
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -63,20 +64,22 @@ type subCursor struct {
 }
 
 // hub fans one query's delivery stream out to its subscribers. It
-// retains the last Config.Retain deliveries (the ring's capacity) so
-// reconnecting subscribers can resume exactly where they left off, and
-// it is the unit the server checkpoint persists (entries at or below
-// the checkpoint cut) so a crash cannot strand a lagging subscriber:
-// everything the engine will not replay is in the snapshot, everything
-// newer the engine replays deterministically with identical sequence
-// numbers.
+// encodes each delivery once, as the frame every subscriber is sent, and
+// retains the last Config.Retain frames (the ring's capacity) so
+// reconnecting subscribers can resume exactly where they left off. It is
+// the unit the server checkpoint persists (frames at or below the
+// checkpoint cut, copied as they are) so a crash cannot strand a lagging
+// subscriber: everything the engine will not replay is in the snapshot,
+// everything newer the engine replays deterministically with identical
+// sequence numbers.
 type hub struct {
 	name  string
 	codec *stream.Codec
 
 	mu         sync.Mutex
 	cond       *sync.Cond
-	ring       ring // retained deliveries; ring.next is the next delivery's seq
+	ring       ring   // retained delivery frames; ring.next is the next delivery's seq
+	payload    []byte // publish's encoding scratch
 	queueLimit int
 	policy     SlowPolicy
 	subs       map[*subCursor]struct{}
@@ -100,30 +103,28 @@ func newHub(name string, schema *stream.Schema, retain, queueLimit int, policy S
 	return h
 }
 
-// seed installs a restored retention ring: entries are the snapshot's
-// retained deliveries, the contiguous run ending at cut (restoreEnvelope
-// rejects anything else), and the next live delivery will be cut+1 —
-// the engine's restored delivery counter guarantees the replayed
-// outputs pick up numbering exactly there. A snapshot written under a
-// larger Retain keeps its newest entries.
-func (h *hub) seed(entries []hubEntry, cut uint64) {
+// seed installs a restored retention ring: payloads are the encoded
+// elements of the snapshot's retained deliveries, the contiguous run
+// ending at cut (restoreEnvelope rejects anything else), and the next
+// live delivery will be cut+1 — the engine's restored delivery counter
+// guarantees the replayed outputs pick up numbering exactly there. A
+// snapshot written under a larger Retain keeps its newest entries.
+func (h *hub) seed(payloads [][]byte, cut uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.ring.reset(cut + 1 - uint64(len(entries)))
-	for _, e := range entries {
-		h.ring.push(e.seq, e.elem)
+	floor := cut + 1 - uint64(len(payloads))
+	h.ring.reset(floor)
+	for i, p := range payloads {
+		h.ring.push(floor+uint64(i), p)
 	}
 }
 
 // publish is the query's delivery hook: called by whatever goroutine
 // drives the query, in delivery order, with the engine-assigned seq.
-// Under SlowBlock it may wait for slow subscribers.
+// Under SlowBlock it may wait for slow subscribers. It encodes e into
+// the ring before it returns and keeps nothing of it, so e may be lent.
 func (h *hub) publish(seq uint64, e stream.Element) {
-	type drop struct {
-		elem stream.Element
-		seq  uint64
-	}
-	var drops []drop
+	var drops []byte // frames skipped under SlowDrop
 	h.mu.Lock()
 	if seq < h.ring.next {
 		// Replay below the restored cut: subscribers that survived the
@@ -140,14 +141,19 @@ func (h *hub) publish(seq uint64, e stream.Element) {
 		h.mu.Unlock()
 		return
 	}
-	h.ring.push(seq, e)
-	next := h.ring.next
+	var err error
+	if h.payload, err = h.codec.Encode(h.payload[:0], e); err != nil {
+		h.mu.Unlock()
+		panic(fmt.Errorf("%s: delivery %d does not fit the query's output schema: %w", h.name, seq, err))
+	}
 	switch h.policy {
 	case SlowDrop:
+		// Skipped before the push: with QueueLimit == Retain the oldest
+		// skipped frame sits in the slot this delivery takes.
 		for s := range h.subs {
-			for lag(next, s.cursor) > uint64(h.queueLimit) {
+			for lag(seq+1, s.cursor) > uint64(h.queueLimit) {
 				if h.onDrop != nil {
-					drops = append(drops, drop{elem: h.ring.at(s.cursor), seq: s.cursor})
+					drops = append(drops, h.ring.at(s.cursor)...)
 				}
 				s.cursor++
 				s.dropped++
@@ -155,16 +161,21 @@ func (h *hub) publish(seq uint64, e stream.Element) {
 		}
 	case SlowDisconnect:
 		for s := range h.subs {
-			if l := lag(next, s.cursor); l > uint64(h.queueLimit) {
+			if l := lag(seq+1, s.cursor); l > uint64(h.queueLimit) {
 				s.err = fmt.Errorf("%s: subscriber lagged %d > %d deliveries", h.name, l, h.queueLimit)
 				delete(h.subs, s)
 			}
 		}
 	}
+	h.ring.push(seq, h.payload)
 	h.mu.Unlock()
 	h.cond.Broadcast()
-	for _, d := range drops {
-		h.onDrop(h.name, d.elem, d.seq)
+	for len(drops) > 0 {
+		seq, payload, rest := splitFrame(drops)
+		if elem, _, err := h.codec.Decode(payload); err == nil {
+			h.onDrop(h.name, elem, seq)
+		}
+		drops = rest
 	}
 }
 
@@ -219,12 +230,12 @@ func (h *hub) detach(s *subCursor) {
 	h.cond.Broadcast()
 }
 
-// collect waits for deliveries at or past s.cursor and copies up to max
-// of them out of the ring into buf, advancing the cursor. It returns
-// (entries, false, nil) on data, (nil, true, nil) at a graceful end of
-// stream, and an error when the subscriber was severed or the hub
-// killed.
-func (h *hub) collect(s *subCursor, buf []hubEntry, max int) ([]hubEntry, bool, error) {
+// collect waits for deliveries at or past s.cursor and appends up to max
+// of their frames to buf, advancing the cursor: the bytes the subscriber
+// is sent, back to back. It returns (frames, false, nil) on data, (nil,
+// true, nil) at a graceful end of stream, and an error when the
+// subscriber was severed or the hub killed.
+func (h *hub) collect(s *subCursor, buf []byte, max int) ([]byte, bool, error) {
 	h.mu.Lock()
 	defer func() {
 		h.mu.Unlock()
@@ -238,10 +249,7 @@ func (h *hub) collect(s *subCursor, buf []hubEntry, max int) ([]hubEntry, bool, 
 			return nil, false, ErrServerClosed
 		}
 		if next := h.ring.next; next > s.cursor {
-			to := s.cursor + uint64(max-len(buf))
-			if to > next {
-				to = next
-			}
+			to := min(s.cursor+uint64(max), next)
 			buf = h.ring.appendRange(buf, s.cursor, to)
 			s.cursor = to
 			return buf, false, nil
@@ -283,22 +291,18 @@ func (h *hub) drained() bool {
 	return true
 }
 
-// snapshot appends the retained entries with seq ≤ cut to dst, for the
-// server checkpoint. Entries above the cut are NOT persisted: the engine
+// snapshot appends the server checkpoint's record of the retained
+// deliveries with seq ≤ cut to dst: their count, then their frames as
+// they are. Deliveries above the cut are NOT persisted: the engine
 // replays them deterministically after restore, with the same sequence
 // numbers (the delivery counter is part of the engine snapshot).
-func (h *hub) snapshot(dst []hubEntry, cut uint64) []hubEntry {
+func (h *hub) snapshot(dst []byte, cut uint64) []byte {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	from, to := h.ring.floor(), cut+1
-	if to > h.ring.next {
-		to = h.ring.next
+	from, to := h.ring.floor(), min(cut+1, h.ring.next)
+	if to < from {
+		to = from
 	}
-	if to <= from {
-		return dst
-	}
-	if n := int(to - from); cap(dst)-len(dst) < n {
-		dst = append(make([]hubEntry, 0, len(dst)+n), dst...)
-	}
+	dst = binary.AppendUvarint(dst, to-from)
 	return h.ring.appendRange(dst, from, to)
 }

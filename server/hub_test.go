@@ -5,6 +5,7 @@ package server
 // socket-free.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -27,10 +28,63 @@ func publishN(h *hub, from, n int) {
 	}
 }
 
+// delivery is one frame read back: what a subscriber would decode.
+type delivery struct {
+	seq     uint64
+	elem    stream.Element
+	payload []byte
+}
+
+// decodeFrames parses frames laid back to back, as collect hands them out
+// and snapshot persists them.
+func decodeFrames(t *testing.T, h *hub, b []byte) []delivery {
+	t.Helper()
+	var out []delivery
+	for len(b) > 0 {
+		seq, payload, rest := splitFrame(b)
+		elem, tail, err := h.codec.Decode(payload)
+		if err != nil || len(tail) != 0 {
+			t.Fatalf("frame %d of %d bytes does not decode: %v", seq, len(payload), err)
+		}
+		out = append(out, delivery{seq: seq, elem: elem, payload: payload})
+		b = rest
+	}
+	return out
+}
+
+// collectN is collect with its frames decoded.
+func collectN(t *testing.T, h *hub, s *subCursor, max int) ([]delivery, bool, error) {
+	t.Helper()
+	frames, ended, err := h.collect(s, nil, max)
+	return decodeFrames(t, h, frames), ended, err
+}
+
+// snapshotOf is snapshot with its record decoded: the count it leads
+// with must be the number of frames that follow.
+func snapshotOf(t *testing.T, h *hub, cut uint64) []delivery {
+	t.Helper()
+	b := h.snapshot(nil, cut)
+	n, k := binary.Uvarint(b)
+	got := decodeFrames(t, h, b[k:])
+	if uint64(len(got)) != n {
+		t.Fatalf("snapshot(%d) counts %d deliveries and holds %d", cut, n, len(got))
+	}
+	return got
+}
+
+// payloads is what restoreEnvelope seeds a hub with.
+func payloads(ds []delivery) [][]byte {
+	out := make([][]byte, len(ds))
+	for i, d := range ds {
+		out[i] = d.payload
+	}
+	return out
+}
+
 // requireRun fails unless got is exactly the deliveries from..to, each
 // carrying the element publishN gave that seq — a slot read at the wrong
 // offset shows up as a mismatched value, not just a mismatched seq.
-func requireRun(t *testing.T, label string, got []hubEntry, from, to uint64) {
+func requireRun(t *testing.T, label string, got []delivery, from, to uint64) {
 	t.Helper()
 	if want := int(to - from + 1); len(got) != want {
 		t.Fatalf("%s: got %d entries, want seqs %d..%d", label, len(got), from, to)
@@ -64,7 +118,7 @@ func TestHubRingWrap(t *testing.T) {
 		}
 		for want < next {
 			max := 1 + (round+int(want))%4
-			got, ended, err := h.collect(s, nil, max)
+			got, ended, err := collectN(t, h, s, max)
 			if err != nil || ended {
 				t.Fatalf("collect: ended=%v err=%v", ended, err)
 			}
@@ -80,27 +134,33 @@ func TestHubRingWrap(t *testing.T) {
 	}
 }
 
+// TestHubDropPolicy: a backlog of 30 over a limit of 4 or 8, over three
+// laps of the ring: every delivery but the newest limit is dropped, each
+// reported with the element it carried — also when the limit is the
+// whole ring, and the oldest dropped frame shares its slot with the
+// delivery that pushed it out.
 func TestHubDropPolicy(t *testing.T) {
-	var dropped []hubEntry
-	h := newHub("q", testSchema(), 8, 4, SlowDrop)
-	h.onDrop = func(query string, elem stream.Element, seq uint64) {
-		dropped = append(dropped, hubEntry{seq: seq, elem: elem})
-	}
-	s, err := h.attach(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Backlog 30 > limit 4, over three laps of the ring: deliveries
-	// 1..26 are dropped, each reported with the element it carried.
-	publishN(h, 1, 30)
-	requireRun(t, "dropped", dropped, 1, 26)
-	got, ended, err := h.collect(s, nil, 100)
-	if err != nil || ended {
-		t.Fatalf("collect: ended=%v err=%v", ended, err)
-	}
-	requireRun(t, "surviving", got, 27, 30)
-	if s.dropped != 26 {
-		t.Fatalf("cursor counted %d drops, want 26", s.dropped)
+	for _, limit := range []int{4, 8} {
+		var dropped []delivery
+		h := newHub("q", testSchema(), 8, limit, SlowDrop)
+		h.onDrop = func(query string, elem stream.Element, seq uint64) {
+			dropped = append(dropped, delivery{seq: seq, elem: elem})
+		}
+		s, err := h.attach(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		publishN(h, 1, 30)
+		last := uint64(30 - limit)
+		requireRun(t, fmt.Sprintf("limit %d: dropped", limit), dropped, 1, last)
+		got, ended, err := collectN(t, h, s, 100)
+		if err != nil || ended {
+			t.Fatalf("collect: ended=%v err=%v", ended, err)
+		}
+		requireRun(t, fmt.Sprintf("limit %d: surviving", limit), got, last+1, 30)
+		if s.dropped != last {
+			t.Fatalf("limit %d: cursor counted %d drops, want %d", limit, s.dropped, last)
+		}
 	}
 }
 
@@ -169,7 +229,7 @@ func TestHubResumeWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := h.collect(s, nil, 100)
+	got, _, err := collectN(t, h, s, 100)
 	if err != nil || len(got) != 4 || got[0].seq != 7 {
 		t.Fatalf("resume at floor: got %v err %v", got, err)
 	}
@@ -199,19 +259,14 @@ func TestHubResumeWindow(t *testing.T) {
 func TestHubSnapshotBounds(t *testing.T) {
 	h := newHub("q", testSchema(), 7, 4, SlowDrop)
 	publishN(h, 1, 17) // retained: 11..17, wrapped
-	if snap := h.snapshot(nil, 10); len(snap) != 0 {
+	if snap := snapshotOf(t, h, 10); len(snap) != 0 {
 		t.Fatalf("snapshot below the floor = %v, want nothing", snap)
 	}
-	snap := h.snapshot(nil, 11)
-	requireRun(t, "snapshot(floor)", snap, 11, 11)
-	snap = h.snapshot(nil, 14)
-	requireRun(t, "snapshot(inside)", snap, 11, 14)
-	if cap(snap) != len(snap) {
-		t.Fatalf("snapshot(14) allocated %d slots for %d entries", cap(snap), len(snap))
-	}
-	requireRun(t, "snapshot(head)", h.snapshot(nil, 17), 11, 17)
-	requireRun(t, "snapshot(above head)", h.snapshot(nil, 40), 11, 17)
-	if snap := newHub("q", testSchema(), 7, 4, SlowDrop).snapshot(nil, 3); len(snap) != 0 {
+	requireRun(t, "snapshot(floor)", snapshotOf(t, h, 11), 11, 11)
+	requireRun(t, "snapshot(inside)", snapshotOf(t, h, 14), 11, 14)
+	requireRun(t, "snapshot(head)", snapshotOf(t, h, 17), 11, 17)
+	requireRun(t, "snapshot(above head)", snapshotOf(t, h, 40), 11, 17)
+	if snap := snapshotOf(t, newHub("q", testSchema(), 7, 4, SlowDrop), 3); len(snap) != 0 {
 		t.Fatalf("snapshot of an empty hub = %v", snap)
 	}
 }
@@ -221,10 +276,10 @@ func TestHubSnapshotBounds(t *testing.T) {
 func TestHubSeedRoundTrip(t *testing.T) {
 	h := newHub("q", testSchema(), 7, 4, SlowDrop)
 	publishN(h, 1, 19) // retained: 13..19
-	snap := h.snapshot(nil, 16)
+	snap := snapshotOf(t, h, 16)
 
 	h2 := newHub("q", testSchema(), 7, 7, SlowDrop)
-	h2.seed(snap, 16)
+	h2.seed(payloads(snap), 16)
 	if _, err := h2.attach(11); !errors.Is(err, ErrResumeExpired) {
 		t.Fatalf("resume below the seeded floor: got %v, want ErrResumeExpired", err)
 	}
@@ -234,18 +289,18 @@ func TestHubSeedRoundTrip(t *testing.T) {
 	}
 	publishN(h2, 15, 2) // engine replay at or below the cut: ignored
 	publishN(h2, 17, 3) // 13..19 now fills all seven slots
-	got, _, err := h2.collect(s, nil, 100)
+	got, _, err := collectN(t, h2, s, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireRun(t, "post-seed", got, 13, 19)
 	publishN(h2, 20, 5) // wraps past the seeded entries
-	got, _, err = h2.collect(s, nil, 100)
+	got, _, err = collectN(t, h2, s, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireRun(t, "post-seed wrap", got, 20, 24)
-	requireRun(t, "post-seed ring", h2.snapshot(nil, 24), 18, 24)
+	requireRun(t, "post-seed ring", snapshotOf(t, h2, 24), 18, 24)
 }
 
 // TestHubSeedShrunkRetain seeds more entries than the hub retains (the
@@ -254,11 +309,11 @@ func TestHubSeedRoundTrip(t *testing.T) {
 func TestHubSeedShrunkRetain(t *testing.T) {
 	h := newHub("q", testSchema(), 16, 4, SlowDrop)
 	publishN(h, 1, 20) // retained: 5..20
-	snap := h.snapshot(nil, 20)
+	snap := snapshotOf(t, h, 20)
 
 	h2 := newHub("q", testSchema(), 5, 5, SlowDrop)
-	h2.seed(snap, 20)
-	requireRun(t, "seeded ring", h2.snapshot(nil, 20), 16, 20)
+	h2.seed(payloads(snap), 20)
+	requireRun(t, "seeded ring", snapshotOf(t, h2, 20), 16, 20)
 	if _, err := h2.attach(14); !errors.Is(err, ErrResumeExpired) {
 		t.Fatalf("resume hint older than the shrunk ring: got %v, want ErrResumeExpired", err)
 	}
@@ -266,13 +321,13 @@ func TestHubSeedShrunkRetain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := h2.collect(s, nil, 100)
+	got, _, err := collectN(t, h2, s, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireRun(t, "after shrink", got, 16, 20)
 	publishN(h2, 21, 2)
-	if got, _, err = h2.collect(s, nil, 100); err != nil {
+	if got, _, err = collectN(t, h2, s, 100); err != nil {
 		t.Fatal(err)
 	}
 	requireRun(t, "after shrink, live", got, 21, 22)
@@ -289,7 +344,9 @@ func TestHubSeedShrunkRetain(t *testing.T) {
 }
 
 // TestHubPublishAllocs pins the steady-state cost of a delivery: one
-// slot write, no allocation, whatever the ring holds.
+// encoding into bytes the ring already holds, no allocation, whatever the
+// ring holds. The element is encoded before publish returns, so one
+// overwritten after it (as a lent result tuple is) changes nothing.
 func TestHubPublishAllocs(t *testing.T) {
 	h := newHub("q", testSchema(), 64, 64, SlowDrop)
 	publishN(h, 1, 200) // full and wrapped
@@ -300,6 +357,11 @@ func TestHubPublishAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("publish allocates %v times per delivery, want 0", n)
 	}
+	vals := e.Tuple().Values
+	vals[0] = stream.Int(int64(seq))
+	h.publish(seq, e)
+	vals[0] = stream.Int(-1)
+	requireRun(t, "after the lender overwrote", snapshotOf(t, h, seq)[63:], seq, seq)
 }
 
 // BenchmarkHubPublish is the per-delivery cost on the shard worker with
@@ -323,19 +385,19 @@ func BenchmarkHubPublish(b *testing.B) {
 func TestHubSnapshotCut(t *testing.T) {
 	h := newHub("q", testSchema(), 16, 8, SlowDrop)
 	publishN(h, 1, 10)
-	snap := h.snapshot(nil, 7)
+	snap := snapshotOf(t, h, 7)
 	if len(snap) != 7 || snap[0].seq != 1 || snap[6].seq != 7 {
 		t.Fatalf("snapshot(7) = %v, want seqs 1..7", snap)
 	}
 	// Seeding a fresh hub resumes numbering at the cut.
 	h2 := newHub("q", testSchema(), 16, 8, SlowDrop)
-	h2.seed(snap, 7)
+	h2.seed(payloads(snap), 7)
 	s, err := h2.attach(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h2.publish(8, intElem(8)) // engine replay continues at cut+1
-	got, _, err := h2.collect(s, nil, 100)
+	got, _, err := collectN(t, h2, s, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

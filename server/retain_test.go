@@ -5,11 +5,15 @@ package server_test
 // producers and shards, the partition records, the subscriber's frame
 // scratch — and every consumer is handed elements out of one of them. The
 // contract is that the container is borrowed but the Tuple or Punctuation
-// taken from it is the consumer's for good. Each row below is one way of
-// consuming a query; its consumer keeps every value it is handed, renders
-// nothing until the feed is over, and must then hold exactly the sequence
-// a reference run rendered element by element, at delivery, from outputs
-// cloned out of the tree before its next call.
+// taken from it is the consumer's for good. The one exception is a
+// delivery hook (SetDeliveryHook): it is lent its result tuples, whose
+// Values are valid only until it returns, because a shard whose every
+// subscriber has a hook builds its results in memory it reuses. Each row
+// below is one way of consuming a query; its consumer keeps every value
+// it is handed (a hook a copy), renders nothing until the feed is over,
+// and must then hold exactly the sequence a reference run rendered
+// element by element, at delivery, from outputs cloned out of the tree
+// before its next call.
 
 import (
 	"io"
@@ -211,8 +215,25 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 			var k keeper
 			d := engine.New()
 			f.register(t, d, "q", engine.Options{}).SetDeliveryHook(func(_ uint64, e stream.Element) {
+				if !e.IsPunct() { // lent: the Values are the hook's only until it returns
+					e = stream.TupleElement(stream.NewTuple(slices.Clone(e.Tuple().Values)...))
+				}
 				k.kept = append(k.kept, e)
 			})
+			runSharded(t, f, d)
+			return k.rendered(), true
+		}},
+		{"shared tree, hook view and callback view", func(t *testing.T, f *retainFeed) ([]string, bool) {
+			// The callback view keeps without copying: its tree must not
+			// lend because another subscriber has a hook.
+			var k keeper
+			d := engine.New()
+			f.register(t, d, "hook", engine.Options{Share: true}).SetDeliveryHook(func(uint64, stream.Element) {})
+			opts := k.options()
+			opts.Share = true
+			if len(f.register(t, d, "callback", opts).SharedWith()) == 0 {
+				t.Fatal("the callback view did not join the hook view's tree")
+			}
 			runSharded(t, f, d)
 			return k.rendered(), true
 		}},

@@ -59,8 +59,10 @@ type Config struct {
 	// reconnecting subscribers (default 1024). A subscriber resuming
 	// below the retention floor is rejected with ErrResumeExpired. It is
 	// a memory and checkpoint-size setting, not a speed one: the ring is
-	// allocated once at Retain slots per query, a delivery costs one slot
-	// write whatever its size, and every checkpoint persists the whole
+	// allocated once at Retain slots per query, each holding one
+	// delivery's encoded frame — the bytes every subscriber is sent and
+	// every checkpoint persists, built once per delivery into bytes the
+	// slot keeps for its next lap — and every checkpoint copies the whole
 	// ring. Restarting with a smaller Retain keeps the newest deliveries
 	// of the restored ring.
 	Retain int
@@ -261,7 +263,7 @@ func (s *Server) newPack() (*enginePack, error) {
 	p := &enginePack{d: d, hubs: make(map[string]*hub)}
 	for _, name := range d.Queries() {
 		reg, _ := d.Get(name)
-		h := newHub(name, reg.OutputSchema(), s.cfg.Retain, s.cfg.QueueLimit, s.cfg.Slow)
+		h := newHub(name, reg.Output, s.cfg.Retain, s.cfg.QueueLimit, s.cfg.Slow)
 		h.onDrop = func(query string, elem stream.Element, seq uint64) {
 			if rt := s.runtime(); rt != nil {
 				rt.AddDeadLetter(engine.DeadLetter{
@@ -579,7 +581,7 @@ func (s *Server) serveSubscriber(c net.Conn, br *bufio.Reader, h hello) {
 	}
 	reg, _ := p.d.Get(h.name)
 	reply := binary.AppendUvarint(appendOK(nil, s.epoch.Load()), h.hint)
-	reply = appendSchema(reply, reg.OutputSchema())
+	reply = appendSchema(reply, reg.Output)
 	if _, err := c.Write(reply); err != nil {
 		hub.detach(cur)
 		s.dropConn(c)
@@ -602,37 +604,19 @@ func (s *Server) serveSubscriber(c net.Conn, br *bufio.Reader, h hello) {
 		defer s.subWg.Done()
 		defer hub.detach(cur)
 		defer s.dropConn(c)
-		bw := bufio.NewWriter(c)
-		var batch []hubEntry
-		var hdr, payload []byte // this connection's frame scratch
+		var frames []byte // this connection's frame scratch
 		for {
 			var ended bool
 			var err error
-			batch, ended, err = hub.collect(cur, batch[:0], 64)
+			frames, ended, err = hub.collect(cur, frames[:0], 64)
 			if err != nil {
 				return
 			}
 			if ended {
-				bw.WriteByte(0) // end-of-stream: seq 0
-				bw.Flush()
+				c.Write([]byte{0}) // end-of-stream: seq 0
 				return
 			}
-			for _, e := range batch {
-				payload, err = hub.codec.Encode(payload[:0], e.elem)
-				if err != nil {
-					s.cfg.Logf("punctserve: subscriber %q: encode: %v", h.name, err)
-					return
-				}
-				hdr = binary.AppendUvarint(hdr[:0], e.seq)
-				hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-				if _, err := bw.Write(hdr); err != nil {
-					return
-				}
-				if _, err := bw.Write(payload); err != nil {
-					return
-				}
-			}
-			if err := bw.Flush(); err != nil {
+			if _, err := c.Write(frames); err != nil {
 				return
 			}
 		}
@@ -660,10 +644,8 @@ func (s *Server) checkpointLoop() {
 // long-lived server stops producing a checkpoint-sized block of garbage
 // every CheckpointEvery; it starts empty and grows on first use.
 type ckptScratch struct {
-	engine  bytes.Buffer
-	body    []byte
-	payload []byte
-	entries []hubEntry
+	engine bytes.Buffer
+	body   []byte
 }
 
 // encodeCheckpoint serializes the full server checkpoint body (callers
@@ -685,25 +667,12 @@ func (s *Server) encodeCheckpoint(p *enginePack, sc *ckptScratch) ([]byte, engin
 	body = binary.AppendUvarint(body, uint64(sc.engine.Len()))
 	body = append(body, sc.engine.Bytes()...)
 	body = binary.AppendUvarint(body, uint64(len(p.hubs)))
-	// A kept scratch must not pin delivered elements until the next
-	// checkpoint; a shorter snapshot may leave a longer one's tail behind.
-	defer func() { clear(sc.entries[:cap(sc.entries)]) }()
 	for _, name := range p.d.Queries() {
-		h := p.hubs[name]
 		cut := sum.Delivered[name]
-		sc.entries = h.snapshot(sc.entries[:0], cut)
 		body = binary.AppendUvarint(body, uint64(len(name)))
 		body = append(body, name...)
 		body = binary.AppendUvarint(body, cut)
-		body = binary.AppendUvarint(body, uint64(len(sc.entries)))
-		for _, e := range sc.entries {
-			if sc.payload, err = h.codec.Encode(sc.payload[:0], e.elem); err != nil {
-				return nil, sum, fmt.Errorf("server: checkpoint encode: %w", err)
-			}
-			body = binary.AppendUvarint(body, e.seq)
-			body = binary.AppendUvarint(body, uint64(len(sc.payload)))
-			body = append(body, sc.payload...)
-		}
+		body = p.hubs[name].snapshot(body, cut)
 	}
 	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 	sc.body = body
@@ -826,7 +795,7 @@ func (s *Server) restoreEnvelope(p *enginePack, raw []byte) ([]byte, uint64, err
 		if err != nil || n > cut+1 {
 			return fail("retained entry count")
 		}
-		entries := make([]hubEntry, 0, n)
+		var payloads [][]byte
 		for j := uint64(0); j < n; j++ {
 			// The ring is the contiguous run of n deliveries ending at
 			// the cut; anything else cannot be addressed by seq.
@@ -838,13 +807,12 @@ func (s *Server) restoreEnvelope(p *enginePack, raw []byte) ([]byte, uint64, err
 			if err != nil {
 				return fail("retained entry payload")
 			}
-			elem, rest, err := h.codec.Decode(payload)
-			if err != nil || len(rest) != 0 {
+			if _, rest, err := h.codec.Decode(payload); err != nil || len(rest) != 0 {
 				return fail("retained entry element")
 			}
-			entries = append(entries, hubEntry{seq: seq, elem: elem})
+			payloads = append(payloads, payload)
 		}
-		h.seed(entries, cut)
+		h.seed(payloads, cut)
 	}
 	return blob, epoch, nil
 }

@@ -218,6 +218,87 @@ func TestServeBasic(t *testing.T) {
 	requireSameStream(t, "basic", deliveryStrings(<-got), want)
 }
 
+// TestServeSQLProjection serves a SQL view with a two-column select list:
+// the subscriber is told the projected schema and receives exactly the
+// tuples an in-process OnResult run of the same script receives, under
+// consecutive sequence numbers (a punctuation the projection absorbs is
+// not delivered and takes none).
+func TestServeSQLProjection(t *testing.T) {
+	const script = `
+CREATE STREAM item (sellerid INT, itemid INT, name STRING, initialprice FLOAT);
+CREATE STREAM bid (bidderid INT, itemid INT, increase FLOAT);
+DECLARE SCHEME ON item (itemid);
+DECLARE SCHEME ON bid (itemid);
+SELECT item.itemid, bid.increase FROM item, bid WHERE item.itemid = bid.itemid;
+`
+	feed := auctionFeed()
+	var want []string
+	d := engine.New()
+	if _, err := d.RegisterSQL("v", script, engine.Options{OnResult: func(tu stream.Tuple) {
+		want = append(want, stream.TupleElement(tu).String())
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range feed {
+		if err := d.Push(in.Stream, in.Elem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	sock := filepath.Join(t.TempDir(), "s.sock")
+	item, bid := workload.AuctionSchemas()
+	srv, err := server.New(server.Config{
+		Listener: listenUnix(t, sock),
+		Build: func(d *engine.DSMS) error {
+			_, err := d.RegisterSQL("v", script, engine.Options{})
+			return err
+		},
+		Schemas: []*stream.Schema{item, bid},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl := testDialer(sock)
+	sub, err := dl.Subscribe("v#1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Schema().Arity() != 2 {
+		t.Fatalf("subscriber was told the schema %s, want the two projected columns", sub.Schema())
+	}
+	got, errc := collectAsync(sub)
+	prod, err := dl.Producer("feed", item, bid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range feed {
+		if err := prod.Send(in.Stream, in.Elem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitIngested(t, srv, prod, "feed")
+	prod.Close()
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("subscriber: %v", err)
+	}
+	var tuples []string
+	for i, dv := range <-got {
+		if dv.Seq != uint64(i+1) {
+			t.Fatalf("delivery %d carries seq %d", i, dv.Seq)
+		}
+		if !dv.Elem.IsPunct() {
+			tuples = append(tuples, dv.Elem.String())
+		}
+	}
+	requireSameStream(t, "projected view", tuples, want)
+}
+
 // TestCrashFailoverEquivalence is the acceptance headline: at each
 // seeded crash point the server checkpoints, keeps serving, is killed
 // mid-stream (engine aborted mid-element, every socket severed, no
