@@ -5,7 +5,7 @@
 
 GO ?= go
 
-STAGES = fmtcheck vet build test race racestress soakfailover fuzzseed ckptsmoke allocfloors benchsmoke
+STAGES = fmtcheck vet build test race racestress soakfailover fuzzseed ckptsmoke allocfloors benchsmoke linebudget
 
 .PHONY: check $(STAGES) bench fmt
 

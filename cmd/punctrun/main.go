@@ -55,9 +55,7 @@ func main() {
 		ckptEvery    = flag.Int("checkpoint-every", 0, "checkpoint every N elements (0 = only at end of feed; needs -checkpoint)")
 		restore      = flag.Bool("restore", false, "restore runtime state from -checkpoint and resume the feed at the recorded offset")
 		partitions   = flag.Int("partitions", 1, "hash-partitioned join replicas per query (1 = single tree; needs a co-partitionable query for >1)")
-		coldAfter    = flag.Uint64("cold-after", 0, "freeze join-state rows older than N elements into the compacted cold tier (0 = all-hot)")
 		softLimit    = flag.Int("soft-state-limit", 0, "soft per-replica state bound: crossing it forces a purge round and reports pressure (0 = off)")
-		maxSplit     = flag.Int("max-partition-split", 0, "live-split a pressured hot replica at most N times (needs -parallel, -partitions > 1 and -soft-state-limit)")
 		chaosLate    = flag.Int("chaos-late", 0, "inject N late tuples behind their covering punctuation (seeded; pair with -enforce)")
 		views        = flag.Int("views", 1, "register N fingerprint-equal views of the scenario query (shared-subplan execution: one physical tree serves all N)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the ingest loop to this file (go tool pprof)")
@@ -94,10 +92,6 @@ func main() {
 	if *partitions > 1 {
 		enginePartitions = *partitions
 	}
-	if *maxSplit > 0 && (!*parallel || enginePartitions == 0 || *softLimit <= 0) {
-		fmt.Fprintln(os.Stderr, "punctrun: -max-partition-split needs -parallel, -partitions > 1 and -soft-state-limit > 0")
-		os.Exit(2)
-	}
 
 	q, schemes, inputs, err := buildScenario(*scenario, *size, *k, !*noPunct, *zipf, *specFile, *sqlFile)
 	if err != nil {
@@ -123,38 +117,26 @@ func main() {
 		d.RegisterScheme(s)
 	}
 	results := 0
-	pressures, freezes, splits := 0, 0, 0
+	pressures := 0
 	opts := engine.Options{
-		PurgeBatch:         *batch,
-		PunctLifespan:      *lifespan,
-		PurgePunctuations:  *purgePunct,
-		EnforcePromises:    *enforce,
-		Partitions:         enginePartitions,
-		ColdAfter:          *coldAfter,
-		SoftStateLimit:     *softLimit,
-		MaxPartitionSplits: *maxSplit,
+		PurgeBatch:        *batch,
+		PunctLifespan:     *lifespan,
+		PurgePunctuations: *purgePunct,
+		EnforcePromises:   *enforce,
+		Partitions:        enginePartitions,
+		SoftStateLimit:    *softLimit,
 		// Share is a no-op for a single view; with -views > 1 it folds
 		// every fingerprint-equal registration onto one physical tree.
 		Share:    *views > 1,
 		OnResult: func(stream.Tuple) { results++ },
 		OnPressure: func(ev exec.PressureEvent) {
 			pressures++
-			freezes += ev.Frozen
 			where := "single tree"
 			if ev.Partition >= 0 {
 				where = fmt.Sprintf("partition %d", ev.Partition)
 			}
-			fmt.Printf("pressure: %s state %d over soft limit %d; purge relieved to %d (%d rows frozen cold)\n",
-				where, ev.State, ev.SoftLimit, ev.Relieved, ev.Frozen)
-		},
-		OnRepartition: func(ev engine.RepartitionEvent) {
-			if ev.Err != nil {
-				fmt.Printf("repartition: split of hot partition %d refused: %v\n", ev.Hot, ev.Err)
-				return
-			}
-			splits++
-			fmt.Printf("repartition: hot partition %d live-split into new replica %d (%d total)\n",
-				ev.Hot, ev.New, ev.Parts)
+			fmt.Printf("pressure: %s state %d over soft limit %d; purge relieved to %d\n",
+				where, ev.State, ev.SoftLimit, ev.Relieved)
 		},
 	}
 	reg, err := d.Register(*scenario, q, opts)
@@ -168,7 +150,7 @@ func main() {
 	viewRegs := make([]*engine.Registered, 0, *views-1)
 	for v := 1; v < *views; v++ {
 		vopts := opts
-		vopts.OnResult, vopts.OnPressure, vopts.OnRepartition = nil, nil, nil
+		vopts.OnResult, vopts.OnPressure = nil, nil
 		vreg, err := d.Register(fmt.Sprintf("view%d", v), q, vopts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -382,16 +364,8 @@ func main() {
 	fmt.Printf("final state:        %d tuples\n", reg.TotalState())
 	fmt.Printf("max state:          %d tuples\n", reg.MaxState())
 	fmt.Printf("final punct store:  %d\n", reg.TotalPunctStore())
-	if *coldAfter > 0 || pressures > 0 {
-		cold := 0
-		for _, st := range reg.StatsSnapshot() {
-			cold += st.TotalColdState()
-		}
-		fmt.Printf("cold tier:          %d tuples resident; %d pressure events (%d rows frozen under pressure)\n",
-			cold, pressures, freezes)
-	}
-	if *maxSplit > 0 {
-		fmt.Printf("repartitions:       %d live splits (%d replicas now)\n", splits, reg.Partitions())
+	if pressures > 0 {
+		fmt.Printf("pressure:           %d events\n", pressures)
 	}
 	for i, st := range reg.StatsSnapshot() {
 		fmt.Printf("operator %d:         %s\n", i, st)

@@ -54,9 +54,7 @@ func main() {
 		scenario   = flag.String("scenario", "auction", "query to serve: auction | netmon | sensors")
 		views      = flag.Int("views", 1, "serve N fingerprint-equal views of the scenario query (shared-subplan execution: one physical tree serves all N; subscribers attach by view name view1..viewN-1)")
 		partitions = flag.Int("partitions", 1, "hash-partitioned join replicas (1 = single tree)")
-		coldAfter  = flag.Uint64("cold-after", 0, "freeze join-state rows older than N elements into the compacted cold tier (0 = all-hot)")
 		softLimit  = flag.Int("soft-state-limit", 0, "soft per-replica state bound: crossing it forces a purge round and logs pressure (0 = off)")
-		maxSplit   = flag.Int("max-partition-split", 0, "live-split a pressured hot replica at most N times (needs -partitions > 1 and -soft-state-limit)")
 		onError    = flag.String("on-error", "quarantine", "runtime error policy: fail | drop | quarantine")
 		enforce    = flag.Bool("enforce", false, "fail tuples that violate an already-seen punctuation promise")
 		ckptPath   = flag.String("checkpoint", "", "durable checkpoint file (enables restore-at-start, periodic checkpoints, producer acks)")
@@ -95,12 +93,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *partitions < 1 {
+		fatal(fmt.Errorf("-partitions %d: need at least 1", *partitions))
+	}
 	enginePartitions := 0
 	if *partitions > 1 {
 		enginePartitions = *partitions
-	}
-	if *maxSplit > 0 && (enginePartitions == 0 || *softLimit <= 0) {
-		fatal(fmt.Errorf("punctserve: -max-partition-split needs -partitions > 1 and -soft-state-limit > 0"))
 	}
 	schemas := make([]*stream.Schema, q.N())
 	for i := range schemas {
@@ -140,11 +138,9 @@ func main() {
 				d.RegisterScheme(s)
 			}
 			opts := engine.Options{
-				EnforcePromises:    *enforce,
-				Partitions:         enginePartitions,
-				ColdAfter:          *coldAfter,
-				SoftStateLimit:     *softLimit,
-				MaxPartitionSplits: *maxSplit,
+				EnforcePromises: *enforce,
+				Partitions:      enginePartitions,
+				SoftStateLimit:  *softLimit,
 				// With -views > 1 every registration below folds onto one
 				// shared physical tree (equal fingerprints).
 				Share: *views > 1,
@@ -153,16 +149,8 @@ func main() {
 					if ev.Partition >= 0 {
 						where = fmt.Sprintf("partition %d", ev.Partition)
 					}
-					logf("pressure: %s state %d over soft limit %d; relieved to %d (%d rows frozen cold)",
-						where, ev.State, ev.SoftLimit, ev.Relieved, ev.Frozen)
-				},
-				OnRepartition: func(ev engine.RepartitionEvent) {
-					if ev.Err != nil {
-						logf("repartition: split of hot partition %d refused: %v", ev.Hot, ev.Err)
-						return
-					}
-					logf("repartition: hot partition %d live-split into new replica %d (%d total)",
-						ev.Hot, ev.New, ev.Parts)
+					logf("pressure: %s state %d over soft limit %d; relieved to %d",
+						where, ev.State, ev.SoftLimit, ev.Relieved)
 				},
 			}
 			reg, err := d.Register(*scenario, q, opts)
@@ -172,7 +160,7 @@ func main() {
 			viewRegs = viewRegs[:0]
 			viewRegs = append(viewRegs, reg)
 			vopts := opts
-			vopts.OnPressure, vopts.OnRepartition = nil, nil
+			vopts.OnPressure = nil
 			for v := 1; v < *views; v++ {
 				vreg, err := d.Register(fmt.Sprintf("view%d", v), q, vopts)
 				if err != nil {

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"punctsafe/exec"
@@ -86,22 +85,6 @@ type Options struct {
 	// partitioned; it falls back to the single-tree path with the reason
 	// recorded in Registered.PartitionReason.
 	Partitions int
-	// ColdAfter enables two-tier join state: every ColdAfter processed
-	// elements, stored tuples that survived a full inter-freeze interval
-	// are compacted out of the hot insert path into immutable cold
-	// segments (mirrors exec.Config.ColdAfter). 0 keeps every tuple hot.
-	ColdAfter uint64
-	// MaxPartitionSplits, when > 0 on a partitioned query, arms the
-	// sharded runtime's skew watcher: a replica still at or above
-	// SoftStateLimit after its forced purge round is live-split (its key
-	// range divided by observed bucket load onto a new replica), at most
-	// this many times over the runtime's life. Requires SoftStateLimit
-	// and Partitions >= 1; 0 disables automatic repartitioning
-	// (Runtime.SplitPartition remains available manually).
-	MaxPartitionSplits int
-	// OnRepartition, when set, observes every split the skew watcher
-	// attempts — successful or refused — from the watcher goroutine.
-	OnRepartition func(RepartitionEvent)
 	// Share opts the query into common-subplan sharing: if a previously
 	// registered Share query has the same canonical fingerprint (join
 	// shape, streams, equality classes, punctuation schemes, and every
@@ -110,8 +93,8 @@ type Options struct {
 	// its own — the join is evaluated once and outputs fan out to every
 	// member's delivery path with per-member sequence numbers, stats and
 	// dead-letter attribution. Delivery-side callbacks (OnResult,
-	// OnPunct, delivery hooks) stay per-member; executor-side observers
-	// (OnPressure, OnRepartition) ride the group driver's registration.
+	// OnPunct, delivery hooks) stay per-member; the executor-side observer
+	// (OnPressure) rides the group driver's registration.
 	Share bool
 	// ShareTag discriminates Share fingerprints beyond what the engine
 	// can see: callers whose queries differ in ways invisible to the
@@ -119,22 +102,6 @@ type Options struct {
 	// into this tag) must tag them apart, or identical-looking queries
 	// would incorrectly share one tree. Ignored unless Share is set.
 	ShareTag string
-}
-
-// RepartitionEvent describes one attempted skew-driven partition split.
-type RepartitionEvent struct {
-	// Query names the repartitioned query.
-	Query string
-	// Hot is the replica whose sustained pressure triggered the split.
-	Hot int
-	// New is the replica that took over the heavier half of Hot's key
-	// range (meaningful only when Err is nil).
-	New int
-	// Parts is the partition count after the attempt.
-	Parts int
-	// Err is nil on success, or the reason the split was refused (e.g.
-	// single-bucket key skew that routing cannot separate).
-	Err error
 }
 
 // Registered is one admitted continuous join query.
@@ -181,14 +148,6 @@ type Registered struct {
 	filter func(input int, t stream.Tuple) bool
 	// streamInput maps a stream name to this query's stream index.
 	streamInput map[string]int
-	// pressure, maxSplits and onRepartition drive the sharded runtime's
-	// skew watcher (Options.MaxPartitionSplits): replica pressure events
-	// are teed into the channel by the exec.Config.OnPressure wrapper
-	// installed at registration, and the watcher splits hot replicas
-	// from them. pressure is nil unless the watcher was requested.
-	pressure      chan exec.PressureEvent
-	maxSplits     int
-	onRepartition func(RepartitionEvent)
 	// group is the share group this query belongs to — a singleton for
 	// unshared queries, shared with every fingerprint-equal Share
 	// registration otherwise (see share.go). Never nil after Register.
@@ -252,7 +211,6 @@ func (d *DSMS) Register(name string, q *query.CJQ, opts Options) (*Registered, e
 		SoftStateLimit:    opts.SoftStateLimit,
 		OnPressure:        opts.OnPressure,
 		EnforcePromises:   opts.EnforcePromises,
-		ColdAfter:         opts.ColdAfter,
 	}
 	r := &Registered{
 		Name:        name,
@@ -287,26 +245,6 @@ func (d *DSMS) Register(name string, q *query.CJQ, opts Options) (*Registered, e
 			d.queries[name] = r
 			d.order = append(d.order, name)
 			return r, nil
-		}
-	}
-	if opts.Partitions >= 1 && opts.MaxPartitionSplits > 0 {
-		// Arm the sharded runtime's skew watcher: tee replica pressure
-		// events into a channel the watcher drains. The tee never blocks
-		// the partition worker that fired the event — a watcher that falls
-		// behind just misses an excursion, and pressure re-fires on the
-		// next one.
-		r.maxSplits = opts.MaxPartitionSplits
-		r.onRepartition = opts.OnRepartition
-		r.pressure = make(chan exec.PressureEvent, 16)
-		user, tee := opts.OnPressure, r.pressure
-		cfg.OnPressure = func(ev exec.PressureEvent) {
-			select {
-			case tee <- ev:
-			default:
-			}
-			if user != nil {
-				user(ev)
-			}
 		}
 	}
 	if opts.Partitions >= 1 {
@@ -583,21 +521,4 @@ func (d *DSMS) TotalState() int {
 		total += r.TotalState()
 	}
 	return total
-}
-
-// StreamsInUse returns the names of streams any registered query consumes,
-// sorted.
-func (d *DSMS) StreamsInUse() []string {
-	set := make(map[string]bool)
-	for _, r := range d.queries {
-		for name := range r.streamInput {
-			set[name] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -166,9 +166,6 @@ func TestMultipleQueriesShareInput(t *testing.T) {
 	if len(q1.Results) == 0 || len(q1.Results) != len(q2.Results) {
 		t.Fatalf("both queries should see identical results: %d vs %d", len(q1.Results), len(q2.Results))
 	}
-	if got := d.StreamsInUse(); len(got) != 2 {
-		t.Fatalf("StreamsInUse = %v", got)
-	}
 	if !d.Unregister("q2") || d.Unregister("q2") {
 		t.Fatal("Unregister bookkeeping broken")
 	}

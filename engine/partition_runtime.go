@@ -93,16 +93,6 @@ type partRun struct {
 	chunks [][]stream.Element
 }
 
-// splitReq asks the merge stage to split a hot replica while every
-// worker is parked at the barrier: the one moment the replica set is
-// provably quiescent, which is what exec.PartitionedTree.Split
-// requires. The reply carries the split's outcome (nil, or the reason
-// the replica could not be split).
-type splitReq struct {
-	hot   int
-	reply chan error // buffered; the merger never blocks answering
-}
-
 // partRecord is one worker reply covering one chunk: the replica's
 // outputs with per-element boundaries, recoverable offenders, or a
 // fatal error with the local element index it struck at. Records are
@@ -138,7 +128,8 @@ const (
 	partScriptBuffer = 16
 )
 
-// partFront is one partitioned shard's parallel ingestion front.
+// partFront is one partitioned shard's parallel ingestion front. The
+// partition count and the channel slices are fixed at construction.
 type partFront struct {
 	s   *shard
 	p   int
@@ -174,7 +165,7 @@ func newPartFront(s *shard) *partFront {
 		pf.in[i] = make(chan partChunk, partInBuffer)
 		pf.out[i] = make(chan *partRecord, partOutBuffer)
 		pf.free[i] = make(chan *partRecord, partOutBuffer+2)
-		go pf.worker(i, pf.in[i], pf.out[i], pf.free[i])
+		go pf.worker(i)
 	}
 	return pf
 }
@@ -182,13 +173,6 @@ func newPartFront(s *shard) *partFront {
 // sendRun routes one contiguous same-stream run: hash outside the lock,
 // enqueue under it. elems is a takeRun buffer and the front's from here
 // on (the merger keeps it until the run is delivered, then gives it back).
-//
-// Hashing runs against a snapshot of the routing spec taken before the
-// lock. A live repartition (splitPartition) replaces the spec while
-// holding the ingress lock, so a producer that hashed against the old
-// owner table discovers the swap the moment it acquires the lock and
-// simply rehashes — chunks routed by a stale table never enter a
-// mailbox.
 func (pf *partFront) sendRun(input int, streamName string, elems []stream.Element) {
 	pt, s := pf.s.reg.Part, pf.s
 	run := pf.runFree.pop()
@@ -196,52 +180,38 @@ func (pf *partFront) sendRun(input int, streamName string, elems []stream.Elemen
 		run = &partRun{}
 	}
 	run.ops = slices.Grow(run.ops[:0], len(elems))[:len(elems)]
-	for {
-		spec := pt.RoutingSpec()
-		// Every chunk buffer is sized for the whole run, so that every
-		// buffer of the shard fits every use.
-		run.chunks = slices.Grow(run.chunks[:0], spec.Parts)[:spec.Parts] // all nil: cleared below
-		chunks := run.chunks
-		for p := range chunks {
-			chunks[p] = s.takeRun(len(elems))
-		}
-		for i, e := range elems {
-			if e.IsPunct() {
-				// Epoch seal: every partition sees the punctuation in
-				// position, preserving its order against the tuples that
-				// partition owns.
-				run.ops[i] = opPunct
-				for p := range chunks {
-					chunks[p] = append(chunks[p], e)
-				}
-				continue
+	// Every chunk buffer is sized for the whole run, so that every buffer
+	// of the shard fits every use.
+	run.chunks = slices.Grow(run.chunks[:0], pf.p)[:pf.p] // all nil: cleared below
+	chunks := run.chunks
+	for p := range chunks {
+		chunks[p] = s.takeRun(len(elems))
+	}
+	for i, e := range elems {
+		if e.IsPunct() {
+			// Epoch seal: every partition sees the punctuation in position,
+			// preserving its order against the tuples that partition owns.
+			run.ops[i] = opPunct
+			for p := range chunks {
+				chunks[p] = append(chunks[p], e)
 			}
-			d := pt.PartitionOfSpec(spec, input, e.Tuple())
-			run.ops[i] = byte(d)
-			chunks[d] = append(chunks[d], e)
-		}
-		pf.mu.Lock()
-		stale := pt.RoutingSpec() != spec
-		if stale {
-			// A repartition landed between hashing and the lock: rehash
-			// against the published table.
-			pf.mu.Unlock()
-		}
-		for p, c := range chunks {
-			if stale || len(c) == 0 {
-				s.giveRun(c)
-			} else {
-				pf.in[p] <- partChunk{input: input, elems: c}
-			}
-		}
-		clear(chunks)
-		if stale {
 			continue
 		}
-		pf.script <- scriptBatch{input: input, stream: streamName, elems: elems, run: run}
-		pf.mu.Unlock()
-		return
+		d := pt.PartitionOf(input, e.Tuple())
+		run.ops[i] = byte(d)
+		chunks[d] = append(chunks[d], e)
 	}
+	pf.mu.Lock()
+	for p, c := range chunks {
+		if len(c) == 0 {
+			s.giveRun(c)
+		} else {
+			pf.in[p] <- partChunk{input: input, elems: c}
+		}
+	}
+	clear(chunks)
+	pf.script <- scriptBatch{input: input, stream: streamName, elems: elems, run: run}
+	pf.mu.Unlock()
 }
 
 // recycle puts a delivered run's element buffer and routing scratch back
@@ -265,33 +235,6 @@ func (pf *partFront) control(c *shardCtrl) {
 	pf.mu.Unlock()
 }
 
-// splitPartition performs a live repartition: it enqueues a split
-// barrier and holds the ingress lock until the merge stage has executed
-// the split and published the new routing table. The hold is load-
-// bearing, not just convenient: a run enqueued after the barrier but
-// before the table swap would have been hashed against the old owner
-// table, landing tuples on a replica that no longer owns their keys.
-// With the lock held, every producer that raced the split re-validates
-// its spec snapshot in sendRun and rehashes.
-func (pf *partFront) splitPartition(hot int) error {
-	c := &shardCtrl{
-		split:   &splitReq{hot: hot, reply: make(chan error, 1)},
-		release: make(chan struct{}),
-	}
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	for p := 0; p < pf.p; p++ {
-		pf.in[p] <- partChunk{ctrl: c}
-	}
-	pf.script <- scriptBatch{ctrl: c}
-	select {
-	case err := <-c.split.reply:
-		return err
-	case <-pf.s.rt.kill:
-		return ErrKilled
-	}
-}
-
 // close ends the input: the caller (Runtime.Close, under the write side
 // of closeMu) guarantees no producer is in flight.
 func (pf *partFront) close() {
@@ -307,13 +250,9 @@ func (pf *partFront) close() {
 // processing (the state is no longer meaningful) but keeps the record
 // stream aligned with skipped records. On kill it drains without effect
 // so producers never block forever.
-//
-// The channels arrive as arguments rather than through pf.in[part]
-// indexing: a live repartition appends to the channel slices from the
-// merge stage, so a worker must never touch the slice headers after
-// spawn.
-func (pf *partFront) worker(part int, in chan partChunk, out, free chan *partRecord) {
+func (pf *partFront) worker(part int) {
 	defer pf.wg.Done()
+	in, out, free := pf.in[part], pf.out[part], pf.free[part]
 	fatal := false
 	for {
 		var ck partChunk
@@ -703,7 +642,7 @@ func (m *partMerger) discardOne(p int) bool {
 // consumeCtrl is the merge-stage half of a control barrier: consume the
 // ack record from every partition — by mailbox FIFO all earlier records
 // are consumed and delivered, and every worker is parked on release, so
-// the replicas and the gate are quiescent — split or answer, release.
+// the replicas and the gate are quiescent — answer, release.
 // Stats are answered even on a failed shard (matching the sequential
 // path); checkpointReply itself refuses failed state.
 func (m *partMerger) consumeCtrl(c *shardCtrl) bool {
@@ -721,55 +660,9 @@ func (m *partMerger) consumeCtrl(c *shardCtrl) bool {
 		}
 		m.release(p)
 	}
-	if c.split != nil {
-		c.split.reply <- m.doSplit(c.split.hot)
-	}
 	s.answer(c)
 	close(c.release)
 	return true
-}
-
-// doSplit executes a live repartition at the quiescent point of a
-// control barrier: every worker is parked on release, every record
-// enqueued before the barrier is consumed, so the replica set is
-// exactly as still as it is for a checkpoint. exec does the state
-// surgery (clone hot, filter both halves by the new owner table,
-// publish the table); the front then grows by one worker lane and the
-// merger by one cursor set. The new worker only ever sees chunks
-// enqueued after the barrier — splitPartition holds the ingress lock
-// until this returns, and every later producer hashes against the new
-// table.
-func (m *partMerger) doSplit(hot int) error {
-	s := m.s
-	if s.failed {
-		return fmt.Errorf("engine: query %q has failed; cannot repartition", s.reg.Name)
-	}
-	_, unblocked, err := s.reg.Part.Split(hot)
-	if err != nil {
-		return err
-	}
-	pf := m.pf
-	part := pf.p
-	in := make(chan partChunk, partInBuffer)
-	out := make(chan *partRecord, partOutBuffer)
-	free := make(chan *partRecord, partOutBuffer+2)
-	pf.in = append(pf.in, in)
-	pf.out = append(pf.out, out)
-	pf.free = append(pf.free, free)
-	pf.p++
-	pf.wg.Add(1)
-	go pf.worker(part, in, out, free)
-	m.rec = append(m.rec, nil)
-	m.cursor = append(m.cursor, 0)
-	m.lastEnd = append(m.lastEnd, 0)
-	m.offCur = append(m.offCur, 0)
-	// Punctuations the state filter unblocked deliver at the barrier —
-	// everything enqueued before the split is already out, so this is
-	// their exact stream position.
-	if len(unblocked) > 0 {
-		s.deliver(unblocked)
-	}
-	return nil
 }
 
 // failShard marks the shard failed and records the runtime's first

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -163,14 +162,12 @@ type shard struct {
 
 // shardCtrl is a control request, answered by a shard's own goroutine at
 // the request's FIFO position among the elements: a stats snapshot, a
-// checkpoint barrier, a live subscription change (attach/detach) or, on
-// a partitioned shard only, a live repartition. A partitioned shard
-// carries it through every partition mailbox and the script, and its
-// workers park on release until the merger has answered.
+// checkpoint barrier or a live subscription change (attach/detach). A
+// partitioned shard carries it through every partition mailbox and the
+// script, and its workers park on release until the merger has answered.
 type shardCtrl struct {
 	stats   chan<- []*exec.Stats
 	ckpt    chan<- shardCkpt
-	split   *splitReq
 	attach  *Registered   // new subscriber: outputs after this point fan to it
 	detach  string        // departing subscriber name: no outputs after this point
 	release chan struct{} // partitioned: closed by the merger once answered
@@ -207,17 +204,14 @@ func (s *shard) answer(c *shardCtrl) {
 }
 
 // answerKilled unwinds a control request's waiter after Kill: a stats
-// request gets no snapshot (Stats reports ErrKilled), a checkpoint or a
-// split gets ErrKilled.
+// request gets no snapshot (Stats reports ErrKilled), a checkpoint gets
+// ErrKilled.
 func (s *shard) answerKilled(c *shardCtrl) {
 	if c.stats != nil {
 		c.stats <- nil
 	}
 	if c.ckpt != nil {
 		c.ckpt <- shardCkpt{idx: s.idx, err: ErrKilled}
-	}
-	if c.split != nil {
-		c.split.reply <- ErrKilled
 	}
 }
 
@@ -501,9 +495,6 @@ func (rt *Runtime) spawnShard(r *Registered) *shard {
 		// shard goroutine becomes the merge stage.
 		s.pf = newPartFront(s)
 		go s.runPartitioned()
-		if s.reg.pressure != nil && s.reg.maxSplits > 0 {
-			go s.splitWatcher()
-		}
 		return s
 	}
 	s.mb.init(rt.buffer)
@@ -1067,74 +1058,4 @@ func (rt *Runtime) Stats(name string) ([]*exec.Stats, error) {
 		return st, nil
 	}
 	return nil, ErrKilled
-}
-
-// SplitPartition live-splits one replica of the named partitioned query:
-// the hot replica's key range is divided by observed bucket load, a new
-// replica takes over the heavier half, and producers re-route on the
-// published owner table — all behind the same control barrier a
-// checkpoint uses, so no element is lost, duplicated, or reordered by
-// the move. It blocks until the split is complete (or refused: a
-// replica whose load sits in one hash bucket cannot be split by
-// routing). Safe from any goroutine; the skew watcher calls it
-// automatically when Options.MaxPartitionSplits allows.
-func (rt *Runtime) SplitPartition(name string, hot int) error {
-	rt.closeMu.RLock()
-	defer rt.closeMu.RUnlock()
-	s, ok := rt.byName[name]
-	if !ok {
-		return fmt.Errorf("engine: no query %q", name)
-	}
-	if s.pf == nil {
-		return fmt.Errorf("engine: query %q is not partitioned", name)
-	}
-	if rt.closed {
-		return fmt.Errorf("engine: runtime: SplitPartition after Close")
-	}
-	return s.pf.splitPartition(hot)
-}
-
-// splitWatcher is the skew-repartitioning policy loop, one per
-// partitioned shard with a split budget. It watches the query's
-// pressure events for a replica that stayed at or above its soft state
-// limit after the forced purge round — state the punctuation horizon
-// legitimately retains, concentrated on one replica by key skew — and
-// splits that replica. Replicas whose load cannot be separated by
-// bucket routing (single pathological key) are remembered and not
-// retried.
-func (s *shard) splitWatcher() {
-	splits := 0
-	unsplittable := make(map[int]bool)
-	for splits < s.reg.maxSplits {
-		var ev exec.PressureEvent
-		select {
-		case ev = <-s.reg.pressure:
-		case <-s.done:
-			return
-		case <-s.rt.kill:
-			return
-		}
-		if ev.Partition < 0 || ev.Relieved < ev.SoftLimit || unsplittable[ev.Partition] {
-			continue
-		}
-		err := s.rt.SplitPartition(s.reg.Name, ev.Partition)
-		rev := RepartitionEvent{
-			Query: s.reg.Name,
-			Hot:   ev.Partition,
-			Parts: s.reg.Partitions(),
-			Err:   err,
-		}
-		if err == nil {
-			splits++
-			rev.New = rev.Parts - 1
-		} else {
-			if errors.Is(err, ErrKilled) {
-				return
-			}
-			unsplittable[ev.Partition] = true
-		}
-		if s.reg.onRepartition != nil {
-			s.reg.onRepartition(rev)
-		}
-	}
 }

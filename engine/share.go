@@ -55,12 +55,12 @@ func (g *shareGroup) removeMember(name string) bool {
 // executor's behavior — but is invisible to plan.Fingerprint — into the
 // fingerprint's config tag. Callback options (OnResult, OnPressure, ...)
 // are deliberately absent: delivery-side callbacks are per-member, and
-// pressure/repartition observers ride the driver's config (documented on
+// the pressure observer rides the driver's config (documented on
 // Options.Share).
 func shareConfigTag(o Options) string {
-	return fmt.Sprintf("pb=%d;pl=%d;pp=%t;sl=%d;ssl=%d;ep=%t;ca=%d;parts=%d;splits=%d;user=%s",
+	return fmt.Sprintf("pb=%d;pl=%d;pp=%t;sl=%d;ssl=%d;ep=%t;parts=%d;user=%s",
 		o.PurgeBatch, o.PunctLifespan, o.PurgePunctuations, o.StateLimit, o.SoftStateLimit,
-		o.EnforcePromises, o.ColdAfter, o.Partitions, o.MaxPartitionSplits, o.ShareTag)
+		o.EnforcePromises, o.Partitions, o.ShareTag)
 }
 
 // isDriver reports whether this member owns its group's physical

@@ -100,57 +100,6 @@ func TestSteadyStateProbeAllocs(t *testing.T) {
 	})
 }
 
-// TestColdTierProbeAllocs: the cold tier must add no per-probe garbage.
-// The guard is self-calibrated — the same probe/purge cycle runs against
-// an all-hot state and against one whose 32k resident rows are fully
-// frozen, and the tiered average may not exceed the hot average by more
-// than 10% plus one allocation of slack. An absolute guard on the miss
-// cycle (~0 allocs) rides along, mirroring TestSteadyStateProbeAllocs.
-func TestColdTierProbeAllocs(t *testing.T) {
-	run := func(coldAfter uint64, key int64) float64 {
-		m := longStateJoin(t, coldAfter)
-		punct := stream.PunctElement(stream.MustPunctuation(stream.Const(stream.Int(key)), stream.Wildcard()))
-		i := int64(0)
-		cycle := func() {
-			// Probe + insert on S, then a key punctuation on R purges the
-			// S tuple again: steady state, like the tiering benchmark.
-			el := stream.TupleElement(stream.NewTuple(stream.Int(key), stream.Int(i)))
-			if _, err := m.Push(1, el); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Push(0, punct); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		for j := 0; j < 512; j++ {
-			cycle()
-		}
-		avg := testing.AllocsPerRun(2000, cycle)
-		if coldAfter > 0 && m.StatsSnapshot().ColdSize[0] == 0 {
-			t.Fatal("tiered operator froze nothing; the guard is vacuous")
-		}
-		return avg
-	}
-	t.Run("hit", func(t *testing.T) {
-		hot := run(0, 3)
-		tiered := run(2048, 3)
-		if tiered > hot*1.1+1 {
-			t.Fatalf("cold-tier hit cycle averages %.2f allocs vs %.2f all-hot; the tier adds per-probe garbage", tiered, hot)
-		}
-	})
-	t.Run("miss", func(t *testing.T) {
-		hot := run(0, 1<<20)
-		tiered := run(2048, 1<<20)
-		if tiered > hot+0.5 {
-			t.Fatalf("cold-tier miss cycle averages %.2f allocs vs %.2f all-hot", tiered, hot)
-		}
-		if tiered > 2.5 {
-			t.Fatalf("miss cycle averages %.2f allocs, want ~2 (the probe tuple only)", tiered)
-		}
-	})
-}
-
 // figure3Cycle builds the Figure 3 three-stream chain and returns one
 // full chained-purge cycle over it: insert a joined chain of tuples, then
 // punctuate it away through the §4.2 chained rounds.
@@ -286,10 +235,10 @@ func compactedWindowJoin(tb testing.TB) (*exec.WindowedMJoin, []stream.Element) 
 				tb.Fatal(err)
 			}
 		}
-		if n := wj.HotRows(0); n < rows {
+		if n := wj.Rows(0); n < rows {
 			compactions++
 		}
-		rows = wj.HotRows(0)
+		rows = wj.Rows(0)
 	}
 	if compactions < 2 {
 		tb.Fatalf("R state compacted %d times, want >= 2: the guard is vacuous", compactions)
@@ -369,7 +318,7 @@ func TestOrderedPurgeRoundAllocs(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		round()
 	}
-	compactions, rows := 0, m.HotRows(0)
+	compactions, rows := 0, m.Rows(0)
 	for i := 0; i < 32; i++ {
 		mallocs, purged := round()
 		if purged != 256 {
@@ -378,10 +327,10 @@ func TestOrderedPurgeRoundAllocs(t *testing.T) {
 		if mallocs != 0 {
 			t.Fatalf("round %d: the two heartbeats allocated %d times, want 0", i, mallocs)
 		}
-		if n := m.HotRows(0); n < rows {
+		if n := m.Rows(0); n < rows {
 			compactions++
 		}
-		rows = m.HotRows(0)
+		rows = m.Rows(0)
 	}
 	if compactions < 2 {
 		t.Fatalf("%d compactions in 32 measured rounds: the guard does not cover the renumbering", compactions)

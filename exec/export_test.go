@@ -1,8 +1,8 @@
 package exec
 
-// HotRows is the length of one input's hot columns, live and tombstoned
-// rows alike. The external alloc guards count compactions by watching it
+// Rows is the length of one input's columns, live and tombstoned rows
+// alike. The external alloc guards count compactions by watching it
 // shrink.
-func (m *MJoin) HotRows(input int) int { return len(m.states[input].hot.ids) }
+func (m *MJoin) Rows(input int) int { return len(m.states[input].ids) }
 
-func (wj *WindowedMJoin) HotRows(input int) int { return wj.m.HotRows(input) }
+func (wj *WindowedMJoin) Rows(input int) int { return wj.m.Rows(input) }

@@ -16,8 +16,8 @@ type mapKey struct {
 	s    string
 }
 
-// keyMap is the package's one hash container: the hot and cold join-state
-// indexes and the punctuation store all sit on it. It is specialised to
+// keyMap is the package's one hash container: the join-state indexes and
+// the punctuation store all sit on it. It is specialised to
 // the kind of what it indexes instead of hashing a tagged value: a numeric
 // attribute is keyed by its 64 payload bits (Go's fast 64-bit map path), a
 // string attribute by the string, and a composite constant list by its

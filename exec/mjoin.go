@@ -59,16 +59,6 @@ type Config struct {
 	// OnPressure, when set, observes SoftStateLimit crossings. It runs on
 	// the goroutine driving the operator and must not call back into it.
 	OnPressure func(PressureEvent)
-	// ColdAfter, when nonzero, enables adaptive state tiering: every
-	// ColdAfter input elements the operator runs a freeze generation,
-	// compacting stored tuples that survived a full inter-freeze interval
-	// into the immutable cold segment (coldtier.go). The hot columns stay
-	// short — recent, churning state — while long-lived state is probed
-	// through the cold segment's frozen sorted runs. A pressure excursion
-	// (SoftStateLimit) additionally forces a full freeze, so state that
-	// legitimately outlives punctuation horizons stops taxing the hot
-	// tier. 0 disables tiering entirely (single-tier, the prior behavior).
-	ColdAfter uint64
 	// EnforcePromises makes Push fail when an input tuple matches a live
 	// punctuation previously received on ITS OWN input — a violation of
 	// the punctuation contract ("no future tuple will satisfy this
@@ -170,9 +160,8 @@ type probeScratch struct {
 	out     []stream.Element // where the running probe appends its results
 	// cand holds per-depth double buffers for multi-predicate bucket
 	// intersections (two, so an intersection never reads the buffer it is
-	// writing). Intersections run per tier — the tiers hold disjoint
-	// tuples, so tierwise intersection is exact.
-	cand [2][]tierBuckets
+	// writing).
+	cand [2][][]row
 }
 
 // pendingPunct is an accepted punctuation awaiting its purge round:
@@ -243,7 +232,7 @@ func NewMJoin(cfg Config) (*MJoin, error) {
 	m.pr = probeScratch{
 		bound:   make([]stream.Tuple, q.N()),
 		isBound: make([]bool, q.N()),
-		cand:    [2][]tierBuckets{make([]tierBuckets, q.N()), make([]tierBuckets, q.N())},
+		cand:    [2][][]row{make([][]row, q.N()), make([][]row, q.N())},
 	}
 	m.initPurgeScratch()
 	m.buildOutputSchema()
@@ -400,32 +389,11 @@ func (m *MJoin) pushInto(out []stream.Element, input int, e stream.Element) ([]s
 	if m.cfg.PurgeBatch > 1 && m.clock%uint64(m.cfg.PurgeBatch) == 0 {
 		out = m.flushPendingInto(out)
 	}
-	if m.cfg.ColdAfter > 0 && m.clock%m.cfg.ColdAfter == 0 {
-		m.freezeStates()
-	}
 	if m.cfg.SoftStateLimit > 0 {
 		out = m.relievePressure(out)
 	}
 	m.stats.noteWatermarks()
 	return out, nil
-}
-
-// freezeStates runs one freeze generation over every input's state (see
-// Config.ColdAfter). Freezing is purely an internal re-tiering: it emits
-// nothing and changes no live-tuple set, so running it on the element
-// clock keeps crash-equivalence exact — a restored run freezes at the
-// same points the uninterrupted run did.
-func (m *MJoin) freezeStates() {
-	froze := false
-	for i, st := range m.states {
-		if st.advanceFreeze() > 0 {
-			froze = true
-		}
-		m.stats.ColdSize[i] = st.coldSize()
-	}
-	if froze {
-		m.stats.Freezes++
-	}
 }
 
 func (m *MJoin) pushTuple(out []stream.Element, input int, t stream.Tuple) ([]stream.Element, error) {
@@ -560,17 +528,14 @@ func (m *MJoin) expand(order []int, k int) error {
 	if err != nil {
 		return err
 	}
-	// Cold run first, then hot: results keep exact arrival order
-	// regardless of tiering.
-	for ti, rs := range m.states[j].tiers() {
-		for _, r := range cand[ti] {
-			pr.bound[j] = rs.tups[r]
-			pr.isBound[j] = true
-			if err := m.expand(order, k+1); err != nil {
-				return err
-			}
-			pr.isBound[j] = false
+	tups := m.states[j].tups
+	for _, r := range cand {
+		pr.bound[j] = tups[r]
+		pr.isBound[j] = true
+		if err := m.expand(order, k+1); err != nil {
+			return err
 		}
+		pr.isBound[j] = false
 	}
 	return nil
 }
@@ -580,9 +545,9 @@ func (m *MJoin) expand(order []int, k int) error {
 // intersection of the per-predicate index buckets (galloping, into the
 // depth's scratch buffer). A single-predicate candidate set is the bucket
 // itself, borrowed read-only from the state.
-func (m *MJoin) candidateRows(j, depth int) (tierBuckets, error) {
+func (m *MJoin) candidateRows(j, depth int) ([]row, error) {
 	pr := &m.pr
-	var cand tierBuckets
+	var cand []row
 	first := true
 	flip := 0
 	for _, p := range m.predsTouching[j] {
@@ -590,27 +555,24 @@ func (m *MJoin) candidateRows(j, depth int) (tierBuckets, error) {
 		if !pr.isBound[other] {
 			continue
 		}
-		tb := m.states[j].lookup2(jAttr, pr.bound[other].Values[otherAttr])
+		bucket := m.states[j].index.lookup(jAttr, pr.bound[other].Values[otherAttr])
 		if first {
-			cand, first = tb, false
+			cand, first = bucket, false
 		} else {
-			// Intersect tierwise — cold∩cold then hot∩hot is the exact
-			// intersection — alternating the two depth buffers so an
-			// intersection never writes the slice it reads.
+			// Alternate the two depth buffers so an intersection never
+			// writes the slice it reads.
 			buf := &pr.cand[flip][depth]
-			for ti := range buf {
-				buf[ti] = intersectSorted(buf[ti], cand[ti], tb[ti])
-			}
+			*buf = intersectSorted(*buf, cand, bucket)
 			cand = *buf
 			flip ^= 1
 		}
-		if cand.empty() {
-			return tierBuckets{}, nil
+		if len(cand) == 0 {
+			return nil, nil
 		}
 	}
 	if first {
 		// Unreachable for connected queries expanded in a connectivity order.
-		return tierBuckets{}, fmt.Errorf("%w: stream %d unreachable from bound set (query %s)", ErrProbeDisconnected, j, m.q)
+		return nil, fmt.Errorf("%w: stream %d unreachable from bound set (query %s)", ErrProbeDisconnected, j, m.q)
 	}
 	return cand, nil
 }
@@ -626,13 +588,13 @@ func (m *MJoin) probeDynamic(boundCount int) error {
 		return nil
 	}
 	best := -1
-	var bestBucket tierBuckets
+	var bestBucket []row
 	for j := 0; j < m.q.N(); j++ {
 		if pr.isBound[j] {
 			continue
 		}
 		adjacent := false
-		var bucket tierBuckets
+		var bucket []row
 		for _, p := range m.predsTouching[j] {
 			other, jAttr, otherAttr := p.Other(j)
 			if !pr.isBound[other] {
@@ -640,35 +602,34 @@ func (m *MJoin) probeDynamic(boundCount int) error {
 			}
 			if !adjacent {
 				adjacent = true
-				bucket = m.states[j].lookup2(jAttr, pr.bound[other].Values[otherAttr])
+				bucket = m.states[j].index.lookup(jAttr, pr.bound[other].Values[otherAttr])
 			}
 		}
 		if !adjacent {
 			continue
 		}
-		if best < 0 || bucket.total() < bestBucket.total() {
+		if best < 0 || len(bucket) < len(bestBucket) {
 			best, bestBucket = j, bucket
 		}
-		if bestBucket.empty() {
+		if len(bestBucket) == 0 {
 			return nil // some adjacent stream has no match: dead branch
 		}
 	}
 	if best < 0 {
 		return fmt.Errorf("%w: no unbound stream adjacent to bound set (query %s)", ErrProbeDisconnected, m.q)
 	}
-	for ti, rs := range m.states[best].tiers() {
-		for _, r := range bestBucket[ti] {
-			u := rs.tups[r]
-			if !m.matchesBound(best, u) {
-				continue
-			}
-			pr.bound[best] = u
-			pr.isBound[best] = true
-			if err := m.probeDynamic(boundCount + 1); err != nil {
-				return err
-			}
-			pr.isBound[best] = false
+	tups := m.states[best].tups
+	for _, r := range bestBucket {
+		u := tups[r]
+		if !m.matchesBound(best, u) {
+			continue
 		}
+		pr.bound[best] = u
+		pr.isBound[best] = true
+		if err := m.probeDynamic(boundCount + 1); err != nil {
+			return err
+		}
+		pr.isBound[best] = false
 	}
 	return nil
 }

@@ -794,7 +794,7 @@ func TestLentResultsHoldNothing(t *testing.T) {
 // zero and no retired one is still stored; every spare index bucket has
 // length 0 and shares its array with no live key's bucket; and a store
 // holds no more entries, live and pooled, than it held live at its peak,
-// nor a tier more buckets than its index held keys — so the pools are
+// nor a state more buckets than its index held keys — so the pools are
 // the purged state's own high-water mark, not a leak. At the end the
 // store pools, reclaimed as the next add would, are all zero.
 func TestRecycledStateHoldsNothing(t *testing.T) {
@@ -814,7 +814,7 @@ func TestRecycledStateHoldsNothing(t *testing.T) {
 		}
 		m := tree.Root()
 		storePeak := make([]int, q.N())
-		keyPeak := map[*rowStore]int{}
+		keyPeak := make([]int, q.N())
 		pooled, spared := 0, 0
 		check := func(when string) {
 			t.Helper()
@@ -841,33 +841,28 @@ func TestRecycledStateHoldsNothing(t *testing.T) {
 				pooled = max(pooled, len(ps.free)+len(ps.retired))
 			}
 			for i, st := range m.states {
-				for _, rs := range st.tiers() {
-					if rs == nil {
-						continue
+				arrays := map[*row]bool{}
+				keys := 0
+				for _, idx := range st.index {
+					if idx != nil {
+						keys += idx.len()
+						idx.each(func(_ mapKey, b []row) { arrays[&b[:cap(b)][0]] = true })
 					}
-					arrays := map[*row]bool{}
-					keys := 0
-					for _, idx := range rs.index {
-						if idx != nil {
-							keys += idx.len()
-							idx.each(func(_ mapKey, b []row) { arrays[&b[:cap(b)][0]] = true })
-						}
-					}
-					for _, b := range rs.spare {
-						if len(b) != 0 {
-							t.Fatalf("%s: input %d: spare bucket holds rows %v", when, i, b)
-						}
-						if cap(b) > 0 && arrays[&b[:1][0]] {
-							t.Fatalf("%s: input %d: spare bucket shares a live key's array", when, i)
-						}
-					}
-					keyPeak[rs] = max(keyPeak[rs], keys)
-					if keys+len(rs.spare) > keyPeak[rs] {
-						t.Fatalf("%s: input %d: %d keys and %d spare buckets, peak %d keys",
-							when, i, keys, len(rs.spare), keyPeak[rs])
-					}
-					spared = max(spared, len(rs.spare))
 				}
+				for _, b := range st.spare {
+					if len(b) != 0 {
+						t.Fatalf("%s: input %d: spare bucket holds rows %v", when, i, b)
+					}
+					if cap(b) > 0 && arrays[&b[:1][0]] {
+						t.Fatalf("%s: input %d: spare bucket shares a live key's array", when, i)
+					}
+				}
+				keyPeak[i] = max(keyPeak[i], keys)
+				if keys+len(st.spare) > keyPeak[i] {
+					t.Fatalf("%s: input %d: %d keys and %d spare buckets, peak %d keys",
+						when, i, keys, len(st.spare), keyPeak[i])
+				}
+				spared = max(spared, len(st.spare))
 			}
 		}
 		feed, err := workload.NewFeed(q, inputs)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"punctsafe/plan"
 	"punctsafe/query"
@@ -34,14 +33,8 @@ import (
 // drives the replicas from a worker pool through PushPartitionEnds +
 // MergeOutputs, scatter-gathering so that at most one worker touches a
 // replica at a time and the merge runs on the routing goroutine.
-// Routing is a two-level map: the co-partition value hashes into one of
-// plan.PartitionBuckets fixed buckets, and an immutable owner table
-// (plan.PartitionSpec) maps buckets to replicas. The spec is held behind
-// an atomic pointer so producers may hash without locks; a live split
-// (Split) publishes a new spec wholesale. Everything else about a split
-// — cloning the hot replica, filtering both sides, growing the gate —
-// runs under the engine's control barrier with every worker parked, so
-// only the routing pointer needs atomicity.
+// Routing is a fixed function of the co-partition value's hash
+// (plan.PartitionOf), so producers may route without locks.
 type PartitionedTree struct {
 	q     *query.CJQ
 	parts []*Tree
@@ -54,13 +47,6 @@ type PartitionedTree struct {
 	gate        map[string][]uint32
 	gateKey     []byte
 	spareCounts [][]uint32
-	// routing is the current bucket→replica owner table.
-	routing atomic.Pointer[plan.PartitionSpec]
-	// base and root rebuild replica trees on Split and on restore of a
-	// post-split snapshot. base.OnPressure holds the caller's original
-	// (unserialized) callback; replicaConfig wraps it per replica.
-	base Config
-	root *plan.Node
 	// pressMu serializes the shared pressure callback across replicas
 	// driven by concurrent workers.
 	pressMu sync.Mutex
@@ -91,35 +77,26 @@ func NewPartitionedTree(base Config, root *plan.Node, p int) (*PartitionedTree, 
 		route: cp,
 		desc:  cp.Describe(base.Query),
 		gate:  make(map[string][]uint32),
-		base:  base,
-		root:  root,
 	}
-	pt.routing.Store(plan.NewPartitionSpec(p))
 	for i := range pt.parts {
-		t, err := NewTree(pt.replicaConfig(i), root)
+		// The pressure callback is stamped with the replica index and
+		// serialized across replicas driven by concurrent workers.
+		cfg := base
+		if orig := base.OnPressure; orig != nil {
+			cfg.OnPressure = func(ev PressureEvent) {
+				pt.pressMu.Lock()
+				defer pt.pressMu.Unlock()
+				ev.Partition = i
+				orig(ev)
+			}
+		}
+		t, err := NewTree(cfg, root)
 		if err != nil {
 			return nil, err
 		}
 		pt.parts[i] = t
 	}
 	return pt, nil
-}
-
-// replicaConfig derives replica part's operator Config: the shared base
-// with the pressure callback wrapped to stamp the replica index (so the
-// engine's split watcher can target the hot replica) and serialized
-// across replicas driven by concurrent workers.
-func (pt *PartitionedTree) replicaConfig(part int) Config {
-	cfg := pt.base
-	if orig := pt.base.OnPressure; orig != nil {
-		cfg.OnPressure = func(ev PressureEvent) {
-			pt.pressMu.Lock()
-			defer pt.pressMu.Unlock()
-			ev.Partition = part
-			orig(ev)
-		}
-	}
-	return cfg
 }
 
 // Partitions returns P.
@@ -134,33 +111,20 @@ func (pt *PartitionedTree) Routing() string { return pt.desc }
 func (pt *PartitionedTree) Partition(i int) *Tree { return pt.parts[i] }
 
 // PartitionOf routes a tuple of stream streamIdx by the hash of its
-// co-partitioning attribute through the current owner table. A tuple too
-// short to carry the attribute (malformed; it will fail schema
-// validation) routes to replica 0 so that rejection happens
-// deterministically in exactly one replica. Safe to call from producer
-// goroutines: the owner table is an immutable snapshot (see
-// RoutingSpec for callers that must detect concurrent splits).
+// co-partitioning attribute (plan.PartitionOf). A tuple too short to
+// carry the attribute (malformed; it will fail schema validation) routes
+// to replica 0 so that rejection happens deterministically in exactly one
+// replica. Safe to call from producer goroutines.
 func (pt *PartitionedTree) PartitionOf(streamIdx int, t stream.Tuple) int {
-	return pt.PartitionOfSpec(pt.routing.Load(), streamIdx, t)
-}
-
-// PartitionOfSpec is PartitionOf against a caller-held routing snapshot.
-// The engine's ingestion front-end hashes whole runs outside its lock,
-// then re-validates the snapshot pointer under the lock (RoutingSpec)
-// and rehashes if a split replaced the table in between.
-func (pt *PartitionedTree) PartitionOfSpec(spec *plan.PartitionSpec, streamIdx int, t stream.Tuple) int {
-	if spec.Parts == 1 {
+	if len(pt.parts) == 1 {
 		return 0
 	}
 	a := pt.route.Attrs[streamIdx]
 	if a >= len(t.Values) {
 		return 0
 	}
-	return spec.OwnerOf(t.Values[a].Hash())
+	return plan.PartitionOf(t.Values[a].Hash(), len(pt.parts))
 }
-
-// RoutingSpec returns the current immutable owner table.
-func (pt *PartitionedTree) RoutingSpec() *plan.PartitionSpec { return pt.routing.Load() }
 
 // MergeOutputs folds one replica's output run into dst: result tuples
 // pass through, output punctuations pass the alignment gate and are
@@ -207,18 +171,12 @@ func (pt *PartitionedTree) MergeOutputs(dst []stream.Element, part int, outs []s
 }
 
 // newCounts returns zeroed per-replica counts for a new gate key: the
-// counts of a released key when one of the current length is kept (Split
-// lengthens the live ones; kept ones of the old length are dropped).
+// counts of a released key (all zero again) when one is kept.
 func (pt *PartitionedTree) newCounts() []uint32 {
-	for {
-		c, ok := popLast(&pt.spareCounts)
-		if !ok {
-			return make([]uint32, len(pt.parts))
-		}
-		if len(c) == len(pt.parts) {
-			return c // all zero: released at zero
-		}
+	if c, ok := popLast(&pt.spareCounts); ok {
+		return c
 	}
+	return make([]uint32, len(pt.parts))
 }
 
 // PushPartitionEnds drives one replica over a run of already-routed
@@ -356,187 +314,33 @@ func (pt *PartitionedTree) MaxState() int {
 // OutputSchema is the (replica-independent) root output schema.
 func (pt *PartitionedTree) OutputSchema() *stream.Schema { return pt.parts[0].OutputSchema() }
 
-// coValueCol returns the column holding the co-partition value inside
-// the stored tuples of one operator input (= one plan child). A child's
-// output schema concatenates its leaf schemas in subtree order, so the
-// first leaf's columns start at offset 0 and the routing attribute of
-// that leaf IS the column. (An intermediate tuple can carry differing
-// co-values across its leaves only if it can never complete a join
-// result — the predicates equate the class on every result — so
-// assigning by the first leaf is both safe and deterministic.)
-func (pt *PartitionedTree) coValueCol(node *plan.Node, child int) int {
-	return pt.route.Attrs[node.Children[child].Leaves()[0]]
-}
-
-// bucketLoad accumulates a replica's stored-tuple count per hash bucket
-// — the skew histogram SplitOwner balances against.
-func (pt *PartitionedTree) bucketLoad(t *Tree, load *[plan.PartitionBuckets]uint64) {
-	for _, op := range t.ops {
-		m := op.join
-		for ci, st := range m.states {
-			col := pt.coValueCol(op.node, ci)
-			st.each(func(_ rowRef, u stream.Tuple) bool {
-				if col < len(u.Values) {
-					load[u.Values[col].Hash()%plan.PartitionBuckets]++
-				}
-				return true
-			})
-		}
-	}
-}
-
-// Split carves replica hot's key range in two: a new replica (index
-// Partitions()) is cloned from hot's full state — join columns,
-// punctuation stores, pending punctuations, clocks — via the snapshot
-// codec, both sides drop the stored tuples the new owner table routes
-// away from them, and the new table is published. The caller must hold
-// the tree quiesced (no worker driving any replica, no producer
-// enqueuing): the engine runs Split inside its control barrier.
-//
-// The returned elements are gate-merged outputs the split itself
-// unblocked: a stored punctuation whose last matching tuples were
-// filtered to the sibling becomes emittable on the side that lost them,
-// and without re-testing it there the alignment gate would starve and
-// the merged stream would never carry it. The caller must deliver them
-// in stream position (the engine's merge stage does so at the barrier).
-//
-// Split fails without touching the tree when the replica bound is
-// reached or when hot's load sits in a single hash bucket (one
-// pathological key cannot be separated by bucket routing).
-func (pt *PartitionedTree) Split(hot int) (int, []stream.Element, error) {
-	spec := pt.routing.Load()
-	if hot < 0 || hot >= len(pt.parts) {
-		return -1, nil, fmt.Errorf("exec: split of unknown partition %d (have %d)", hot, len(pt.parts))
-	}
-	if len(pt.parts) >= maxPartitions {
-		return -1, nil, fmt.Errorf("exec: partition bound %d reached; cannot split further", maxPartitions)
-	}
-	var load [plan.PartitionBuckets]uint64
-	pt.bucketLoad(pt.parts[hot], &load)
-	next, err := spec.SplitOwner(hot, load)
-	if err != nil {
-		return -1, nil, err
-	}
-	newPart := next.Parts - 1
-	// Clone hot through the snapshot codec: the round-trip is the proven
-	// state copier (checkpoint equivalence rests on it), and it rebuilds
-	// the clone's index tiers born-sorted.
-	var blob bytes.Buffer
-	if err := pt.parts[hot].WriteState(&blob); err != nil {
-		return -1, nil, fmt.Errorf("exec: snapshotting hot partition %d: %w", hot, err)
-	}
-	clone, err := NewTree(pt.replicaConfig(newPart), pt.root)
-	if err != nil {
-		return -1, nil, err
-	}
-	if err := clone.ReadState(bytes.NewReader(blob.Bytes())); err != nil {
-		return -1, nil, fmt.Errorf("exec: cloning hot partition %d: %w", hot, err)
-	}
-	pt.filterReplica(pt.parts[hot], hot, next)
-	pt.filterReplica(clone, newPart, next)
-	resetCumulativeStats(clone)
-	// The clone inherited hot's emitted-punctuation history (it will
-	// never re-emit those), so credit it with hot's outstanding gate
-	// counts; punctuations neither side has emitted yet will be emitted
-	// by both as their filtered states drain.
-	for k, counts := range pt.gate {
-		pt.gate[k] = append(counts, counts[hot])
-	}
-	pt.parts = append(pt.parts, clone)
-	pt.routing.Store(next)
-	// Filtering removed tuples without the purge machinery; re-test each
-	// side's stored punctuations so emissions unblocked by the move reach
-	// the gate. The side still owning a punctuation's keys declines (it
-	// has the matches), so the merged release keeps the single-tree
-	// position.
-	var out []stream.Element
-	for _, p := range []int{hot, newPart} {
-		outs, err := pt.parts[p].emitUnblocked()
-		if err != nil {
-			return -1, nil, fmt.Errorf("exec: re-testing punctuations after split of %d: %w", hot, err)
-		}
-		out = pt.MergeOutputs(out, p, outs)
-	}
-	return newPart, out, nil
-}
-
-// filterReplica drops every stored tuple the owner table routes away
-// from replica part, across all operators and tiers, and refreshes the
-// size gauges. Removals bypass the purge counters: the tuples move to
-// the sibling replica, they do not leave the query's state.
-func (pt *PartitionedTree) filterReplica(t *Tree, part int, spec *plan.PartitionSpec) {
-	for _, op := range t.ops {
-		m := op.join
-		for ci, st := range m.states {
-			col := pt.coValueCol(op.node, ci)
-			st.each(func(ref rowRef, u stream.Tuple) bool {
-				if col < len(u.Values) && spec.OwnerOf(u.Values[col].Hash()) != part {
-					st.remove(ref)
-				}
-				return true
-			})
-			m.stats.StateSize[ci] = st.size()
-			m.stats.ColdSize[ci] = st.coldSize()
-		}
-	}
-}
-
-// resetCumulativeStats zeroes a cloned replica's lifetime counters so
-// replica sums stay exact across a split: the clone keeps only the
-// gauges describing what it now holds (state and store sizes), with its
-// watermarks restarted from them. Everything cumulative — inputs,
-// results, purges — already lives in the parent's counters.
-func resetCumulativeStats(t *Tree) {
-	for _, op := range t.ops {
-		s := op.join.stats
-		for i := range s.TuplesIn {
-			s.TuplesIn[i] = 0
-			s.PunctsIn[i] = 0
-			s.TuplesPurged[i] = 0
-			s.PunctsPurged[i] = 0
-		}
-		s.Results = 0
-		s.OutPuncts = 0
-		s.PurgeChecks = 0
-		s.PressureEvents = 0
-		s.Freezes = 0
-		s.MaxStateSize = s.TotalState()
-		s.MaxPunctStoreSize = s.TotalPunctStore()
-	}
-}
-
-// Partitioned state serialization: a "PTP2" wrapper holding the owner
+// Partitioned state serialization: a "PTP2" wrapper holding the routing
 // table, P length-prefixed Tree snapshots (the PTR1 format of
 // snapshot.go), and the alignment-gate counters, so a restored
 // PartitionedTree resumes emission exactly where the checkpoint left it.
-// Unlike PTP1, the partition count is data, not shape: a snapshot taken
-// after live splits restores into a tree registered with the original
-// partition count by growing it to match (InstallState appends the
-// staged extra replicas before committing).
+// The routing table is the partition count and one owner byte per hash
+// bucket; routing is fixed, so the owners are always plan.PartitionOf's
+// round-robin, and a snapshot routing any other way (one written after a
+// live split, which this code no longer performs) or over another
+// partition count is rejected.
 
 const partTreeStateMagic = "PTP2"
 
 // PartitionedTreeState is a decoded, validated snapshot of a partitioned
 // tree, detached until InstallState commits it.
 type PartitionedTreeState struct {
-	spec  *plan.PartitionSpec
 	parts []*TreeState
-	// extra holds freshly built replica trees for snapshot partitions
-	// beyond the live tree's current count (post-split snapshots);
-	// parts[len(pt.parts)+i] installs into extra[i].
-	extra []*Tree
 	gate  map[string][]uint32
 }
 
-// WriteState serializes the owner table, all replica states and the
+// WriteState serializes the routing table, all replica states and the
 // alignment gate. Same quiescence rule as Tree.WriteState.
 func (pt *PartitionedTree) WriteState(w io.Writer) error {
 	buf := make([]byte, 0, 4096)
 	buf = append(buf, partTreeStateMagic...)
-	spec := pt.routing.Load()
-	buf = binary.AppendUvarint(buf, uint64(spec.Parts))
-	for _, o := range spec.Owner {
-		buf = append(buf, byte(o))
+	buf = binary.AppendUvarint(buf, uint64(len(pt.parts)))
+	for b := range plan.PartitionBuckets {
+		buf = append(buf, byte(plan.PartitionOf(uint64(b), len(pt.parts))))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(pt.parts)))
 	var blob bytes.Buffer
@@ -580,40 +384,35 @@ func (pt *PartitionedTree) DecodeState(r io.Reader) (*PartitionedTreeState, erro
 	if string(magic) != partTreeStateMagic {
 		return nil, fmt.Errorf("%w: unsupported partitioned state version %q", ErrCorruptState, magic)
 	}
-	specParts, err := d.count("routing partition count")
+	p := len(pt.parts)
+	routed, err := d.count("routing partition count")
 	if err != nil {
 		return nil, err
 	}
-	if specParts < 1 || specParts > maxPartitions {
-		return nil, fmt.Errorf("%w: routing partition count %d out of range [1,%d]", ErrCorruptState, specParts, maxPartitions)
+	if routed != p {
+		return nil, fmt.Errorf("%w: snapshot routes over %d partitions, tree has %d", ErrCorruptState, routed, p)
 	}
 	owners, err := d.take(plan.PartitionBuckets)
 	if err != nil {
 		return nil, err
 	}
-	spec := &plan.PartitionSpec{Parts: specParts}
 	for b, o := range owners {
-		if int(o) >= specParts {
-			return nil, fmt.Errorf("%w: bucket %d owned by partition %d of %d", ErrCorruptState, b, o, specParts)
+		if want := plan.PartitionOf(uint64(b), p); int(o) != want {
+			return nil, fmt.Errorf("%w: bucket %d owned by partition %d, fixed routing says %d", ErrCorruptState, b, o, want)
 		}
-		spec.Owner[b] = int32(o)
 	}
-	p, err := d.count("partition count")
+	n, err := d.count("partition count")
 	if err != nil {
 		return nil, err
 	}
-	if p != specParts {
-		return nil, fmt.Errorf("%w: snapshot holds %d partitions but routes over %d", ErrCorruptState, p, specParts)
-	}
-	if p < len(pt.parts) {
-		return nil, fmt.Errorf("%w: snapshot holds %d partitions, tree has %d", ErrCorruptState, p, len(pt.parts))
+	if n != p {
+		return nil, fmt.Errorf("%w: snapshot holds %d partitions, tree has %d", ErrCorruptState, n, p)
 	}
 	st := &PartitionedTreeState{
-		spec:  spec,
 		parts: make([]*TreeState, p),
 		gate:  make(map[string][]uint32),
 	}
-	for i := 0; i < p; i++ {
+	for i, tree := range pt.parts {
 		blobLen, err := d.count("partition blob length")
 		if err != nil {
 			return nil, err
@@ -622,22 +421,9 @@ func (pt *PartitionedTree) DecodeState(r io.Reader) (*PartitionedTreeState, erro
 		if err != nil {
 			return nil, err
 		}
-		// Snapshot partitions beyond the live tree (post-split snapshots)
-		// decode against — and later install into — freshly built replicas.
-		tree := (*Tree)(nil)
-		if i < len(pt.parts) {
-			tree = pt.parts[i]
-		} else {
-			if tree, err = NewTree(pt.replicaConfig(i), pt.root); err != nil {
-				return nil, fmt.Errorf("partition %d: %w", i, err)
-			}
-			st.extra = append(st.extra, tree)
-		}
-		ts, err := tree.DecodeState(bytes.NewReader(blob))
-		if err != nil {
+		if st.parts[i], err = tree.DecodeState(bytes.NewReader(blob)); err != nil {
 			return nil, fmt.Errorf("partition %d: %w", i, err)
 		}
-		st.parts[i] = ts
 	}
 	nGate, err := d.count("gate entry count")
 	if err != nil {
@@ -674,25 +460,16 @@ func (pt *PartitionedTree) DecodeState(r io.Reader) (*PartitionedTreeState, erro
 	return st, nil
 }
 
-// InstallState commits a snapshot previously decoded against this tree,
-// growing the replica set when the snapshot was taken after live splits.
+// InstallState commits a snapshot previously decoded against this tree.
 func (pt *PartitionedTree) InstallState(s *PartitionedTreeState) error {
-	if len(s.parts) != len(pt.parts)+len(s.extra) {
-		return fmt.Errorf("%w: snapshot holds %d partitions, tree has %d (+%d staged)",
-			ErrCorruptState, len(s.parts), len(pt.parts), len(s.extra))
+	if len(s.parts) != len(pt.parts) {
+		return fmt.Errorf("%w: snapshot holds %d partitions, tree has %d", ErrCorruptState, len(s.parts), len(pt.parts))
 	}
 	for i, t := range pt.parts {
 		if err := t.InstallState(s.parts[i]); err != nil {
 			return err
 		}
 	}
-	for j, t := range s.extra {
-		if err := t.InstallState(s.parts[len(pt.parts)+j]); err != nil {
-			return err
-		}
-	}
-	pt.parts = append(pt.parts, s.extra...)
-	pt.routing.Store(s.spec)
 	pt.gate = s.gate
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"punctsafe/plan"
@@ -226,6 +227,64 @@ func TestPartitionedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPartitionedSnapshotRejectsOtherRouting: routing is fixed, so a PTP2
+// snapshot must route round-robin over the tree's own partition count. A
+// snapshot whose owner table says otherwise (as one taken after a live
+// split would) or whose partition count differs is corrupt to this tree.
+func TestPartitionedSnapshotRejectsOtherRouting(t *testing.T) {
+	q := starQuery(t)
+	root := plan.Join(plan.Leaf(0), plan.Leaf(1), plan.Leaf(2))
+	cfg := Config{Query: q, Schemes: starSchemes()}
+	const p = 3
+	newTree := func(p int) *PartitionedTree {
+		pt, err := NewPartitionedTree(cfg, root, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt
+	}
+	orig := newTree(p)
+	evs := starWorkload(rand.New(rand.NewSource(13)), 4, 5, 3)
+	for _, ev := range evs[:len(evs)/2] {
+		if _, err := orig.Push(ev.stream, ev.el); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := orig.WriteState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	blob := snap.Bytes()
+	// Layout: "PTP2", uvarint routing count, one owner byte per bucket.
+	const owners = len(partTreeStateMagic) + 1
+	for b := 0; b < plan.PartitionBuckets; b++ {
+		if int(blob[owners+b]) != b%p {
+			t.Fatalf("bucket %d written as owned by %d, want round-robin %d", b, blob[owners+b], b%p)
+		}
+	}
+	if _, err := newTree(p).DecodeState(bytes.NewReader(blob)); err != nil {
+		t.Fatalf("intact snapshot rejected: %v", err)
+	}
+	edit := func(at int, v byte) []byte {
+		g := slices.Clone(blob)
+		g[at] = v
+		return g
+	}
+	for name, g := range map[string][]byte{
+		"owner moved off round-robin":  edit(owners+4, 0),
+		"routing count not the tree's": edit(owners-1, p+1),
+	} {
+		if _, err := newTree(p).DecodeState(bytes.NewReader(g)); !errors.Is(err, ErrCorruptState) {
+			t.Errorf("%s: DecodeState = %v, want ErrCorruptState", name, err)
+		}
+	}
+	for _, other := range []int{p - 1, p + 1} {
+		if _, err := newTree(other).DecodeState(bytes.NewReader(blob)); !errors.Is(err, ErrCorruptState) {
+			t.Errorf("decode of a %d-partition snapshot into %d partitions = %v, want ErrCorruptState", p, other, err)
+		}
+	}
+}
+
 // TestPartitionedTreeNotCoPartitionable: the cyclic Figure-5 query joins
 // on three distinct attribute classes, none spanning all streams, so the
 // partitioned tree must refuse it with the sentinel the engine's fallback
@@ -279,8 +338,7 @@ func TestAlignmentGateSingleEmission(t *testing.T) {
 // TestAlignmentGateAllocs: a warmed gate allocates one key string per new
 // gate entry and nothing per replica emission — the identity is appended
 // into a kept buffer and looked up without a conversion, and a released
-// entry's counts serve the next new key. Counts of another length (kept
-// from before a Split grew the replica set) are never handed out.
+// entry's counts serve the next new key.
 func TestAlignmentGateAllocs(t *testing.T) {
 	q := starQuery(t)
 	root := plan.Join(plan.Leaf(0), plan.Leaf(1), plan.Leaf(2))
@@ -308,12 +366,4 @@ func TestAlignmentGateAllocs(t *testing.T) {
 		t.Fatalf("a cycle of %d keys through 2 replicas allocates %v times, want %d (the keys)", keys, avg, keys)
 	}
 
-	kept := []uint32{0, 0}
-	pt.spareCounts = append(pt.spareCounts[:0], make([]uint32, 1), kept)
-	if c := pt.newCounts(); len(c) != 2 || &c[0] != &kept[0] {
-		t.Fatalf("newCounts did not reuse the kept counts of the current length: %v", c)
-	}
-	if c := pt.newCounts(); len(c) != 2 || c[0] != 0 || c[1] != 0 || len(pt.spareCounts) != 0 {
-		t.Fatalf("newCounts handed out %v with %d kept, want fresh zero counts for 2 replicas and none kept", c, len(pt.spareCounts))
-	}
 }

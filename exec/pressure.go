@@ -22,12 +22,8 @@ type PressureEvent struct {
 	// (HardLimit is 0 when no hard StateLimit is set).
 	SoftLimit, HardLimit int
 	// Partition identifies which replica of a partitioned query fired the
-	// event (-1 on the single-tree path). The engine's split watcher uses
-	// it to target skew-aware repartitioning at the hot replica.
+	// event (-1 on the single-tree path).
 	Partition int
-	// Frozen is the number of tuples the pressure round moved into the
-	// cold tier (0 with tiering off).
-	Frozen int
 }
 
 // relievePressure runs the soft-watermark check after an element has been
@@ -49,23 +45,6 @@ func (m *MJoin) relievePressure(out []stream.Element) []stream.Element {
 	if m.stats.TotalState() >= m.cfg.SoftStateLimit {
 		_, out = m.sweepInto(out)
 	}
-	frozen := 0
-	if m.cfg.ColdAfter > 0 {
-		// Still pressured after purging: what remains is long-lived state
-		// the punctuation horizon legitimately retains. Freeze all of it so
-		// the hot tier at least stops paying for it on every probe.
-		froze := false
-		for i, st := range m.states {
-			if n := st.freezeAll(); n > 0 {
-				frozen += n
-				froze = true
-			}
-			m.stats.ColdSize[i] = st.coldSize()
-		}
-		if froze {
-			m.stats.Freezes++
-		}
-	}
 	if m.cfg.OnPressure != nil {
 		m.cfg.OnPressure(PressureEvent{
 			Operator:  m.String(),
@@ -74,7 +53,6 @@ func (m *MJoin) relievePressure(out []stream.Element) []stream.Element {
 			SoftLimit: m.cfg.SoftStateLimit,
 			HardLimit: m.cfg.StateLimit,
 			Partition: -1,
-			Frozen:    frozen,
 		})
 	}
 	return out

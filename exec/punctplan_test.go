@@ -181,7 +181,7 @@ func TestPunctPlanStringJoinAttr(t *testing.T) {
 		Join("R.k", "S.k").
 		MustBuild()
 	m := planMJoin(t, q, Config{EnforcePromises: true}, stream.MustScheme("R", true, false), stream.MustScheme("S", true, false))
-	if idx := m.states[0].hot.index[0]; idx.num != nil || idx.str == nil {
+	if idx := m.states[0].index[0]; idx.num != nil || idx.str == nil {
 		t.Fatal("string join attribute indexed by numeric bits")
 	}
 	if m.puncts[0].eqSlot[0] != -1 || m.puncts[0].entries[0].str == nil {

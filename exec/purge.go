@@ -15,18 +15,18 @@ const productCap = 4096
 // sid identifies a stored tuple across states (stream + row), the node
 // type of the purge round's join-connected closure walk.
 type sid struct {
-	s   int
-	ref rowRef
+	s int
+	r row
 }
 
 // purgeScratch is the operator's reusable purge-path state. Like the
 // probe scratch, it exists so steady-state purge rounds allocate nothing:
-// candidate sets are per-input sorted rowRef slices filtered in place,
+// candidate sets are per-input sorted row slices filtered in place,
 // frontiers and value sets reuse per-input buffers, and punctuation
 // constants are assembled in one slice sized to the widest scheme.
 type purgeScratch struct {
 	one     []pendingPunct // single-punctuation batch for eager rounds
-	cand    [][]rowRef     // per-input purge candidates (sorted before fixpoint)
+	cand    [][]row        // per-input purge candidates (sorted before fixpoint)
 	queue   []sid
 	removed [][]stream.Tuple // per-input removed-tuple buffers
 	// purgeableTuple scratch.
@@ -51,7 +51,7 @@ type purgeScratch struct {
 func (m *MJoin) initPurgeScratch() {
 	n := m.q.N()
 	m.pg = purgeScratch{
-		cand:      make([][]rowRef, n),
+		cand:      make([][]row, n),
 		removed:   make([][]stream.Tuple, n),
 		frontiers: make([][]stream.Tuple, n),
 		covered:   make([]bool, n),
@@ -61,27 +61,25 @@ func (m *MJoin) initPurgeScratch() {
 
 // pgPush adds a candidate to the purge round's closure, once: the round
 // stamps the rows it has queued.
-func (m *MJoin) pgPush(s int, ref rowRef) {
-	rs, r := m.states[s].at(ref)
-	if rs.mark[r] == uint32(m.pg.round) {
+func (m *MJoin) pgPush(s int, r row) {
+	st := m.states[s]
+	if st.mark[r] == uint32(m.pg.round) {
 		return
 	}
-	rs.mark[r] = uint32(m.pg.round)
-	m.pg.cand[s] = append(m.pg.cand[s], ref)
-	m.pg.queue = append(m.pg.queue, sid{s, ref})
+	st.mark[r] = uint32(m.pg.round)
+	m.pg.cand[s] = append(m.pg.cand[s], r)
+	m.pg.queue = append(m.pg.queue, sid{s, r})
 }
 
 // pgPushAll adds every row of a candidate set to the closure.
-func (m *MJoin) pgPushAll(s int, tb tierBuckets) {
-	for ti, run := range tb {
-		for _, r := range run {
-			m.pgPush(s, mkRef(ti, r))
-		}
+func (m *MJoin) pgPushAll(s int, rows []row) {
+	for _, r := range rows {
+		m.pgPush(s, r)
 	}
 }
 
 // beginRound numbers a new purge round and pins every state, so the
-// rowRefs the round collects stay valid while it removes rows; endRound
+// rows the round collects stay valid while it removes some; endRound
 // unpins them, which runs the compactions the round deferred.
 func (m *MJoin) beginRound() {
 	m.pg.round++
@@ -90,11 +88,7 @@ func (m *MJoin) beginRound() {
 		// of a row no round has queued.
 		m.pg.round++
 		for _, st := range m.states {
-			for _, rs := range st.tiers() {
-				if rs != nil {
-					clear(rs.mark)
-				}
-			}
+			clear(st.mark)
 		}
 	}
 	for _, st := range m.states {
@@ -135,26 +129,25 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 				// Ordered bound: the hash index cannot answer range
 				// queries, so scan the partner state — one compare per
 				// stored tuple per watermark.
-				m.states[an.other].each(func(ref rowRef, u stream.Tuple) bool {
+				m.states[an.other].each(func(r row, u stream.Tuple) bool {
 					if pat.MatchesValue(u.Values[an.attr]) {
-						m.pgPush(an.other, ref)
+						m.pgPush(an.other, r)
 					}
 					return true
 				})
 				continue
 			}
-			m.pgPushAll(an.other, m.states[an.other].lookup2(an.attr, pat.Value()))
+			m.pgPushAll(an.other, m.states[an.other].index.lookup(an.attr, pat.Value()))
 		}
 	}
 	// Closure: everything join-reachable from an anchor may have had its
 	// purge requirements (or frontiers) touched.
 	for head := 0; head < len(pg.queue); head++ {
 		k := pg.queue[head]
-		rs, r := m.states[k.s].at(k.ref)
-		u := rs.tups[r]
+		u := m.states[k.s].tups[k.r]
 		for _, p := range m.predsTouching[k.s] {
 			other, myAttr, otherAttr := p.Other(k.s)
-			m.pgPushAll(other, m.states[other].lookup2(otherAttr, u.Values[myAttr]))
+			m.pgPushAll(other, m.states[other].index.lookup(otherAttr, u.Values[myAttr]))
 		}
 	}
 	// Sorted candidate order keeps the removal sequence — and therefore
@@ -184,7 +177,7 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 // input — scratch buffers valid until the next fixpoint — so punctuation
 // re-emission and §5.1 store purging can be targeted instead of
 // rescanning whole stores.
-func (m *MJoin) purgeFixpoint(cand [][]rowRef) [][]stream.Tuple {
+func (m *MJoin) purgeFixpoint(cand [][]row) [][]stream.Tuple {
 	removed := m.pg.removed
 	for s := range removed {
 		clear(removed[s])
@@ -197,22 +190,20 @@ func (m *MJoin) purgeFixpoint(cand [][]rowRef) [][]stream.Tuple {
 				continue
 			}
 			st, w := m.states[s], 0
-			for _, ref := range cand[s] {
-				rs, r := st.at(ref)
-				t := rs.tups[r]
+			for _, r := range cand[s] {
+				t := st.tups[r]
 				m.stats.PurgeChecks++
 				if !m.purgeableTuple(s, t) {
-					cand[s][w] = ref
+					cand[s][w] = r
 					w++
 					continue
 				}
-				rs.remove(r)
+				st.remove(r)
 				removed[s] = append(removed[s], t)
 			}
 			if purged := len(cand[s]) - w; purged > 0 {
 				m.stats.TuplesPurged[s] += uint64(purged)
 				m.stats.StateSize[s] = st.size()
-				m.stats.ColdSize[s] = st.coldSize()
 				cand[s] = cand[s][:w]
 				changed = true
 			}
@@ -241,8 +232,8 @@ func (m *MJoin) sweepInto(out []stream.Element) (int, []stream.Element) {
 	m.beginRound()
 	for i := range pg.cand {
 		pg.cand[i] = pg.cand[i][:0]
-		m.states[i].each(func(ref rowRef, _ stream.Tuple) bool {
-			pg.cand[i] = append(pg.cand[i], ref) // each() walks in arrival order: already sorted
+		m.states[i].each(func(r row, _ stream.Tuple) bool {
+			pg.cand[i] = append(pg.cand[i], r) // each() walks in arrival order: already sorted
 			return true
 		})
 	}
@@ -353,7 +344,7 @@ func (m *MJoin) frontier(dst []stream.Tuple, j int, covered []bool, frontiers []
 		// Cannot happen for purge plans (each step's stream is adjacent
 		// to its sources), but guard against programming errors: with no
 		// constraint every stored tuple is joinable.
-		m.states[j].each(func(_ rowRef, u stream.Tuple) bool {
+		m.states[j].each(func(_ row, u stream.Tuple) bool {
 			dst = append(dst, u)
 			return true
 		})
@@ -370,24 +361,21 @@ func (m *MJoin) frontier(dst []stream.Tuple, j int, covered []bool, frontiers []
 	}
 	st := m.states[j]
 	for _, vk := range pg.consKeys[best] {
-		tb := st.lookup2(pg.consAttrs[best], vk.Value())
-		for ti, rs := range st.tiers() {
-			for _, r := range tb[ti] {
-				u := rs.tups[r]
-				ok := true
-				for ci := 0; ci < nc; ci++ {
-					if ci == best {
-						continue
-					}
-					k := u.Values[pg.consAttrs[ci]].Key()
-					if !containsKey(pg.consKeys[ci], k) {
-						ok = false
-						break
-					}
+		for _, r := range st.index.lookup(pg.consAttrs[best], vk.Value()) {
+			u := st.tups[r]
+			ok := true
+			for ci := 0; ci < nc; ci++ {
+				if ci == best {
+					continue
 				}
-				if ok {
-					dst = append(dst, u)
+				k := u.Values[pg.consAttrs[ci]].Key()
+				if !containsKey(pg.consKeys[ci], k) {
+					ok = false
+					break
 				}
+			}
+			if ok {
+				dst = append(dst, u)
 			}
 		}
 	}
@@ -532,18 +520,15 @@ func (m *MJoin) emitPendingPuncts(out []stream.Element) []stream.Element {
 func (m *MJoin) hasMatchingTuple(input int, pl *punctPlan, p stream.Punctuation) bool {
 	st := m.states[input]
 	if pl.probeSlot >= 0 {
-		tb := st.lookup2(p.ConstIndexes()[pl.probeSlot], constant(p, pl.probeSlot))
-		for ti, rs := range st.tiers() {
-			for _, r := range tb[ti] {
-				if p.Matches(rs.tups[r]) {
-					return true
-				}
+		for _, r := range st.index.lookup(p.ConstIndexes()[pl.probeSlot], constant(p, pl.probeSlot)) {
+			if p.Matches(st.tups[r]) {
+				return true
 			}
 		}
 		return false
 	}
 	found := false
-	st.each(func(_ rowRef, u stream.Tuple) bool {
+	st.each(func(_ row, u stream.Tuple) bool {
 		found = p.Matches(u)
 		return !found
 	})
@@ -707,18 +692,15 @@ func (m *MJoin) counterCovered(pr *partnerPlan, p stream.Punctuation) bool {
 // mapped constraint.
 func (m *MJoin) partnerHolds(pr *partnerPlan, p stream.Punctuation) bool {
 	st := m.states[pr.other]
-	tb := st.lookup2(pr.attrs[0], constant(p, pr.slots[0]))
-	for ti, rs := range st.tiers() {
-	candidates:
-		for _, r := range tb[ti] {
-			u := rs.tups[r]
-			for i := 1; i < len(pr.attrs); i++ {
-				if !u.Values[pr.attrs[i]].Equal(constant(p, pr.slots[i])) {
-					continue candidates
-				}
+candidates:
+	for _, r := range st.index.lookup(pr.attrs[0], constant(p, pr.slots[0])) {
+		u := st.tups[r]
+		for i := 1; i < len(pr.attrs); i++ {
+			if !u.Values[pr.attrs[i]].Equal(constant(p, pr.slots[i])) {
+				continue candidates
 			}
-			return true
 		}
+		return true
 	}
 	return false
 }

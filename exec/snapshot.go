@@ -34,9 +34,13 @@ var ErrCorruptState = errors.New("exec: corrupt operator state")
 // Format version tags. Bump when the layout changes; decoders reject
 // anything else as corrupt (version-mismatched state is indistinguishable
 // from damage once the layout moved).
-// MJS2 extends MJS1 with the state-tiering section: per input, the tier
-// watermarks (frozenBound, freezeAt) and the frozen cold rows serialized
-// separately from the hot rows, plus the ColdSize/Freezes stats columns.
+//
+// MJS2 carries reserved fields from the removed two-tier join state: per
+// input, two watermarks (frozenBound, freezeAt) and a run of frozen rows
+// ahead of the stored rows, and per operator a ColdSize stats column and a
+// Freezes counter. The encoder writes them as zeros (an empty frozen run);
+// the decoder still reads them, so a snapshot written with frozen rows
+// restores them, in id order, ahead of the others.
 const (
 	treeStateMagic = "PTR1"
 	opStateMagic   = "MJS2"
@@ -171,32 +175,25 @@ func (m *MJoin) appendState(dst []byte) ([]byte, error) {
 }
 
 // appendInputState serializes one input's join state and punctuation
-// store. Live rows travel in ascending tupleID order — the cold tier's
-// rows first (ids below frozenBound), then the hot rows — so decoding
-// rebuilds each tier's columns and index buckets born sorted.
+// store. Live rows travel in ascending tupleID order, after the reserved
+// watermarks and an empty frozen run, so decoding rebuilds the columns and
+// index buckets born sorted.
 // Punctuation entries travel per scheme in sorted key order (including
 // expired-but-unswept entries, which still count toward the store size
 // the stats report).
 func (m *MJoin) appendInputState(dst []byte, input int, codec *stream.Codec) ([]byte, error) {
 	st := m.states[input]
 	dst = binary.AppendUvarint(dst, uint64(st.nextID))
-	dst = binary.AppendUvarint(dst, uint64(st.frozenBound))
-	dst = binary.AppendUvarint(dst, uint64(st.freezeAt))
+	dst = append(dst, 0, 0, 0) // reserved: frozenBound, freezeAt, frozen row count
+	dst = binary.AppendUvarint(dst, uint64(st.size()))
 	var encErr error
-	for _, rs := range st.tiers() {
-		if rs == nil {
-			dst = binary.AppendUvarint(dst, 0)
+	for r := range st.ids {
+		if st.dead[r] {
 			continue
 		}
-		dst = binary.AppendUvarint(dst, uint64(rs.size()))
-		for r := range rs.ids {
-			if rs.dead[r] {
-				continue
-			}
-			dst = binary.AppendUvarint(dst, uint64(rs.ids[r]))
-			if dst, encErr = codec.Encode(dst, stream.TupleElement(rs.tups[r])); encErr != nil {
-				return nil, fmt.Errorf("exec: serializing stored tuple: %w", encErr)
-			}
+		dst = binary.AppendUvarint(dst, uint64(st.ids[r]))
+		if dst, encErr = codec.Encode(dst, stream.TupleElement(st.tups[r])); encErr != nil {
+			return nil, fmt.Errorf("exec: serializing stored tuple: %w", encErr)
 		}
 	}
 	ps := m.puncts[input]
@@ -292,11 +289,11 @@ func (m *MJoin) decodeState(blob []byte) (*opState, error) {
 	return os, nil
 }
 
-// decodeJoinState rebuilds one input's ordered columns — cold tier, then
-// hot — and re-derives the per-attribute index buckets of both tiers
-// (rows arrive in ascending id order, so appended buckets are born
-// sorted). Tier membership is validated against the serialized
-// watermarks: cold ids below frozenBound, hot ids at or above it, and
+// decodeJoinState rebuilds one input's ordered columns and re-derives
+// the per-attribute index buckets (rows arrive in ascending id order, so
+// appended buckets are born sorted). Frozen rows, which only older
+// writers produce, come first; the ids of both runs must ascend strictly
+// and stay below nextID, and the reserved watermarks keep their order,
 // frozenBound <= freezeAt <= nextID.
 func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*joinState, error) {
 	nextID, err := d.uvarint("nextID")
@@ -312,63 +309,37 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 		return nil, err
 	}
 	if frozenBound > freezeAt || freezeAt > nextID {
-		return nil, fmt.Errorf("%w: tier watermarks out of order (frozenBound %d, freezeAt %d, nextID %d)",
+		return nil, fmt.Errorf("%w: watermarks out of order (frozenBound %d, freezeAt %d, nextID %d)",
 			ErrCorruptState, frozenBound, freezeAt, nextID)
 	}
-	st := &joinState{
-		hot:         rowStore{index: m.states[input].hot.index.emptyLike()},
-		frozenBound: tupleID(frozenBound),
-		freezeAt:    tupleID(freezeAt),
-	}
-	coldLive, err := d.count("frozen tuple count")
-	if err != nil {
-		return nil, err
-	}
+	st := newJoinState(m.q.Stream(input), m.q.JoinAttrs(input))
 	prev := int64(-1)
-	decodeRow := func(what string, max uint64) (tupleID, stream.Tuple, error) {
-		id64, err := d.uvarint(what)
-		if err != nil {
-			return 0, stream.Tuple{}, err
-		}
-		if int64(id64) <= prev {
-			return 0, stream.Tuple{}, fmt.Errorf("%w: tuple ids not strictly ascending", ErrCorruptState)
-		}
-		if id64 >= max {
-			return 0, stream.Tuple{}, fmt.Errorf("%w: %s %d out of tier bound %d", ErrCorruptState, what, id64, max)
-		}
-		prev = int64(id64)
-		e, err := d.element(codec)
-		if err != nil {
-			return 0, stream.Tuple{}, err
-		}
-		if e.IsPunct() {
-			return 0, stream.Tuple{}, fmt.Errorf("%w: stored row is not a tuple", ErrCorruptState)
-		}
-		return tupleID(id64), e.Tuple(), nil
-	}
-	if coldLive > 0 {
-		st.cold = &rowStore{index: st.hot.index.emptyLike()}
-		for r := 0; r < coldLive; r++ {
-			id, t, err := decodeRow("frozen tuple id", frozenBound)
-			if err != nil {
-				return nil, err
-			}
-			st.cold.append(id, t)
-		}
-	}
-	live, err := d.count("live tuple count")
-	if err != nil {
-		return nil, err
-	}
-	for r := 0; r < live; r++ {
-		id, t, err := decodeRow("tuple id", nextID)
+	for _, what := range []string{"frozen tuple", "tuple"} {
+		n, err := d.count(what + " count")
 		if err != nil {
 			return nil, err
 		}
-		if uint64(id) < frozenBound {
-			return nil, fmt.Errorf("%w: hot tuple id %d below frozenBound %d", ErrCorruptState, id, frozenBound)
+		for r := 0; r < n; r++ {
+			id, err := d.uvarint(what + " id")
+			if err != nil {
+				return nil, err
+			}
+			if int64(id) <= prev {
+				return nil, fmt.Errorf("%w: tuple ids not strictly ascending", ErrCorruptState)
+			}
+			if id >= nextID {
+				return nil, fmt.Errorf("%w: %s id %d not below nextID %d", ErrCorruptState, what, id, nextID)
+			}
+			prev = int64(id)
+			e, err := d.element(codec)
+			if err != nil {
+				return nil, err
+			}
+			if e.IsPunct() {
+				return nil, fmt.Errorf("%w: stored row is not a tuple", ErrCorruptState)
+			}
+			st.append(tupleID(id), e.Tuple())
 		}
-		st.hot.append(id, t)
 	}
 	st.nextID = tupleID(nextID)
 	return st, nil
@@ -439,14 +410,15 @@ func (m *MJoin) installState(s *opState) {
 	m.pressured = s.pressured
 }
 
-// appendState serializes the stats counters.
+// appendState serializes the stats counters, with the reserved ColdSize
+// column and Freezes counter as zeros.
 func (s *Stats) appendState(dst []byte) []byte {
 	for _, col := range [][]uint64{s.TuplesIn, s.PunctsIn, s.TuplesPurged, s.PunctsPurged} {
 		for _, v := range col {
 			dst = binary.AppendUvarint(dst, v)
 		}
 	}
-	for _, col := range [][]int{s.StateSize, s.ColdSize, s.PunctStoreSize} {
+	for _, col := range [][]int{s.StateSize, make([]int, len(s.StateSize)), s.PunctStoreSize} {
 		for _, v := range col {
 			dst = binary.AppendUvarint(dst, uint64(v))
 		}
@@ -457,8 +429,7 @@ func (s *Stats) appendState(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.MaxPunctStoreSize))
 	dst = binary.AppendUvarint(dst, s.PurgeChecks)
 	dst = binary.AppendUvarint(dst, s.PressureEvents)
-	dst = binary.AppendUvarint(dst, s.Freezes)
-	return dst
+	return append(dst, 0) // reserved: Freezes
 }
 
 func decodeStats(d *stateDec, n int) (*Stats, error) {
@@ -471,7 +442,7 @@ func decodeStats(d *stateDec, n int) (*Stats, error) {
 			}
 		}
 	}
-	for _, col := range [][]int{s.StateSize, s.ColdSize, s.PunctStoreSize} {
+	for _, col := range [][]int{s.StateSize, make([]int, n), s.PunctStoreSize} {
 		for i := range col {
 			v, err := d.uvarint("stats size")
 			if err != nil {
@@ -501,7 +472,7 @@ func decodeStats(d *stateDec, n int) (*Stats, error) {
 	if s.PressureEvents, err = d.uvarint("stats pressure events"); err != nil {
 		return nil, err
 	}
-	if s.Freezes, err = d.uvarint("stats freezes"); err != nil {
+	if _, err = d.uvarint("stats freezes"); err != nil {
 		return nil, err
 	}
 	return s, nil

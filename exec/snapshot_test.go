@@ -3,8 +3,12 @@ package exec
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"punctsafe/plan"
@@ -243,4 +247,59 @@ func TestTreeStateCorruptRejected(t *testing.T) {
 	if err := fresh().ReadState(bytes.NewReader(blob)); err != nil {
 		t.Fatalf("intact snapshot rejected: %v", err)
 	}
+}
+
+// TestTieredSnapshotRestores: MJS2 still carries the frozen rows of the
+// removed two-tier join state, and a snapshot holding some restores into
+// the one row store. testdata/tiered_mixed.state is a Tree snapshot of
+// goldenMixedScenario(34), run with a freeze generation every 32
+// elements, cut where 18 live rows were frozen and 4 were not;
+// testdata/tiered_mixed.out records the cut, the live tuple count there
+// and at the end of the feed, and then every output the rest of the feed
+// produced. The restored tree must store as many tuples and emit the same.
+func TestTieredSnapshotRestores(t *testing.T) {
+	blob, err := os.ReadFile("testdata/tiered_mixed.state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := os.ReadFile("testdata/tiered_mixed.out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(rec), "\n"), "\n")
+	var cut, live, end int
+	if _, err := fmt.Sscanf(strings.Join(lines[:3], "\n"), "cut %d\nlive %d\nend %d", &cut, &live, &end); err != nil {
+		t.Fatalf("recorded header: %v", err)
+	}
+	q, set, inputs := goldenMixedScenario(34)
+	tr := buildTree(t, q, set, Config{})
+	if err := tr.ReadState(bytes.NewReader(blob)); err != nil {
+		t.Fatalf("tiered snapshot rejected: %v", err)
+	}
+	stored := 0
+	for _, m := range tr.Operators() {
+		for _, st := range m.states {
+			stored += st.size()
+		}
+	}
+	if stored != live || tr.TotalState() != live {
+		t.Fatalf("restored %d stored tuples (stats say %d), the snapshot holds %d", stored, tr.TotalState(), live)
+	}
+	got, want := pushAll(t, tr, q, inputs[cut:]), lines[3:]
+	if !slices.Equal(got, want) {
+		t.Fatalf("rest of the feed emitted %d elements, recorded %d; first difference at %d",
+			len(got), len(want), firstDiff(got, want))
+	}
+	if got := tr.TotalState(); got != end {
+		t.Fatalf("%d live tuples at the end of the feed, recorded %d", got, end)
+	}
+}
+
+// firstDiff returns the first index where a and b differ.
+func firstDiff(a, b []string) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }

@@ -28,12 +28,8 @@ type Stats struct {
 	// PunctsPurged counts punctuations removed from punctuation stores,
 	// per input.
 	PunctsPurged []uint64
-	// StateSize is the current number of stored tuples, per input (both
-	// tiers: hot columns plus frozen cold segment).
+	// StateSize is the current number of stored tuples, per input.
 	StateSize []int
-	// ColdSize is the number of stored tuples resident in the frozen cold
-	// tier, per input (a subset of StateSize; zero with tiering off).
-	ColdSize []int
 	// PunctStoreSize is the current number of stored punctuations, per input.
 	PunctStoreSize []int
 	// MaxStateSize is the high-water mark of the total stored tuple count.
@@ -47,9 +43,6 @@ type Stats struct {
 	// PressureEvents counts SoftStateLimit crossings (forced eager-purge
 	// rounds the pressure watermark triggered).
 	PressureEvents uint64
-	// Freezes counts freeze generations that moved at least one row into
-	// the cold tier (Config.ColdAfter).
-	Freezes uint64
 }
 
 func newStats(n int) *Stats {
@@ -59,18 +52,8 @@ func newStats(n int) *Stats {
 		TuplesPurged:   make([]uint64, n),
 		PunctsPurged:   make([]uint64, n),
 		StateSize:      make([]int, n),
-		ColdSize:       make([]int, n),
 		PunctStoreSize: make([]int, n),
 	}
-}
-
-// TotalColdState returns the current frozen-tier tuple count.
-func (s *Stats) TotalColdState() int {
-	total := 0
-	for _, v := range s.ColdSize {
-		total += v
-	}
-	return total
 }
 
 // TotalState returns the current total stored tuple count.
@@ -113,7 +96,6 @@ func (s *Stats) Snapshot() *Stats {
 	c.TuplesPurged = append([]uint64(nil), s.TuplesPurged...)
 	c.PunctsPurged = append([]uint64(nil), s.PunctsPurged...)
 	c.StateSize = append([]int(nil), s.StateSize...)
-	c.ColdSize = append([]int(nil), s.ColdSize...)
 	c.PunctStoreSize = append([]int(nil), s.PunctStoreSize...)
 	return &c
 }
@@ -140,7 +122,6 @@ func (s *Stats) Add(o *Stats) {
 	addU(s.TuplesPurged, o.TuplesPurged)
 	addU(s.PunctsPurged, o.PunctsPurged)
 	addI(s.StateSize, o.StateSize)
-	addI(s.ColdSize, o.ColdSize)
 	addI(s.PunctStoreSize, o.PunctStoreSize)
 	s.Results += o.Results
 	s.OutPuncts += o.OutPuncts
@@ -148,15 +129,10 @@ func (s *Stats) Add(o *Stats) {
 	s.MaxPunctStoreSize += o.MaxPunctStoreSize
 	s.PurgeChecks += o.PurgeChecks
 	s.PressureEvents += o.PressureEvents
-	s.Freezes += o.Freezes
 }
 
 // String summarizes the stats on one line.
 func (s *Stats) String() string {
-	base := fmt.Sprintf("state=%d (max %d) puncts=%d (max %d) results=%d purged=%v",
+	return fmt.Sprintf("state=%d (max %d) puncts=%d (max %d) results=%d purged=%v",
 		s.TotalState(), s.MaxStateSize, s.TotalPunctStore(), s.MaxPunctStoreSize, s.Results, s.TuplesPurged)
-	if cold := s.TotalColdState(); cold > 0 || s.Freezes > 0 {
-		base += fmt.Sprintf(" cold=%d (freezes %d)", cold, s.Freezes)
-	}
-	return base
 }

@@ -228,17 +228,6 @@ func (t *Tree) Sweep() (int, []stream.Element, error) {
 	return removed, out, nil
 }
 
-// emitUnblocked re-tests every stored, not-yet-emitted punctuation in
-// every operator (bottom-up) and forwards emissions downstream,
-// returning the root's outputs. A live split filters replica state with
-// raw removals that never run the purge machinery, so punctuations whose
-// last matching tuples were routed away would otherwise stay blocked
-// forever; this pass is Sweep's emission half without the tuple
-// clean-up.
-func (t *Tree) emitUnblocked() ([]stream.Element, error) {
-	return t.drain((*MJoin).emitPendingPuncts)
-}
-
 // Operators returns the MJoin operators bottom-up (the root is last).
 func (t *Tree) Operators() []*MJoin {
 	out := make([]*MJoin, len(t.ops))

@@ -255,31 +255,6 @@ func (g *Digraph) Condense() (cond *Digraph, comp []int, members [][]int) {
 	return cond, comp, members
 }
 
-// SpanningTreeFrom returns, for every vertex reachable from src, its parent
-// in a BFS spanning tree rooted at src. parent[src] == src; unreachable
-// vertices have parent == -1. The safety checker turns this tree into the
-// chained purge strategy for a tuple of stream src.
-func (g *Digraph) SpanningTreeFrom(src int) (parent []int) {
-	g.check(src)
-	parent = make([]int, g.n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[src] = src
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if parent[v] == -1 {
-				parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	return parent
-}
-
 // Undirected reports whether the graph, viewed with edge directions
 // erased, is connected. The empty graph is connected.
 func (g *Digraph) UndirectedConnected() bool {

@@ -124,20 +124,6 @@ func TestCondense(t *testing.T) {
 	}
 }
 
-func TestSpanningTree(t *testing.T) {
-	g := NewDigraph(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 2)
-	parent := g.SpanningTreeFrom(0)
-	if parent[0] != 0 {
-		t.Fatal("root parent must be itself")
-	}
-	if parent[1] != 0 || parent[2] == -1 || parent[3] != -1 {
-		t.Fatalf("parent = %v", parent)
-	}
-}
-
 func TestUndirectedConnected(t *testing.T) {
 	g := NewDigraph(3)
 	g.AddEdge(0, 1)

@@ -142,104 +142,12 @@ func FindCoPartition(q *query.CJQ) (*CoPartition, error) {
 }
 
 // PartitionBuckets is the fixed number of hash buckets a query's key
-// space is carved into. Routing hashes a tuple's co-partition value into
-// one of these buckets; the owner table maps buckets to partitions.
-// 64 buckets bound how finely a skewed range can be re-split while
-// keeping the table small enough to copy on every routing change.
+// space is carved into; the snapshot format records one owner per bucket.
 const PartitionBuckets = 64
 
-// PartitionSpec maps hash buckets to owning partitions. It is the unit
-// of routing state shared between the plan layer, the partitioned
-// executor, and the ingestion front-end: immutable once published, so
-// producers may hash against a snapshot without locks, and replaced
-// wholesale (Clone + SplitOwner) when a hot partition splits.
-type PartitionSpec struct {
-	// Owner[b] is the partition owning hash bucket b.
-	Owner [PartitionBuckets]int32
-	// Parts is the partition count; every Owner entry is < Parts.
-	Parts int
-}
-
-// NewPartitionSpec distributes the buckets round-robin over p partitions
-// — the static assignment every query starts from.
-func NewPartitionSpec(p int) *PartitionSpec {
-	ps := &PartitionSpec{Parts: p}
-	for b := range ps.Owner {
-		ps.Owner[b] = int32(b % p)
-	}
-	return ps
-}
-
-// OwnerOf returns the partition owning the bucket a hash value falls in.
-func (ps *PartitionSpec) OwnerOf(h uint64) int {
-	return int(ps.Owner[h%PartitionBuckets])
-}
-
-// Bucket returns the hash bucket of a hash value.
-func (ps *PartitionSpec) Bucket(h uint64) int { return int(h % PartitionBuckets) }
-
-// Clone returns an independent copy.
-func (ps *PartitionSpec) Clone() *PartitionSpec {
-	cp := *ps
-	return &cp
-}
-
-// SplitOwner reassigns roughly half of partition hot's buckets — greedily
-// by the supplied per-bucket load, heaviest first (LPT) — to a new
-// partition numbered Parts, and returns the new spec with Parts+1
-// partitions. load[b] is the observed weight of bucket b (stored tuples,
-// arrivals — any consistent measure); buckets not owned by hot are
-// ignored. It fails when hot owns fewer than two buckets: a single
-// bucket cannot be split by routing (one pathological key hashing there
-// needs value-level, not range-level, separation).
-func (ps *PartitionSpec) SplitOwner(hot int, load [PartitionBuckets]uint64) (*PartitionSpec, error) {
-	if hot < 0 || hot >= ps.Parts {
-		return nil, fmt.Errorf("plan: split of unknown partition %d (have %d)", hot, ps.Parts)
-	}
-	owned := make([]int, 0, PartitionBuckets)
-	for b, o := range ps.Owner {
-		if int(o) == hot {
-			owned = append(owned, b)
-		}
-	}
-	if len(owned) < 2 {
-		return nil, fmt.Errorf("plan: partition %d owns %d hash bucket(s); cannot split further (key-level skew)", hot, len(owned))
-	}
-	// Heaviest-first greedy assignment to the lighter side (LPT): near-
-	// balanced halves even when one bucket dominates. Ties break toward
-	// keeping the bucket on the existing partition, and the sort is made
-	// deterministic by bucket number.
-	sort.Slice(owned, func(i, j int) bool {
-		if load[owned[i]] != load[owned[j]] {
-			return load[owned[i]] > load[owned[j]]
-		}
-		return owned[i] < owned[j]
-	})
-	next := ps.Clone()
-	newPart := int32(ps.Parts)
-	next.Parts = ps.Parts + 1
-	var keep, moved uint64
-	nMoved := 0
-	for _, b := range owned {
-		if moved < keep {
-			next.Owner[b] = newPart
-			moved += load[b]
-			nMoved++
-		} else {
-			keep += load[b]
-		}
-	}
-	if nMoved == 0 {
-		// Degenerate loads (all zero) kept everything on hot: fall back to
-		// moving alternate buckets so both sides own a non-trivial range.
-		for i, b := range owned {
-			if i%2 == 1 {
-				next.Owner[b] = newPart
-			}
-		}
-	}
-	return next, nil
-}
+// PartitionOf routes a hash value to one of parts partitions: its bucket,
+// round-robin over the partitions.
+func PartitionOf(h uint64, parts int) int { return int(h%PartitionBuckets) % parts }
 
 // Describe renders the routing attributes as "stream.attr" pairs.
 func (cp *CoPartition) Describe(q *query.CJQ) string {

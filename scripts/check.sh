@@ -37,8 +37,9 @@ stage_soakfailover() {
 # Fuzz targets over their checked-in seed corpus: wire-format framing
 # (truncated frames, oversized lengths, unknown streams), the serving
 # handshake front door (bad magic, bad role, absurd name lengths), the
-# tiered join-state snapshot decoder (torn cold segments, corrupted
-# bytes), the join-state and punctuation-store models (operation strings
+# MJS2 decoder's reserved cold-segment fields (a snapshot with frozen rows
+# from the removed two-tier state, torn and garbled), the
+# join-state and punctuation-store models (operation strings
 # replayed against a plain map, pools checked against their rules), the
 # two-word value model (pairs of values held to a three-field reference)
 # and the shape-and-constants punctuation (held to the one-pattern-per-
@@ -62,11 +63,11 @@ stage_allocfloors() {
   # Allocation floors for the hot path (testing.AllocsPerRun guards): the
   # steady-state probe must stay ~alloc-free, also into a state that has
   # compacted, a chained-purge cycle within its scratch budget with and
-  # without §5.1 punctuation purging, a warmed ordered-bound (heartbeat)
-  # purge round at zero, and the cold-tier probe at parity with the all-hot
-  # probe; a batch through a warmed tree allocates only its result tuples,
-  # 16 bytes per column (a value is two words, which the layout test pins),
-  # and a tree that lends its results allocates not even those.
+  # without §5.1 punctuation purging, and a warmed ordered-bound
+  # (heartbeat) purge round at zero; a batch through a warmed tree
+  # allocates only its result tuples, 16 bytes per column (a value is two
+  # words, which the layout test pins), and a tree that lends its results
+  # allocates not even those.
   # An emitted punctuation shares the stored one's constants and costs
   # nothing; a decoded one costs one allocation, 16 bytes per constant.
   # Store entries and index buckets come from what purges freed, and those
@@ -75,7 +76,7 @@ stage_allocfloors() {
   # text appended into a kept buffer. Frame decoding keeps its per-frame
   # bound.
   go test -run 'TestValueLayout|TestPunctuationAppendTo|TestDecodePunctAllocs' -count 1 ./stream/
-  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestColdTierProbeAllocs|TestPushBatchAllocFloor|TestResultBytesFloor|TestRecycledStateHoldsNothing|TestAlignmentGateAllocs' -count 1 ./exec/...
+  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestPushBatchAllocFloor|TestResultBytesFloor|TestRecycledStateHoldsNothing|TestAlignmentGateAllocs' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
   # Producer-side floor: Send, SendAt and SendBatch of any length copy the
   # run straight into each subscribed shard's mailbox, 0 allocations once
@@ -94,6 +95,11 @@ stage_allocfloors() {
   go test -run 'TestHubPublishAllocs|TestSubscriberNextAllocs' -count 1 ./server/
 }
 
+# Code budget: no package's non-test Go may hold more non-blank lines
+# than scripts/linebudget.txt allows. A change that grows a package raises
+# its line there and says why in CHANGES.md.
+stage_linebudget() { go run ./scripts/linebudget; }
+
 # The benchmark module (its own go.mod) and its end-to-end correctness
 # run: all four workloads, oracle-checked, a few seconds.
 stage_benchsmoke() {
@@ -102,7 +108,7 @@ stage_benchsmoke() {
 }
 
 [ $# -gt 0 ] || set -- fmtcheck vet build test race racestress soakfailover \
-  fuzzseed ckptsmoke allocfloors benchsmoke
+  fuzzseed ckptsmoke allocfloors benchsmoke linebudget
 for stage; do
   type "stage_$stage" > /dev/null 2>&1 || { echo "check.sh: unknown stage '$stage'" >&2; exit 2; }
   (set -x; "stage_$stage")

@@ -32,9 +32,8 @@ type AuctionConfig struct {
 	// distribution with exponent 1+Skew over [1, 64*MaxBidsPerItem]
 	// instead of uniformly over [1, MaxBidsPerItem]: most auctions see a
 	// bid or two while a few heavy hitters soak up hundreds, so the join
-	// state concentrates on a handful of itemids. This is the adversarial
-	// feed for skew-aware repartitioning — hash-partitioned replicas
-	// inherit the key skew as replica skew. Heavy auctions always run to
+	// state concentrates on a handful of itemids. Hash-partitioned
+	// replicas inherit the key skew as replica skew. Heavy auctions always run to
 	// their full bid count (no random force-close under skew).
 	Skew float64
 	// Seed drives the deterministic generator.
