@@ -93,8 +93,10 @@ func TestWireAndCheckpointBytesGolden(t *testing.T) {
 		}
 		var out []stream.Element
 		reg, err := d.Register("q", chainQ, engine.Options{
-			OnResult: func(tu stream.Tuple) { out = append(out, stream.TupleElement(tu)) },
-			OnPunct:  func(p stream.Punctuation) { out = append(out, stream.PunctElement(p)) },
+			OnResult: func(tu stream.Tuple) {
+				out = append(out, stream.TupleElement(stream.NewTuple(append([]stream.Value(nil), tu.Values...)...)))
+			},
+			OnPunct: func(p stream.Punctuation) { out = append(out, stream.PunctElement(p)) },
 		})
 		if err != nil {
 			t.Fatal(err)

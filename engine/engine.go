@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"punctsafe/exec"
@@ -69,7 +70,9 @@ type Options struct {
 	OnPressure        func(exec.PressureEvent)
 	EnforcePromises   bool
 	// OnResult, when set, is invoked for every result tuple instead of
-	// buffering it in Results.
+	// buffering it in Results. Like a delivery hook's element, the tuple
+	// is lent on every path: its Values are valid until the callback
+	// returns, so a callback that keeps the tuple copies its Values.
 	OnResult func(stream.Tuple)
 	// OnPunct, when set, is invoked for every punctuation the plan's root
 	// operator propagates (e.g. to drive a downstream blocking operator
@@ -120,8 +123,9 @@ type Registered struct {
 	// single-tree path ("" when partitioning was not requested or is
 	// active).
 	PartitionReason string
-	// Results buffers emitted result tuples when no OnResult callback is
-	// installed.
+	// Results holds every result tuple, as a copy of the lent one (a SQL
+	// view's projected tuple is its own already), when neither OnResult
+	// nor a delivery hook is installed, also for a query with only OnPunct.
 	Results []stream.Tuple
 	// Output is the schema of delivered results (the plan's join output,
 	// or the projected schema for SQL-registered queries).
@@ -265,6 +269,7 @@ func (d *DSMS) Register(name string, q *query.CJQ, opts Options) (*Registered, e
 		if err != nil {
 			return nil, err
 		}
+		tree.Lend(true) // results are lent on every path (Options.OnResult)
 		r.Tree, r.ex = tree, tree
 	}
 	r.Output = r.OutputSchema()
@@ -348,9 +353,9 @@ func (r *Registered) accepts(input int, e stream.Element) bool {
 // behind it (tree state, stats) belongs to exactly one goroutine at a
 // time, and its Push/PushBatch/Sweep/Flush return outputs undelivered, in
 // a slice that may be the executor's own and is valid until the next call
-// into it (so are the result tuples' values while a shard has the tree
-// lend them): the caller (sequential Push, shard worker) delivers at
-// once, which for a shared tree fans out to every group member.
+// into it (so are the result tuples' values, which a Tree lends): the
+// caller (sequential Push, shard worker) delivers at once, which for a
+// shared tree fans out to every group member.
 type executor interface {
 	Push(input int, e stream.Element) ([]stream.Element, error)
 	PushBatch(input int, elems []stream.Element) ([]stream.Element, int, error)
@@ -436,10 +441,9 @@ func (d *DSMS) Flush() error {
 // layer's duplicate suppression rests on. Install the hook before the
 // runtime starts; it runs on the query's driving goroutine.
 //
-// The element is lent: a result tuple's Values are valid only until fn
-// returns, so a hook that keeps a tuple copies its Values. (A shard whose
-// every subscriber has a hook builds its results in memory it reuses.)
-// Punctuations may be kept.
+// The element is lent, as an OnResult callback's tuple is: a result
+// tuple's Values are valid only until fn returns, so a hook that keeps a
+// tuple copies its Values. Punctuations may be kept.
 func (r *Registered) SetDeliveryHook(fn func(seq uint64, e stream.Element)) {
 	r.onDeliver = fn
 }
@@ -477,11 +481,16 @@ func (r *Registered) deliver(outs []stream.Element) {
 			}
 		case r.onResult != nil:
 			r.onResult(o.Tuple())
-		default:
+		case r.project != nil: // the projection built a tuple of its own
 			r.Results = append(r.Results, o.Tuple())
+		default:
+			r.Results = append(r.Results, copyTuple(o.Tuple()))
 		}
 	}
 }
+
+// copyTuple copies a lent result tuple for a consumer that keeps it.
+func copyTuple(t stream.Tuple) stream.Tuple { return stream.NewTuple(slices.Clone(t.Values)...) }
 
 // Describe renders a human-readable status block for a registered query:
 // its plan, per-stream purgeability, and live operator statistics.

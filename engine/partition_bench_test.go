@@ -176,11 +176,11 @@ func routeFeed(pt *exec.PartitionedTree, runs []benchRun, inputOf map[string]int
 
 // driveReplica pushes one replica's routed sequence and returns its result
 // count plus the reusable output buffers.
-func driveReplica(tb testing.TB, pt *exec.PartitionedTree, p int, segs []partitionSegment, out []stream.Element, ends []int) (int, []stream.Element, []int) {
+func driveReplica(tb testing.TB, pt *exec.PartitionedTree, p int, segs []partitionSegment, out []stream.Element, ends []int, vals []stream.Value) (int, []stream.Element, []int, []stream.Value) {
 	results := 0
 	for _, seg := range segs {
 		var err error
-		out, ends, _, err = pt.PushPartitionEnds(p, seg.input, out[:0], ends[:0], seg.elems)
+		out, ends, vals, _, err = pt.PushPartitionEnds(p, seg.input, out[:0], ends[:0], vals[:0], seg.elems)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func driveReplica(tb testing.TB, pt *exec.PartitionedTree, p int, segs []partiti
 			}
 		}
 	}
-	return results, out, ends
+	return results, out, ends, vals
 }
 
 // BenchmarkPartitionedIngest: the acceptance bar reads off the
@@ -215,6 +215,7 @@ func BenchmarkPartitionedIngest(b *testing.B) {
 	b.Run("critical-path/plain", func(b *testing.B) {
 		var out []stream.Element
 		var ends []int
+		var vals []stream.Value
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			tree, err := exec.NewTree(cfg, root)
@@ -226,7 +227,7 @@ func BenchmarkPartitionedIngest(b *testing.B) {
 			for _, r := range runs {
 				input := inputOf[r.stream]
 				var err error
-				out, ends, _, err = tree.PushBatchEnds(input, out[:0], ends[:0], r.elems)
+				out, ends, vals, _, err = tree.PushBatchEnds(input, out[:0], ends[:0], vals[:0], r.elems)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -250,6 +251,7 @@ func BenchmarkPartitionedIngest(b *testing.B) {
 			seqs := make([][]partitionSegment, p)
 			var out []stream.Element
 			var ends []int
+			var vals []stream.Value
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				pt, err := exec.NewPartitionedTree(cfg, root, p)
@@ -261,11 +263,11 @@ func BenchmarkPartitionedIngest(b *testing.B) {
 				// replicas run concurrently in the engine).
 				seqs = routeFeed(pt, runs, inputOf, seqs)
 				var results int
-				results, out, ends = driveReplica(b, pt, 0, seqs[0], out, ends)
+				results, out, ends, vals = driveReplica(b, pt, 0, seqs[0], out, ends, vals)
 				b.StopTimer()
 				for rp := 1; rp < p; rp++ {
 					var n int
-					n, out, ends = driveReplica(b, pt, rp, seqs[rp], out, ends)
+					n, out, ends, vals = driveReplica(b, pt, rp, seqs[rp], out, ends, vals)
 					results += n
 				}
 				if results != pbResults {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"punctsafe/exec"
 	"punctsafe/stream"
 )
 
@@ -95,13 +96,14 @@ type partRun struct {
 
 // partRecord is one worker reply covering one chunk: the replica's
 // outputs with per-element boundaries, recoverable offenders, or a
-// fatal error with the local element index it struck at. Records are
-// recycled through the free lists, reset, once the merger has consumed
-// them.
+// fatal error with the local element index it struck at; the result
+// tuples in outs are carved out of vals. Records are recycled through the
+// free lists, reset, once the merger has delivered their batch.
 type partRecord struct {
 	n       int // element count of the chunk this record covers
 	outs    []stream.Element
 	ends    []int // ends[i] = len(outs) after local element i
+	vals    []stream.Value
 	offIdx  []int // local indexes of recoverable offenders, ascending
 	offErr  []error
 	fatal   error
@@ -113,7 +115,7 @@ type partRecord struct {
 func (r *partRecord) reset() {
 	clear(r.outs)
 	r.n = 0
-	r.outs, r.ends = r.outs[:0], r.ends[:0]
+	r.outs, r.ends, r.vals = r.outs[:0], r.ends[:0], exec.ResetValues(r.vals)
 	r.offIdx, r.offErr = r.offIdx[:0], r.offErr[:0]
 	r.fatal, r.fatalAt = nil, 0
 	r.skipped, r.ctrl = false, nil
@@ -367,7 +369,7 @@ func (pf *partFront) pushContained(part, input int, rec *partRecord, elems []str
 		}
 	}()
 	var processed int
-	rec.outs, rec.ends, processed, err = pf.s.reg.Part.PushPartitionEnds(part, input, rec.outs, rec.ends, elems)
+	rec.outs, rec.ends, rec.vals, processed, err = pf.s.reg.Part.PushPartitionEnds(part, input, rec.outs, rec.ends, rec.vals, elems)
 	return processed, err
 }
 
@@ -441,7 +443,7 @@ func (s *shard) killDrain() {
 }
 
 // current returns partition p's record under consumption, fetching the
-// next one (and resetting the cursors) when the previous was exhausted.
+// next one (and resetting the cursors) when the previous was given back.
 // Returns false only on kill.
 func (m *partMerger) current(p int) (*partRecord, bool) {
 	if r := m.rec[p]; r != nil {
@@ -454,16 +456,6 @@ func (m *partMerger) current(p int) (*partRecord, bool) {
 		return r, true
 	case <-m.s.rt.kill:
 		return nil, false
-	}
-}
-
-// bump advances partition p past one consumed element, recycling the
-// record once exhausted. Callers must be done reading the record's
-// outs: a recycled record's buffers belong to the worker again.
-func (m *partMerger) bump(p int) {
-	m.cursor[p]++
-	if m.cursor[p] >= m.rec[p].n {
-		m.release(p)
 	}
 }
 
@@ -480,8 +472,9 @@ func (m *partMerger) release(p int) {
 // consume replays one script batch: tuple ops take the next element's
 // outputs from the owning partition's record stream, seals take one from
 // every stream and release through the alignment gate, control ops
-// quiesce and snapshot. Outputs accumulate and deliver once per batch.
-// Returns false only on kill.
+// quiesce and snapshot. Outputs accumulate and deliver once per batch;
+// only then are the records they point into (one per partition) given
+// back. Returns false only on kill.
 func (m *partMerger) consume(sb scriptBatch) bool {
 	if sb.ctrl != nil {
 		return m.consumeCtrl(sb.ctrl)
@@ -516,25 +509,30 @@ func (m *partMerger) consume(sb scriptBatch) bool {
 		li := m.cursor[p]
 		if rec.fatal != nil && li >= rec.fatalAt {
 			m.fail(rec.fatal, &merged)
-			m.bump(p)
+			m.cursor[p]++
 			continue
 		}
 		if oc := m.offCur[p]; oc < len(rec.offIdx) && rec.offIdx[oc] == li {
 			m.offCur[p]++
 			m.lastEnd[p] = rec.ends[li]
 			s.deadLetter(sb.stream, sb.elems[g], rec.offErr[oc])
-			m.bump(p)
+			m.cursor[p]++
 			continue
 		}
 		end := rec.ends[li]
 		merged = s.reg.Part.MergeOutputs(merged, p, rec.outs[m.lastEnd[p]:end])
 		m.lastEnd[p] = end
-		m.bump(p)
+		m.cursor[p]++
 	}
 	m.merged = merged
 	s.deliver(merged)
 	clear(m.merged)
 	m.merged = m.merged[:0]
+	for p, r := range m.rec {
+		if r != nil && m.cursor[p] >= r.n {
+			m.release(p)
+		}
+	}
 	m.pf.recycle(sb)
 	return true
 }
@@ -557,9 +555,8 @@ func (m *partMerger) fail(fatal error, merged *[]stream.Element) {
 // partition's record stream, in partition order, then the verdict.
 // Validation is deterministic, so either every replica rejected the
 // punctuation or none did; a split verdict means replica state has
-// diverged, which is a runtime bug worth failing loudly on. The records
-// are only advanced after the gate merge so no worker can recycle a
-// buffer still being read.
+// diverged, which is a runtime bug worth failing loudly on. The cursors
+// advance only after the gate merge has read every record.
 func (m *partMerger) consumeSeal(sb scriptBatch, g int, merged *[]stream.Element) (error, bool) {
 	s := m.s
 	var fatal error
@@ -612,7 +609,7 @@ func (m *partMerger) consumeSeal(sb scriptBatch, g int, merged *[]stream.Element
 				m.lastEnd[p] = rec.ends[li]
 			}
 		}
-		m.bump(p)
+		m.cursor[p]++
 	}
 	return fatal, true
 }
@@ -635,7 +632,7 @@ func (m *partMerger) discardOne(p int) bool {
 	if _, ok := m.current(p); !ok {
 		return false
 	}
-	m.bump(p)
+	m.cursor[p]++
 	return true
 }
 

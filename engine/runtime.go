@@ -133,9 +133,9 @@ type shard struct {
 	active  []*Registered
 	passive []*Registered
 	// logTuples/logCount are the shared delivery log, maintained only
-	// while passive subscribers exist: every result tuple once (appended
-	// here instead of into N per-member Results buffers), and the count
-	// of all output elements (tuples + punctuations) for delivery
+	// while passive subscribers exist: one copy of every result tuple
+	// (appended here instead of into N per-member Results buffers), and the
+	// count of all output elements (tuples + punctuations) for delivery
 	// sequence numbers. Passive members' Results are materialized as
 	// zero-copy slices of this log at barrier points (materialize).
 	logTuples []stream.Tuple
@@ -514,7 +514,6 @@ func (rt *Runtime) spawnShard(r *Registered) *shard {
 // never takes down its siblings or the process.
 func (s *shard) run() {
 	defer close(s.done)
-	defer s.reg.Tree.Lend(false) // outside a runtime, results are owned
 	for {
 		elems, msgs, ok := s.mb.take()
 		select {
@@ -582,8 +581,8 @@ func (s *shard) handle(elems []stream.Element, msgs []shardMsg) {
 }
 
 // deliver fans one output batch out to every subscribed query. Passive
-// subscribers share one append into the delivery log regardless of how
-// many there are; only subscribers with callbacks pay per-element work.
+// subscribers share one copy of each result tuple in the delivery log,
+// however many there are; only subscribers with callbacks pay per element.
 func (s *shard) deliver(outs []stream.Element) {
 	if len(outs) == 0 {
 		return
@@ -592,7 +591,7 @@ func (s *shard) deliver(outs []stream.Element) {
 		s.logCount += uint64(len(outs))
 		for _, o := range outs {
 			if !o.IsPunct() {
-				s.logTuples = append(s.logTuples, o.Tuple())
+				s.logTuples = append(s.logTuples, copyTuple(o.Tuple()))
 			}
 		}
 	}
@@ -603,22 +602,15 @@ func (s *shard) deliver(outs []stream.Element) {
 
 // rebuildSubs recomputes the active/passive split after any change to
 // the subscriber list. Slices are rebuilt in subs order so fan-out order
-// stays deterministic. It also decides whether the tree lends its result
-// tuples (exec.Tree.Lend): it does while the tree is unpartitioned and
-// every subscriber has a delivery hook, since nothing else keeps them.
+// stays deterministic.
 func (s *shard) rebuildSubs() {
 	s.active, s.passive = s.active[:0], s.passive[:0]
-	lend := s.reg.Tree != nil
 	for _, m := range s.subs {
 		if m.passiveSub() {
 			s.passive = append(s.passive, m)
 		} else {
 			s.active = append(s.active, m)
 		}
-		lend = lend && m.onDeliver != nil
-	}
-	if s.reg.Tree != nil {
-		s.reg.Tree.Lend(lend)
 	}
 }
 

@@ -377,54 +377,55 @@ func TestRouteSingleElementAllocs(t *testing.T) {
 	}
 }
 
-// TestHookDeliveryAllocFloor is the delivery-side alloc floor: a shard
-// whose every subscriber has a delivery hook lends its result tuples, so
-// once its buffers have reached their high-water mark a batch allocates
-// nothing — 0 per result tuple, where an owned result costs its values.
-// The hook checks every lent tuple while it holds it. As in
+// TestHookDeliveryAllocFloor is the delivery-side alloc floor: every tree
+// the engine builds lends its result tuples, so once a shard's buffers
+// have reached their high-water mark a batch allocates nothing — 0 per
+// result tuple, where an owned result costs its values — whether the
+// query is consumed by a delivery hook or by an OnResult callback. The
+// consumer checks every lent tuple while it holds it. As in
 // TestRouteSingleElementAllocs the test is the worker, pushing runs
 // through the shard's own flushBatch. scripts/check.sh runs this test by
 // name.
 func TestHookDeliveryAllocFloor(t *testing.T) {
+	for _, hook := range []bool{true, false} {
+		t.Run(map[bool]string{true: "hook", false: "OnResult"}[hook], func(t *testing.T) {
+			testDeliveryAllocFloor(t, hook)
+		})
+	}
+}
+
+func testDeliveryAllocFloor(t *testing.T, hook bool) {
 	d := New()
 	for _, s := range workload.AuctionSchemes().All() {
 		d.RegisterScheme(s)
 	}
+	results := 0
+	consume := func(tu stream.Tuple) {
+		if v := tu.Values; !v[1].Equal(v[5]) { // item_itemid, bid_itemid
+			t.Fatalf("lent result %s joins two items", tu)
+		}
+		results++
+	}
 	// Punctuation purging lets every cycle reuse the last one's item ids.
-	reg, err := d.Register("q", workload.AuctionQuery(), Options{PurgePunctuations: true})
+	opts := Options{PurgePunctuations: true}
+	if !hook {
+		opts.OnResult = consume
+	}
+	reg, err := d.Register("q", workload.AuctionQuery(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := 0
-	reg.SetDeliveryHook(func(_ uint64, e stream.Element) {
-		if e.IsPunct() {
-			return
-		}
-		if v := e.Tuple().Values; !v[1].Equal(v[5]) { // item_itemid, bid_itemid
-			t.Fatalf("lent result %s joins two items", e)
-		}
-		results++
-	})
+	if hook {
+		reg.SetDeliveryHook(func(_ uint64, e stream.Element) {
+			if !e.IsPunct() {
+				consume(e.Tuple())
+			}
+		})
+	}
 	s := &shard{reg: reg, group: reg.group, subs: []*Registered{reg}, rt: &Runtime{}}
 	s.rebuildSubs()
-	// One cycle: every item, every bid, then every id punctuated away on
-	// both streams, so it ends where it began.
 	const items, bids = 64, 2
-	type run struct {
-		stream string
-		punct  bool
-		elems  []stream.Element
-	}
-	runs := []*run{{"item", false, nil}, {"bid", false, nil}, {"bid", true, nil}, {"item", true, nil}}
-	for id := int64(0); id < items; id++ {
-		for _, te := range auctionElems(id, bids) {
-			for _, r := range runs {
-				if r.stream == te.Stream && r.punct == te.Elem.IsPunct() {
-					r.elems = append(r.elems, te.Elem)
-				}
-			}
-		}
-	}
+	runs := auctionCycle(items, bids)
 	cycle := func() {
 		for _, r := range runs {
 			s.flushBatch(reg.streamInput[r.stream], r.elems)
@@ -442,6 +443,102 @@ func TestHookDeliveryAllocFloor(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("a cycle of %d lent results allocates %.0f times, want 0", items*bids, avg)
 	}
+}
+
+// cycleRun is one same-stream run of an auctionCycle.
+type cycleRun struct {
+	stream string
+	punct  bool
+	elems  []stream.Element
+}
+
+// auctionCycle returns one cycle of auction runs: every item, every bid,
+// then every id punctuated away on both streams, so that with punctuation
+// purging the query's state ends each cycle where it began.
+func auctionCycle(items, bids int) []*cycleRun {
+	runs := []*cycleRun{{"item", false, nil}, {"bid", false, nil}, {"bid", true, nil}, {"item", true, nil}}
+	for id := int64(0); id < int64(items); id++ {
+		for _, te := range auctionElems(id, bids) {
+			for _, r := range runs {
+				if r.stream == te.Stream && r.punct == te.Elem.IsPunct() {
+					r.elems = append(r.elems, te.Elem)
+				}
+			}
+		}
+	}
+	return runs
+}
+
+// TestPartitionedDeliveryAllocFloor is the delivery-side floor through a
+// real partition front: SendBatch scatters every run onto two partition
+// workers, which carve their result tuples out of their records' value
+// buffers, and the merger hands the results to an OnResult callback and
+// only then gives the records back. Once every buffer has reached its
+// high-water mark a cycle allocates the same with 2 and with 8 bids per
+// item, four times the results: 0 allocations per result. (What a cycle
+// does allocate is one alignment-gate key per output punctuation.) Five
+// allocations of slack absorb the odd one of the Go runtime's own; one
+// per result would be 384. The callback checks every lent tuple while it
+// holds it and signals the end of each cycle. scripts/check.sh runs this
+// test by name.
+func TestPartitionedDeliveryAllocFloor(t *testing.T) {
+	few, many := partitionedCycleAllocs(t, 2), partitionedCycleAllocs(t, 8)
+	if many > few+5 {
+		t.Fatalf("a cycle through 2 partitions allocates %.1f times with 128 results and %.1f with 512, want the same", few, many)
+	}
+}
+
+// partitionedCycleAllocs runs auction cycles of 64 items with bids bids
+// each through a two-partition runtime and returns a warmed cycle's
+// allocations.
+func partitionedCycleAllocs(t *testing.T, bids int) float64 {
+	t.Helper()
+	d := New()
+	for _, s := range workload.AuctionSchemes().All() {
+		d.RegisterScheme(s)
+	}
+	const items = 64
+	results := 0
+	cycleDone := make(chan struct{}, 1)
+	reg, err := d.Register("q", workload.AuctionQuery(), Options{Partitions: 2, PurgePunctuations: true, OnResult: func(tu stream.Tuple) {
+		if v := tu.Values; !v[1].Equal(v[5]) { // item_itemid, bid_itemid
+			t.Errorf("lent result %s joins two items", tu)
+		}
+		if results++; results%(items*bids) == 0 {
+			cycleDone <- struct{}{}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.Part == nil {
+		t.Fatalf("auction query did not partition: %s", reg.PartitionReason)
+	}
+	rt := d.RunSharded(RuntimeOptions{})
+	runs := auctionCycle(items, bids)
+	cycle := func() {
+		for _, r := range runs {
+			for i := 0; i < len(r.elems); i += 128 { // no longer than a run buffer keeps
+				if err := rt.SendBatch(r.stream, r.elems[i:min(i+128, len(r.elems))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		<-cycleDone
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	const cycles = 100
+	avg := testing.AllocsPerRun(cycles-1, cycle) // AllocsPerRun adds a warm-up run
+	rt.Close()
+	if err := rt.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (8 + cycles) * items * bids; results != want || reg.Part.TotalState() != 0 {
+		t.Fatalf("%d results, want %d; %d tuples left", results, want, reg.Part.TotalState())
+	}
+	return avg
 }
 
 // requireMailboxHoldsNothing checks that every slot of both of a shard's
@@ -643,10 +740,15 @@ func TestRecycledBuffersHoldNothing(t *testing.T) {
 		for n := len(free); n > 0; n-- {
 			r := <-free
 			pooled++
-			if r.n != 0 || len(r.outs) != 0 || len(r.ends) != 0 || r.ctrl != nil {
+			if r.n != 0 || len(r.outs) != 0 || len(r.ends) != 0 || len(r.vals) != 0 || r.ctrl != nil {
 				t.Fatalf("pooled partition record not reset: %+v", r)
 			}
 			requireZero("a pooled partition record", r.outs[:cap(r.outs)])
+			for i, v := range r.vals[:cap(r.vals)] {
+				if !reflect.ValueOf(v).IsZero() {
+					t.Fatalf("a pooled partition record's value %d still holds %v", i, v)
+				}
+			}
 			free <- r
 		}
 	}

@@ -135,9 +135,10 @@ type MJoin struct {
 	// the caller until the next of them (takeOut); zero past its length.
 	outBuf []stream.Element
 	// lend makes concat carve result tuples out of outVals instead of
-	// allocating them (Tree.Lend; only ever set on a tree's root). The
-	// tuples are then lent exactly as outBuf is: takeOut clears outVals
-	// and the next call overwrites them.
+	// allocating them (Tree.Lend, or PushBatchEnds over the caller's
+	// buffer; only ever set on a tree's root). The tuples are then lent
+	// exactly as outBuf is: takeOut clears outVals and the next call
+	// overwrites them.
 	lend    bool
 	outVals []stream.Value
 }
@@ -310,14 +311,9 @@ func (m *MJoin) buildProbeOrders() {
 // with the previous call's elements cleared so it holds nothing, or nil
 // (the call allocates afresh) once it has grown past maxOutBuf. The caller
 // stores the slice it ends up with back into m.outBuf. The lent result
-// values are emptied the same way.
+// values are emptied the same way (ResetValues).
 func (m *MJoin) takeOut() []stream.Element {
-	if cap(m.outVals) > maxOutVals {
-		m.outVals = nil
-	} else {
-		clear(m.outVals)
-		m.outVals = m.outVals[:0]
-	}
+	m.outVals = ResetValues(m.outVals)
 	out := m.outBuf
 	m.outBuf = nil
 	if cap(out) > maxOutBuf {

@@ -181,11 +181,12 @@ func (pt *PartitionedTree) newCounts() []uint32 {
 
 // PushPartitionEnds drives one replica over a run of already-routed
 // elements, appending outputs and per-element boundaries into the
-// caller's buffers (see Tree.PushBatchEnds). It is the engine worker
-// entry point; outputs must subsequently pass MergeOutputs on the routing
-// goroutine.
-func (pt *PartitionedTree) PushPartitionEnds(part, streamIdx int, out []stream.Element, ends []int, elems []stream.Element) ([]stream.Element, []int, int, error) {
-	return pt.parts[part].PushBatchEnds(streamIdx, out, ends, elems)
+// caller's buffers and carving result tuples out of vals (see
+// Tree.PushBatchEnds). It is the engine worker entry point; outputs must
+// subsequently pass MergeOutputs on the routing goroutine, and the
+// results' Values are valid until the caller writes vals again.
+func (pt *PartitionedTree) PushPartitionEnds(part, streamIdx int, out []stream.Element, ends []int, vals []stream.Value, elems []stream.Element) ([]stream.Element, []int, []stream.Value, int, error) {
+	return pt.parts[part].PushBatchEnds(streamIdx, out, ends, vals, elems)
 }
 
 // Push feeds one raw element sequentially: a tuple to the replica owning

@@ -6,78 +6,18 @@ import (
 	"punctsafe/stream"
 )
 
-// This file adapts the remaining relational operators to punctuated
-// streams — the paper's future-work item (iii) ("extend the current
-// safety checking framework ... for adapting other relational operators
-// to the streaming punctuation semantics"), following the pass/propagate
-// invariants of Tucker et al. [12]:
-//
-//   - Selection is stateless; it passes every punctuation through
-//     unchanged (a promise about all future tuples holds a fortiori for
-//     the selected subset).
-//   - Projection passes a punctuation iff all of its constant patterns
-//     survive the projection; a punctuation constraining a dropped
-//     attribute promises nothing expressible in the output schema and is
-//     absorbed.
-//
-// Both preserve punctuation scheme guarantees, so a Select/Project
-// pipeline in front of a join keeps the query's safety analysis valid:
-// selection leaves schemes untouched, projection keeps exactly the
-// schemes whose punctuatable attributes survive (ProjectSchemes).
-
-// Predicate is a tuple filter for Select.
-type FilterFunc func(stream.Tuple) bool
-
-// Select filters tuples by a predicate and forwards punctuations
-// unchanged.
-type Select struct {
-	in     *stream.Schema
-	filter FilterFunc
-	// Passed and Dropped count tuples.
-	Passed  uint64
-	Dropped uint64
-}
-
-// NewSelect builds a selection over the input schema.
-func NewSelect(in *stream.Schema, filter FilterFunc) (*Select, error) {
-	if filter == nil {
-		return nil, fmt.Errorf("exec: Select needs a filter")
-	}
-	return &Select{in: in, filter: filter}, nil
-}
-
-// OutputSchema equals the input schema.
-func (s *Select) OutputSchema() *stream.Schema { return s.in }
-
-// Push consumes one element.
-func (s *Select) Push(e stream.Element) ([]stream.Element, error) {
-	if e.IsPunct() {
-		if err := e.Punct().Validate(s.in); err != nil {
-			return nil, err
-		}
-		return []stream.Element{e}, nil
-	}
-	t := e.Tuple()
-	if err := t.Validate(s.in); err != nil {
-		return nil, err
-	}
-	if s.filter(t) {
-		s.Passed++
-		return []stream.Element{e}, nil
-	}
-	s.Dropped++
-	return nil, nil
-}
-
-// AttrEquals returns a filter keeping tuples whose named attribute equals
-// the value.
-func AttrEquals(in *stream.Schema, attr string, v stream.Value) (FilterFunc, error) {
-	i := in.Index(attr)
-	if i < 0 {
-		return nil, fmt.Errorf("exec: schema %s has no attribute %q", in, attr)
-	}
-	return func(t stream.Tuple) bool { return t.Values[i].Equal(v) }, nil
-}
+// This file adapts projection to punctuated streams — the paper's
+// future-work item (iii) ("extend the current safety checking framework
+// ... for adapting other relational operators to the streaming
+// punctuation semantics"), following the pass/propagate invariants of
+// Tucker et al. [12]: a projection passes a punctuation iff all of its
+// constant patterns survive the projection; a punctuation constraining a
+// dropped attribute promises nothing expressible in the output schema and
+// is absorbed. Projection keeps exactly the schemes whose punctuatable
+// attributes survive (ProjectSchemes), so a projected stream in front of
+// a join keeps the query's safety analysis valid. Selection needs no
+// operator here: it passes every punctuation unchanged, and the engine
+// applies SQL literal filters to input tuples before they reach the plan.
 
 // Project narrows elements to a subset of attributes (by position).
 type Project struct {

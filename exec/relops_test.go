@@ -8,40 +8,6 @@ import (
 	"punctsafe/stream"
 )
 
-func TestSelectPassesPunctuations(t *testing.T) {
-	in := mustSchema("S", "K", "V")
-	filter, err := AttrEquals(in, "V", stream.Int(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewSelect(in, filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sel.Push(stream.TupleElement(tup(7, 1)))
-	if err != nil || len(out) != 1 {
-		t.Fatalf("matching tuple must pass: %v %v", out, err)
-	}
-	out, err = sel.Push(stream.TupleElement(tup(7, 2)))
-	if err != nil || len(out) != 0 {
-		t.Fatalf("non-matching tuple must drop: %v %v", out, err)
-	}
-	// Punctuations always pass, even ones the filter would reject.
-	out, err = sel.Push(stream.PunctElement(punct(7, -1)))
-	if err != nil || len(out) != 1 || !out[0].IsPunct() {
-		t.Fatalf("punctuation must pass: %v %v", out, err)
-	}
-	if sel.Passed != 1 || sel.Dropped != 1 {
-		t.Fatalf("counters: passed=%d dropped=%d", sel.Passed, sel.Dropped)
-	}
-	if _, err := NewSelect(in, nil); err == nil {
-		t.Fatal("nil filter must be rejected")
-	}
-	if _, err := AttrEquals(in, "nope", stream.Int(0)); err == nil {
-		t.Fatal("unknown attribute must be rejected")
-	}
-}
-
 func TestProjectTuplesAndPunctuations(t *testing.T) {
 	in := mustSchema("S", "A", "B", "C")
 	p, err := NewProject(in, "C", "A")
@@ -115,21 +81,13 @@ func TestProjectSchemes(t *testing.T) {
 	}
 }
 
-// TestSelectProjectJoinPipeline runs the full relational pipeline the
-// future-work item sketches: Select -> Project -> Join, with punctuations
-// flowing through the stateless operators and still purging the join.
-func TestSelectProjectJoinPipeline(t *testing.T) {
-	// Raw stream: events(K, V, tag); keep tag==1 events, project (K, V),
-	// join with ref(K, W) on K.
+// TestProjectJoinPipeline runs the relational pipeline the future-work
+// item sketches: Project -> Join, with punctuations flowing through the
+// projection and still purging the join.
+func TestProjectJoinPipeline(t *testing.T) {
+	// Raw stream: events(K, V, tag); project (K, V), join with ref(K, W)
+	// on K.
 	events := mustSchema("events", "K", "V", "tag")
-	filter, err := AttrEquals(events, "tag", stream.Int(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewSelect(events, filter)
-	if err != nil {
-		t.Fatal(err)
-	}
 	proj, err := NewProject(events, "K", "V")
 	if err != nil {
 		t.Fatal(err)
@@ -164,23 +122,17 @@ func TestSelectProjectJoinPipeline(t *testing.T) {
 	}
 
 	feedEvent := func(e stream.Element) int {
-		outs, err := sel.Push(e)
+		po, err := proj.Push(e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		results := 0
-		for _, o := range outs {
-			po, err := proj.Push(o)
+		for _, pe := range po {
+			jo, err := m.Push(0, pe)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pe := range po {
-				jo, err := m.Push(0, pe)
-				if err != nil {
-					t.Fatal(err)
-				}
-				results += countTuples(jo)
-			}
+			results += countTuples(jo)
 		}
 		return results
 	}
@@ -189,13 +141,10 @@ func TestSelectProjectJoinPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := feedEvent(stream.TupleElement(tup(7, 1, 1))); got != 1 {
-		t.Fatalf("selected event should join, got %d", got)
+		t.Fatalf("projected event should join, got %d", got)
 	}
-	if got := feedEvent(stream.TupleElement(tup(7, 2, 0))); got != 0 {
-		t.Fatal("filtered event must not join")
-	}
-	// Punctuation on events.K=7 flows through Select and Project and
-	// purges the stored ref tuple.
+	// Punctuation on events.K=7 flows through Project and purges the
+	// stored ref tuple.
 	feedEvent(stream.PunctElement(punct(7, -1, -1)))
 	if m.Stats().StateSize[1] != 0 {
 		t.Fatalf("ref tuple should purge via the propagated punctuation, state=%v", m.Stats().StateSize)

@@ -97,7 +97,7 @@ func NewTree(base Config, root *plan.Node) (*Tree, error) {
 // valid until the next Push, PushBatch, Flush or Sweep on this tree, which
 // overwrites it. Copy the slice (slices.Clone) to keep it longer; the
 // tuples and punctuations in it are never overwritten, unless the tree
-// lends its result tuples (Lend).
+// lends its result tuples (Lend), as every tree the engine builds does.
 func (t *Tree) Push(streamIdx int, e stream.Element) ([]stream.Element, error) {
 	out, _, err := t.PushBatch(streamIdx, []stream.Element{e})
 	return out, err
@@ -116,14 +116,15 @@ func (t *Tree) PushBatch(streamIdx int, elems []stream.Element) ([]stream.Elemen
 	return out, n, err
 }
 
-// Lend switches how the root builds result tuples. Lent (on), a result
-// tuple's Values live in a buffer the root reuses: like the returned
-// slice they are valid until the next Push, PushBatch, Flush or Sweep,
-// and a caller that keeps a tuple past that must copy its Values. Owned
-// (off, the default), every result tuple has values of its own. Only the
-// root lends: what a lower operator emits is consumed inside the tree.
-// Punctuations are never lent, and neither is anything PushBatchEnds
-// returns.
+// Lend switches how Push and PushBatch build result tuples. Lent (on), a
+// result tuple's Values live in a buffer the root reuses: like the
+// returned slice they are valid until the next Push, PushBatch, Flush or
+// Sweep, and a caller that keeps a tuple past that must copy its Values.
+// Owned (off, the default), every result tuple has values of its own. The
+// engine makes every tree it builds lend. Only the root lends: what a
+// lower operator emits is consumed inside the tree. Punctuations are
+// never lent. PushBatchEnds ignores the switch: it always builds results
+// in the caller's buffer.
 func (t *Tree) Lend(on bool) { t.root.join.lend = on }
 
 // PushBatchEnds is PushBatch appending into caller-owned buffers while
@@ -131,15 +132,29 @@ func (t *Tree) Lend(on bool) { t.root.join.lend = on }
 // has length ends[base+i] where base is len(ends) at entry. The
 // partitioned runtime uses the boundaries to slice one partition's outputs
 // back into input-sequence order when merging partitions. On error the
-// offender emits nothing and no ends entry is appended for it. The
-// outputs are the caller's for good, whatever Lend says.
-func (t *Tree) PushBatchEnds(streamIdx int, out []stream.Element, ends []int, elems []stream.Element) ([]stream.Element, []int, int, error) {
+// offender emits nothing and no ends entry is appended for it. Result
+// tuples are carved out of vals, which is appended to and returned like
+// out: their Values stay valid until the caller writes the returned vals
+// again, which it empties for reuse with ResetValues.
+func (t *Tree) PushBatchEnds(streamIdx int, out []stream.Element, ends []int, vals []stream.Value, elems []stream.Element) ([]stream.Element, []int, []stream.Value, int, error) {
 	root := t.root.join
-	lend := root.lend
-	root.lend = false
+	lend, own := root.lend, root.outVals
+	root.lend, root.outVals = true, vals
+	defer func() { root.lend, root.outVals = lend, own }() // also after a panic
 	out, n, err := t.pushBatch(streamIdx, out, &ends, elems)
-	root.lend = lend
-	return out, ends, n, err
+	return out, ends, root.outVals, n, err
+}
+
+// ResetValues empties a buffer result tuples were carved out of for
+// reuse: cleared, so it holds nothing, or nil once it has grown past
+// maxOutVals. A lending root's own buffer and the one a PushBatchEnds
+// caller keeps both go through it.
+func ResetValues(vals []stream.Value) []stream.Value {
+	if cap(vals) > maxOutVals {
+		return nil
+	}
+	clear(vals)
+	return vals[:0]
 }
 
 // pushBatch is the one batch body: it feeds elems one by one, appending

@@ -84,11 +84,13 @@ stage_allocfloors() {
   # over two partitions by the partitioned front, in recycled buffers.
   go test -run 'TestRouteSingleElementAllocs|TestPartitionFrontAllocFloor' -count 1 ./engine/
   # Shared-tree fan-out alloc floor: delivering one output batch to extra
-  # subscribers (callback or passive) must not allocate per batch — sharing
-  # is O(subscribers) pointer work, never O(subscribers) copies. A shard
-  # whose every subscriber is a delivery hook lends its result tuples: 0
+  # subscribers (callback or passive) must not allocate per subscriber —
+  # sharing is O(subscribers) pointer work, never O(subscribers) copies;
+  # the passive log's one copy of each result tuple is all it allocates.
+  # Every tree lends its result tuples, to a hook or an OnResult callback,
+  # and so does every partition worker through a real partition front: 0
   # allocations per result once warmed.
-  go test -run 'TestFanOutDeliveryAllocs|TestHookDeliveryAllocFloor' -count 1 ./engine/
+  go test -run 'TestFanOutDeliveryAllocs|TestHookDeliveryAllocFloor|TestPartitionedDeliveryAllocFloor' -count 1 ./engine/
   # Output-ring floor: retaining one more delivery is one encoding into the
   # bytes its slot already holds, 0 allocations. Client floor: receiving one
   # costs what decoding its element allocates.

@@ -5,12 +5,13 @@ package server_test
 // producers and shards, the partition records, the subscriber's frame
 // scratch — and every consumer is handed elements out of one of them. The
 // contract is that the container is borrowed but the Tuple or Punctuation
-// taken from it is the consumer's for good. The one exception is a
-// delivery hook (SetDeliveryHook): it is lent its result tuples, whose
-// Values are valid only until it returns, because a shard whose every
-// subscriber has a hook builds its results in memory it reuses. Each row
+// taken from it is the consumer's for good, with one exception: a result
+// tuple's Values are lent. Every tree the engine builds carves its results
+// out of memory it reuses, so an OnResult callback or a delivery hook
+// holds a result's Values only until it returns and keeps a copy; the
+// engine's own keepers (a passive view's log, Results) copy too. Each row
 // below is one way of consuming a query; its consumer keeps every value
-// it is handed (a hook a copy), renders nothing until the feed is over,
+// it is handed (a callback a copy), renders nothing until the feed is over,
 // and must then hold exactly the sequence a reference run rendered
 // element by element, at delivery, from outputs cloned out of the tree
 // before its next call.
@@ -32,6 +33,9 @@ type retainFeed struct {
 	q       *query.CJQ
 	schemes *stream.SchemeSet
 	inputs  []workload.Input
+	// copart: the query is co-partitionable, so Partitions=2 really
+	// partitions it (otherwise it falls back to one tree).
+	copart bool
 }
 
 func (f *retainFeed) schemas() []*stream.Schema {
@@ -110,10 +114,14 @@ type keeper struct{ kept []stream.Element }
 
 func (k *keeper) options() engine.Options {
 	return engine.Options{
-		OnResult: func(t stream.Tuple) { k.kept = append(k.kept, stream.TupleElement(t)) },
+		OnResult: func(t stream.Tuple) { k.kept = append(k.kept, stream.TupleElement(copyTuple(t))) },
 		OnPunct:  func(p stream.Punctuation) { k.kept = append(k.kept, stream.PunctElement(p)) },
 	}
 }
+
+// copyTuple copies a lent result tuple, whose Values are a callback's only
+// until it returns.
+func copyTuple(t stream.Tuple) stream.Tuple { return stream.NewTuple(slices.Clone(t.Values)...) }
 
 func (k *keeper) rendered() []string {
 	out := make([]string, len(k.kept))
@@ -139,9 +147,9 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 	chainSchemes := workload.AllJoinAttrSchemes(chain)
 	feeds := map[string]*retainFeed{
 		"auction": {workload.AuctionQuery(), workload.AuctionSchemes(), workload.Auction(workload.AuctionConfig{
-			Items: 150, MaxBidsPerItem: 8, OpenWindow: 16, PunctuateItems: true, PunctuateClose: true, Seed: 5})},
+			Items: 150, MaxBidsPerItem: 8, OpenWindow: 16, PunctuateItems: true, PunctuateClose: true, Seed: 5}), true},
 		"chain4": {chain, chainSchemes, workload.Closed(chain, chainSchemes, workload.ClosedConfig{
-			Rounds: 6, TuplesPerRound: 16, Window: 8, PunctFraction: 1, PunctDelay: 2, Seed: 5})},
+			Rounds: 6, TuplesPerRound: 16, Window: 8, PunctFraction: 1, PunctDelay: 2, Seed: 5}), false},
 	}
 	runSharded := func(t *testing.T, f *retainFeed, d *engine.DSMS) {
 		t.Helper()
@@ -150,6 +158,50 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 		rt.Close()
 		if err := rt.Wait(); err != nil {
 			t.Fatal(err)
+		}
+	}
+	runPush := func(t *testing.T, f *retainFeed, d *engine.DSMS) {
+		t.Helper()
+		for _, in := range f.inputs {
+			if err := d.Push(in.Stream, in.Elem); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// besideScribbler registers three views of one shared tree: a passive
+	// view, an OnPunct-only view, and last a callback view that overwrites
+	// every Value of each lent tuple once it has read it, as the tree's
+	// next call would. The engine's two keepers, the passive log and
+	// Results, copy what they keep, so both views still hold the
+	// reference; the OnPunct-only view is compared with the passive one.
+	besideScribbler := func(parts int, drive func(*testing.T, *retainFeed, *engine.DSMS)) func(*testing.T, *retainFeed) ([]string, bool) {
+		return func(t *testing.T, f *retainFeed) ([]string, bool) {
+			scribble := stream.Str("overwritten")
+			d := engine.New()
+			passive := f.register(t, d, "passive", engine.Options{Share: true, Partitions: parts})
+			punctOnly := f.register(t, d, "punct-only", engine.Options{Share: true, Partitions: parts,
+				OnPunct: func(stream.Punctuation) {}})
+			f.register(t, d, "scribbler", engine.Options{Share: true, Partitions: parts, OnResult: func(tu stream.Tuple) {
+				for i, v := range tu.Values {
+					if v.Equal(scribble) {
+						t.Errorf("lent tuple handed out with value %d already overwritten", i)
+					}
+					tu.Values[i] = scribble
+				}
+			}})
+			if len(passive.SharedWith()) != 2 {
+				t.Fatalf("the views share a tree with %v, want the other two", passive.SharedWith())
+			}
+			if parts > 0 && f.copart && passive.Part == nil {
+				t.Fatalf("Partitions=%d fell back to one tree: %s", parts, passive.PartitionReason)
+			}
+			drive(t, f, d)
+			got := tupleStrings(passive.Results)
+			requireSameStream(t, "OnPunct-only view", tupleStrings(punctOnly.Results), got)
+			return got, false
 		}
 	}
 	// Each consumer returns the deliveries it kept, rendered only now, and
@@ -215,8 +267,8 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 			var k keeper
 			d := engine.New()
 			f.register(t, d, "q", engine.Options{}).SetDeliveryHook(func(_ uint64, e stream.Element) {
-				if !e.IsPunct() { // lent: the Values are the hook's only until it returns
-					e = stream.TupleElement(stream.NewTuple(slices.Clone(e.Tuple().Values)...))
+				if !e.IsPunct() {
+					e = stream.TupleElement(copyTuple(e.Tuple()))
 				}
 				k.kept = append(k.kept, e)
 			})
@@ -224,8 +276,8 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 			return k.rendered(), true
 		}},
 		{"shared tree, hook view and callback view", func(t *testing.T, f *retainFeed) ([]string, bool) {
-			// The callback view keeps without copying: its tree must not
-			// lend because another subscriber has a hook.
+			// The hook view and the callback view are handed the same lent
+			// tuple; the callback keeps a copy.
 			var k keeper
 			d := engine.New()
 			f.register(t, d, "hook", engine.Options{Share: true}).SetDeliveryHook(func(uint64, stream.Element) {})
@@ -237,6 +289,9 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 			runSharded(t, f, d)
 			return k.rendered(), true
 		}},
+		{"shared tree, keepers beside a scribbler, DSMS.Push", besideScribbler(0, runPush)},
+		{"shared tree, keepers beside a scribbler, RunSharded", besideScribbler(0, runSharded)},
+		{"shared tree, keepers beside a scribbler, Partitions=2", besideScribbler(2, runSharded)},
 		{"server subscriber", func(t *testing.T, f *retainFeed) ([]string, bool) {
 			dir := t.TempDir()
 			sock := filepath.Join(dir, "s.sock")
