@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 
 	"punctsafe/exec"
@@ -484,13 +483,10 @@ func (r *Registered) deliver(outs []stream.Element) {
 		case r.project != nil: // the projection built a tuple of its own
 			r.Results = append(r.Results, o.Tuple())
 		default:
-			r.Results = append(r.Results, copyTuple(o.Tuple()))
+			r.Results = append(r.Results, o.Tuple().Clone())
 		}
 	}
 }
-
-// copyTuple copies a lent result tuple for a consumer that keeps it.
-func copyTuple(t stream.Tuple) stream.Tuple { return stream.NewTuple(slices.Clone(t.Values)...) }
 
 // Describe renders a human-readable status block for a registered query:
 // its plan, per-stream purgeability, and live operator statistics.

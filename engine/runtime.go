@@ -591,7 +591,7 @@ func (s *shard) deliver(outs []stream.Element) {
 		s.logCount += uint64(len(outs))
 		for _, o := range outs {
 			if !o.IsPunct() {
-				s.logTuples = append(s.logTuples, copyTuple(o.Tuple()))
+				s.logTuples = append(s.logTuples, o.Tuple().Clone())
 			}
 		}
 	}

@@ -92,8 +92,10 @@ stage_allocfloors() {
   # allocations per result once warmed.
   go test -run 'TestFanOutDeliveryAllocs|TestHookDeliveryAllocFloor|TestPartitionedDeliveryAllocFloor' -count 1 ./engine/
   # Output-ring floor: retaining one more delivery is one encoding into the
-  # bytes its slot already holds, 0 allocations. Client floor: receiving one
-  # costs what decoding its element allocates.
+  # bytes its slot already holds, 0 allocations. Client floor: a warmed
+  # subscriber decodes each result tuple into the one value buffer it lends,
+  # so a tuple costs one allocation per string attribute (0 without
+  # strings), and a punctuation costs what decoding it allocates (1).
   go test -run 'TestHubPublishAllocs|TestSubscriberNextAllocs' -count 1 ./server/
 }
 

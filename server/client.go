@@ -587,7 +587,10 @@ func (p *Producer) Epoch() uint64 {
 }
 
 // Delivery is one subscriber-received output: a result tuple or a
-// punctuation, with its server-assigned delivery sequence number.
+// punctuation, with its server-assigned delivery sequence number. A
+// result tuple's Values are lent: they are valid until the next call to
+// the Subscriber's Next (see Next), and a caller that keeps the tuple
+// copies them (stream.Tuple.Clone).
 type Delivery struct {
 	Seq  uint64
 	Elem stream.Element
@@ -609,9 +612,11 @@ type Subscriber struct {
 	last   uint64
 	schema *stream.Schema
 	codec  *stream.Codec
-	// payload is the frame scratch Next decodes from (Codec.Decode copies
-	// what it keeps).
+	// payload is the frame scratch Next decodes from (Codec.DecodeInto
+	// copies every string it keeps), and vals the value buffer it decodes
+	// each result tuple into.
 	payload []byte
+	vals    []stream.Value
 	ended   bool
 	closed  bool
 	mu      sync.Mutex // guards conn/closed against concurrent Close
@@ -680,6 +685,11 @@ func (s *Subscriber) Epoch() uint64 { return s.sess.epoch }
 // reconnects and resumes transparently on connection failure,
 // suppresses replayed duplicates, and returns io.EOF after the server's
 // clean end-of-stream marker.
+//
+// A result tuple is lent, as the engine lends one to OnResult: its
+// Values live in a buffer the subscriber reuses, valid until the next
+// call to Next, so a caller that keeps the tuple copies its Values. Its
+// strings, and a delivered punctuation, are the caller's.
 func (s *Subscriber) Next() (Delivery, error) {
 	for {
 		if s.ended {
@@ -716,7 +726,8 @@ func (s *Subscriber) Next() (Delivery, error) {
 			continue
 		}
 		s.payload = payload
-		elem, rest, err := s.codec.Decode(payload)
+		elem, vals, rest, err := s.codec.DecodeInto(s.vals, payload)
+		s.vals = vals
 		if err != nil || len(rest) != 0 {
 			s.dropConn() // torn mid-frame write; resume re-fetches it
 			continue
@@ -740,6 +751,8 @@ func (s *Subscriber) dropConn() {
 
 // Collect drains the stream to its end marker, returning every
 // remaining delivery. Useful with a server known to be shutting down.
+// Unlike Next's, the deliveries it returns are the caller's: it copies
+// each result tuple.
 func (s *Subscriber) Collect() ([]Delivery, error) {
 	var out []Delivery
 	for {
@@ -749,6 +762,9 @@ func (s *Subscriber) Collect() ([]Delivery, error) {
 		}
 		if err != nil {
 			return out, err
+		}
+		if !d.Elem.IsPunct() {
+			d.Elem = stream.TupleElement(d.Elem.Tuple().Clone())
 		}
 		out = append(out, d)
 	}

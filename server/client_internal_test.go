@@ -123,54 +123,78 @@ func TestBackoffCapsAndPersistsAcrossCalls(t *testing.T) {
 }
 
 // TestSubscriberNextAllocs pins what receiving one delivery costs the
-// client: what Codec.Decode allocates for the element it returns, and
-// nothing for the frame around it — the payload is read into the
-// subscriber's own scratch, which is safe to reuse because Decode copies
-// every byte it keeps.
+// client. The frame around it costs nothing: the payload is read into the
+// subscriber's own scratch, which is safe to reuse because decoding copies
+// every byte it keeps. A result tuple is lent: it is decoded into the
+// subscriber's one value buffer, so once that buffer is warm a tuple costs
+// only its strings, one allocation each, and two successive deliveries
+// share the buffer. A punctuation is the caller's and costs what
+// Codec.Decode allocates for it, its constants.
 func TestSubscriberNextAllocs(t *testing.T) {
-	schema := stream.MustSchema("out",
+	mixed := stream.MustSchema("out",
 		stream.Attribute{Name: "k", Kind: stream.KindInt},
 		stream.Attribute{Name: "name", Kind: stream.KindString},
 		stream.Attribute{Name: "v", Kind: stream.KindFloat})
-	codec := stream.NewCodec(schema)
-	elems := []stream.Element{
-		stream.TupleElement(stream.NewTuple(stream.Int(7), stream.Str("a string long enough to matter"), stream.Float(1.5))),
-		stream.PunctElement(stream.MustPunctuation(stream.Const(stream.Int(7)), stream.Wildcard(), stream.Wildcard())),
-	}
-	for _, e := range elems {
-		payload, err := codec.Encode(nil, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 200
-		var wire []byte
-		for seq := uint64(1); seq <= n; seq++ {
-			wire = binary.AppendUvarint(wire, seq)
-			wire = binary.AppendUvarint(wire, uint64(len(payload)))
-			wire = append(wire, payload...)
-		}
-		decode := testing.AllocsPerRun(n, func() {
-			if _, _, err := codec.Decode(payload); err != nil {
-				t.Fatal(err)
-			}
-		})
-		conn, peer := net.Pipe()
-		defer peer.Close()
-		defer conn.Close()
-		s := &Subscriber{conn: conn, br: bufio.NewReader(bytes.NewReader(wire)), schema: schema, codec: codec}
-		var last Delivery
-		next := testing.AllocsPerRun(n-1, func() { // AllocsPerRun adds a warm-up call
-			d, err := s.Next()
+	numeric := stream.MustSchema("num",
+		stream.Attribute{Name: "k", Kind: stream.KindInt},
+		stream.Attribute{Name: "v", Kind: stream.KindFloat})
+	for _, tc := range []struct {
+		name   string
+		schema *stream.Schema
+		elem   stream.Element
+		allocs float64
+	}{
+		{"string-free tuple", numeric, stream.TupleElement(stream.NewTuple(stream.Int(7), stream.Float(1.5))), 0},
+		{"tuple with a string", mixed, stream.TupleElement(stream.NewTuple(stream.Int(7), stream.Str("a string long enough to matter"), stream.Float(1.5))), 1},
+		{"punctuation", mixed, stream.PunctElement(stream.MustPunctuation(stream.Const(stream.Int(7)), stream.Wildcard(), stream.Wildcard())), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			codec := stream.NewCodec(tc.schema)
+			payload, err := codec.Encode(nil, tc.elem)
 			if err != nil {
 				t.Fatal(err)
 			}
-			last = d
+			const n = 200
+			var wire []byte
+			for seq := uint64(1); seq <= n+2; seq++ {
+				wire = binary.AppendUvarint(wire, seq)
+				wire = binary.AppendUvarint(wire, uint64(len(payload)))
+				wire = append(wire, payload...)
+			}
+			conn, peer := net.Pipe()
+			defer peer.Close()
+			defer conn.Close()
+			s := &Subscriber{conn: conn, br: bufio.NewReader(bytes.NewReader(wire)), schema: tc.schema, codec: codec}
+			next := func() Delivery {
+				d, err := s.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			var last Delivery
+			allocs := testing.AllocsPerRun(n-1, func() { last = next() }) // AllocsPerRun adds a warm-up call
+			if last.Seq != n || last.Elem.String() != tc.elem.String() {
+				t.Fatalf("last delivery %d|%s, want %d|%s", last.Seq, last.Elem, n, tc.elem)
+			}
+			if allocs != tc.allocs {
+				t.Errorf("Next allocates %.0f times per delivery of %s, want %.0f", allocs, tc.elem, tc.allocs)
+			}
+			if tc.elem.IsPunct() {
+				decode := testing.AllocsPerRun(n, func() {
+					if _, _, err := codec.Decode(payload); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != decode {
+					t.Errorf("Next allocates %.0f times per punctuation, Decode %.0f", allocs, decode)
+				}
+				return
+			}
+			a, b := next().Elem.Tuple(), next().Elem.Tuple()
+			if &a.Values[0] != &b.Values[0] {
+				t.Error("two successive deliveries hold Values in different arrays; Next must reuse its buffer")
+			}
 		})
-		if last.Seq != n || last.Elem.String() != e.String() {
-			t.Fatalf("last delivery %d|%s, want %d|%s", last.Seq, last.Elem, n, e)
-		}
-		if next != decode || decode == 0 {
-			t.Errorf("Next allocates %.0f times per delivery of %s, want what Decode allocates: %.0f", next, e, decode)
-		}
 	}
 }

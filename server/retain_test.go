@@ -9,12 +9,14 @@ package server_test
 // tuple's Values are lent. Every tree the engine builds carves its results
 // out of memory it reuses, so an OnResult callback or a delivery hook
 // holds a result's Values only until it returns and keeps a copy; the
-// engine's own keepers (a passive view's log, Results) copy too. Each row
-// below is one way of consuming a query; its consumer keeps every value
-// it is handed (a callback a copy), renders nothing until the feed is over,
-// and must then hold exactly the sequence a reference run rendered
-// element by element, at delivery, from outputs cloned out of the tree
-// before its next call.
+// engine's own keepers (a passive view's log, Results) copy too. A server
+// subscriber is lent the same way, like a hook: Next decodes each result
+// into one value buffer, valid until the next Next, so the subscriber row
+// keeps a copy. Each row below is one way of consuming a query; its
+// consumer keeps every value it is handed (a callback or a subscriber a
+// copy), renders nothing until the feed is over, and must then hold
+// exactly the sequence a reference run rendered element by element, at
+// delivery, from outputs cloned out of the tree before its next call.
 
 import (
 	"io"
@@ -114,14 +116,10 @@ type keeper struct{ kept []stream.Element }
 
 func (k *keeper) options() engine.Options {
 	return engine.Options{
-		OnResult: func(t stream.Tuple) { k.kept = append(k.kept, stream.TupleElement(copyTuple(t))) },
+		OnResult: func(t stream.Tuple) { k.kept = append(k.kept, stream.TupleElement(t.Clone())) },
 		OnPunct:  func(p stream.Punctuation) { k.kept = append(k.kept, stream.PunctElement(p)) },
 	}
 }
-
-// copyTuple copies a lent result tuple, whose Values are a callback's only
-// until it returns.
-func copyTuple(t stream.Tuple) stream.Tuple { return stream.NewTuple(slices.Clone(t.Values)...) }
 
 func (k *keeper) rendered() []string {
 	out := make([]string, len(k.kept))
@@ -268,7 +266,7 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 			d := engine.New()
 			f.register(t, d, "q", engine.Options{}).SetDeliveryHook(func(_ uint64, e stream.Element) {
 				if !e.IsPunct() {
-					e = stream.TupleElement(copyTuple(e.Tuple()))
+					e = stream.TupleElement(e.Tuple().Clone())
 				}
 				k.kept = append(k.kept, e)
 			})
@@ -319,6 +317,9 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 					if err != nil {
 						done <- err
 						return
+					}
+					if !d.Elem.IsPunct() {
+						d.Elem = stream.TupleElement(d.Elem.Tuple().Clone())
 					}
 					k.kept = append(k.kept, d.Elem)
 				}

@@ -778,6 +778,7 @@ func (s *Server) restoreEnvelope(p *enginePack, raw []byte) ([]byte, uint64, err
 		return fail("query count")
 	}
 	br := bufio.NewReader(rd)
+	var vals []stream.Value // each retained element is decoded only to validate it
 	for i := uint64(0); i < nq; i++ {
 		name, err := readShortString(br)
 		if err != nil {
@@ -807,7 +808,8 @@ func (s *Server) restoreEnvelope(p *enginePack, raw []byte) ([]byte, uint64, err
 			if err != nil {
 				return fail("retained entry payload")
 			}
-			if _, rest, err := h.codec.Decode(payload); err != nil || len(rest) != 0 {
+			var rest []byte
+			if _, vals, rest, err = h.codec.DecodeInto(vals, payload); err != nil || len(rest) != 0 {
 				return fail("retained entry element")
 			}
 			payloads = append(payloads, payload)

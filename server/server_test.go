@@ -108,7 +108,8 @@ func collectAsync(sub *server.Subscriber) (<-chan []server.Delivery, <-chan erro
 // injected reset and the expected count is known up front. Loss still
 // fails (fewer than n arrive → timeout), duplication still fails (Next
 // yields strictly increasing seqs, so an extra delivery would displace
-// an expected one in the comparison).
+// an expected one in the comparison). Next lends each result tuple, so
+// it keeps copies, as Collect does.
 func collectNAsync(sub *server.Subscriber, n int) (<-chan []server.Delivery, <-chan error) {
 	out := make(chan []server.Delivery, 1)
 	errc := make(chan error, 1)
@@ -119,6 +120,9 @@ func collectNAsync(sub *server.Subscriber, n int) (<-chan []server.Delivery, <-c
 			var d server.Delivery
 			if d, err = sub.Next(); err != nil {
 				break
+			}
+			if !d.Elem.IsPunct() {
+				d.Elem = stream.TupleElement(d.Elem.Tuple().Clone())
 			}
 			ds = append(ds, d)
 		}

@@ -94,28 +94,45 @@ func appendValue(dst []byte, v Value) []byte {
 }
 
 // Decode parses one element from the front of src, returning the element
-// and the remaining bytes.
+// and the remaining bytes. The element is the caller's: a tuple's Values
+// are allocated for it.
 func (c *Codec) Decode(src []byte) (Element, []byte, error) {
+	e, _, rest, err := c.DecodeInto(nil, src)
+	return e, rest, err
+}
+
+// DecodeInto is Decode for a caller that is done with each tuple before it
+// decodes the next: a tuple's Values are decoded into buf's storage, grown
+// only when its capacity is below the schema's arity, and the buffer is
+// returned for the next call whatever was decoded. The tuple is valid
+// until the buffer is reused; its strings are its own. A punctuation is
+// never decoded into the buffer and is the caller's, as from Decode. On
+// error the buffer's contents are unspecified.
+func (c *Codec) DecodeInto(buf []Value, src []byte) (e Element, vals []Value, rest []byte, err error) {
 	if len(src) == 0 {
-		return Element{}, nil, io.ErrUnexpectedEOF
+		return Element{}, buf, nil, io.ErrUnexpectedEOF
 	}
 	kind := src[0]
 	src = src[1:]
 	switch kind {
 	case codecTuple:
-		values := make([]Value, c.schema.Arity())
-		var err error
-		for i := range values {
-			values[i], src, err = c.decodeValue(src, c.schema.Attr(i).Kind)
+		if n := c.schema.Arity(); cap(buf) < n {
+			buf = make([]Value, n)
+		} else {
+			buf = buf[:n]
+		}
+		for i := range buf {
+			buf[i], src, err = c.decodeValue(src, c.schema.Attr(i).Kind)
 			if err != nil {
-				return Element{}, nil, err
+				return Element{}, buf, nil, err
 			}
 		}
-		return TupleElement(NewTuple(values...)), src, nil
+		return TupleElement(NewTuple(buf...)), buf, src, nil
 	case codecPunct:
-		return c.decodePunct(src)
+		e, rest, err = c.decodePunct(src)
+		return e, buf, rest, err
 	default:
-		return Element{}, nil, fmt.Errorf("stream: codec: bad element kind 0x%02x", kind)
+		return Element{}, buf, nil, fmt.Errorf("stream: codec: bad element kind 0x%02x", kind)
 	}
 }
 
@@ -179,6 +196,9 @@ func (c *Codec) decodeValue(src []byte, k Kind) (Value, []byte, error) {
 		n, used := binary.Uvarint(src)
 		if used <= 0 || uint64(len(src)-used) < n {
 			return Value{}, nil, io.ErrUnexpectedEOF
+		}
+		if used > 1 && src[used-1] == 0 { // binary.Uvarint accepts padding
+			return Value{}, nil, fmt.Errorf("stream: codec: string length not minimally encoded")
 		}
 		return Str(string(src[used : used+int(n)])), src[used+int(n):], nil
 	default:

@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,4 +169,74 @@ func TestCodecErrors(t *testing.T) {
 func mathNaN() float64 {
 	z := 0.0
 	return z / z
+}
+
+// FuzzCodec parses arbitrary bytes as one element of an int, float and
+// string schema, with Decode and with DecodeInto into one buffer that
+// starts out holding values of the wrong kinds and is reused across
+// inputs. The two must agree on accepting, on the element and on the
+// remainder; DecodeInto must decode a tuple into the buffer and leave it
+// alone for a punctuation; and an accepted tuple must re-encode to the
+// bytes it consumed. The seeds are the gate (`scripts/check.sh fuzzseed`).
+func FuzzCodec(f *testing.F) {
+	c := NewCodec(codecSchema())
+	for _, e := range []Element{
+		TupleElement(NewTuple(Int(-42), Float(3.75), Str("héllo\x00world"))),
+		TupleElement(NewTuple(Int(0), Float(mathNaN()), Str(""))),
+		TupleElement(NewTuple(Int(1), Float(2), Str(strings.Repeat("x", 200)))),
+		PunctElement(MustPunctuation(Const(Int(7)), Wildcard(), Const(Str("x")))),
+		PunctElement(MustPunctuation(Wildcard(), Leq(Float(-1.5)), Wildcard())),
+	} {
+		b, err := c.Encode(nil, e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(append(slices.Clone(b), b...))
+		f.Add(b[:len(b)-1])
+	}
+	negZero := []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0}
+	padded := []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x81, 0, 'x'}
+	for _, b := range [][]byte{nil, {0xFF}, {1, 0xEE}, {1, 0, 0, 2, 1, 'x'}, negZero, padded} {
+		f.Add(b)
+	}
+	junk := Str("junk")
+	buf := []Value{junk, Int(-1), Float(-1), junk}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		want, wantRest, wantErr := c.Decode(src)
+		before := slices.Clone(buf[:cap(buf)])
+		got, vals, rest, err := c.DecodeInto(buf, src)
+		if &vals[:cap(vals)][0] != &buf[:cap(buf)][0] {
+			t.Fatalf("DecodeInto grew a buffer of capacity %d for arity 3", cap(buf))
+		}
+		buf = vals
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Decode: %v, DecodeInto: %v", wantErr, err)
+		}
+		if err != nil {
+			return
+		}
+		if got.String() != want.String() || !bytes.Equal(rest, wantRest) {
+			t.Fatalf("DecodeInto read %s leaving %x, Decode %s leaving %x", got, rest, want, wantRest)
+		}
+		if got.IsPunct() {
+			if !slices.EqualFunc(buf[:cap(buf)], before, func(a, b Value) bool { return a.p == b.p && a.n == b.n }) {
+				t.Fatalf("decoding %s wrote into the buffer", got)
+			}
+			return
+		}
+		if &got.Tuple().Values[0] != &buf[0] {
+			t.Fatalf("DecodeInto decoded %s outside the buffer", got)
+		}
+		consumed := slices.Clone(src[:len(src)-len(rest)])
+		// Float reads a negative zero as zero; the float is the second
+		// attribute, after the kind byte and an 8-byte int.
+		if binary.LittleEndian.Uint64(consumed[9:]) == 1<<63 {
+			binary.LittleEndian.PutUint64(consumed[9:], 0)
+		}
+		re, err := c.Encode(nil, got)
+		if err != nil || !bytes.Equal(re, consumed) {
+			t.Fatalf("%s re-encodes to %x (%v), consumed %x", got, re, err, consumed)
+		}
+	})
 }

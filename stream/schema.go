@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -108,6 +109,10 @@ type Tuple struct {
 
 // NewTuple wraps values into a tuple.
 func NewTuple(values ...Value) Tuple { return Tuple{Values: values} }
+
+// Clone returns a copy of the tuple with Values of its own, for a
+// consumer that keeps a tuple it was lent.
+func (t Tuple) Clone() Tuple { return Tuple{Values: slices.Clone(t.Values)} }
 
 // Validate checks the tuple against a schema: arity and per-attribute kind.
 func (t Tuple) Validate(s *Schema) error {
