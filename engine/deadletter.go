@@ -72,8 +72,9 @@ func newDeadLetterQueue(keep bool, limit int) *deadLetterQueue {
 }
 
 // add records one offender, retaining it when the queue keeps entries.
-// The newest entries win: once the bound is reached the oldest retained
-// entry is evicted (its counts remain).
+// A retained tuple is cloned, since the offender may be lent (wire
+// ingest reuses its values). The newest entries win: once the bound is
+// reached the oldest retained entry is evicted (its counts remain).
 func (q *deadLetterQueue) add(d DeadLetter) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -85,6 +86,9 @@ func (q *deadLetterQueue) add(d DeadLetter) {
 	}
 	if !q.keep {
 		return
+	}
+	if !d.Elem.IsPunct() {
+		d.Elem = stream.TupleElement(d.Elem.Tuple().Clone())
 	}
 	if q.ring == nil {
 		q.ring = make([]DeadLetter, q.limit)

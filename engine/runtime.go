@@ -230,10 +230,11 @@ type shardMsg struct {
 // The worker swaps out everything queued in one step (take), giving the
 // producers the buffers it emptied last time, and clears what it consumed
 // before it looks again (release), so no slot pins a tuple while the
-// shard idles. Both buffer pairs start empty, grow on demand to the
-// shard's high-water mark and are reused from then on; one that held a
-// run longer than both the capacity and maxRunBuf is left to the
-// collector instead.
+// shard idles. A lent run's tuple values are copied into the value
+// buffer beside the elements, which is swapped and cleared with them.
+// Every buffer starts empty, grows on demand to the shard's high-water
+// mark and is reused from then on; a pair that held a run longer than both
+// the capacity and maxRunBuf is left to the collector instead.
 type mailbox struct {
 	mu sync.Mutex
 	// space is where producers wait while their run does not fit; ready
@@ -243,15 +244,17 @@ type mailbox struct {
 	parked       bool
 	closed       bool
 	elems        []stream.Element // queued elements, runs back to back
+	vals         []stream.Value   // lent runs' tuple values, copied in
 	msgs         []shardMsg       // queued entries, in FIFO order
 	// next and serving are the waiting producers' tickets: a producer
 	// that must wait takes ticket next and goes in once serving reaches
 	// it, so waiting runs enter in arrival order and a short run never
 	// overtakes a long one already waiting.
 	next, serving uint64
-	// takenElems/takenMsgs are what the last take swapped out: the
-	// worker's, without a lock, until release.
+	// takenElems/takenVals/takenMsgs are what the last take swapped out:
+	// the worker's, without a lock, until release.
 	takenElems []stream.Element
+	takenVals  []stream.Value
 	takenMsgs  []shardMsg
 }
 
@@ -269,13 +272,15 @@ func (mb *mailbox) wakeLocked() {
 }
 
 // put enqueues one routed run of n elements: all of elems, or when keep
-// is non-nil the n elements whose bit keep sets. The run goes in whole,
-// behind every entry already queued, once it fits within capacity or
-// the mailbox is empty, and after every producer that was already
-// waiting; until then the producer waits. So a mailbox never holds more
-// than capacity elements or one run, and its buffers top out at that
-// size.
-func (mb *mailbox) put(input int, elems []stream.Element, keep []uint64, n int) {
+// is non-nil the n elements whose bit keep sets. A lent run's tuples are
+// copied in values and all (the caller reuses their values once put
+// returns); any other run's elements are copied and their tuples shared.
+// The run goes in whole, behind every entry already queued, once it fits
+// within capacity or the mailbox is empty, and after every producer that
+// was already waiting; until then the producer waits. So a mailbox never
+// holds more than capacity elements or one run, and its buffers top out
+// at that size.
+func (mb *mailbox) put(input int, elems []stream.Element, keep []uint64, n int, lent bool) {
 	mb.mu.Lock()
 	if mb.next != mb.serving || !mb.fits(n) {
 		ticket := mb.next
@@ -288,13 +293,19 @@ func (mb *mailbox) put(input int, elems []stream.Element, keep []uint64, n int) 
 			mb.space.Broadcast() // the next ticket's run may fit behind this one
 		}
 	}
-	if keep == nil {
+	if keep == nil && !lent {
 		mb.elems = append(mb.elems, elems...)
 	} else {
 		for i, e := range elems {
-			if keep[i/64]&(1<<(i%64)) != 0 {
-				mb.elems = append(mb.elems, e)
+			if keep != nil && keep[i/64]&(1<<(i%64)) == 0 {
+				continue
 			}
+			if lent && !e.IsPunct() {
+				start := len(mb.vals)
+				mb.vals = append(mb.vals, e.Tuple().Values...)
+				e = stream.TupleElement(stream.NewTuple(mb.vals[start:len(mb.vals):len(mb.vals)]...))
+			}
+			mb.elems = append(mb.elems, e)
 		}
 	}
 	mb.msgs = append(mb.msgs, shardMsg{input: input, n: n})
@@ -335,6 +346,7 @@ func (mb *mailbox) take() (elems []stream.Element, msgs []shardMsg, ok bool) {
 		mb.ready.Wait()
 	}
 	mb.elems, mb.takenElems = mb.takenElems, mb.elems
+	mb.vals, mb.takenVals = mb.takenVals, mb.vals
 	mb.msgs, mb.takenMsgs = mb.takenMsgs, mb.msgs
 	mb.space.Broadcast()
 	mb.mu.Unlock()
@@ -345,11 +357,12 @@ func (mb *mailbox) take() (elems []stream.Element, msgs []shardMsg, ok bool) {
 // swap unless they held a run too long to be worth pinning.
 func (mb *mailbox) release() {
 	if len(mb.takenElems) > max(mb.capacity, maxRunBuf) {
-		mb.takenElems = nil
+		mb.takenElems, mb.takenVals = nil, nil
 	}
 	clear(mb.takenElems)
+	clear(mb.takenVals)
 	clear(mb.takenMsgs)
-	mb.takenElems, mb.takenMsgs = mb.takenElems[:0], mb.takenMsgs[:0]
+	mb.takenElems, mb.takenVals, mb.takenMsgs = mb.takenElems[:0], mb.takenVals[:0], mb.takenMsgs[:0]
 }
 
 // shardCkpt is a worker's answer to a checkpoint barrier: its tree's
@@ -787,7 +800,7 @@ func (rt *Runtime) Err() error {
 // an error instead of panicking; with FailFast it returns the runtime's
 // first error once any shard has failed.
 func (rt *Runtime) Send(streamName string, e stream.Element) error {
-	return rt.commit("Send", "", streamName, []stream.Element{e}, nil, 0, nil)
+	return rt.commit("Send", "", streamName, []stream.Element{e}, false, nil, 0, nil)
 }
 
 // SendAt is Send plus offset bookkeeping: on success it records offset
@@ -796,7 +809,7 @@ func (rt *Runtime) Send(streamName string, e stream.Element) error {
 // Checkpoint observes either both or neither — the consistent cut that
 // makes resume-after-restore exactly-once.
 func (rt *Runtime) SendAt(source, streamName string, e stream.Element, offset int64) error {
-	return rt.commit("SendAt", source, streamName, []stream.Element{e}, nil, offset, nil)
+	return rt.commit("SendAt", source, streamName, []stream.Element{e}, false, nil, offset, nil)
 }
 
 // SendBatch routes a run of elements of one named stream, equivalent to
@@ -804,12 +817,13 @@ func (rt *Runtime) SendAt(source, streamName string, e stream.Element, offset in
 // shard: the run is filtered per query on the router side and the
 // accepted elements enter the mailbox as one run under one lock hold, so
 // per-element routing and locking is amortized across the batch. The
-// caller keeps ownership of elems (each shard copies the run in). Filter errors
-// follow Send's policy handling per element; under Fail the offender
-// fails the runtime and the batch is not delivered to the failing
-// query's shard.
+// caller keeps ownership of elems (each shard copies the run in) but
+// hands over the tuples: the runtime reads their Values after SendBatch
+// returns, so a caller must not overwrite them. Filter errors follow
+// Send's policy handling per element; under Fail the offender fails the
+// runtime and the batch is not delivered to the failing query's shard.
 func (rt *Runtime) SendBatch(streamName string, elems []stream.Element) error {
-	return rt.commit("SendBatch", "", streamName, elems, nil, 0, nil)
+	return rt.commit("SendBatch", "", streamName, elems, false, nil, 0, nil)
 }
 
 // commit is the one way elements enter the runtime; every producer entry
@@ -820,8 +834,10 @@ func (rt *Runtime) SendBatch(streamName string, elems []stream.Element) error {
 // a concurrent Checkpoint sees all of it or none of it. With a tap
 // recorder attached, the whole commit additionally runs under tapMu and
 // finishes by handing the committed raw bytes to the tap, so tap order
-// equals send order across concurrent sources.
-func (rt *Runtime) commit(op, source, streamName string, elems []stream.Element, faults []DeadLetter, offset int64, rec *tapRecorder) error {
+// equals send order across concurrent sources. A lent run (wire ingest)
+// is the caller's to reuse once commit returns, values and all; any other
+// run hands its tuples over (routeRun).
+func (rt *Runtime) commit(op, source, streamName string, elems []stream.Element, lent bool, faults []DeadLetter, offset int64, rec *tapRecorder) error {
 	rt.closeMu.RLock()
 	defer rt.closeMu.RUnlock()
 	if rt.closed {
@@ -841,7 +857,7 @@ func (rt *Runtime) commit(op, source, streamName string, elems []stream.Element,
 	for _, f := range faults {
 		rt.dlq.add(f)
 	}
-	if err := rt.routeRun(streamName, elems); err != nil {
+	if err := rt.routeRun(streamName, elems, lent); err != nil {
 		return err
 	}
 	if source != "" {
@@ -862,8 +878,11 @@ func (rt *Runtime) commit(op, source, streamName string, elems []stream.Element,
 // elements to every subscribed shard, filtered per query. The caller
 // holds closeMu.RLock and keeps elems. An unpartitioned shard's mailbox
 // copies the accepted elements in as one run; a partitioned shard's front
-// gets them in one of the shard's recycled run buffers (takeRun).
-func (rt *Runtime) routeRun(streamName string, elems []stream.Element) error {
+// gets them in one of the shard's recycled run buffers (takeRun). A run's
+// tuples are handed over, except a lent run's, whose values the caller
+// reuses: the mailbox copies them into its value buffer, and a partition
+// front gets clones.
+func (rt *Runtime) routeRun(streamName string, elems []stream.Element, lent bool) error {
 	if len(elems) == 0 {
 		return nil
 	}
@@ -879,9 +898,13 @@ func (rt *Runtime) routeRun(streamName string, elems []stream.Element) error {
 				if err != nil {
 					return err
 				}
-				if ok {
-					accepted = append(accepted, e)
+				if !ok {
+					continue
 				}
+				if lent && !e.IsPunct() {
+					e = stream.TupleElement(e.Tuple().Clone())
+				}
+				accepted = append(accepted, e)
 			}
 			if len(accepted) == 0 {
 				s.giveRun(accepted)
@@ -891,7 +914,7 @@ func (rt *Runtime) routeRun(streamName string, elems []stream.Element) error {
 			continue
 		}
 		if s.reg.filter == nil {
-			s.mb.put(input, elems, nil, len(elems))
+			s.mb.put(input, elems, nil, len(elems), lent)
 			continue
 		}
 		// Filter outside the mailbox lock, once per element, into a bit
@@ -913,7 +936,7 @@ func (rt *Runtime) routeRun(streamName string, elems []stream.Element) error {
 			}
 		}
 		if kept > 0 {
-			s.mb.put(input, elems, keep, kept)
+			s.mb.put(input, elems, keep, kept, lent)
 		}
 	}
 	return nil

@@ -542,9 +542,10 @@ func partitionedCycleAllocs(t *testing.T, bids int) float64 {
 }
 
 // requireMailboxHoldsNothing checks that every slot of both of a shard's
-// mailbox buffer pairs is zero: the worker cleared what it consumed, so
-// an idle shard pins no tuple. With parked it first waits for the
-// shard's worker to park on the empty mailbox.
+// mailbox buffer pairs, value buffers included, is zero: the worker
+// cleared what it consumed, so an idle shard pins no tuple or value. With
+// parked it first waits for the shard's worker to park on the empty
+// mailbox.
 func requireMailboxHoldsNothing(t *testing.T, s *shard, parked bool) {
 	t.Helper()
 	mb := &s.mb
@@ -557,9 +558,17 @@ func requireMailboxHoldsNothing(t *testing.T, s *shard, parked bool) {
 	}
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if len(mb.elems) != 0 || len(mb.msgs) != 0 || len(mb.takenElems) != 0 || len(mb.takenMsgs) != 0 {
-		t.Errorf("shard %q: idle mailbox holds %d+%d elements and %d+%d entries",
-			s.reg.Name, len(mb.elems), len(mb.takenElems), len(mb.msgs), len(mb.takenMsgs))
+	if len(mb.elems) != 0 || len(mb.msgs) != 0 || len(mb.takenElems) != 0 || len(mb.takenMsgs) != 0 ||
+		len(mb.vals) != 0 || len(mb.takenVals) != 0 {
+		t.Errorf("shard %q: idle mailbox holds %d+%d elements, %d+%d values and %d+%d entries",
+			s.reg.Name, len(mb.elems), len(mb.takenElems), len(mb.vals), len(mb.takenVals), len(mb.msgs), len(mb.takenMsgs))
+	}
+	for _, b := range [][]stream.Value{mb.vals, mb.takenVals} {
+		for i, v := range b[:cap(b)] {
+			if !reflect.ValueOf(v).IsZero() {
+				t.Fatalf("shard %q: mailbox value slot %d still holds %v", s.reg.Name, i, v)
+			}
+		}
 	}
 	for _, b := range [][]stream.Element{mb.elems, mb.takenElems} {
 		for i, e := range b[:cap(b)] {
@@ -711,21 +720,37 @@ func TestRecycledBuffersHoldNothing(t *testing.T) {
 	for i := range bidRun {
 		bidRun[i] = stream.TupleElement(stream.NewTuple(stream.Int(int64(i)), stream.Int(int64(i%items)), stream.Float(1)))
 	}
+	// The same bids also arrive over the wire, whose runs are lent: the
+	// mailbox copies their values in.
+	var wire bytes.Buffer
+	item, bid := workload.AuctionSchemas()
+	ww := NewWireWriter(&wire, item, bid)
+	for _, e := range bidRun {
+		if err := ww.Write("bid", e); err != nil {
+			t.Fatal(err)
+		}
+	}
 	send("item", itemRun)
 	for r := 0; r < rounds; r++ {
 		send("bid", bidRun)
 		send("bid", bidRun[:3]) // mixed run lengths, as real feeds have
+		if _, err := rt.IngestWire(bytes.NewReader(wire.Bytes()), item, bid); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, name := range []string{"plain", "part"} {
 		if _, err := rt.Stats(name); err != nil { // travels behind every run sent
 			t.Fatal(err)
 		}
 	}
-	if want := int64(2 * rounds * (len(bidRun) + 3)); results.Load() != want {
+	if want := int64(2 * rounds * (2*len(bidRun) + 3)); results.Load() != want {
 		t.Fatalf("%d results delivered, want %d", results.Load(), want)
 	}
 	plain, part := rt.byName["plain"], rt.byName["part"]
 	requireMailboxHoldsNothing(t, plain, true)
+	if cap(plain.mb.vals) == 0 && cap(plain.mb.takenVals) == 0 {
+		t.Fatal("no lent run's values went through the plain mailbox: the value check is vacuous")
+	}
 	requireRunsHoldNothing(t, part, 2*(partInBuffer+2)+partScriptBuffer+2)
 	requireZero := func(what string, elems []stream.Element) {
 		t.Helper()
@@ -922,11 +947,11 @@ func TestMailboxWaitersInOrder(t *testing.T) {
 		mb.release()
 		return inputs
 	}
-	mb.put(0, make([]stream.Element, 3), nil, 3)
+	mb.put(0, make([]stream.Element, 3), nil, 3, false)
 	long, short := make(chan struct{}), make(chan struct{})
-	go func() { mb.put(1, make([]stream.Element, 10), nil, 10); close(long) }()
+	go func() { mb.put(1, make([]stream.Element, 10), nil, 10, false); close(long) }()
 	waitFor(t, "the long run to wait", waiting(1))
-	go func() { mb.put(2, make([]stream.Element, 1), nil, 1); close(short) }()
+	go func() { mb.put(2, make([]stream.Element, 1), nil, 1, false); close(short) }()
 	waitFor(t, "the short run to wait behind it", waiting(2))
 	if got := takeInputs(); !slices.Equal(got, []int{0}) {
 		t.Fatalf("first take holds inputs %v, want [0]: the short run overtook the waiting long one", got)

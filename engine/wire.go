@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"punctsafe/stream"
 )
@@ -93,6 +94,7 @@ type WireFault struct {
 type wireStream struct {
 	name  string
 	codec *stream.Codec
+	arity int
 }
 
 // wireCorruption classifies a parse failure as data damage (as opposed to
@@ -155,7 +157,7 @@ var ErrWouldBlock = errors.New("engine: wire read would block")
 func NewWireReader(r io.Reader, schemas ...*stream.Schema) *WireReader {
 	wr := &WireReader{r: r, streams: make(map[string]wireStream, len(schemas))}
 	for _, sc := range schemas {
-		wr.streams[sc.Name()] = wireStream{name: sc.Name(), codec: stream.NewCodec(sc)}
+		wr.streams[sc.Name()] = wireStream{name: sc.Name(), codec: stream.NewCodec(sc), arity: sc.Arity()}
 	}
 	return wr
 }
@@ -172,14 +174,23 @@ func (wr *WireReader) Lenient(onFault func(WireFault)) *WireReader {
 
 // Read decodes the next frame. It returns io.EOF at a clean end of input.
 // In strict mode (the default) any corrupt frame fails the read; in
-// Lenient mode corrupt regions are skipped and reported instead.
+// Lenient mode corrupt regions are skipped and reported instead. The
+// element is the caller's: a tuple's values are its own, whatever the
+// reader reads next.
 func (wr *WireReader) Read() (TaggedElement, error) {
+	return wr.read(nil)
+}
+
+// read is Read decoding a tuple's values, when lend is non-nil, into the
+// spare capacity of *lend (grown when short) and extending *lend by them:
+// the tuple is valid while the caller leaves those values in place.
+func (wr *WireReader) read(lend *[]stream.Value) (TaggedElement, error) {
 	for {
 		ws, payload, frameLen, err := wr.readRaw()
 		if err != nil {
 			return TaggedElement{}, err
 		}
-		e, derr := decodeWireFrame(ws, payload)
+		e, derr := decodeWireFrame(ws, payload, lend)
 		if derr == nil {
 			wr.pos += frameLen
 			return TaggedElement{Stream: ws.name, Elem: e}, nil
@@ -417,14 +428,24 @@ func (wr *WireReader) parseRawFrame() (wireStream, []byte, int, error) {
 	return ws, payload, frameLen, nil
 }
 
-// decodeWireFrame decodes one raw frame's payload.
-func decodeWireFrame(ws wireStream, payload []byte) (stream.Element, error) {
-	e, rest, err := ws.codec.Decode(payload)
+// decodeWireFrame decodes one raw frame's payload: a tuple into values of
+// its own, or with lend non-nil into *lend's spare capacity, as read
+// documents.
+func decodeWireFrame(ws wireStream, payload []byte, lend *[]stream.Value) (stream.Element, error) {
+	var buf []stream.Value
+	if lend != nil {
+		*lend = slices.Grow(*lend, ws.arity)
+		buf = (*lend)[len(*lend):]
+	}
+	e, buf, rest, err := ws.codec.DecodeInto(buf, payload)
 	if err != nil {
 		return stream.Element{}, fmt.Errorf("stream %q: %w", ws.name, err)
 	}
 	if len(rest) != 0 {
 		return stream.Element{}, fmt.Errorf("stream %q: %d trailing bytes", ws.name, len(rest))
+	}
+	if lend != nil && !e.IsPunct() {
+		*lend = (*lend)[:len(*lend)+len(buf)]
 	}
 	return e, nil
 }
@@ -479,6 +500,9 @@ func (rt *Runtime) IngestWire(r io.Reader, schemas ...*stream.Schema) (int, erro
 // Under Drop and Quarantine a corrupt region is dead-lettered in the same
 // commit as the first batch whose offset moves past it, so faults are
 // exactly-once across a crash too.
+//
+// Like IngestWire, it decodes every tuple into one value buffer it reuses
+// batch after batch: whatever keeps a tuple past its commit copies it.
 func (rt *Runtime) IngestWireResume(source string, r io.Reader, schemas ...*stream.Schema) (int, error) {
 	return rt.ingestWire("IngestWireResume", source, r, schemas)
 }
@@ -487,7 +511,10 @@ func (rt *Runtime) IngestWireResume(source string, r io.Reader, schemas ...*stre
 // in batches: contiguous same-stream runs (up to ingestBatch frames)
 // travel through commit as one mailbox hand-off per subscribed shard,
 // preserving per-shard element order while amortizing routing and
-// locking. An empty source commits no offset and is not tapped.
+// locking. An empty source commits no offset and is not tapped. The
+// batch's tuples are lent: their values are decoded into one buffer the
+// loop reuses once the batch is committed, and commit copies what it
+// keeps.
 func (rt *Runtime) ingestWire(op, source string, r io.Reader, schemas []*stream.Schema) (int, error) {
 	start := rt.ResumeOffset(source)
 	var rec *tapRecorder
@@ -505,6 +532,7 @@ func (rt *Runtime) ingestWire(op, source string, r io.Reader, schemas []*stream.
 	}
 	const ingestBatch = 128
 	batch := make([]stream.Element, 0, ingestBatch)
+	var vals []stream.Value // the batch's tuple values, back to back
 	batchStream := ""
 	count := 0
 	flush := func(off int64) error {
@@ -521,16 +549,16 @@ func (rt *Runtime) ingestWire(op, source string, r io.Reader, schemas []*stream.
 		if len(ready) == 0 && len(batch) == 0 {
 			return nil
 		}
-		if err := rt.commit(op, source, batchStream, batch, ready, off, rec); err != nil {
+		if err := rt.commit(op, source, batchStream, batch, true, ready, off, rec); err != nil {
 			return err
 		}
 		count += len(batch)
-		batch = batch[:0]
+		batch, vals = batch[:0], vals[:0]
 		return nil
 	}
 	lastEnd := start
 	for {
-		te, err := wr.Read()
+		te, err := wr.read(&vals)
 		if err == io.EOF {
 			// A clean EOF consumes the whole wire: trailing skipped regions
 			// commit with the final offset.
@@ -553,6 +581,12 @@ func (rt *Runtime) ingestWire(op, source string, r io.Reader, schemas []*stream.
 		if len(batch) > 0 && (te.Stream != batchStream || len(batch) >= ingestBatch) {
 			if ferr := flush(lastEnd); ferr != nil {
 				return count, ferr
+			}
+			if !te.Elem.IsPunct() {
+				// The committed values are free: move the pending tuple's
+				// from the end of vals to the front.
+				vals = append(vals, te.Elem.Tuple().Values...)
+				te.Elem = stream.TupleElement(stream.NewTuple(vals...))
 			}
 		}
 		batchStream = te.Stream

@@ -524,9 +524,9 @@ func (m *MJoin) expand(order []int, k int) error {
 	if err != nil {
 		return err
 	}
-	tups := m.states[j].tups
+	st := m.states[j]
 	for _, r := range cand {
-		pr.bound[j] = tups[r]
+		pr.bound[j] = st.tuple(r)
 		pr.isBound[j] = true
 		if err := m.expand(order, k+1); err != nil {
 			return err
@@ -614,9 +614,9 @@ func (m *MJoin) probeDynamic(boundCount int) error {
 	if best < 0 {
 		return fmt.Errorf("%w: no unbound stream adjacent to bound set (query %s)", ErrProbeDisconnected, m.q)
 	}
-	tups := m.states[best].tups
+	st := m.states[best]
 	for _, r := range bestBucket {
-		u := tups[r]
+		u := st.tuple(r)
 		if !m.matchesBound(best, u) {
 			continue
 		}

@@ -795,8 +795,10 @@ func TestLentResultsHoldNothing(t *testing.T) {
 // length 0 and shares its array with no live key's bucket; and a store
 // holds no more entries, live and pooled, than it held live at its peak,
 // nor a state more buckets than its index held keys — so the pools are
-// the purged state's own high-water mark, not a leak. At the end the
-// store pools, reclaimed as the next add would, are all zero.
+// the purged state's own high-water mark, not a leak; and every value
+// page slot past a state's last row is zero, so the pages compaction
+// keeps pin nothing. At the end the store pools, reclaimed as the next
+// add would, are all zero.
 func TestRecycledStateHoldsNothing(t *testing.T) {
 	q, err := workload.SyntheticQuery(workload.Chain, 4)
 	if err != nil {
@@ -815,7 +817,8 @@ func TestRecycledStateHoldsNothing(t *testing.T) {
 		m := tree.Root()
 		storePeak := make([]int, q.N())
 		keyPeak := make([]int, q.N())
-		pooled, spared := 0, 0
+		rowPeak := make([]int, q.N())
+		pooled, spared, compacted := 0, 0, false
 		check := func(when string) {
 			t.Helper()
 			for i, ps := range m.puncts {
@@ -863,6 +866,9 @@ func TestRecycledStateHoldsNothing(t *testing.T) {
 						when, i, keys, len(st.spare), keyPeak[i])
 				}
 				spared = max(spared, len(st.spare))
+				requireSlotsZeroPastRows(t, st)
+				rowPeak[i] = max(rowPeak[i], len(st.ids))
+				compacted = compacted || len(st.ids) < rowPeak[i]
 			}
 		}
 		feed, err := workload.NewFeed(q, inputs)
@@ -896,8 +902,8 @@ func TestRecycledStateHoldsNothing(t *testing.T) {
 		}
 		check("after the drain")
 		st := m.StatsSnapshot()
-		if purged := st.PunctsPurged[0] + st.PunctsPurged[1] + st.PunctsPurged[2] + st.PunctsPurged[3]; purged == 0 || pooled == 0 || spared == 0 {
-			t.Fatalf("%+v: %d punctuations purged, at most %d entries pooled and %d buckets kept: nothing was recycled", cfg, purged, pooled, spared)
+		if purged := st.PunctsPurged[0] + st.PunctsPurged[1] + st.PunctsPurged[2] + st.PunctsPurged[3]; purged == 0 || pooled == 0 || spared == 0 || !compacted {
+			t.Fatalf("%+v: %d punctuations purged, at most %d entries pooled and %d buckets kept, compacted %v: nothing was recycled", cfg, purged, pooled, spared, compacted)
 		}
 		for i, ps := range m.puncts {
 			ps.reclaim()

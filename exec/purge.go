@@ -144,7 +144,7 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 	// purge requirements (or frontiers) touched.
 	for head := 0; head < len(pg.queue); head++ {
 		k := pg.queue[head]
-		u := m.states[k.s].tups[k.r]
+		u := m.states[k.s].tuple(k.r)
 		for _, p := range m.predsTouching[k.s] {
 			other, myAttr, otherAttr := p.Other(k.s)
 			m.pgPushAll(other, m.states[other].index.lookup(otherAttr, u.Values[myAttr]))
@@ -157,15 +157,16 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 		slices.Sort(pg.cand[i])
 	}
 
+	// The removed tuples are views into their pages: read them before
+	// endRound lets the states compact.
 	removed := m.purgeFixpoint(pg.cand)
-	m.endRound()
-
 	if !m.cfg.DisableOutputPuncts {
 		out = m.emitForRemoved(out, removed)
 	}
 	if m.cfg.PurgePunctuations {
 		m.purgePunctStores(batch, removed)
 	}
+	m.endRound()
 	return out
 }
 
@@ -174,9 +175,9 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 // removals — the cascade of the chained purge strategy). Candidate lists
 // must be sorted ascending and their states pinned; they are filtered in
 // place (which preserves the order). It returns the removed tuples per
-// input — scratch buffers valid until the next fixpoint — so punctuation
-// re-emission and §5.1 store purging can be targeted instead of
-// rescanning whole stores.
+// input — scratch buffers of views into the states' pages, readable until
+// the round's endRound — so punctuation re-emission and §5.1 store purging
+// can be targeted instead of rescanning whole stores.
 func (m *MJoin) purgeFixpoint(cand [][]row) [][]stream.Tuple {
 	removed := m.pg.removed
 	for s := range removed {
@@ -191,7 +192,7 @@ func (m *MJoin) purgeFixpoint(cand [][]row) [][]stream.Tuple {
 			}
 			st, w := m.states[s], 0
 			for _, r := range cand[s] {
-				t := st.tups[r]
+				t := st.tuple(r)
 				m.stats.PurgeChecks++
 				if !m.purgeableTuple(s, t) {
 					cand[s][w] = r
@@ -362,7 +363,7 @@ func (m *MJoin) frontier(dst []stream.Tuple, j int, covered []bool, frontiers []
 	st := m.states[j]
 	for _, vk := range pg.consKeys[best] {
 		for _, r := range st.index.lookup(pg.consAttrs[best], vk.Value()) {
-			u := st.tups[r]
+			u := st.tuple(r)
 			ok := true
 			for ci := 0; ci < nc; ci++ {
 				if ci == best {
@@ -521,7 +522,7 @@ func (m *MJoin) hasMatchingTuple(input int, pl *punctPlan, p stream.Punctuation)
 	st := m.states[input]
 	if pl.probeSlot >= 0 {
 		for _, r := range st.index.lookup(p.ConstIndexes()[pl.probeSlot], constant(p, pl.probeSlot)) {
-			if p.Matches(st.tups[r]) {
+			if p.Matches(st.tuple(r)) {
 				return true
 			}
 		}
@@ -694,7 +695,7 @@ func (m *MJoin) partnerHolds(pr *partnerPlan, p stream.Punctuation) bool {
 	st := m.states[pr.other]
 candidates:
 	for _, r := range st.index.lookup(pr.attrs[0], constant(p, pr.slots[0])) {
-		u := st.tups[r]
+		u := st.tuple(r)
 		for i := 1; i < len(pr.attrs); i++ {
 			if !u.Values[pr.attrs[i]].Equal(constant(p, pr.slots[i])) {
 				continue candidates

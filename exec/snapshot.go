@@ -192,7 +192,7 @@ func (m *MJoin) appendInputState(dst []byte, input int, codec *stream.Codec) ([]
 			continue
 		}
 		dst = binary.AppendUvarint(dst, uint64(st.ids[r]))
-		if dst, encErr = codec.Encode(dst, stream.TupleElement(st.tups[r])); encErr != nil {
+		if dst, encErr = codec.Encode(dst, stream.TupleElement(st.tuple(row(r)))); encErr != nil {
 			return nil, fmt.Errorf("exec: serializing stored tuple: %w", encErr)
 		}
 	}
@@ -313,6 +313,7 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 			ErrCorruptState, frozenBound, freezeAt, nextID)
 	}
 	st := newJoinState(m.q.Stream(input), m.q.JoinAttrs(input))
+	var scratch []stream.Value // append copies each row out of it
 	prev := int64(-1)
 	for _, what := range []string{"frozen tuple", "tuple"} {
 		n, err := d.count(what + " count")
@@ -331,8 +332,8 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 				return nil, fmt.Errorf("%w: %s id %d not below nextID %d", ErrCorruptState, what, id, nextID)
 			}
 			prev = int64(id)
-			e, err := d.element(codec)
-			if err != nil {
+			var e stream.Element
+			if e, scratch, err = d.elementInto(codec, scratch); err != nil {
 				return nil, err
 			}
 			if e.IsPunct() {
@@ -529,12 +530,19 @@ func (d *stateDec) byteVal(what string) (byte, error) {
 // element decodes one codec-framed element in place (the codec encoding
 // is self-delimiting).
 func (d *stateDec) element(c *stream.Codec) (stream.Element, error) {
-	e, rest, err := c.Decode(d.buf[d.off:])
+	e, _, err := d.elementInto(c, nil)
+	return e, err
+}
+
+// elementInto is element decoding a tuple into buf's storage
+// (Codec.DecodeInto), returning the buffer for the next call.
+func (d *stateDec) elementInto(c *stream.Codec, buf []stream.Value) (stream.Element, []stream.Value, error) {
+	e, buf, rest, err := c.DecodeInto(buf, d.buf[d.off:])
 	if err != nil {
-		return stream.Element{}, fmt.Errorf("%w: element at byte %d: %v", ErrCorruptState, d.off, err)
+		return stream.Element{}, buf, fmt.Errorf("%w: element at byte %d: %v", ErrCorruptState, d.off, err)
 	}
 	d.off = len(d.buf) - len(rest)
-	return e, nil
+	return e, buf, nil
 }
 
 func boolByte(b bool) byte {

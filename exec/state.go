@@ -23,14 +23,22 @@ type row uint32
 // expansion, purge cascades, sweeps all walk in arrival order) is a
 // linear walk. The index buckets hold ROW POSITIONS: ascending row =
 // ascending id = arrival order, appends keep them sorted for free, and the
-// hop from a bucket entry to its tuple is tups[row] whatever the
-// compaction history. Removal tombstones the row; compaction rewrites the
-// columns once tombstones dominate and renumbers the buckets through an
-// old-row→new-row table.
+// hop from a bucket entry to its tuple is tuple(row) whatever the
+// compaction history. A stored tuple's values are the state's own: append
+// copies them into fixed-size pages, so the caller may reuse what it
+// stored. Removal tombstones the row and leaves its values in place;
+// compaction rewrites the columns once tombstones dominate, clears the
+// slots it vacates, and renumbers the buckets through an old-row→new-row
+// table.
 type joinState struct {
-	ids  []tupleID      // sorted ascending (monotonic assignment)
-	tups []stream.Tuple // parallel to ids
-	dead []bool         // parallel tombstones
+	ids  []tupleID // sorted ascending (monotonic assignment)
+	dead []bool    // parallel tombstones
+	// pages hold the rows' values, pageRows rows of arity values each: row
+	// r is pages[r/pageRows] at (r%pageRows)*arity. A page is allocated
+	// whole when the rows outgrow the pages; compaction keeps the pages it
+	// empties for new rows, and every slot past the last row is zero.
+	pages [][]stream.Value
+	arity int
 	// mark is a scratch word per row: a purge round stamps the rows it has
 	// queued (purge.go); compact, which never runs inside a round, borrows
 	// it as its old-row→new-row table and leaves it zeroed.
@@ -48,6 +56,9 @@ type joinState struct {
 	// round); compaction waits until it drops to zero.
 	walkers int
 }
+
+// pageRows is how many rows one value page holds.
+const pageRows = 128
 
 // compactMinDead bounds how small a state bothers compacting; below it
 // tombstones cost less than the rewrite.
@@ -77,7 +88,20 @@ func newJoinState(sc *stream.Schema, joinAttrs []int) *joinState {
 	for _, a := range joinAttrs {
 		index[a] = newKeyMap[[]row](sc.Attr(a).Kind != stream.KindString)
 	}
-	return &joinState{index: index}
+	return &joinState{index: index, arity: sc.Arity()}
+}
+
+// tuple returns row r's tuple: a view into the state's page, valid until
+// the state compacts (which a holder defers with pin). Its values are
+// capacity-clamped, so no append through the view reaches the next row.
+func (st *joinState) tuple(r row) stream.Tuple {
+	return stream.Tuple{Values: st.slot(r)}
+}
+
+// slot returns row r's values in its page.
+func (st *joinState) slot(r row) []stream.Value {
+	i := int(r%pageRows) * st.arity
+	return st.pages[r/pageRows][i : i+st.arity : i+st.arity]
 }
 
 // insert stores a tuple under the next id.
@@ -86,13 +110,16 @@ func (st *joinState) insert(t stream.Tuple) {
 	st.nextID++
 }
 
-// append stores a tuple under an id above every id present and indexes
-// its join attributes; the new row is the highest, so buckets stay sorted
-// by construction.
+// append stores a copy of a tuple under an id above every id present and
+// indexes its join attributes; the new row is the highest, so buckets stay
+// sorted by construction.
 func (st *joinState) append(id tupleID, t stream.Tuple) {
 	r := row(len(st.ids))
+	if int(r) == len(st.pages)*pageRows {
+		st.pages = append(st.pages, make([]stream.Value, pageRows*st.arity))
+	}
+	copy(st.slot(r), t.Values)
 	st.ids = append(st.ids, id)
-	st.tups = append(st.tups, t)
 	st.dead = append(st.dead, false)
 	st.mark = append(st.mark, 0)
 	for a, idx := range st.index {
@@ -127,11 +154,11 @@ func popLast[T any](pool *[]T) (T, bool) {
 }
 
 // remove tombstones the live row r, unindexes it, and compacts by the
-// policy once nothing holds a row.
+// policy once nothing holds a row. The row's values stay in its page until
+// compaction, so a tuple taken from it under a pin stays readable.
 func (st *joinState) remove(r row) {
-	t := st.tups[r]
+	t := st.tuple(r)
 	st.dead[r] = true
-	st.tups[r] = stream.Tuple{} // release the value storage now
 	st.nDead++
 	for a, idx := range st.index {
 		if idx == nil {
@@ -184,9 +211,10 @@ func (st *joinState) tidy() {
 	}
 }
 
-// compact rewrites the columns without tombstoned rows and renumbers the
-// index buckets (which hold only live rows): one pass over the columns
-// and one over the buckets, paid for by the tombstones that triggered it.
+// compact rewrites the columns without tombstoned rows, clears the value
+// slots it vacates (keeping their pages), and renumbers the index buckets
+// (which hold only live rows): one pass over the columns and one over the
+// buckets, paid for by the tombstones that triggered it.
 func (st *joinState) compact() {
 	w := 0
 	for r := range st.ids {
@@ -194,8 +222,14 @@ func (st *joinState) compact() {
 			continue
 		}
 		st.mark[r] = uint32(w)
-		st.ids[w], st.tups[w], st.dead[w] = st.ids[r], st.tups[r], false
+		st.ids[w], st.dead[w] = st.ids[r], false
+		if w != r {
+			copy(st.slot(row(w)), st.slot(row(r)))
+		}
 		w++
+	}
+	for r := w; r < len(st.ids); r++ {
+		clear(st.slot(row(r)))
 	}
 	for _, idx := range st.index {
 		if idx != nil {
@@ -206,9 +240,8 @@ func (st *joinState) compact() {
 			})
 		}
 	}
-	clear(st.tups[w:])
 	clear(st.mark)
-	st.ids, st.tups, st.dead, st.mark = st.ids[:w], st.tups[:w], st.dead[:w], st.mark[:w]
+	st.ids, st.dead, st.mark = st.ids[:w], st.dead[:w], st.mark[:w]
 	st.nDead, st.head = 0, 0
 }
 
@@ -224,7 +257,7 @@ func (st *joinState) each(fn func(row, stream.Tuple) bool) {
 	st.pin()
 	defer st.unpin()
 	for r := range st.ids {
-		if !st.dead[r] && !fn(row(r), st.tups[r]) {
+		if !st.dead[r] && !fn(row(r), st.tuple(row(r))) {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -70,12 +71,17 @@ func (sm *stateModel) step(code, arg byte) {
 		strs := []string{"", "a", "b", "cc"}
 		spare := len(st.spare)
 		defer func() { sm.reused = sm.reused || len(st.spare) < spare }()
+		// The run goes in through one buffer, overwritten after every
+		// insert: the state keeps copies.
+		vals := make([]stream.Value, 3)
 		for n := int(arg)%48 + 1; n > 0; n-- {
 			v := int64(sm.next)
-			u := stream.NewTuple(stream.Int((v*7+int64(arg))%6), stream.Str(strs[(v+int64(arg))%4]), stream.Int(v))
+			vals[0], vals[1], vals[2] = stream.Int((v*7+int64(arg))%6), stream.Str(strs[(v+int64(arg))%4]), stream.Int(v)
+			u := stream.NewTuple(vals...)
 			st.insert(u)
-			sm.model[sm.next] = u
+			sm.model[sm.next] = u.Clone()
 			sm.next++
+			vals[0], vals[1], vals[2] = stream.Int(-1), stream.Str("scribbled"), stream.Int(-1)
 		}
 	case 2: // remove the arg-th stored tuple, compacting by threshold
 		if k := len(sm.model); k > 0 {
@@ -170,9 +176,10 @@ func (sm *stateModel) check(st *joinState) {
 	if st.tombstoned() {
 		t.Fatalf("%d of %d rows dead and not compacted", st.nDead, len(st.ids))
 	}
-	if n := len(st.ids); len(st.tups) != n || len(st.dead) != n || len(st.mark) != n {
-		t.Fatalf("column lengths %d %d %d %d", n, len(st.tups), len(st.dead), len(st.mark))
+	if n := len(st.ids); len(st.dead) != n || len(st.mark) != n || len(st.pages)*pageRows < n {
+		t.Fatalf("column lengths %d %d %d, %d pages", n, len(st.dead), len(st.mark), len(st.pages))
 	}
+	requireSlotsZeroPastRows(t, st)
 	dead := 0
 	expect := make([]map[mapKey][]row, len(st.index))
 	for r, id := range st.ids {
@@ -190,7 +197,7 @@ func (sm *stateModel) check(st *joinState) {
 			if expect[a] == nil {
 				expect[a] = map[mapKey][]row{}
 			}
-			k := idx.keyOf(st.tups[r].Values[a])
+			k := idx.keyOf(st.tuple(row(r)).Values[a])
 			expect[a][k] = append(expect[a][k], row(r))
 		}
 	}
@@ -213,6 +220,20 @@ func (sm *stateModel) check(st *joinState) {
 		}
 	}
 	sm.checkSpare(st, keys)
+}
+
+// requireSlotsZeroPastRows fails unless every page slot past the state's
+// last row is zero: the values compaction vacated are cleared, and the
+// pages it keeps pin nothing.
+func requireSlotsZeroPastRows(t *testing.T, st *joinState) {
+	t.Helper()
+	for r := len(st.ids); r < len(st.pages)*pageRows; r++ {
+		for _, v := range st.slot(row(r)) {
+			if !reflect.ValueOf(v).IsZero() {
+				t.Fatalf("row %d past the %d rows holds %v", r, len(st.ids), v)
+			}
+		}
+	}
 }
 
 // checkSpare holds the state's spare buckets to their rules: empty,

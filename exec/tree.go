@@ -98,6 +98,8 @@ func NewTree(base Config, root *plan.Node) (*Tree, error) {
 // overwrites it. Copy the slice (slices.Clone) to keep it longer; the
 // tuples and punctuations in it are never overwritten, unless the tree
 // lends its result tuples (Lend), as every tree the engine builds does.
+// The tree reads e only during the call and copies a tuple it stores, so
+// the caller may reuse the tuple's Values once Push returns.
 func (t *Tree) Push(streamIdx int, e stream.Element) ([]stream.Element, error) {
 	out, _, err := t.PushBatch(streamIdx, []stream.Element{e})
 	return out, err

@@ -73,11 +73,15 @@ stage_allocfloors() {
   # Store entries and index buckets come from what purges freed, and those
   # pools hold nothing and never outgrow the state's high-water mark. The
   # partitioned gate allocates one key per new punctuation identity, its
-  # text appended into a kept buffer. Frame decoding keeps its per-frame
-  # bound.
+  # text appended into a kept buffer. The join state copies what it stores
+  # into value pages it keeps, and the page slots past its last row are
+  # zero. WireReader.Read, whose elements are the caller's, keeps its
+  # per-frame bound; wire ingest decodes into one buffer it reuses and the
+  # mailbox copies the values in, so a warmed string-free tuple frame
+  # allocates 0 and a punctuation frame 1.
   go test -run 'TestValueLayout|TestPunctuationAppendTo|TestDecodePunctAllocs' -count 1 ./stream/
   go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestPushBatchAllocFloor|TestResultBytesFloor|TestRecycledStateHoldsNothing|TestAlignmentGateAllocs' -count 1 ./exec/...
-  go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
+  go test -run 'TestWireReaderReadAllocs|TestIngestWireAllocFloor' -count 1 ./engine/...
   # Producer-side floor: Send, SendAt and SendBatch of any length copy the
   # run straight into each subscribed shard's mailbox, 0 allocations once
   # its buffers have reached their high-water mark; so is a run scattered
