@@ -1,15 +1,16 @@
 // Punctcheck is the compile-time safety checker as a command line tool:
-// it reads a query spec (streams, join predicates, punctuation schemes),
-// runs the paper's safety analysis, and explains the verdict — including
-// the punctuation graph, the TPG transformation trace, the per-stream
-// purge plans and, with -plans, the safe execution plans with costs.
+// it reads a streamsql script (CREATE STREAM, DECLARE SCHEME, SELECT),
+// runs the paper's safety analysis on every SELECT against the script's
+// punctuation schemes, and explains each verdict — the per-stream purge
+// plans; with -v the punctuation graph and the TPG transformation trace;
+// with -plans the safe execution plans with costs.
 //
 // Usage:
 //
-//	punctcheck [-v] [-plans] [file.spec]
+//	punctcheck [-v] [-plans] [-dot pg|gpg|tpg] [script.sql]
 //
-// With no file the spec is read from stdin. Exit status 0 = safe,
-// 1 = unsafe, 2 = invalid input.
+// With no file the script is read from stdin. Exit status 0 = every query
+// safe, 1 = some query unsafe, 2 = invalid input.
 package main
 
 import (
@@ -20,125 +21,109 @@ import (
 
 	"punctsafe/plan"
 	"punctsafe/safety"
-	"punctsafe/spec"
 	"punctsafe/streamsql"
 )
 
 func main() {
-	verbose := flag.Bool("v", false, "print the punctuation graph and TPG transformation trace")
-	plans := flag.Bool("plans", false, "enumerate safe execution plans with estimated costs")
-	dot := flag.String("dot", "", "emit a Graphviz graph instead of text: pg | gpg | tpg")
-	sql := flag.Bool("sql", false, "input is a streamsql script (CREATE STREAM / DECLARE SCHEME / SELECT)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: punctcheck [-v] [-plans] [file.spec]\n\n")
-		fmt.Fprintf(os.Stderr, "Spec format:\n")
-		fmt.Fprintf(os.Stderr, "  stream S1(A:int, B:int)\n")
-		fmt.Fprintf(os.Stderr, "  join S1.B = S2.B\n")
-		fmt.Fprintf(os.Stderr, "  scheme S1(_, +)\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	in := os.Stdin
-	if flag.NArg() > 1 {
-		flag.Usage()
-		os.Exit(2)
+// run is punctcheck with its arguments, streams and exit status made
+// explicit, so tests drive the same path main does.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("punctcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	verbose := fs.Bool("v", false, "print the punctuation graph and TPG transformation trace")
+	plans := fs.Bool("plans", false, "enumerate safe execution plans with estimated costs")
+	dot := fs.String("dot", "", "emit a Graphviz graph per query instead of text: pg | gpg | tpg")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: punctcheck [-v] [-plans] [-dot pg|gpg|tpg] [script.sql]")
+		fmt.Fprintln(stderr, "The script is streamsql: CREATE STREAM, DECLARE SCHEME and SELECT statements.")
+		fs.PrintDefaults()
 	}
-	if flag.NArg() == 1 {
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		in = f
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *sql {
-		src, err := io.ReadAll(in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cqs, err := streamsql.ParseAndCompile(string(src))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if len(cqs) == 0 {
-			fmt.Fprintln(os.Stderr, "streamsql: no SELECT statements")
-			os.Exit(2)
-		}
-		anyUnsafe := false
-		for i, cq := range cqs {
-			fmt.Printf("-- query %d --\n", i+1)
-			fmt.Print(cq.Report.Explain(cq.Query))
-			if !cq.Report.Safe {
-				anyUnsafe = true
-			}
-		}
-		if anyUnsafe {
-			os.Exit(1)
-		}
-		return
+	switch *dot {
+	case "", "pg", "gpg", "tpg":
+	default:
+		fmt.Fprintf(stderr, "unknown -dot target %q (pg | gpg | tpg)\n", *dot)
+		return 2
 	}
-
-	sp, err := spec.Parse(in)
+	if fs.NArg() > 1 {
+		fs.Usage()
+		return 2
+	}
+	var src []byte
+	var err error
+	if fs.NArg() == 1 {
+		src, err = os.ReadFile(fs.Arg(0))
+	} else {
+		src, err = io.ReadAll(stdin)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	script, err := streamsql.Parse(string(src))
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	cqs, err := streamsql.Compile(script)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if len(cqs) == 0 {
+		fmt.Fprintln(stderr, "streamsql: no SELECT statements")
+		return 2
 	}
 
-	if *dot != "" {
+	status := 0
+	for i, cq := range cqs {
+		q, schemes, rep := cq.Query, script.Schemes, cq.Report
+		if !rep.Safe {
+			status = 1
+		}
 		switch *dot {
 		case "pg":
-			fmt.Print(safety.BuildPG(sp.Query, sp.Schemes).Dot())
+			fmt.Fprint(stdout, safety.BuildPG(q, schemes).Dot())
 		case "gpg":
-			fmt.Print(safety.BuildGPG(sp.Query, sp.Schemes).Dot())
+			fmt.Fprint(stdout, safety.BuildGPG(q, schemes).Dot())
 		case "tpg":
-			fmt.Print(safety.Transform(sp.Query, sp.Schemes).Dot())
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -dot target %q (pg | gpg | tpg)\n", *dot)
-			os.Exit(2)
+			fmt.Fprint(stdout, safety.Transform(q, schemes).Dot())
 		}
-		return
-	}
-
-	rep, err := safety.Check(sp.Query, sp.Schemes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	fmt.Print(rep.Explain(sp.Query))
-
-	if *verbose {
-		fmt.Println()
-		fmt.Println("punctuation graph:", safety.BuildPG(sp.Query, sp.Schemes))
-		gpg := safety.BuildGPG(sp.Query, sp.Schemes)
-		if gens := gpg.GenEdges(); len(gens) > 0 {
-			fmt.Println("generalized edges:")
-			for _, e := range gens {
-				fmt.Printf("  -> %s via %s\n", sp.Query.Stream(e.Head).Name(), e.Scheme)
+		if *dot != "" {
+			continue
+		}
+		fmt.Fprintf(stdout, "-- query %d --\n", i+1)
+		fmt.Fprint(stdout, rep.Explain(q))
+		if *verbose {
+			fmt.Fprintln(stdout)
+			fmt.Fprintln(stdout, "punctuation graph:", safety.BuildPG(q, schemes))
+			if gens := safety.BuildGPG(q, schemes).GenEdges(); len(gens) > 0 {
+				fmt.Fprintln(stdout, "generalized edges:")
+				for _, e := range gens {
+					fmt.Fprintf(stdout, "  -> %s via %s\n", q.Stream(e.Head).Name(), e.Scheme)
+				}
+			}
+			fmt.Fprintln(stdout, "TPG transformation:")
+			fmt.Fprint(stdout, safety.Transform(q, schemes))
+		}
+		if *plans && rep.Safe {
+			fmt.Fprintln(stdout)
+			model := plan.DefaultCostModel(q)
+			safePlans, err := plan.EnumerateSafe(q, schemes, model)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return 2
+			}
+			fmt.Fprintf(stdout, "safe execution plans (%d):\n", len(safePlans))
+			for j, p := range safePlans {
+				fmt.Fprintf(stdout, "  %d. %-36s cost: %s\n", j+1, p.Render(q), model.PlanCost(q, schemes, p))
 			}
 		}
-		fmt.Println("TPG transformation:")
-		fmt.Print(safety.Transform(sp.Query, sp.Schemes))
 	}
-
-	if *plans && rep.Safe {
-		fmt.Println()
-		model := plan.DefaultCostModel(sp.Query)
-		safePlans, err := plan.EnumerateSafe(sp.Query, sp.Schemes, model)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("safe execution plans (%d):\n", len(safePlans))
-		for i, p := range safePlans {
-			fmt.Printf("  %d. %-36s cost: %s\n", i+1, p.Render(sp.Query), model.PlanCost(sp.Query, sp.Schemes, p))
-		}
-	}
-
-	if !rep.Safe {
-		os.Exit(1)
-	}
+	return status
 }

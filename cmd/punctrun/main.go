@@ -5,7 +5,6 @@
 // Usage:
 //
 //	punctrun -scenario auction|netmon|sensors|chain|cycle|star|clique [flags]
-//	punctrun -spec query.spec [flags]
 //	punctrun -sql script.sql [flags]
 //
 // Flags tune the workload size, the purge strategy (eager/lazy batch),
@@ -27,7 +26,6 @@ import (
 	"punctsafe/exec"
 	"punctsafe/internal/faultinject"
 	"punctsafe/query"
-	"punctsafe/spec"
 	"punctsafe/stream"
 	"punctsafe/streamsql"
 	"punctsafe/workload"
@@ -44,7 +42,6 @@ func main() {
 		purgePunct   = flag.Bool("purgepunct", false, "enable §5.1 punctuation purging")
 		interval     = flag.Int("interval", 0, "print state sizes every N elements (0 = summary only)")
 		zipf         = flag.Float64("zipf", 0, "Zipf skew for synthetic value draws; for -scenario auction, skews bids-per-item heavy-tailed")
-		specFile     = flag.String("spec", "", "run the query declared in this spec file on a generated closed workload")
 		sqlFile      = flag.String("sql", "", "run the first query of this streamsql script on a generated closed workload")
 		csvPath      = flag.String("csv", "", "write a state/punctuation/result timeline as CSV to this file")
 		parallel     = flag.Bool("parallel", false, "ingest through the sharded per-query runtime (-interval reads race-safe snapshots; -csv is unsupported)")
@@ -93,7 +90,7 @@ func main() {
 		enginePartitions = *partitions
 	}
 
-	q, schemes, inputs, err := buildScenario(*scenario, *size, *k, !*noPunct, *zipf, *specFile, *sqlFile)
+	q, schemes, inputs, err := buildScenario(*scenario, *size, *k, !*noPunct, *zipf, *sqlFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -395,9 +392,9 @@ func main() {
 	}
 }
 
-func buildScenario(name string, n, k int, punct bool, zipf float64, specFile, sqlFile string) (*query.CJQ, *stream.SchemeSet, []workload.Input, error) {
-	if specFile != "" || sqlFile != "" {
-		return declaredScenario(n, punct, zipf, specFile, sqlFile)
+func buildScenario(name string, n, k int, punct bool, zipf float64, sqlFile string) (*query.CJQ, *stream.SchemeSet, []workload.Input, error) {
+	if sqlFile != "" {
+		return declaredScenario(n, punct, zipf, sqlFile)
 	}
 	switch name {
 	case "auction":
@@ -443,38 +440,25 @@ func buildScenario(name string, n, k int, punct bool, zipf float64, specFile, sq
 	}
 }
 
-// declaredScenario loads a user-declared query (spec or streamsql) and
+// declaredScenario loads the first query of a streamsql script and
 // generates a closed workload for it.
-func declaredScenario(n int, punct bool, zipf float64, specFile, sqlFile string) (*query.CJQ, *stream.SchemeSet, []workload.Input, error) {
-	var q *query.CJQ
-	var schemes *stream.SchemeSet
-	switch {
-	case specFile != "":
-		f, err := os.Open(specFile)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		defer f.Close()
-		sp, err := spec.Parse(f)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		q, schemes = sp.Query, sp.Schemes
-	default:
-		src, err := os.ReadFile(sqlFile)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cqs, err := streamsql.ParseAndCompile(string(src))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if len(cqs) == 0 {
-			return nil, nil, nil, fmt.Errorf("script has no SELECT statement")
-		}
-		script, _ := streamsql.Parse(string(src))
-		q, schemes = cqs[0].Query, script.Schemes
+func declaredScenario(n int, punct bool, zipf float64, sqlFile string) (*query.CJQ, *stream.SchemeSet, []workload.Input, error) {
+	src, err := os.ReadFile(sqlFile)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	script, err := streamsql.Parse(string(src))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cqs, err := streamsql.Compile(script)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if len(cqs) == 0 {
+		return nil, nil, nil, fmt.Errorf("script has no SELECT statement")
+	}
+	q, schemes := cqs[0].Query, script.Schemes
 	// Closed workloads need integer join attributes; reject others early.
 	for i := 0; i < q.N(); i++ {
 		for _, a := range q.JoinAttrs(i) {

@@ -107,8 +107,7 @@ type partRecord struct {
 	offIdx  []int // local indexes of recoverable offenders, ascending
 	offErr  []error
 	fatal   error
-	fatalAt int  // local index processing stopped at when fatal != nil
-	skipped bool // worker latched an earlier fatal and did not process
+	fatalAt int // local index processing stopped at when fatal != nil
 	ctrl    *shardCtrl
 }
 
@@ -118,7 +117,7 @@ func (r *partRecord) reset() {
 	r.outs, r.ends, r.vals = r.outs[:0], r.ends[:0], exec.ResetValues(r.vals)
 	r.offIdx, r.offErr = r.offIdx[:0], r.offErr[:0]
 	r.fatal, r.fatalAt = nil, 0
-	r.skipped, r.ctrl = false, nil
+	r.ctrl = nil
 }
 
 // Channel capacities: enough slack that producers, workers and merger
@@ -287,9 +286,7 @@ func (pf *partFront) worker(part int) {
 			continue
 		}
 		rec.n = len(ck.elems)
-		if fatal {
-			rec.skipped = true
-		} else {
+		if !fatal {
 			pf.process(part, ck, rec)
 			if rec.fatal != nil {
 				fatal = true

@@ -65,36 +65,6 @@ func MustScheme(streamName string, punctuatable ...bool) Scheme {
 	return s
 }
 
-// ParseScheme builds a scheme from the paper's textual mask, e.g.
-// "(_, +, _)" or "_+_": '+' marks an equality-punctuatable attribute,
-// '<' an ordered (watermark) one, '_' a non-punctuatable one.
-// Parentheses, commas and spaces are ignored.
-func ParseScheme(streamName, mask string) (Scheme, error) {
-	var flags, ordered []bool
-	hasOrdered := false
-	for _, r := range mask {
-		switch r {
-		case '+':
-			flags = append(flags, true)
-			ordered = append(ordered, false)
-		case '<':
-			flags = append(flags, true)
-			ordered = append(ordered, true)
-			hasOrdered = true
-		case '_':
-			flags = append(flags, false)
-			ordered = append(ordered, false)
-		case '(', ')', ',', ' ', '\t':
-		default:
-			return Scheme{}, fmt.Errorf("stream: scheme mask %q has invalid rune %q", mask, r)
-		}
-	}
-	if !hasOrdered {
-		return NewScheme(streamName, flags...)
-	}
-	return NewOrderedScheme(streamName, flags, ordered)
-}
-
 // NewOrderedScheme builds a scheme with an ordered (watermark) attribute.
 // Exactly one attribute may be ordered, and it must be punctuatable.
 func NewOrderedScheme(streamName string, punctuatable, ordered []bool) (Scheme, error) {

@@ -72,15 +72,6 @@ func Compile(script *Script) ([]*CompiledQuery, error) {
 	return out, nil
 }
 
-// ParseAndCompile is the one-call front door.
-func ParseAndCompile(src string) ([]*CompiledQuery, error) {
-	script, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(script)
-}
-
 func compileSelect(stmt *SelectStmt, byName map[string]*stream.Schema, schemes *stream.SchemeSet) (*CompiledQuery, error) {
 	if len(stmt.From) < 2 {
 		return nil, fmt.Errorf("continuous join queries need at least two streams in FROM, got %d", len(stmt.From))

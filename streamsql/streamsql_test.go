@@ -18,6 +18,14 @@ FROM item, bid
 WHERE item.itemid = bid.itemid;
 `
 
+func parseAndCompile(src string) ([]*CompiledQuery, error) {
+	script, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(script)
+}
+
 func TestParseAuctionScript(t *testing.T) {
 	script, err := Parse(auctionScript)
 	if err != nil {
@@ -40,7 +48,7 @@ func TestParseAuctionScript(t *testing.T) {
 }
 
 func TestCompileAuctionSafe(t *testing.T) {
-	cqs, err := ParseAndCompile(auctionScript)
+	cqs, err := parseAndCompile(auctionScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +66,7 @@ func TestCompileAuctionSafe(t *testing.T) {
 
 func TestCompileUnsafeWithoutSchemes(t *testing.T) {
 	src := strings.ReplaceAll(auctionScript, "DECLARE SCHEME ON item (itemid);", "")
-	cqs, err := ParseAndCompile(src)
+	cqs, err := parseAndCompile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +115,7 @@ SELECT * FROM pkt, conn WHERE pkt.src = conn.src AND pkt.seq = conn.seq;
 }
 
 func TestFiltersAndLiterals(t *testing.T) {
-	cqs, err := ParseAndCompile(`
+	cqs, err := parseAndCompile(`
 CREATE STREAM ev (k INT, tag INT, label STRING, score FLOAT);
 CREATE STREAM ref (k INT);
 DECLARE SCHEME ON ev (k);
@@ -148,6 +156,10 @@ func TestParseErrors(t *testing.T) {
 		"unterminated str":  `CREATE STREAM s (a INT); SELECT s.a FROM s, s WHERE s.a = 'x;`,
 		"bad char":          `CREATE STREAM s (a INT); @`,
 		"empty mask slot":   `CREATE STREAM s (a INT); DECLARE SCHEME s (?);`,
+		"column no type":    `CREATE STREAM s (a);`,
+		"stream no name":    `CREATE STREAM;`,
+		"unqualified where": `CREATE STREAM s (a INT); CREATE STREAM t (a INT); SELECT * FROM s, t WHERE a = t.a;`,
+		"predicate no =":    `CREATE STREAM s (a INT); CREATE STREAM t (a INT); SELECT * FROM s, t WHERE s.a t.a;`,
 	}
 	for name, src := range cases {
 		if _, err := Parse(src); err == nil {
@@ -198,7 +210,7 @@ SELECT s.z FROM s, t WHERE s.a = t.a;`,
 // TestThreeWayFigure5SQL expresses the paper's Figure 5 in SQL and checks
 // the verdict matches the by-hand construction.
 func TestThreeWayFigure5SQL(t *testing.T) {
-	cqs, err := ParseAndCompile(`
+	cqs, err := parseAndCompile(`
 CREATE STREAM s1 (a INT, b INT);
 CREATE STREAM s2 (b INT, c INT);
 CREATE STREAM s3 (a INT, c INT);
@@ -215,7 +227,7 @@ WHERE s1.b = s2.b AND s2.c = s3.c AND s3.a = s1.a;
 		t.Fatal("Figure 5 must be safe")
 	}
 	// Dropping s3's scheme makes it unsafe.
-	cqs, err = ParseAndCompile(`
+	cqs, err = parseAndCompile(`
 CREATE STREAM s1 (a INT, b INT);
 CREATE STREAM s2 (b INT, c INT);
 CREATE STREAM s3 (a INT, c INT);
@@ -234,7 +246,7 @@ WHERE s1.b = s2.b AND s2.c = s3.c AND s3.a = s1.a;
 
 // TestWatermarkSQL end-to-end: the sensor watermark scenario via SQL.
 func TestWatermarkSQL(t *testing.T) {
-	cqs, err := ParseAndCompile(`
+	cqs, err := parseAndCompile(`
 CREATE STREAM temp (epoch INT, celsius FLOAT);
 CREATE STREAM humid (epoch INT, percent FLOAT);
 DECLARE SCHEME ON temp (epoch ORDERED);
