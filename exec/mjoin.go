@@ -31,10 +31,14 @@ type Config struct {
 	// DisablePurge turns data purging off entirely; join states then grow
 	// without bound. Used as the no-punctuation baseline in experiments.
 	DisablePurge bool
-	// PurgePunctuations enables §5.1 punctuation purging: a stored
-	// punctuation is dropped once counter-punctuations on its non-*
-	// attributes arrive from every join partner and no stored partner
-	// tuples still need it.
+	// PurgePunctuations enables §5.1 punctuation purging, which keeps the
+	// punctuation stores bounded on promise-keeping feeds without changing
+	// what the operator emits. A stored punctuation is dropped only once it
+	// has been propagated (its own input stores no tuple matching it), and
+	// then once counter-punctuations on its non-* attributes have arrived
+	// from every join partner and no stored partner tuple still needs it,
+	// or at once when it constrains an attribute that joins nothing here.
+	// Ordered (watermark) punctuations are never dropped.
 	PurgePunctuations bool
 	// DisableOutputPuncts turns off punctuation propagation to the
 	// operator output (needed by upper operators of tree plans).
@@ -446,6 +450,10 @@ func (m *MJoin) pushPunct(out []stream.Element, input int, p stream.Punctuation)
 		// punctuations" filtering of §1.
 		return out, nil
 	}
+	// Propagation is tested before the purge round, whose §5.1 pass reads
+	// it (a round only removes tuples: a yes holds after it, a no it turns
+	// to yes is emitted by emitForRemoved), and emitted after the round.
+	propagated := m.propagate(input, scheme, entry)
 	pp := pendingPunct{input: input, scheme: scheme, p: p}
 	if m.cfg.PurgeBatch <= 1 {
 		m.pg.one = append(m.pg.one[:0], pp)
@@ -453,11 +461,8 @@ func (m *MJoin) pushPunct(out []stream.Element, input int, p stream.Punctuation)
 	} else {
 		m.pending = append(m.pending, pp)
 	}
-	// Output punctuation propagation for the freshly arrived punctuation.
-	if !m.cfg.DisableOutputPuncts {
-		if op, ok := m.tryEmitPunct(input, scheme, entry); ok {
-			out = append(out, op)
-		}
+	if propagated {
+		out = m.emitPunct(out, input, scheme, entry)
 	}
 	return out, nil
 }

@@ -18,10 +18,12 @@ type punctPlan struct {
 	// scheme's k-th punctuatable attribute. ordSlot is the slot of the
 	// ordered (<=) constant, or -1.
 	ordSlot int
-	// certifiable is the static half of §5.1 purgeability: the scheme has
-	// no ordered slot (watermark entries compact themselves instead) and
-	// every constrained attribute joins some partner (otherwise nothing
-	// can certify the punctuation will not be needed).
+	// certifiable is the static half of §5.1's counter-punctuation rule:
+	// the scheme has no ordered slot (watermark entries compact themselves
+	// instead) and every constrained attribute joins some partner. A
+	// non-ordered scheme that is not certifiable needs no certificate: no
+	// purge plan and no partner reads it, so it retires once propagated
+	// (punctPurgeable).
 	certifiable bool
 	// probeSlot is the equality slot whose attribute is indexed on the
 	// punctuation's own input — the propagation test probes it and

@@ -112,9 +112,12 @@ func TestPunctPlanReconstructFromRemoved(t *testing.T) {
 	}
 }
 
-// TestPunctPlanUnjoinedAttr: a constrained attribute that joins no
-// partner keeps the punctuation alive for good, alone or next to a
-// constrained join attribute whose partner side is fully closed.
+// TestPunctPlanUnjoinedAttr: a scheme with a constrained attribute that
+// joins no partner is not certifiable, alone or next to a constrained join
+// attribute: no counter-punctuation can speak for it. Nothing needs one
+// either, since no purge plan and no partner reads such a punctuation. It
+// stays while a tuple matching it is stored on its own input, and it
+// retires once none is, which is when it is propagated.
 func TestPunctPlanUnjoinedAttr(t *testing.T) {
 	m := planMJoin(t, binaryQuery(t), Config{},
 		stream.MustScheme("R", false, true),
@@ -131,16 +134,30 @@ func TestPunctPlanUnjoinedAttr(t *testing.T) {
 	if pl := m.punctPlans[1][0]; !pl.certifiable || pl.probeSlot != 0 {
 		t.Fatalf("S(k): certifiable %v probeSlot %d, want true 0", pl.certifiable, pl.probeSlot)
 	}
+	check := func(when string, purged []uint64, stored []int) {
+		t.Helper()
+		if got := m.Stats().PunctsPurged; !reflect.DeepEqual(got, purged) {
+			t.Fatalf("%s: PunctsPurged %v, want %v", when, got, purged)
+		}
+		if got := m.Stats().PunctStoreSize; !reflect.DeepEqual(got, stored) {
+			t.Fatalf("%s: PunctStoreSize %v, want %v", when, got, stored)
+		}
+	}
+	pushT(t, m, 0, tup(1, 5))
 	pushP(t, m, 0, punct(-1, 5))
 	pushP(t, m, 0, punct(1, 5))
-	pushP(t, m, 1, punct(1, -1))
 	m.Sweep()
-	if got := m.Stats().PunctsPurged; !reflect.DeepEqual(got, []uint64{0, 0}) {
-		t.Fatalf("PunctsPurged %v, want none", got)
+	check("while R(1,5) is stored", []uint64{0, 0}, []int{2, 0})
+	if n := len(pushP(t, m, 0, punct(-1, 7))); n != 1 {
+		t.Fatalf("R(*,7) emitted %d elements, want its output punctuation", n)
 	}
-	if got := m.Stats().PunctStoreSize; !reflect.DeepEqual(got, []int{2, 1}) {
-		t.Fatalf("PunctStoreSize %v, want [2 1]", got)
+	check("R(*,7), matching nothing stored", []uint64{1, 0}, []int{2, 0})
+	// S(1) purges R(1,5): both R punctuations are propagated and retire;
+	// S(1) waits for an R counter-punctuation on K, a scheme R lacks.
+	if outs := pushP(t, m, 1, punct(1, -1)); len(outs) != 3 || countTuples(outs) != 0 {
+		t.Fatalf("S(1) emitted %v, want three output punctuations", outs)
 	}
+	check("after R(1,5) is purged", []uint64{3, 0}, []int{0, 1})
 }
 
 // TestPunctPlanOrderedNeverCounterPurged: watermark entries compact

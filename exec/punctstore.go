@@ -15,7 +15,7 @@ import (
 // *punctEntry across calls into the operator. The holders, audited: a
 // punctVictim lives in purgeScratch.victims for one §5.1 pass, cleared
 // after it; pushPunct holds add's entry through its own purge round (which
-// may remove it) into tryEmitPunct; snapshots, Sweep and the §5.1 sweep
+// may remove it) into emitPunct; snapshots, Sweep and the §5.1 sweep
 // reach entries through each() inside the call; pendingPunct holds the
 // punctuation, not its entry.
 type punctEntry struct {
@@ -29,10 +29,11 @@ type punctEntry struct {
 	// holds (§5.1 lifespans, e.g. TCP sequence-number wraparound); zero
 	// means it holds forever.
 	expires uint64
-	// emitted records whether the operator already propagated this
-	// punctuation to its output (so tree plans do not emit duplicates).
-	// Widening a watermark bound resets it: the wider promise is news.
-	emitted bool
+	// propagated records that the punctuation's input no longer stores a
+	// tuple matching it: its output punctuation went out (once, so tree
+	// plans see no duplicates), and §5.1 may retire it. Widening a
+	// watermark bound resets it: the wider promise is news.
+	propagated bool
 	// round is the last §5.1 purge round that evaluated the entry, so a
 	// round evaluates each candidate once. Not serialized.
 	round uint64
@@ -198,7 +199,7 @@ func (ps *punctStore) add(p stream.Punctuation, now, lifespan uint64) (*punctEnt
 			return nil, -1 // not wider than what we hold
 		}
 		e.punct = p
-		e.emitted = false
+		e.propagated = false
 	case ok: // an expired entry is replaced in place, under its own key
 		*e = punctEntry{punct: p, key: e.key}
 	default:
@@ -234,7 +235,7 @@ func (ps *punctStore) covering(schemeIdx int, consts []stream.Value, now uint64)
 }
 
 // reclaim zeroes the entries retired since the last add onto free: no
-// punctuation stays pinned and no emitted, round or expires mark leaks
+// punctuation stays pinned and no propagated, round or expires mark leaks
 // into the entry's next use.
 func (ps *punctStore) reclaim() {
 	for _, e := range ps.retired {

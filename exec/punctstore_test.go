@@ -13,7 +13,7 @@ import (
 // Punctuation-store model test. A punctStore is driven through add (fresh,
 // duplicate, widened <= bound, replacing an expired entry), remove,
 // expire and each, plus the marks the operator puts on a live entry
-// (emitted, round), while a plain map[string]stream.Punctuation tracks
+// (propagated, round), while a plain map[string]stream.Punctuation tracks
 // what must be stored. After every step the store's entries are checked
 // against the map, and its recycling against its rules: no live entry is
 // pooled, no two live keys share an entry, every free entry is zero, an
@@ -156,7 +156,7 @@ func (sm *storeModel) step(code, arg byte) {
 	case 5: // the operator marks an entry; time passes
 		if keys := sm.sortedKeys(); len(keys) > 0 {
 			_, e := sm.entryOf(keys[int(arg)%len(keys)])
-			e.emitted, e.round = true, uint64(arg)+1
+			e.propagated, e.round = true, uint64(arg)+1
 		}
 		sm.now += uint64(arg % 8)
 	}
@@ -222,9 +222,9 @@ func (sm *storeModel) add(arg byte, lifespan uint64) {
 	if e == nil || gotSi != si {
 		t.Fatalf("add of %s returned entry %v for scheme %d, want scheme %d", p, e != nil, gotSi, si)
 	}
-	if e.punct.String() != p.String() || e.emitted || e.arrived != sm.now || e.expires != sm.expires[key] {
-		t.Fatalf("add of %s: entry holds %s emitted %v arrived %d expires %d, want arrived %d expires %d",
-			p, e.punct, e.emitted, e.arrived, e.expires, sm.now, sm.expires[key])
+	if e.punct.String() != p.String() || e.propagated || e.arrived != sm.now || e.expires != sm.expires[key] {
+		t.Fatalf("add of %s: entry holds %s propagated %v arrived %d expires %d, want arrived %d expires %d",
+			p, e.punct, e.propagated, e.arrived, e.expires, sm.now, sm.expires[key])
 	}
 	if fresh && e.round != 0 {
 		t.Fatalf("fresh entry for %s carries round %d", p, e.round)

@@ -160,9 +160,7 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 	// The removed tuples are views into their pages: read them before
 	// endRound lets the states compact.
 	removed := m.purgeFixpoint(pg.cand)
-	if !m.cfg.DisableOutputPuncts {
-		out = m.emitForRemoved(out, removed)
-	}
+	out = m.emitForRemoved(out, removed)
 	if m.cfg.PurgePunctuations {
 		m.purgePunctStores(batch, removed)
 	}
@@ -244,9 +242,7 @@ func (m *MJoin) sweepInto(out []stream.Element) (int, []stream.Element) {
 	for _, r := range removed {
 		total += len(r)
 	}
-	if !m.cfg.DisableOutputPuncts {
-		out = m.emitPendingPuncts(out)
-	}
+	out = m.emitPendingPuncts(out)
 	if m.cfg.PurgePunctuations {
 		m.sweepPunctStores()
 	}
@@ -460,22 +456,31 @@ func dedupKeysInto(dst []stream.ValueKey, frontier []stream.Tuple, attr int, see
 	return dst
 }
 
-// tryEmitPunct propagates a stored punctuation to the operator output
-// when no stored tuple of its input still matches it: from then on no
+// propagate marks a stored punctuation propagated once no stored tuple of
+// its input matches it, reporting whether it did so now: from then on no
 // output tuple can carry the punctuated values in that input's columns,
 // so downstream operators may rely on it (the propagation invariant that
 // lets tree plans purge their upper operators).
-func (m *MJoin) tryEmitPunct(input, schemeIdx int, e *punctEntry) (stream.Element, bool) {
-	if e.emitted || e.expired(m.clock) {
-		return stream.Element{}, false
+func (m *MJoin) propagate(input, schemeIdx int, e *punctEntry) bool {
+	if e.propagated || e.expired(m.clock) {
+		return false
 	}
-	pl := &m.punctPlans[input][schemeIdx]
-	if m.hasMatchingTuple(input, pl, e.punct) {
-		return stream.Element{}, false
+	if m.hasMatchingTuple(input, &m.punctPlans[input][schemeIdx], e.punct) {
+		return false
 	}
-	e.emitted = true
+	e.propagated = true
+	return true
+}
+
+// emitPunct appends the output punctuation of a punctuation propagate
+// has just marked, unless output punctuations are off (the mark is kept
+// regardless: §5.1 reads it).
+func (m *MJoin) emitPunct(out []stream.Element, input, schemeIdx int, e *punctEntry) []stream.Element {
+	if m.cfg.DisableOutputPuncts {
+		return out
+	}
 	m.stats.OutPuncts++
-	return stream.PunctElement(e.punct.Reshape(pl.outScheme)), true
+	return append(out, stream.PunctElement(e.punct.Reshape(m.punctPlans[input][schemeIdx].outScheme)))
 }
 
 // emitForRemoved re-tests exactly the stored punctuations a purge round
@@ -483,17 +488,19 @@ func (m *MJoin) tryEmitPunct(input, schemeIdx int, e *punctEntry) (stream.Elemen
 // tuple, the punctuations (on the same input) whose constants equal the
 // tuple's values at each scheme's punctuatable positions. A removal can
 // only drop the last matching tuple of such a punctuation, so nothing
-// else needs rechecking.
+// else needs rechecking. Each punctuation it propagates is a §5.1
+// candidate: the own-state half of its retirement has just come true.
 func (m *MJoin) emitForRemoved(out []stream.Element, removed [][]stream.Tuple) []stream.Element {
 	for input, tuples := range removed {
 		for _, u := range tuples {
 			for si := range m.punctPlans[input] {
 				e := m.puncts[input].lookup(si, m.tupleConsts(u, m.puncts[input].idx[si]), m.clock)
-				if e == nil {
+				if e == nil || !m.propagate(input, si, e) {
 					continue
 				}
-				if el, emitted := m.tryEmitPunct(input, si, e); emitted {
-					out = append(out, el)
+				out = m.emitPunct(out, input, si, e)
+				if m.cfg.PurgePunctuations {
+					m.considerPunct(input, si, e)
 				}
 			}
 		}
@@ -501,13 +508,13 @@ func (m *MJoin) emitForRemoved(out []stream.Element, removed [][]stream.Tuple) [
 	return out
 }
 
-// emitPendingPuncts re-tests every stored, not-yet-emitted punctuation (a
-// full pass, used by the background clean-up Sweep).
+// emitPendingPuncts re-tests every stored, not yet propagated punctuation
+// (a full pass, used by the background clean-up Sweep).
 func (m *MJoin) emitPendingPuncts(out []stream.Element) []stream.Element {
 	for input := range m.puncts {
 		m.puncts[input].each(m.clock, func(si int, e *punctEntry) bool {
-			if el, ok := m.tryEmitPunct(input, si, e); ok {
-				out = append(out, el)
+			if m.propagate(input, si, e) {
+				out = m.emitPunct(out, input, si, e)
 			}
 			return true
 		})
@@ -559,20 +566,16 @@ func (m *MJoin) violatedPromise(input int, t stream.Tuple) (stream.Punctuation, 
 	return stream.Punctuation{}, false
 }
 
-// purgePunctStores implements §5.1 punctuation purgeability. A stored
-// punctuation e on stream j can be dropped once every join partner side
-// is closed for it: the partner holds a counter-punctuation implied by
-// e's constraint (mapped through the join predicates) and stores no
-// tuple still matching that constraint. Candidates are derived from the
-// batch (a new punctuation may be the missing counter for its partners'
-// punctuations) and from the purge round's removed tuples (a removal may
-// have been the last matching partner tuple); a punctuation whose
-// blockers lie beyond this neighbourhood is caught by the Sweep's full
-// pass instead.
+// purgePunctStores implements §5.1 punctuation purging: it retires the
+// stored punctuations punctPurgeable clears. Candidates are derived from
+// the batch (a new punctuation may be the missing counter for its
+// partners' punctuations, or retire itself), from the purge round's
+// removed tuples (a removal may have been the last matching partner
+// tuple), and from emitForRemoved, which hands over every punctuation the
+// round propagated (a removal may have been the last matching tuple of
+// its own input); a punctuation whose blockers lie beyond this
+// neighbourhood is caught by the Sweep's full pass instead.
 func (m *MJoin) purgePunctStores(batch []pendingPunct, removed [][]stream.Tuple) {
-	pg := &m.pg
-	pg.victims = pg.victims[:0]
-
 	// (a) New punctuations: they may complete the counter-coverage of a
 	// partner stream's stored punctuation with the mapped constants.
 	for _, pp := range batch {
@@ -653,16 +656,29 @@ func (m *MJoin) removeVictims() {
 }
 
 // punctPurgeable decides whether a stored punctuation e on input j can be
-// dropped: for every join partner reachable through e's constrained
-// attributes, the partner must hold a live counter-punctuation implied by
-// e's mapped constraint and store no tuple still matching it. A partner
-// on which e's constants contradict each other can never match e and
-// certifies nothing; schemes that are not certifiable at all (see
-// punctPlan) are kept for good.
+// dropped (§5.1). Nothing retires before it is propagated, that is before
+// its own input stores no tuple matching it: until then its output
+// punctuation is still due, and it may be the only counter-punctuation a
+// partner's punctuation is waiting for. Once propagated, e retires by one
+// of two rules:
+//   - a certifiable scheme (see punctPlan) retires once every join
+//     partner reachable through e's constrained attributes holds a live
+//     counter-punctuation for e's mapped constraint and stores no tuple
+//     matching it. A partner on which e's constants contradict each other
+//     can never match e and certifies nothing;
+//   - any other non-ordered scheme retires at once. It constrains an
+//     attribute that joins nothing here, so no purge plan reads it (a
+//     step scheme's attributes all come from sources) and no partner
+//     counts it as a counter-punctuation: propagating it was its work.
+//
+// Ordered (watermark) entries never retire: they compact themselves.
 func (m *MJoin) punctPurgeable(j, schemeIdx int, e *punctEntry) bool {
 	pl := &m.punctPlans[j][schemeIdx]
-	if !pl.certifiable {
+	if pl.ordSlot >= 0 || !e.propagated {
 		return false
+	}
+	if !pl.certifiable {
+		return true
 	}
 	touched := false
 	for i := range pl.partners {

@@ -206,7 +206,7 @@ func (m *MJoin) appendInputState(dst []byte, input int, codec *stream.Codec) ([]
 			}
 			dst = binary.AppendUvarint(dst, e.arrived)
 			dst = binary.AppendUvarint(dst, e.expires)
-			dst = append(dst, boolByte(e.emitted))
+			dst = append(dst, boolByte(e.propagated))
 			return true
 		})
 		if encErr != nil {
@@ -382,11 +382,11 @@ func (m *MJoin) decodePunctStore(d *stateDec, input int, codec *stream.Codec, cl
 			if entry.expires, err = d.uvarint("punctuation expiry clock"); err != nil {
 				return nil, err
 			}
-			emitted, err := d.byteVal("punctuation emitted flag")
+			propagated, err := d.byteVal("punctuation propagated flag")
 			if err != nil {
 				return nil, err
 			}
-			entry.emitted = emitted != 0
+			entry.propagated = propagated != 0
 			if entry.arrived > clock {
 				return nil, fmt.Errorf("%w: punctuation arrival clock %d beyond operator clock %d", ErrCorruptState, entry.arrived, clock)
 			}
