@@ -78,8 +78,10 @@ stage_allocfloors() {
   # zero. WireReader.Read, whose elements are the caller's, keeps its
   # per-frame bound; wire ingest decodes into one buffer it reuses and the
   # mailbox copies the values in, so a warmed string-free tuple frame
-  # allocates 0 and a punctuation frame 1.
-  go test -run 'TestValueLayout|TestPunctuationAppendTo|TestDecodePunctAllocs' -count 1 ./stream/
+  # allocates 0 and a punctuation frame 1. The lending decoder's string
+  # table shares a string it holds, 0 allocations, and allocates one it
+  # does not hold or one over its length cap.
+  go test -run 'TestValueLayout|TestPunctuationAppendTo|TestDecodePunctAllocs|TestStringTable' -count 1 ./stream/
   go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestPushBatchAllocFloor|TestResultBytesFloor|TestRecycledStateHoldsNothing|TestAlignmentGateAllocs' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs|TestIngestWireAllocFloor' -count 1 ./engine/...
   # Producer-side floor: Send, SendAt and SendBatch of any length copy the
@@ -97,9 +99,10 @@ stage_allocfloors() {
   go test -run 'TestFanOutDeliveryAllocs|TestHookDeliveryAllocFloor|TestPartitionedDeliveryAllocFloor' -count 1 ./engine/
   # Output-ring floor: retaining one more delivery is one encoding into the
   # bytes its slot already holds, 0 allocations. Client floor: a warmed
-  # subscriber decodes each result tuple into the one value buffer it lends,
-  # so a tuple costs one allocation per string attribute (0 without
-  # strings), and a punctuation costs what decoding it allocates (1).
+  # subscriber lends what it decodes, each result tuple in one value buffer
+  # and each punctuation's constants in one pattern buffer, and shares a
+  # string its table holds: a tuple costs one allocation per string its
+  # table has not seen (0 with repeated strings or none), a punctuation 0.
   go test -run 'TestHubPublishAllocs|TestSubscriberNextAllocs' -count 1 ./server/
 }
 

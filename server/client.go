@@ -587,10 +587,10 @@ func (p *Producer) Epoch() uint64 {
 }
 
 // Delivery is one subscriber-received output: a result tuple or a
-// punctuation, with its server-assigned delivery sequence number. A
-// result tuple's Values are lent: they are valid until the next call to
-// the Subscriber's Next (see Next), and a caller that keeps the tuple
-// copies them (stream.Tuple.Clone).
+// punctuation, with its server-assigned delivery sequence number. The
+// element is lent: it is valid until the next call to the Subscriber's
+// Next (see Next), and a caller that keeps it copies it
+// (stream.Element.Clone).
 type Delivery struct {
 	Seq  uint64
 	Elem stream.Element
@@ -612,11 +612,10 @@ type Subscriber struct {
 	last   uint64
 	schema *stream.Schema
 	codec  *stream.Codec
-	// payload is the frame scratch Next decodes from (Codec.DecodeInto
-	// copies every string it keeps), and vals the value buffer it decodes
-	// each result tuple into.
+	// payload is the frame scratch Next decodes from (decoding copies
+	// every string it keeps), and bufs what it decodes each delivery into.
 	payload []byte
-	vals    []stream.Value
+	bufs    stream.DecodeBuffers
 	ended   bool
 	closed  bool
 	mu      sync.Mutex // guards conn/closed against concurrent Close
@@ -688,8 +687,11 @@ func (s *Subscriber) Epoch() uint64 { return s.sess.epoch }
 //
 // A result tuple is lent, as the engine lends one to OnResult: its
 // Values live in a buffer the subscriber reuses, valid until the next
-// call to Next, so a caller that keeps the tuple copies its Values. Its
-// strings, and a delivered punctuation, are the caller's.
+// call to Next, so a caller that keeps the delivery copies it
+// (stream.Element.Clone). Its strings are the caller's; a string equal
+// to one the subscriber decoded recently shares that string. A
+// punctuation is lent like a tuple: its constants live in a buffer the
+// subscriber reuses.
 func (s *Subscriber) Next() (Delivery, error) {
 	for {
 		if s.ended {
@@ -726,8 +728,7 @@ func (s *Subscriber) Next() (Delivery, error) {
 			continue
 		}
 		s.payload = payload
-		elem, vals, rest, err := s.codec.DecodeInto(s.vals, payload)
-		s.vals = vals
+		elem, rest, err := s.codec.DecodeLent(&s.bufs, payload)
 		if err != nil || len(rest) != 0 {
 			s.dropConn() // torn mid-frame write; resume re-fetches it
 			continue
@@ -752,7 +753,7 @@ func (s *Subscriber) dropConn() {
 // Collect drains the stream to its end marker, returning every
 // remaining delivery. Useful with a server known to be shutting down.
 // Unlike Next's, the deliveries it returns are the caller's: it copies
-// each result tuple.
+// each one, tuple or punctuation.
 func (s *Subscriber) Collect() ([]Delivery, error) {
 	var out []Delivery
 	for {
@@ -763,9 +764,7 @@ func (s *Subscriber) Collect() ([]Delivery, error) {
 		if err != nil {
 			return out, err
 		}
-		if !d.Elem.IsPunct() {
-			d.Elem = stream.TupleElement(d.Elem.Tuple().Clone())
-		}
+		d.Elem = d.Elem.Clone()
 		out = append(out, d)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -125,11 +126,12 @@ func TestBackoffCapsAndPersistsAcrossCalls(t *testing.T) {
 // TestSubscriberNextAllocs pins what receiving one delivery costs the
 // client. The frame around it costs nothing: the payload is read into the
 // subscriber's own scratch, which is safe to reuse because decoding copies
-// every byte it keeps. A result tuple is lent: it is decoded into the
-// subscriber's one value buffer, so once that buffer is warm a tuple costs
-// only its strings, one allocation each, and two successive deliveries
-// share the buffer. A punctuation is the caller's and costs what
-// Codec.Decode allocates for it, its constants.
+// every byte it keeps. A delivery is lent: a result tuple is decoded into
+// the subscriber's one value buffer and a punctuation's constants into its
+// one pattern buffer, so two successive deliveries share the buffer, and
+// once it is warm a punctuation costs nothing. A string costs one
+// allocation the first time, and nothing while the subscriber's string
+// table still holds it: a repeated string is shared, a fresh one is not.
 func TestSubscriberNextAllocs(t *testing.T) {
 	mixed := stream.MustSchema("out",
 		stream.Attribute{Name: "k", Kind: stream.KindInt},
@@ -141,22 +143,31 @@ func TestSubscriberNextAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		schema *stream.Schema
-		elem   stream.Element
+		elem   func(seq uint64) stream.Element // the delivery numbered seq
 		allocs float64
 	}{
-		{"string-free tuple", numeric, stream.TupleElement(stream.NewTuple(stream.Int(7), stream.Float(1.5))), 0},
-		{"tuple with a string", mixed, stream.TupleElement(stream.NewTuple(stream.Int(7), stream.Str("a string long enough to matter"), stream.Float(1.5))), 1},
-		{"punctuation", mixed, stream.PunctElement(stream.MustPunctuation(stream.Const(stream.Int(7)), stream.Wildcard(), stream.Wildcard())), 1},
+		{"string-free tuple", numeric, func(uint64) stream.Element {
+			return stream.TupleElement(stream.NewTuple(stream.Int(7), stream.Float(1.5)))
+		}, 0},
+		{"tuple with a string", mixed, func(uint64) stream.Element {
+			return stream.TupleElement(stream.NewTuple(stream.Int(7), stream.Str("a string long enough to matter"), stream.Float(1.5)))
+		}, 0},
+		{"tuple with a fresh string", mixed, func(seq uint64) stream.Element {
+			return stream.TupleElement(stream.NewTuple(stream.Int(7), stream.Str(fmt.Sprintf("fresh string %06d", seq)), stream.Float(1.5)))
+		}, 1},
+		{"punctuation", mixed, func(seq uint64) stream.Element {
+			return stream.PunctElement(stream.MustPunctuation(stream.Const(stream.Int(int64(seq))), stream.Wildcard(), stream.Const(stream.Float(1.5))))
+		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			codec := stream.NewCodec(tc.schema)
-			payload, err := codec.Encode(nil, tc.elem)
-			if err != nil {
-				t.Fatal(err)
-			}
 			const n = 200
 			var wire []byte
 			for seq := uint64(1); seq <= n+2; seq++ {
+				payload, err := codec.Encode(nil, tc.elem(seq))
+				if err != nil {
+					t.Fatal(err)
+				}
 				wire = binary.AppendUvarint(wire, seq)
 				wire = binary.AppendUvarint(wire, uint64(len(payload)))
 				wire = append(wire, payload...)
@@ -174,25 +185,20 @@ func TestSubscriberNextAllocs(t *testing.T) {
 			}
 			var last Delivery
 			allocs := testing.AllocsPerRun(n-1, func() { last = next() }) // AllocsPerRun adds a warm-up call
-			if last.Seq != n || last.Elem.String() != tc.elem.String() {
-				t.Fatalf("last delivery %d|%s, want %d|%s", last.Seq, last.Elem, n, tc.elem)
+			if want := tc.elem(n); last.Seq != n || last.Elem.String() != want.String() {
+				t.Fatalf("last delivery %d|%s, want %d|%s", last.Seq, last.Elem, n, want)
 			}
 			if allocs != tc.allocs {
-				t.Errorf("Next allocates %.0f times per delivery of %s, want %.0f", allocs, tc.elem, tc.allocs)
+				t.Errorf("Next allocates %.0f times per delivery of %s, want %.0f", allocs, last.Elem, tc.allocs)
 			}
-			if tc.elem.IsPunct() {
-				decode := testing.AllocsPerRun(n, func() {
-					if _, _, err := codec.Decode(payload); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != decode {
-					t.Errorf("Next allocates %.0f times per punctuation, Decode %.0f", allocs, decode)
+			a, b := next().Elem, next().Elem
+			if a.IsPunct() {
+				if a.String() != b.String() {
+					t.Errorf("delivery %s still reads its own constants after %s; Next must reuse its pattern buffer", a, b)
 				}
 				return
 			}
-			a, b := next().Elem.Tuple(), next().Elem.Tuple()
-			if &a.Values[0] != &b.Values[0] {
+			if &a.Tuple().Values[0] != &b.Tuple().Values[0] {
 				t.Error("two successive deliveries hold Values in different arrays; Next must reuse its buffer")
 			}
 		})

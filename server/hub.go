@@ -83,8 +83,12 @@ type hub struct {
 	queueLimit int
 	policy     SlowPolicy
 	subs       map[*subCursor]struct{}
-	ended      bool // graceful end-of-stream: drain then stop
-	killed     bool // abrupt stop: unblock everything now
+	// lowCursor is at or below every subscriber's cursor: attach lowers
+	// it, cursors only advance, and blocked raises it by a walk only when
+	// it alone allows a full backlog.
+	lowCursor uint64
+	ended     bool // graceful end-of-stream: drain then stop
+	killed    bool // abrupt stop: unblock everything now
 
 	// onDrop reports SlowDrop skips (outside the hub lock).
 	onDrop func(query string, elem stream.Element, seq uint64)
@@ -133,7 +137,7 @@ func (h *hub) publish(seq uint64, e stream.Element) {
 		return
 	}
 	if h.policy == SlowBlock {
-		for !h.killed && h.slowest() >= uint64(h.queueLimit) {
+		for !h.killed && h.blocked() {
 			h.cond.Wait()
 		}
 	}
@@ -190,16 +194,21 @@ func lag(next, cursor uint64) uint64 {
 	return next - cursor
 }
 
-// slowest returns the largest pending backlog across subscribers
-// (callers hold h.mu).
-func (h *hub) slowest() uint64 {
-	var worst uint64
-	for s := range h.subs {
-		if l := lag(h.ring.next, s.cursor); l > worst {
-			worst = l
-		}
+// blocked reports whether a subscriber's pending backlog has reached the
+// queue limit (callers hold h.mu). The backlog of lowCursor bounds every
+// subscriber's, so the subscribers are walked only when that bound
+// reaches the limit, and the walk then makes lowCursor the smallest
+// cursor.
+func (h *hub) blocked() bool {
+	limit := uint64(h.queueLimit)
+	if lag(h.ring.next, h.lowCursor) < limit {
+		return false
 	}
-	return worst
+	h.lowCursor = h.ring.next
+	for s := range h.subs {
+		h.lowCursor = min(h.lowCursor, s.cursor)
+	}
+	return lag(h.ring.next, h.lowCursor) >= limit
 }
 
 // attach registers a subscriber that has seen every delivery up to and
@@ -218,6 +227,7 @@ func (h *hub) attach(last uint64) (*subCursor, error) {
 	}
 	s := &subCursor{cursor: last + 1}
 	h.subs[s] = struct{}{}
+	h.lowCursor = min(h.lowCursor, s.cursor)
 	return s, nil
 }
 

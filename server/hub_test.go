@@ -216,6 +216,68 @@ func TestHubBlockPolicy(t *testing.T) {
 	}
 }
 
+// TestHubBlockBound pins SlowBlock's decision with three subscribers:
+// (a) the slowest detaches while the publisher is blocked on it, and the
+// publisher proceeds; (b) a subscriber attaches behind the others, and
+// the publisher blocks on it until it catches up. The hub walks its
+// subscribers only when a lower bound on their cursors allows a full
+// backlog, so (b) fails if attach does not lower the bound that (a)'s
+// walk raised.
+func TestHubBlockBound(t *testing.T) {
+	h := newHub("q", testSchema(), 16, 4, SlowBlock)
+	var subs [3]*subCursor
+	for i := range subs {
+		var err error
+		if subs[i], err = h.attach(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// publishBlocked publishes seq on its own goroutine and requires it
+	// to wait; the returned channel is closed once it has published.
+	publishBlocked := func(label string, seq uint64) <-chan struct{} {
+		published := make(chan struct{})
+		go func() {
+			h.publish(seq, intElem(int64(seq)))
+			close(published)
+		}()
+		select {
+		case <-published:
+			t.Fatalf("%s: delivery %d was published past a full backlog", label, seq)
+		case <-time.After(20 * time.Millisecond):
+		}
+		return published
+	}
+	requirePublished := func(label string, published <-chan struct{}) {
+		select {
+		case <-published:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: publisher still blocked", label)
+		}
+	}
+
+	publishN(h, 1, 4)
+	for _, s := range subs[:2] {
+		if _, _, err := h.collect(s, nil, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	published := publishBlocked("third subscriber 4 behind", 5)
+	h.detach(subs[2])
+	requirePublished("after the slowest subscriber detached", published)
+
+	late, err := h.attach(1) // cursor 2, behind the others' 5
+	if err != nil {
+		t.Fatal(err)
+	}
+	published = publishBlocked("late subscriber 4 behind", 6)
+	got, _, err := collectN(t, h, late, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRun(t, "late subscriber", got, 2, 5)
+	requirePublished("after the late subscriber caught up", published)
+}
+
 func TestHubResumeWindow(t *testing.T) {
 	h := newHub("q", testSchema(), 4, 4, SlowDrop)
 	publishN(h, 1, 10) // retained: 7..10

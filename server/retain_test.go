@@ -10,11 +10,13 @@ package server_test
 // out of memory it reuses, so an OnResult callback or a delivery hook
 // holds a result's Values only until it returns and keeps a copy; the
 // engine's own keepers (a passive view's log, Results) copy too. A server
-// subscriber is lent the same way, like a hook: Next decodes each result
-// into one value buffer, valid until the next Next, so the subscriber row
-// keeps a copy. Each row below is one way of consuming a query; its
-// consumer keeps every value it is handed (a callback or a subscriber a
-// copy), renders nothing until the feed is over, and must then hold
+// subscriber is lent more: Next decodes each result into one value buffer
+// and each punctuation's constants into one pattern buffer, both valid
+// until the next Next, so the subscriber row keeps copies, and the
+// Collect row keeps what Collect copied. Each row below is one way of consuming a
+// query; its consumer keeps every value it is handed (a callback or a
+// subscriber a copy), renders nothing until the feed is over, and must
+// then hold
 // exactly the sequence a reference run rendered element by element, at
 // delivery, from outputs cloned out of the tree before its next call.
 
@@ -202,6 +204,57 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 			return got, false
 		}
 	}
+	// serveTo runs the query in a server and drains its one subscriber
+	// with drain, which keeps every delivery, until the server's clean
+	// end of stream.
+	serveTo := func(drain func(*server.Subscriber) ([]stream.Element, error)) func(*testing.T, *retainFeed) ([]string, bool) {
+		return func(t *testing.T, f *retainFeed) ([]string, bool) {
+			dir := t.TempDir()
+			sock := filepath.Join(dir, "s.sock")
+			srv, err := server.New(server.Config{
+				Listener: listenUnix(t, sock),
+				Build: func(d *engine.DSMS) error {
+					f.register(t, d, "q", engine.Options{})
+					return nil
+				},
+				Schemas: f.schemas(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dl := testDialer(sock)
+			sub, err := dl.Subscribe("q")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var k keeper
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				k.kept, err = drain(sub)
+				done <- err
+			}()
+			prod, err := dl.Producer("feed", f.schemas()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range f.inputs {
+				if err := prod.Send(in.Stream, in.Elem); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitIngested(t, srv, prod, "feed")
+			prod.Close()
+			if err := srv.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("subscriber: %v", err)
+			}
+			sub.Close()
+			return k.rendered(), true
+		}
+	}
 	// Each consumer returns the deliveries it kept, rendered only now, and
 	// whether that sequence includes the punctuations.
 	consumers := []struct {
@@ -265,10 +318,7 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 			var k keeper
 			d := engine.New()
 			f.register(t, d, "q", engine.Options{}).SetDeliveryHook(func(_ uint64, e stream.Element) {
-				if !e.IsPunct() {
-					e = stream.TupleElement(e.Tuple().Clone())
-				}
-				k.kept = append(k.kept, e)
+				k.kept = append(k.kept, e.Clone())
 			})
 			runSharded(t, f, d)
 			return k.rendered(), true
@@ -290,60 +340,27 @@ func TestConsumersKeepWhatTheyAreHanded(t *testing.T) {
 		{"shared tree, keepers beside a scribbler, DSMS.Push", besideScribbler(0, runPush)},
 		{"shared tree, keepers beside a scribbler, RunSharded", besideScribbler(0, runSharded)},
 		{"shared tree, keepers beside a scribbler, Partitions=2", besideScribbler(2, runSharded)},
-		{"server subscriber", func(t *testing.T, f *retainFeed) ([]string, bool) {
-			dir := t.TempDir()
-			sock := filepath.Join(dir, "s.sock")
-			srv, err := server.New(server.Config{
-				Listener: listenUnix(t, sock),
-				Build: func(d *engine.DSMS) error {
-					f.register(t, d, "q", engine.Options{})
-					return nil
-				},
-				Schemas: f.schemas(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dl := testDialer(sock)
-			sub, err := dl.Subscribe("q")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var k keeper
-			done := make(chan error, 1)
-			go func() {
-				for {
-					d, err := sub.Next()
-					if err != nil {
-						done <- err
-						return
-					}
-					if !d.Elem.IsPunct() {
-						d.Elem = stream.TupleElement(d.Elem.Tuple().Clone())
-					}
-					k.kept = append(k.kept, d.Elem)
+		{"server subscriber", serveTo(func(sub *server.Subscriber) ([]stream.Element, error) {
+			var kept []stream.Element
+			for {
+				d, err := sub.Next()
+				if err == io.EOF {
+					return kept, nil
 				}
-			}()
-			prod, err := dl.Producer("feed", f.schemas()...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, in := range f.inputs {
-				if err := prod.Send(in.Stream, in.Elem); err != nil {
-					t.Fatal(err)
+				if err != nil {
+					return kept, err
 				}
+				kept = append(kept, d.Elem.Clone())
 			}
-			waitIngested(t, srv, prod, "feed")
-			prod.Close()
-			if err := srv.Shutdown(); err != nil {
-				t.Fatal(err)
+		})},
+		{"server subscriber, Collect", serveTo(func(sub *server.Subscriber) ([]stream.Element, error) {
+			ds, err := sub.Collect()
+			kept := make([]stream.Element, len(ds))
+			for i, d := range ds {
+				kept[i] = d.Elem
 			}
-			if err := <-done; err != io.EOF {
-				t.Fatalf("subscriber: %v", err)
-			}
-			sub.Close()
-			return k.rendered(), true
-		}},
+			return kept, err
+		})},
 	}
 	for fname, f := range feeds {
 		all, tuples := f.reference(t)

@@ -109,8 +109,41 @@ func (c *Codec) Decode(src []byte) (Element, []byte, error) {
 // never decoded into the buffer and is the caller's, as from Decode. On
 // error the buffer's contents are unspecified.
 func (c *Codec) DecodeInto(buf []Value, src []byte) (e Element, vals []Value, rest []byte, err error) {
+	return c.decode(buf, src, nil)
+}
+
+// DecodeBuffers is what DecodeLent reuses from one call to the next: the
+// values of the last tuple, the constants of the last punctuation, and a
+// table of the strings it decoded recently. The zero value is ready for
+// use; it is not safe for concurrent use.
+type DecodeBuffers struct {
+	vals []Value
+	pats []Pattern
+	strs stringTable
+}
+
+// DecodeLent is Decode for a caller that is done with each element before
+// it decodes the next: a tuple's Values and a punctuation's constants are
+// decoded into b, valid until its next use, and a caller that keeps the
+// element copies it (Element.Clone). A string equal to one b decoded
+// recently shares that string instead of allocating; strings are
+// immutable, so they are the caller's either way.
+func (c *Codec) DecodeLent(b *DecodeBuffers, src []byte) (Element, []byte, error) {
+	e, vals, rest, err := c.decode(b.vals, src, b)
+	b.vals = vals
+	return e, rest, err
+}
+
+// decode is DecodeInto and, given b, DecodeLent: it decodes a tuple into
+// buf, and a punctuation into b's constants or, without b, into constants
+// of its own. Strings go through b's table when there is one.
+func (c *Codec) decode(buf []Value, src []byte, b *DecodeBuffers) (e Element, vals []Value, rest []byte, err error) {
 	if len(src) == 0 {
 		return Element{}, buf, nil, io.ErrUnexpectedEOF
+	}
+	var strs *stringTable
+	if b != nil {
+		strs = &b.strs
 	}
 	kind := src[0]
 	src = src[1:]
@@ -122,31 +155,51 @@ func (c *Codec) DecodeInto(buf []Value, src []byte) (e Element, vals []Value, re
 			buf = buf[:n]
 		}
 		for i := range buf {
-			buf[i], src, err = c.decodeValue(src, c.schema.Attr(i).Kind)
+			buf[i], src, err = c.decodeValue(src, c.schema.Attr(i).Kind, strs)
 			if err != nil {
 				return Element{}, buf, nil, err
 			}
 		}
 		return TupleElement(NewTuple(buf...)), buf, src, nil
 	case codecPunct:
-		e, rest, err = c.decodePunct(src)
-		return e, buf, rest, err
+		var p Punctuation
+		if b == nil {
+			p, rest, err = c.decodeOwnPunct(src)
+		} else {
+			p.shape, b.pats, rest, err = c.decodePunct(src, b.pats[:0], strs)
+			p.consts = b.pats
+		}
+		if err != nil {
+			return Element{}, buf, nil, err
+		}
+		return PunctElement(p), buf, rest, nil
 	default:
 		return Element{}, buf, nil, fmt.Errorf("stream: codec: bad element kind 0x%02x", kind)
 	}
 }
 
-// decodePunct is Decode for a punctuation's slots, in a function of its own
-// so that its stack buffers do not enlarge the frame every tuple is decoded
-// in. What it builds is valid for the schema by construction: one slot per
-// attribute, each value decoded as its attribute's kind.
-func (c *Codec) decodePunct(src []byte) (Element, []byte, error) {
-	var posBuf [8]int
+// decodeOwnPunct is decodePunct into constants of the punctuation's own,
+// collected on a stack buffer of its own frame, so that neither enlarges
+// the frame every tuple is decoded in.
+func (c *Codec) decodeOwnPunct(src []byte) (Punctuation, []byte, error) {
 	var constBuf [8]Pattern
-	pos, consts := posBuf[:0], constBuf[:0]
+	sh, consts, rest, err := c.decodePunct(src, constBuf[:0], nil)
+	if err != nil {
+		return Punctuation{}, nil, err
+	}
+	return Punctuation{shape: sh, consts: slices.Clone(consts)}, rest, nil
+}
+
+// decodePunct decodes a punctuation's slots: it returns the punctuation's
+// shape and its constants, appended to consts. What it decodes is valid
+// for the schema by construction: one slot per attribute, each value
+// decoded as its attribute's kind.
+func (c *Codec) decodePunct(src []byte, consts []Pattern, strs *stringTable) (*shape, []Pattern, []byte, error) {
+	var posBuf [8]int
+	pos := posBuf[:0]
 	for i := range c.schema.Arity() {
 		if len(src) == 0 {
-			return Element{}, nil, io.ErrUnexpectedEOF
+			return nil, consts, nil, io.ErrUnexpectedEOF
 		}
 		slot := src[0]
 		src = src[1:]
@@ -154,11 +207,11 @@ func (c *Codec) decodePunct(src []byte) (Element, []byte, error) {
 		case slotWildcard:
 		case slotConst, slotLeq:
 			if k := c.schema.Attr(i).Kind; slot == slotLeq && k != KindInt && k != KindFloat {
-				return Element{}, nil, fmt.Errorf("stream: codec: ordered pattern on non-numeric attribute %q", c.schema.Attr(i).Name)
+				return nil, consts, nil, fmt.Errorf("stream: codec: ordered pattern on non-numeric attribute %q", c.schema.Attr(i).Name)
 			}
-			v, rest, err := c.decodeValue(src, c.schema.Attr(i).Kind)
+			v, rest, err := c.decodeValue(src, c.schema.Attr(i).Kind, strs)
 			if err != nil {
-				return Element{}, nil, err
+				return nil, consts, nil, err
 			}
 			src = rest
 			pat := Const(v)
@@ -167,20 +220,21 @@ func (c *Codec) decodePunct(src []byte) (Element, []byte, error) {
 			}
 			pos, consts = append(pos, i), append(consts, pat)
 		default:
-			return Element{}, nil, fmt.Errorf("stream: codec: bad pattern slot 0x%02x", slot)
+			return nil, consts, nil, fmt.Errorf("stream: codec: bad pattern slot 0x%02x", slot)
 		}
+	}
+	if len(consts) == 0 {
+		return nil, consts, nil, fmt.Errorf("stream: codec: %w", errNoConstraint)
 	}
 	if c.shapes.Load() == nil {
 		c.shapes.CompareAndSwap(nil, new(shapeTable))
 	}
-	p, err := newPunctuation(c.schema.Arity(), pos, consts, c.shapes.Load())
-	if err != nil {
-		return Element{}, nil, fmt.Errorf("stream: codec: %w", err)
-	}
-	return PunctElement(p), src, nil
+	return c.shapes.Load().intern(c.schema.Arity(), pos), consts, src, nil
 }
 
-func (c *Codec) decodeValue(src []byte, k Kind) (Value, []byte, error) {
+// decodeValue decodes one value of kind k, a string through strs when it
+// is not nil.
+func (c *Codec) decodeValue(src []byte, k Kind, strs *stringTable) (Value, []byte, error) {
 	switch k {
 	case KindInt:
 		if len(src) < 8 {
@@ -200,10 +254,47 @@ func (c *Codec) decodeValue(src []byte, k Kind) (Value, []byte, error) {
 		if used > 1 && src[used-1] == 0 { // binary.Uvarint accepts padding
 			return Value{}, nil, fmt.Errorf("stream: codec: string length not minimally encoded")
 		}
-		return Str(string(src[used : used+int(n)])), src[used+int(n):], nil
+		return Str(strs.str(src[used : used+int(n)])), src[used+int(n):], nil
 	default:
 		return Value{}, nil, fmt.Errorf("stream: codec: invalid kind %d", k)
 	}
+}
+
+// stringTable shares the strings a lending decoder sees repeat: a result
+// of a 1:N join repeats the 1-side's strings N times. It is direct-mapped
+// by a hash of the bytes, and a slot is a hit only when its string has
+// the same bytes; a miss allocates the string and replaces the slot. It
+// holds at most strTableSlots strings of at most strTableMaxLen bytes;
+// longer strings bypass it.
+type stringTable [strTableSlots]string
+
+const (
+	strTableSlots  = 256 // a power of two
+	strTableMaxLen = 64
+)
+
+// str returns the string of b's bytes, shared with the table's slot for
+// them when it holds them, and recorded there otherwise. A nil table
+// allocates every string.
+func (t *stringTable) str(b []byte) string {
+	if t == nil || len(b) > strTableMaxLen {
+		return string(b)
+	}
+	slot := &t[strSlot(b)]
+	if *slot != string(b) {
+		*slot = string(b)
+	}
+	return *slot
+}
+
+// strSlot is the table slot of b's bytes: an FNV-1a hash, as Value.Hash
+// uses, so which strings collide does not vary from run to run.
+func strSlot(b []byte) int {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return int(h & (strTableSlots - 1))
 }
 
 // shapeTable interns the shapes of one codec's decoded punctuations, so
@@ -215,9 +306,9 @@ type shapeTable [64]atomic.Pointer[shape]
 
 // intern returns the shape of an arity-wide punctuation constrained at
 // pos, copying pos if the shape is new. All shapes in one table have one
-// arity, its schema's; a nil table interns nothing.
+// arity, its schema's.
 func (t *shapeTable) intern(arity int, pos []int) *shape {
-	for i := 0; t != nil && i < len(t); i++ {
+	for i := range t {
 		sh := t[i].Load()
 		if sh == nil {
 			sh = &shape{arity: arity, idx: slices.Clone(pos)}

@@ -172,9 +172,10 @@ func mathNaN() float64 {
 }
 
 // FuzzCodec parses arbitrary bytes as one element of an int, float and
-// string schema, with Decode and with DecodeInto into one buffer that
+// string schema, with Decode, with DecodeInto into one buffer that
 // starts out holding values of the wrong kinds and is reused across
-// inputs. The two must agree on accepting, on the element and on the
+// inputs, and with DecodeLent into one DecodeBuffers reused across inputs.
+// The three must agree on accepting, on the element and on the
 // remainder; DecodeInto must decode a tuple into the buffer and leave it
 // alone for a punctuation; and an accepted tuple must re-encode to the
 // bytes it consumed. The seeds are the gate (`scripts/check.sh fuzzseed`).
@@ -202,8 +203,16 @@ func FuzzCodec(f *testing.F) {
 	}
 	junk := Str("junk")
 	buf := []Value{junk, Int(-1), Float(-1), junk}
+	var lent DecodeBuffers
 	f.Fuzz(func(t *testing.T, src []byte) {
 		want, wantRest, wantErr := c.Decode(src)
+		gotL, restL, errL := c.DecodeLent(&lent, src)
+		if (errL == nil) != (wantErr == nil) {
+			t.Fatalf("Decode: %v, DecodeLent: %v", wantErr, errL)
+		}
+		if errL == nil && (gotL.String() != want.String() || !bytes.Equal(restL, wantRest)) {
+			t.Fatalf("DecodeLent read %s leaving %x, Decode %s leaving %x", gotL, restL, want, wantRest)
+		}
 		before := slices.Clone(buf[:cap(buf)])
 		got, vals, rest, err := c.DecodeInto(buf, src)
 		if &vals[:cap(vals)][0] != &buf[:cap(buf)][0] {

@@ -1,6 +1,9 @@
 package stream
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Element is one item of a punctuated data stream: either a tuple or a
 // punctuation, in arrival order on a single feed (§2.3 treats punctuations
@@ -34,6 +37,17 @@ func (e Element) Punct() Punctuation {
 		panic("stream: Punct() on tuple element")
 	}
 	return e.p
+}
+
+// Clone returns a copy of the element with storage of its own, a tuple's
+// Values or a punctuation's constants, for a consumer that keeps an
+// element it was lent. Strings and a punctuation's shape are immutable,
+// so the copy shares them.
+func (e Element) Clone() Element {
+	if e.IsPunct() {
+		return PunctElement(Punctuation{shape: e.p.shape, consts: slices.Clone(e.p.consts)})
+	}
+	return TupleElement(e.tuple.Clone())
 }
 
 // String renders the element.

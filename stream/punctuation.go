@@ -125,18 +125,10 @@ func NewPunctuation(patterns ...Pattern) (Punctuation, error) {
 			pos, consts = append(pos, i), append(consts, p)
 		}
 	}
-	return newPunctuation(len(patterns), pos, consts, nil)
-}
-
-// newPunctuation is the arity-wide punctuation with consts at pos, its
-// shape taken from t. It copies consts, so callers collect them on the
-// stack: the punctuation allocates its constants and, unless t holds it,
-// its shape.
-func newPunctuation(arity int, pos []int, consts []Pattern, t *shapeTable) (Punctuation, error) {
 	if len(consts) == 0 {
 		return Punctuation{}, errNoConstraint
 	}
-	return Punctuation{shape: t.intern(arity, pos), consts: slices.Clone(consts)}, nil
+	return Punctuation{shape: &shape{arity: len(patterns), idx: slices.Clone(pos)}, consts: slices.Clone(consts)}, nil
 }
 
 // MustPunctuation is NewPunctuation that panics on error.
