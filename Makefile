@@ -5,7 +5,7 @@
 
 GO ?= go
 
-STAGES = fmtcheck vet build test race racestress soakfailover fuzzseed ckptsmoke allocfloors benchsmoke linebudget
+STAGES = fmtcheck vet build test race racestress soakfailover fuzzseed ckptsmoke allocfloors benchsmoke linebudget apicallers
 
 .PHONY: check $(STAGES) bench fmt
 

@@ -452,27 +452,6 @@ func BenchmarkE14PlanChoice(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeOrder compares the static BFS probe order against the
-// greedy dynamic order on a Zipf-skewed 4-way chain (skew is where early
-// pruning pays).
-func BenchmarkProbeOrder(b *testing.B) {
-	q := mustSynthetic(b, workload.Chain, 4)
-	schemes := workload.AllJoinAttrSchemes(q)
-	inputs := workload.Closed(q, schemes, workload.ClosedConfig{
-		Rounds: 20, TuplesPerRound: 20, Window: 8, PunctFraction: 1, ZipfS: 1.5, Seed: 16,
-	})
-	for _, mode := range []struct {
-		name    string
-		dynamic bool
-	}{{"static", false}, {"dynamic", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				drive(b, q, schemes, exec.Config{DynamicProbeOrder: mode.dynamic}, inputs)
-			}
-		})
-	}
-}
-
 // BenchmarkJoinProbe isolates the result-emission hot path: symmetric
 // hash probe with no punctuations.
 func BenchmarkJoinProbe(b *testing.B) {

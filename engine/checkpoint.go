@@ -131,10 +131,6 @@ func (rt *Runtime) CheckpointSummary(w io.Writer) (CheckpointSummary, error) {
 	if err := rt.Err(); err != nil {
 		return sum, fmt.Errorf("engine: checkpoint: runtime has failed: %w", err)
 	}
-	// A retired shard (last subscriber detached) is still draining its
-	// final flush but represents no registered query: it contributes
-	// nothing to the snapshot and its input is already closed, so the
-	// barrier must skip it.
 	states := make([][]byte, len(rt.shards))
 	delivered := make(map[string]uint64, len(rt.d.order))
 	if rt.closed {
@@ -145,28 +141,20 @@ func (rt *Runtime) CheckpointSummary(w io.Writer) (CheckpointSummary, error) {
 			return sum, fmt.Errorf("engine: checkpoint: runtime has failed: %w", err)
 		}
 		for i, s := range rt.shards {
-			if s.retired {
-				continue
-			}
 			var buf bytes.Buffer
 			if err := s.reg.ex.WriteState(&buf); err != nil {
 				return sum, fmt.Errorf("engine: checkpoint: query %q: %w", s.reg.Name, err)
 			}
 			states[i] = buf.Bytes()
 			// <-s.done above synchronized with the worker's final writes,
-			// so its subscriber list and delivery counts are readable.
-			for _, m := range s.subs {
+			// so its subscribers' delivery counts are readable.
+			for _, m := range s.reg.group.members {
 				delivered[m.Name] = m.delivered
 			}
 		}
 	} else {
 		reply := make(chan shardCkpt, len(rt.shards))
-		live := 0
 		for _, s := range rt.shards {
-			if s.retired {
-				continue
-			}
-			live++
 			// On a partitioned shard the barrier travels as a control
 			// chunk through every partition mailbox plus the routing
 			// script; the merge stage serializes the quiesced replicas
@@ -174,7 +162,7 @@ func (rt *Runtime) CheckpointSummary(w io.Writer) (CheckpointSummary, error) {
 			s.control(&shardCtrl{ckpt: reply})
 		}
 		var firstErr error
-		for i := 0; i < live; i++ {
+		for range rt.shards {
 			c := <-reply
 			if c.err != nil {
 				if firstErr == nil {

@@ -59,7 +59,7 @@ func TestStatsConcurrentWithClose(t *testing.T) {
 }
 
 // TestFailedShardDrainsWithoutDeadlock: under the default Fail policy
-// (no FailFast) one poisoned query fails early while producers keep
+// one poisoned query fails early while producers keep
 // sending the whole feed through tiny mailboxes. The failed shard must
 // keep draining so no producer ever blocks, and the healthy shard's
 // output must be complete.
@@ -107,39 +107,5 @@ func TestFailedShardDrainsWithoutDeadlock(t *testing.T) {
 	}
 	if got, want := len(healthy.Results), producers*itemsPer*bids; got != want {
 		t.Fatalf("healthy shard emitted %d results, want %d", got, want)
-	}
-}
-
-// TestFailFastStopsProducersEarly: with FailFast, Send starts returning
-// the runtime's first error once a shard has failed, so producers can
-// abandon the rest of their feed.
-func TestFailFastStopsProducersEarly(t *testing.T) {
-	d := New()
-	d.RegisterScheme(stream.MustScheme("item", false, true, false, false))
-	d.RegisterScheme(stream.MustScheme("bid", false, true, false))
-	if _, err := d.Register("poisoned", workload.AuctionQuery(), Options{
-		OnResult: func(stream.Tuple) { panic("poisoned early") },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rt := d.RunSharded(RuntimeOptions{Buffer: 1, FailFast: true})
-	var sendErr error
-	for id := 0; id < 10000 && sendErr == nil; id++ {
-		for _, te := range auctionElems(int64(id), 2) {
-			if sendErr = rt.Send(te.Stream, te.Elem); sendErr != nil {
-				break
-			}
-		}
-	}
-	if sendErr == nil {
-		t.Fatal("Send never surfaced the shard failure")
-	}
-	var pe *PanicError
-	if !errors.As(sendErr, &pe) {
-		t.Fatalf("Send error is not the contained panic: %v", sendErr)
-	}
-	rt.Close()
-	if err := rt.Wait(); err == nil {
-		t.Fatal("Wait lost the failure")
 	}
 }

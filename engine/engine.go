@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"punctsafe/exec"
 	"punctsafe/plan"
@@ -48,17 +47,12 @@ func New() *DSMS {
 // before the queries that rely on them.
 func (d *DSMS) RegisterScheme(s stream.Scheme) { d.schemes.Add(s) }
 
-// Schemes returns a copy of the registered scheme set.
-func (d *DSMS) Schemes() *stream.SchemeSet { return d.schemes.Clone() }
-
 // Options tunes how an admitted query is executed.
 type Options struct {
 	// Plan forces a specific execution plan. When nil the engine picks
 	// the cheapest safe plan (§5.2). A forced plan is still checked for
 	// safety (Definition 2) and rejected if unsafe.
 	Plan *plan.Node
-	// CostModel overrides the default cost model for plan choice.
-	CostModel *plan.CostModel
 	// PurgeBatch, PunctLifespan, PurgePunctuations, StateLimit,
 	// SoftStateLimit, OnPressure and EnforcePromises mirror exec.Config.
 	PurgeBatch        int
@@ -159,12 +153,10 @@ type Registered struct {
 	// this subscriber (see shard.materialize). A passive subscriber — no
 	// OnResult/OnPunct/delivery hook — does not receive per-element
 	// fan-out; its Results are materialized at barriers as slices of the
-	// shard's shared tuple log. logBase is the log index where this
-	// subscriber's view begins (fixed at attach), logStart the
-	// materialization cursor, logStartCount the element-count cursor
+	// shard's shared tuple log, which begins with the runtime. logStart is
+	// the materialization cursor, logStartCount the element-count cursor
 	// behind delivered, and logPure whether Results is a pure log alias
 	// (re-sliced zero-copy) or must be extended by appending.
-	logBase       int
 	logStart      int
 	logStartCount uint64
 	logPure       bool
@@ -191,7 +183,7 @@ func (d *DSMS) Register(name string, q *query.CJQ, opts Options) (*Registered, e
 	}
 	p := opts.Plan
 	if p == nil {
-		p, err = plan.ChooseSafe(q, d.schemes, opts.CostModel)
+		p, err = plan.ChooseSafe(q, d.schemes, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -394,25 +386,6 @@ func (r *Registered) MaxState() int { return r.ex.MaxState() }
 // OutputSchema is the plan's root output schema.
 func (r *Registered) OutputSchema() *stream.Schema { return r.ex.OutputSchema() }
 
-// Sweep runs the §5.1 background clean-up over every registered query
-// (once per share group) and returns the total number of tuples removed.
-func (d *DSMS) Sweep() (int, error) {
-	total := 0
-	for _, name := range d.order {
-		r := d.queries[name]
-		if !r.isDriver() {
-			continue
-		}
-		removed, outs, err := r.ex.Sweep()
-		if err != nil {
-			return total, err
-		}
-		total += removed
-		r.group.deliver(outs)
-	}
-	return total, nil
-}
-
 // Flush forces pending lazy purge rounds in every query (once per share
 // group).
 func (d *DSMS) Flush() error {
@@ -486,33 +459,6 @@ func (r *Registered) deliver(outs []stream.Element) {
 			r.Results = append(r.Results, o.Tuple().Clone())
 		}
 	}
-}
-
-// Describe renders a human-readable status block for a registered query:
-// its plan, per-stream purgeability, and live operator statistics.
-func (d *DSMS) Describe(name string) (string, error) {
-	r, ok := d.queries[name]
-	if !ok {
-		return "", fmt.Errorf("engine: no query %q", name)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "query %q: %s\n", r.Name, r.Query)
-	fmt.Fprintf(&b, "plan: %s\n", r.Plan.Render(r.Query))
-	fmt.Fprintf(&b, "output: %s\n", r.Output)
-	b.WriteString(r.Report.Explain(r.Query))
-	if r.Part != nil {
-		fmt.Fprintf(&b, "partitions: %d (routing on %s)\n", r.Part.Partitions(), r.Part.Routing())
-	} else if r.PartitionReason != "" {
-		fmt.Fprintf(&b, "partitions: fell back to single-tree execution: %s\n", r.PartitionReason)
-	}
-	if r.Fingerprint != "" {
-		fmt.Fprintf(&b, "shared: fingerprint %s, %d subscriber(s) on one tree\n",
-			r.Fingerprint, len(r.group.members))
-	}
-	for i, st := range r.StatsSnapshot() {
-		fmt.Fprintf(&b, "operator %d: %s\n", i, st)
-	}
-	return b.String(), nil
 }
 
 // TotalState sums stored tuples across all queries, counting each shared

@@ -171,8 +171,9 @@ func TestMultipleQueriesShareInput(t *testing.T) {
 	}
 }
 
-// TestDSMSSweep: with purging fully deferred, the engine-level background
-// clean-up removes everything the punctuations cover.
+// TestDSMSSweep: with purging fully deferred, the §5.1 background
+// clean-up of a registered query's tree removes everything the
+// punctuations cover.
 func TestDSMSSweep(t *testing.T) {
 	d := New()
 	for _, s := range workload.AuctionSchemes().All() {
@@ -194,35 +195,12 @@ func TestDSMSSweep(t *testing.T) {
 	if reg.Tree.TotalState() == 0 {
 		t.Fatal("deferred purging should have left state behind")
 	}
-	removed, err := d.Sweep()
+	removed, _, err := reg.Tree.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if removed == 0 || reg.Tree.TotalState() != 0 {
 		t.Fatalf("sweep removed %d, state %d", removed, reg.Tree.TotalState())
-	}
-}
-
-// TestDescribe renders the status block of a registered query.
-func TestDescribe(t *testing.T) {
-	d := New()
-	for _, s := range workload.AuctionSchemes().All() {
-		d.RegisterScheme(s)
-	}
-	if _, err := d.Register("auction", workload.AuctionQuery(), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := d.Describe("auction")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`query "auction"`, "plan: (item JOIN bid)", "SAFE", "operator 0:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Describe missing %q:\n%s", want, out)
-		}
-	}
-	if _, err := d.Describe("nope"); err == nil {
-		t.Error("Describe of unknown query must fail")
 	}
 }
 

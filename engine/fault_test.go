@@ -12,9 +12,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
+	"net"
 	"sort"
 	"testing"
-	"time"
 
 	"punctsafe/engine"
 	"punctsafe/exec"
@@ -345,56 +346,31 @@ func TestWireChaosQuarantine(t *testing.T) {
 	}
 }
 
-// TestRetryReaderResumesFlakyTransport: a transport that drops every few
-// hundred bytes, wrapped in a RetryReader, still delivers the whole wire
-// with no frame lost or duplicated.
-func TestRetryReaderResumesFlakyTransport(t *testing.T) {
-	feed := chaosBaseFeed()
-	item, bid := workload.AuctionSchemas()
-	var buf bytes.Buffer
-	ww := engine.NewWireWriter(&buf, item, bid)
-	for _, it := range feed {
-		if err := ww.Write(it.Stream, it.Elem); err != nil {
-			t.Fatal(err)
-		}
+// TestChaosConnDeterminism pins the injector contract: the same seed
+// over the same traffic produces the same fault schedule.
+func TestChaosConnDeterminism(t *testing.T) {
+	blob := make([]byte, 8*1024)
+	rand.New(rand.NewSource(7)).Read(blob)
+	run := func() (int, error) {
+		a, b := net.Pipe()
+		defer a.Close()
+		go func() {
+			b.Write(blob)
+			b.Close()
+		}()
+		cc := faultinject.NewChaosConn(a, faultinject.ChaosConfig{
+			Seed: 99, PartialReads: true, CutAfter: 2048, CutJitter: 512,
+		})
+		n, err := io.Copy(io.Discard, cc)
+		return int(n), err
 	}
-	wire := buf.Bytes()
-
-	opens := 0
-	rr := &engine.RetryReader{
-		Open: func(offset int64) (io.Reader, error) {
-			opens++
-			return faultinject.NewFlakyReader(wire[offset:], 700), nil
-		},
-		Sleep: func(time.Duration) {},
+	n1, err1 := run()
+	n2, err2 := run()
+	if n1 != n2 {
+		t.Fatalf("same seed, different cut points: %d vs %d", n1, n2)
 	}
-	d, regs := newFaultDSMS(t, "q0")
-	n, err := d.IngestWire(rr, item, bid)
-	if err != nil {
-		t.Fatalf("ingest over flaky transport failed: %v", err)
-	}
-	if n != len(feed) {
-		t.Fatalf("ingested %d elements, want %d", n, len(feed))
-	}
-	if opens < 2 || rr.Retries == 0 {
-		t.Fatalf("transport never dropped: opens=%d retries=%d", opens, rr.Retries)
-	}
-	if len(regs[0].Results) == 0 {
-		t.Fatal("no results from flaky ingest")
-	}
-
-	// A transport that never comes back surfaces a bounded failure.
-	dead := &engine.RetryReader{
-		MaxRetries: 3,
-		Sleep:      func(time.Duration) {},
-		Open: func(int64) (io.Reader, error) {
-			return nil, errors.New("connection refused")
-		},
-	}
-	if _, err := dead.Read(make([]byte, 16)); err == nil {
-		t.Fatal("dead transport read succeeded")
-	} else if dead.Retries != 4 {
-		t.Fatalf("dead transport retried %d times, want MaxRetries+1 = 4", dead.Retries)
+	if err1 == nil || err2 == nil {
+		t.Fatalf("cut budget of 2048+512 over 8192 bytes did not trigger: %v, %v", err1, err2)
 	}
 }
 

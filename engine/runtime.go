@@ -29,11 +29,6 @@ type RuntimeOptions struct {
 	// partitioned query's per-partition mailboxes keep their own fixed
 	// depths.
 	Buffer int
-	// FailFast makes Send return the runtime's first error as soon as any
-	// shard has failed, so producers can stop feeding early. Without it
-	// Send keeps routing (failed shards drain their mailboxes without
-	// processing) and the error surfaces from Err and Wait.
-	FailFast bool
 	// OnError selects how shards treat recoverable element-level errors
 	// (late tuples, malformed elements, panicking filters): Fail stops the
 	// shard (the default), Drop discards and counts the offender,
@@ -68,14 +63,13 @@ const defaultShardBuffer = 256
 // goroutines), then Close once all producers are done and Wait for the
 // drain. While the runtime runs the DSMS must not be used directly.
 type Runtime struct {
-	d        *DSMS
-	shards   []*shard
-	byName   map[string]*shard
-	route    map[string][]*shard
-	buffer   int // per-shard mailbox capacity in elements (Attach reuses it)
-	failFast bool
-	policy   ErrorPolicy
-	dlq      *deadLetterQueue
+	d      *DSMS
+	shards []*shard
+	byName map[string]*shard
+	route  map[string][]*shard
+	buffer int // per-shard mailbox capacity in elements
+	policy ErrorPolicy
+	dlq    *deadLetterQueue
 
 	// tap is RuntimeOptions.IngestTap; tapMu serializes tapped wire-ingest
 	// commits across sources so the tap observes a total ingress order.
@@ -103,7 +97,6 @@ type Runtime struct {
 
 	errMu    sync.Mutex
 	firstErr error
-	failed   chan struct{} // closed when firstErr is set
 }
 
 // shard is one share group's mailbox goroutine — one physical executor,
@@ -112,24 +105,16 @@ type Runtime struct {
 // is confined to the worker goroutine while the runtime runs, which
 // keeps the hot path free of locks.
 type shard struct {
-	// reg is the executor handle: the group's original driver, whose
-	// Tree/Part every member aliases. It stays the shard's handle even if
-	// that query later detaches (the physical state lives in the tree,
-	// which survives until the last subscriber leaves).
-	reg *Registered
-	// group is the live membership view shared with the DSMS register.
-	// It is mutated only under closeMu's write side (Attach/Detach) and
-	// read by producers under the read side (dead-letter fan-out).
-	group *shareGroup
-	// subs is the worker-owned subscriber list outputs fan out to. It
-	// tracks group.members through attach/detach control requests, so the
-	// cut between "old subscribers" and "new subscribers" falls exactly
-	// on a mailbox FIFO boundary. active/passive split it by delivery
-	// mode (rebuildSubs): active subscribers carry callbacks and get
-	// per-element fan-out; passive ones are served from the shared
-	// delivery log below, so the per-element cost of a shared tree is
-	// O(active), not O(subscribers).
-	subs    []*Registered
+	// reg is the executor handle: the share group's driver, whose
+	// Tree/Part every member aliases. The group's members are the
+	// subscribers outputs fan out to; membership is fixed once the
+	// runtime starts, so the worker and producers (dead-letter fan-out)
+	// read it without synchronization. active/passive split the members
+	// by delivery mode (rebuildSubs): active subscribers carry callbacks
+	// and get per-element fan-out; passive ones are served from the
+	// shared delivery log below, so the per-element cost of a shared tree
+	// is O(active), not O(subscribers).
+	reg     *Registered
 	active  []*Registered
 	passive []*Registered
 	// logTuples/logCount are the shared delivery log, maintained only
@@ -145,10 +130,6 @@ type shard struct {
 	rt        *Runtime
 	idx       int  // position in rt.shards (checkpoint reply routing)
 	failed    bool // worker-goroutine-local
-	// retired is set (under closeMu's write side) when the last
-	// subscriber detaches and the tree is being drained; Close skips the
-	// shard's already-closed mailbox.
-	retired bool
 	// runs recycles the run buffers producers fill for a partitioned
 	// shard's front (takeRun, giveRun).
 	runs freeList[[]stream.Element]
@@ -161,15 +142,13 @@ type shard struct {
 }
 
 // shardCtrl is a control request, answered by a shard's own goroutine at
-// the request's FIFO position among the elements: a stats snapshot, a
-// checkpoint barrier or a live subscription change (attach/detach). A
-// partitioned shard carries it through every partition mailbox and the
-// script, and its workers park on release until the merger has answered.
+// the request's FIFO position among the elements: a stats snapshot or a
+// checkpoint barrier. A partitioned shard carries it through every
+// partition mailbox and the script, and its workers park on release
+// until the merger has answered.
 type shardCtrl struct {
 	stats   chan<- []*exec.Stats
 	ckpt    chan<- shardCkpt
-	attach  *Registered   // new subscriber: outputs after this point fan to it
-	detach  string        // departing subscriber name: no outputs after this point
 	release chan struct{} // partitioned: closed by the merger once answered
 }
 
@@ -185,8 +164,7 @@ func (s *shard) control(c *shardCtrl) {
 
 // answer serves a control request at its FIFO position, with everything
 // enqueued before it already delivered: the stats snapshot and the
-// checkpoint reply reflect exactly those elements, and a subscription
-// change cuts the subscriber list there.
+// checkpoint reply reflect exactly those elements.
 func (s *shard) answer(c *shardCtrl) {
 	if c.stats != nil {
 		s.materializePassive()
@@ -194,12 +172,6 @@ func (s *shard) answer(c *shardCtrl) {
 	}
 	if c.ckpt != nil {
 		c.ckpt <- s.checkpointReply()
-	}
-	if c.attach != nil {
-		s.attachSub(c.attach)
-	}
-	if c.detach != "" {
-		s.dropSub(c.detach)
 	}
 }
 
@@ -452,17 +424,15 @@ func (d *DSMS) RunSharded(opts RuntimeOptions) *Runtime {
 		buffer = defaultShardBuffer
 	}
 	rt := &Runtime{
-		d:        d,
-		byName:   make(map[string]*shard, len(d.order)),
-		route:    make(map[string][]*shard),
-		buffer:   buffer,
-		failed:   make(chan struct{}),
-		kill:     make(chan struct{}),
-		sources:  make(map[string]int64),
-		failFast: opts.FailFast,
-		policy:   opts.OnError,
-		tap:      opts.IngestTap,
-		dlq:      newDeadLetterQueue(opts.OnError == Quarantine, opts.DeadLetterLimit),
+		d:       d,
+		byName:  make(map[string]*shard, len(d.order)),
+		route:   make(map[string][]*shard),
+		buffer:  buffer,
+		kill:    make(chan struct{}),
+		sources: make(map[string]int64),
+		policy:  opts.OnError,
+		tap:     opts.IngestTap,
+		dlq:     newDeadLetterQueue(opts.OnError == Quarantine, opts.DeadLetterLimit),
 	}
 	for _, name := range d.order {
 		r := d.queries[name]
@@ -477,26 +447,23 @@ func (d *DSMS) RunSharded(opts RuntimeOptions) *Runtime {
 }
 
 // spawnShard starts the shard goroutine for one share group, wiring
-// routing and the per-member name index. Called from RunSharded and,
-// under closeMu's write side, from Attach.
+// routing and the per-member name index.
 func (rt *Runtime) spawnShard(r *Registered) *shard {
 	s := &shard{
-		reg:   r,
-		group: r.group,
-		subs:  append([]*Registered(nil), r.group.members...),
-		done:  make(chan struct{}),
-		rt:    rt,
-		idx:   len(rt.shards),
+		reg:  r,
+		done: make(chan struct{}),
+		rt:   rt,
+		idx:  len(rt.shards),
 	}
 	rt.shards = append(rt.shards, s)
-	for _, m := range s.subs {
+	for _, m := range r.group.members {
 		if m.passiveSub() {
-			m.logBase, m.logStart, m.logStartCount = 0, 0, 0
+			m.logStart, m.logStartCount = 0, 0
 			m.logPure = len(m.Results) == 0
 		}
 	}
 	s.rebuildSubs()
-	for _, m := range s.group.members {
+	for _, m := range r.group.members {
 		rt.byName[m.Name] = s
 	}
 	for streamName := range s.reg.streamInput {
@@ -569,9 +536,7 @@ func (s *shard) discard(msgs []shardMsg) {
 // has been pushed. A checkpoint barrier therefore serializes a consistent
 // cut (pending lazy purges are NOT forced: they are part of the state and
 // travel in the snapshot, so the restored run purges on the same schedule
-// as an uninterrupted one), and a subscription change cuts the
-// subscriber list exactly between the elements enqueued before and after
-// it.
+// as an uninterrupted one).
 func (s *shard) handle(elems []stream.Element, msgs []shardMsg) {
 	for i := 0; i < len(msgs); {
 		m := msgs[i]
@@ -613,31 +578,17 @@ func (s *shard) deliver(outs []stream.Element) {
 	}
 }
 
-// rebuildSubs recomputes the active/passive split after any change to
-// the subscriber list. Slices are rebuilt in subs order so fan-out order
-// stays deterministic.
+// rebuildSubs computes the active/passive split of the group's members,
+// in member order so fan-out order stays deterministic.
 func (s *shard) rebuildSubs() {
 	s.active, s.passive = s.active[:0], s.passive[:0]
-	for _, m := range s.subs {
+	for _, m := range s.reg.group.members {
 		if m.passiveSub() {
 			s.passive = append(s.passive, m)
 		} else {
 			s.active = append(s.active, m)
 		}
 	}
-}
-
-// attachSub adds a live subscriber at the current mailbox cut. A passive
-// joiner's log view begins here: its Results will be exactly the log
-// suffix from this point on.
-func (s *shard) attachSub(m *Registered) {
-	if m.passiveSub() {
-		m.logBase, m.logStart = len(s.logTuples), len(s.logTuples)
-		m.logStartCount = s.logCount
-		m.logPure = len(m.Results) == 0
-	}
-	s.subs = append(s.subs, m)
-	s.rebuildSubs()
 }
 
 // materialize publishes one passive subscriber's pending log range into
@@ -649,7 +600,7 @@ func (s *shard) attachSub(m *Registered) {
 func (s *shard) materialize(m *Registered) {
 	cur := len(s.logTuples)
 	if m.logPure {
-		m.Results = s.logTuples[m.logBase:cur:cur]
+		m.Results = s.logTuples[:cur:cur]
 	} else if tail := s.logTuples[m.logStart:cur:cur]; len(tail) > 0 {
 		m.Results = append(m.Results, tail...)
 	}
@@ -660,7 +611,7 @@ func (s *shard) materialize(m *Registered) {
 
 // materializePassive publishes every passive subscriber's pending log
 // range. Called at every barrier a subscriber's Results or Delivered may
-// be observed behind: stats, checkpoint, detach, end of input, kill.
+// be observed behind: stats, checkpoint, end of input, kill.
 func (s *shard) materializePassive() {
 	for _, m := range s.passive {
 		s.materialize(m)
@@ -670,24 +621,8 @@ func (s *shard) materializePassive() {
 // deadLetter records one offender against every subscribed query —
 // exactly the accounting N independent trees would have produced.
 func (s *shard) deadLetter(streamName string, e stream.Element, err error) {
-	for _, m := range s.subs {
+	for _, m := range s.reg.group.members {
 		s.rt.dlq.add(DeadLetter{Stream: streamName, Query: m.Name, Elem: e, Err: err})
-	}
-}
-
-// dropSub removes a departing subscriber from the worker-owned list,
-// freezing a passive leaver's Results at this exact cut (the prefix it
-// was subscribed for; later log appends land beyond its clamped view).
-func (s *shard) dropSub(name string) {
-	for i, m := range s.subs {
-		if m.Name == name {
-			if m.passiveSub() {
-				s.materialize(m)
-			}
-			s.subs = append(s.subs[:i], s.subs[i+1:]...)
-			s.rebuildSubs()
-			return
-		}
 	}
 }
 
@@ -723,8 +658,8 @@ func (s *shard) checkpointReply() shardCkpt {
 	if err := s.reg.ex.WriteState(&buf); err != nil {
 		return shardCkpt{idx: s.idx, err: fmt.Errorf("engine: query %q: serializing state: %w", s.reg.Name, err)}
 	}
-	subs := make([]subDelivered, len(s.subs))
-	for i, m := range s.subs {
+	subs := make([]subDelivered, len(s.reg.group.members))
+	for i, m := range s.reg.group.members {
 		subs[i] = subDelivered{name: m.Name, delivered: m.delivered}
 	}
 	return shardCkpt{idx: s.idx, state: buf.Bytes(), subs: subs}
@@ -775,13 +710,12 @@ func (s *shard) flushContained() (err error) {
 	return nil
 }
 
-// fail records the runtime's first error and signals it.
+// fail records the runtime's first error.
 func (rt *Runtime) fail(err error) {
 	rt.errMu.Lock()
 	defer rt.errMu.Unlock()
 	if rt.firstErr == nil {
 		rt.firstErr = err
-		close(rt.failed)
 	}
 }
 
@@ -797,8 +731,9 @@ func (rt *Runtime) Err() error {
 // shard, applying each query's input filter on the router side. It blocks
 // while a subscribed shard's mailbox has no room (backpressure) and is
 // safe to call from any number of producer goroutines. After Close it returns
-// an error instead of panicking; with FailFast it returns the runtime's
-// first error once any shard has failed.
+// an error instead of panicking. A failed shard keeps draining its mailbox
+// without processing, so Send keeps routing; the failure surfaces from Err
+// and Wait.
 func (rt *Runtime) Send(streamName string, e stream.Element) error {
 	return rt.commit("Send", "", streamName, []stream.Element{e}, false, nil, 0, nil)
 }
@@ -842,13 +777,6 @@ func (rt *Runtime) commit(op, source, streamName string, elems []stream.Element,
 	defer rt.closeMu.RUnlock()
 	if rt.closed {
 		return fmt.Errorf("engine: runtime: %s after Close", op)
-	}
-	if rt.failFast {
-		select {
-		case <-rt.failed:
-			return rt.Err()
-		default:
-		}
 	}
 	if rec != nil {
 		rt.tapMu.Lock()
@@ -958,7 +886,7 @@ func (rt *Runtime) admit(s *shard, input int, streamName string, e stream.Elemen
 		rt.fail(err)
 		return false, err
 	}
-	for _, m := range s.group.members {
+	for _, m := range s.reg.group.members {
 		rt.dlq.add(DeadLetter{Stream: streamName, Query: m.Name, Elem: e, Err: err})
 	}
 	return false, nil
@@ -1002,9 +930,6 @@ func (rt *Runtime) Close() {
 	}
 	rt.closed = true
 	for _, s := range rt.shards {
-		if s.retired {
-			continue // Detach already closed its input
-		}
 		if s.pf != nil {
 			s.pf.close()
 			continue
@@ -1016,17 +941,8 @@ func (rt *Runtime) Close() {
 // Wait blocks until every shard has drained and flushed (after Close) and
 // returns the runtime's first error, if any. Once Wait returns the DSMS
 // and its Registered handles are quiescent and safe to read directly.
-// The shard list is re-snapshotted per iteration so a Wait racing a live
-// Attach (before Close) still joins every spawned shard.
 func (rt *Runtime) Wait() error {
-	for i := 0; ; i++ {
-		rt.closeMu.RLock()
-		if i >= len(rt.shards) {
-			rt.closeMu.RUnlock()
-			break
-		}
-		s := rt.shards[i]
-		rt.closeMu.RUnlock()
+	for _, s := range rt.shards {
 		<-s.done
 	}
 	return rt.Err()

@@ -138,12 +138,11 @@ func equalStrings(a, b []string) bool {
 }
 
 // TestShardedErrorPropagates: a malformed element fails only its shard;
-// the error surfaces immediately from Err, FailFast Sends start
-// returning it, the failed shard drains without wedging producers, and
-// healthy shards keep delivering.
+// the error surfaces immediately from Err, the failed shard drains
+// without wedging producers, and healthy shards keep delivering.
 func TestShardedErrorPropagates(t *testing.T) {
 	d, regs := newAuctionDSMS(t, 2)
-	rt := d.RunSharded(RuntimeOptions{Buffer: 1, FailFast: true})
+	rt := d.RunSharded(RuntimeOptions{Buffer: 1})
 
 	// Wrong arity for the item stream: every shard consuming "item" fails.
 	bad := stream.TupleElement(stream.NewTuple(stream.Int(1)))
@@ -157,10 +156,6 @@ func TestShardedErrorPropagates(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// FailFast: Send now reports the first error instead of queueing.
-	if err := rt.Send("item", bad); err == nil {
-		t.Fatal("FailFast Send should return the runtime error")
-	}
 	rt.Close()
 	if err := rt.Wait(); err == nil {
 		t.Fatal("Wait must return the first error")
@@ -168,8 +163,7 @@ func TestShardedErrorPropagates(t *testing.T) {
 	_ = regs
 }
 
-// TestShardedDrainKeepsFeeding: without FailFast a shard failure drains
-// quietly — producers keep sending far past the failed element and never
+// TestShardedDrainKeepsFeeding: a shard failure drains quietly — producers keep sending far past the failed element and never
 // block, and the error still comes out of Wait.
 func TestShardedDrainKeepsFeeding(t *testing.T) {
 	d, _ := newAuctionDSMS(t, 1)
@@ -324,7 +318,7 @@ func TestRouteSingleElementAllocs(t *testing.T) {
 	const capacity = 16
 	rt := &Runtime{route: make(map[string][]*shard), sources: make(map[string]int64)}
 	for _, r := range regs {
-		s := &shard{reg: r, group: r.group, rt: rt}
+		s := &shard{reg: r, rt: rt}
 		s.mb.init(capacity)
 		rt.shards = append(rt.shards, s)
 		rt.route["item"] = append(rt.route["item"], s)
@@ -422,7 +416,7 @@ func testDeliveryAllocFloor(t *testing.T, hook bool) {
 			}
 		})
 	}
-	s := &shard{reg: reg, group: reg.group, subs: []*Registered{reg}, rt: &Runtime{}}
+	s := &shard{reg: reg, rt: &Runtime{}}
 	s.rebuildSubs()
 	const items, bids = 64, 2
 	runs := auctionCycle(items, bids)
@@ -642,7 +636,7 @@ func TestPartitionFrontAllocFloor(t *testing.T) {
 		t.Fatalf("auction query did not partition: %s", reg.PartitionReason)
 	}
 	rt := &Runtime{route: make(map[string][]*shard), sources: make(map[string]int64)}
-	s := &shard{reg: reg, group: reg.group, rt: rt}
+	s := &shard{reg: reg, rt: rt}
 	s.pf = &partFront{
 		s: s, p: 2,
 		in:     []chan partChunk{make(chan partChunk, 1), make(chan partChunk, 1)},

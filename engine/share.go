@@ -22,9 +22,8 @@ import (
 
 // shareGroup ties the queries sharing one physical executor together.
 // members is ordered by registration; members[0] is the driver whose
-// Tree/Part every member aliases. The slice is mutated only while the
-// owning runtime is quiescent or under its close lock's write side
-// (Attach/Detach), and read by producers under the read side.
+// Tree/Part every member aliases. The slice changes only at Register and
+// Unregister, before a runtime starts: membership is fixed while one runs.
 type shareGroup struct {
 	fp      string // plan.Fingerprint; "" for unshared singleton groups
 	members []*Registered

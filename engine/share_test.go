@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -168,105 +169,15 @@ func TestShareRuntimeFanOut(t *testing.T) {
 	}
 }
 
-// TestShareAttachDetachBoundaries: a subscriber attached to a running
-// group receives exactly a suffix of the driver's delivery sequence, a
-// detached one keeps exactly a prefix, and detaching a group's last
-// member retires the tree without disturbing the runtime.
-func TestShareAttachDetachBoundaries(t *testing.T) {
-	d, regs := newShareAuctionDSMS(t, 2, Options{})
-	rt := d.RunSharded(RuntimeOptions{Buffer: 4})
-	feed := auctionFeed(40, 3)
-	half, threeQ := len(feed)/2, 3*len(feed)/4
-
-	for _, te := range feed[:half] {
-		if err := rt.Send(te.Stream, te.Elem); err != nil {
-			t.Fatal(err)
-		}
-	}
-	late, err := rt.Attach("late", workload.AuctionQuery(), Options{Share: true})
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	if late.Tree != regs[0].Tree {
-		t.Fatal("attached query did not join the live share group")
-	}
-	for _, te := range feed[half:threeQ] {
-		if err := rt.Send(te.Stream, te.Elem); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rt.Detach("share1"); err != nil {
-		t.Fatalf("Detach: %v", err)
-	}
-	for _, te := range feed[threeQ:] {
-		if err := rt.Send(te.Stream, te.Elem); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rt.Close()
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	driver := resultStrings(regs[0])
-	if len(driver) != 40*3 {
-		t.Fatalf("driver delivered %d results, want %d", len(driver), 40*3)
-	}
-	// Suffix property: the attach cut fell on an element boundary, so the
-	// late subscriber's results are exactly the tail of the driver's.
-	lateGot := resultStrings(late)
-	if len(lateGot) == 0 || len(lateGot) >= len(driver) {
-		t.Fatalf("late subscriber delivered %d results; want a proper non-empty suffix of %d", len(lateGot), len(driver))
-	}
-	requireEqualResults(t, "late suffix", driver[len(driver)-len(lateGot):], lateGot)
-	// Prefix property for the detached member.
-	earlyGot := resultStrings(regs[1])
-	if len(earlyGot) == 0 || len(earlyGot) >= len(driver) {
-		t.Fatalf("detached subscriber kept %d results; want a proper non-empty prefix of %d", len(earlyGot), len(driver))
-	}
-	requireEqualResults(t, "detached prefix", driver[:len(earlyGot)], earlyGot)
-	if _, err := rt.Stats("share1"); err == nil {
-		t.Fatal("Stats must not resolve a detached query")
-	}
-
-	// Last-subscriber retirement: a single-member group's tree retires at
-	// its detach barrier; later sends have nowhere to route and the
-	// runtime still closes cleanly.
-	d2, regs2 := newShareAuctionDSMS(t, 1, Options{})
-	rt2 := d2.RunSharded(RuntimeOptions{})
-	for _, te := range auctionElems(1, 2) {
-		if err := rt2.Send(te.Stream, te.Elem); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rt2.Detach("share0"); err != nil {
-		t.Fatal(err)
-	}
-	if got := d2.PhysicalTrees(); got != 0 {
-		t.Fatalf("PhysicalTrees after retiring detach = %d, want 0", got)
-	}
-	for _, te := range auctionElems(2, 2) {
-		if err := rt2.Send(te.Stream, te.Elem); err != nil {
-			t.Fatalf("Send after retirement: %v", err)
-		}
-	}
-	rt2.Close()
-	if err := rt2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(regs2[0].Results); got != 2 {
-		t.Fatalf("retired query kept %d results, want the 2 delivered before detach", got)
-	}
-}
-
-// TestSharedCheckpointRestoreEvolved is the recovery acceptance test for
-// shared execution: N queries over K shared trees, with a subscriber
-// attached AND one detached mid-run, checkpoint, kill, restore into a
-// fresh register holding the evolved membership, resume — every
-// surviving query's combined output and final stats must equal the
-// uninterrupted run's.
-func TestSharedCheckpointRestoreEvolved(t *testing.T) {
-	build := func(withQ1 bool) (*DSMS, map[string]*Registered) {
+// TestSharedCheckpointRestore is the recovery acceptance test for shared
+// execution: N queries over K shared trees, their membership fixed at
+// Register, checkpoint mid-run, feed on past the cut, kill, restore into
+// a fresh register with the same membership, resume from the committed
+// offset — every query's output at the cut plus the restored run's must
+// equal the uninterrupted run's, final stats and delivery counts
+// included.
+func TestSharedCheckpointRestore(t *testing.T) {
+	build := func() (*DSMS, map[string]*Registered) {
 		d := New()
 		for _, s := range workload.AuctionSchemes().All() {
 			d.RegisterScheme(s)
@@ -280,81 +191,66 @@ func TestSharedCheckpointRestoreEvolved(t *testing.T) {
 			regs[name] = r
 		}
 		reg("q0", Options{Share: true})
-		if withQ1 {
-			reg("q1", Options{Share: true})
-		}
+		reg("q1", Options{Share: true})
 		reg("q2", Options{Share: true, ShareTag: "other"})
 		reg("q3", Options{})
+		reg("q4", Options{Share: true})
+		if got := d.PhysicalTrees(); got != 3 {
+			t.Fatalf("PhysicalTrees = %d, want 3", got)
+		}
 		return d, regs
 	}
-
+	names := []string{"q0", "q1", "q2", "q3", "q4"}
 	feed := auctionFeed(40, 3)
 	cut, cut2 := len(feed)/2, 3*len(feed)/4
 
-	d, regs := build(true)
+	// The uninterrupted run.
+	d, want := build()
 	rt := d.RunSharded(RuntimeOptions{})
-	sendAtAll(t, rt, feed, 0, cut)
-	// Evolve mid-run: q4 joins q0's tree, q1 leaves it.
-	q4, err := rt.Attach("q4", workload.AuctionQuery(), Options{Share: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs["q4"] = q4
-	if err := rt.Detach("q1"); err != nil {
-		t.Fatal(err)
-	}
-	sendAtAll(t, rt, feed, cut, cut2)
-	var snap bytes.Buffer
-	if err := rt.Checkpoint(&snap); err != nil {
-		t.Fatalf("Checkpoint with shared trees: %v", err)
-	}
-	live := []string{"q0", "q2", "q3", "q4"}
-	prefix := make(map[string][]string, len(live))
-	for _, name := range live {
-		prefix[name] = resultStrings(regs[name])
-	}
-	sendAtAll(t, rt, feed, cut2, len(feed))
+	sendAtAll(t, rt, feed, 0, len(feed))
 	rt.Close()
 	if err := rt.Wait(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Second life: a fresh register with the EVOLVED membership (q1 gone,
-	// q4 present, same order) restores the snapshot and resumes.
-	d2, _ := build(false)
-	q4b, err := d2.Register("q4", workload.AuctionQuery(), Options{Share: true})
-	if err != nil {
-		t.Fatal(err)
+	// The crashed run: checkpoint at cut, feed on to cut2, kill.
+	dc, crashed := build()
+	rtc := dc.RunSharded(RuntimeOptions{})
+	sendAtAll(t, rtc, feed, 0, cut)
+	var snap bytes.Buffer
+	if err := rtc.Checkpoint(&snap); err != nil {
+		t.Fatalf("Checkpoint with shared trees: %v", err)
 	}
-	if got := d2.PhysicalTrees(); got != 3 {
-		t.Fatalf("restored register PhysicalTrees = %d, want 3", got)
+	prefix := make(map[string][]string, len(names))
+	for _, name := range names {
+		prefix[name] = resultStrings(crashed[name])
 	}
+	sendAtAll(t, rtc, feed, cut, cut2)
+	rtc.Kill()
+	rtc.Close()
+	if err := rtc.Wait(); !errors.Is(err, ErrKilled) {
+		t.Fatalf("Wait after Kill = %v, want ErrKilled", err)
+	}
+
+	// Second life: a fresh register with the same membership restores the
+	// snapshot and resumes where the checkpoint committed.
+	d2, restored := build()
 	rt2, err := d2.RestoreRuntime(bytes.NewReader(snap.Bytes()), RuntimeOptions{})
 	if err != nil {
 		t.Fatalf("RestoreRuntime: %v", err)
 	}
-	if got := rt2.ResumeOffset("feed"); got != int64(cut2) {
-		t.Fatalf("ResumeOffset = %d, want %d", got, cut2)
+	if got := rt2.ResumeOffset("feed"); got != int64(cut) {
+		t.Fatalf("ResumeOffset = %d, want %d", got, cut)
 	}
-	sendAtAll(t, rt2, feed, cut2, len(feed))
+	sendAtAll(t, rt2, feed, cut, len(feed))
 	rt2.Close()
 	if err := rt2.Wait(); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, name := range live {
-		want := resultStrings(regs[name])
-		var got []string
-		got = append(got, prefix[name]...)
-		r2, ok := d2.Get(name)
-		if !ok {
-			t.Fatalf("query %s missing after restore", name)
-		}
-		if name == "q4" {
-			r2 = q4b
-		}
-		got = append(got, resultStrings(r2)...)
-		requireEqualResults(t, name, want, got)
+	for _, name := range names {
+		got := append(prefix[name], resultStrings(restored[name])...)
+		requireEqualResults(t, name, resultStrings(want[name]), got)
 		wantStats, err := rt.Stats(name)
 		if err != nil {
 			t.Fatal(err)
@@ -366,8 +262,8 @@ func TestSharedCheckpointRestoreEvolved(t *testing.T) {
 		if !reflect.DeepEqual(gotStats, wantStats) {
 			t.Fatalf("query %s: restored stats diverge:\n%v\nvs\n%v", name, gotStats, wantStats)
 		}
-		if r2.Delivered() != regs[name].Delivered() {
-			t.Fatalf("query %s: delivered %d across restore, want %d", name, r2.Delivered(), regs[name].Delivered())
+		if restored[name].Delivered() != want[name].Delivered() {
+			t.Fatalf("query %s: delivered %d across restore, want %d", name, restored[name].Delivered(), want[name].Delivered())
 		}
 	}
 }
@@ -415,12 +311,7 @@ func TestFanOutDeliveryAllocs(t *testing.T) {
 		stream.PunctElement(stream.MustPunctuation(stream.Wildcard(), stream.Const(stream.Int(2)), stream.Wildcard())),
 	}
 	newShard := func(regs []*Registered) *shard {
-		driver := regs[0]
-		s := &shard{
-			reg:   driver,
-			group: driver.group,
-			subs:  append([]*Registered(nil), driver.group.members...),
-		}
+		s := &shard{reg: regs[0]}
 		s.rebuildSubs()
 		return s
 	}

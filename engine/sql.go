@@ -65,16 +65,6 @@ func (d *DSMS) registerCompiled(name string, cq *streamsql.CompiledQuery, opts O
 	return reg, nil
 }
 
-// attachCompiled is registerCompiled on a running runtime: the delivery
-// wiring happens inside Attach's exclusive lock hold, before the query
-// is published to the router or its shard, so no producer or worker ever
-// observes a half-wired registration.
-func (rt *Runtime) attachCompiled(name string, cq *streamsql.CompiledQuery, opts Options) (*Registered, error) {
-	return rt.attach(name, cq.Query, sqlExecOpts(cq, opts), func(reg *Registered) error {
-		return wireCompiled(reg, cq)
-	})
-}
-
 // sqlExecOpts derives the options a compiled SQL query registers with:
 // under Share the canonical filter key joins the share tag — filters
 // select which tuples enter the tree, so they are part of the physical

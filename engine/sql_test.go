@@ -225,67 +225,6 @@ func TestSQLShareFiltersAndProjections(t *testing.T) {
 	}
 }
 
-// TestAttachSQLLive: a SQL view attached to a running runtime joins the
-// matching share group instantly, receives only post-attach outputs
-// through its own projection, and detaches without disturbing the
-// group.
-func TestAttachSQLLive(t *testing.T) {
-	d := New()
-	base, err := d.RegisterSQL("v1", shareSQLBase+"SELECT ev.k FROM ev, ref WHERE ev.k = ref.k AND ev.tag = 1;", Options{Share: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := base[0]
-	rt := d.RunSharded(RuntimeOptions{})
-	tup := func(vals ...int64) stream.Element {
-		vs := make([]stream.Value, len(vals))
-		for i, v := range vals {
-			vs[i] = stream.Int(v)
-		}
-		return stream.TupleElement(stream.NewTuple(vs...))
-	}
-	if err := rt.Send("ref", tup(1, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Send("ev", tup(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Barrier so the pre-attach result is delivered before the cut.
-	if _, err := rt.Stats("v1#1"); err != nil {
-		t.Fatal(err)
-	}
-	regs, err := rt.AttachSQL("v5", shareSQLBase+"SELECT ref.w FROM ev, ref WHERE ev.k = ref.k AND ev.tag = 1;", Options{Share: true})
-	if err != nil {
-		t.Fatalf("AttachSQL: %v", err)
-	}
-	v5 := regs[0]
-	if v5.Tree != v1.Tree {
-		t.Fatal("attached SQL view must join the live share group")
-	}
-	if err := rt.Send("ev", tup(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Detach("v5#1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Send("ev", tup(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	rt.Close()
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(v1.Results); got != 3 {
-		t.Fatalf("v1 delivered %d results, want 3", got)
-	}
-	if got := len(v5.Results); got != 1 {
-		t.Fatalf("v5 delivered %d results across its attach window, want 1", got)
-	}
-	if v5.Results[0].Values[0].AsInt() != 10 {
-		t.Fatalf("v5 projected %v, want ref.w = 10", v5.Results[0])
-	}
-}
-
 // TestRegisterSQLMultipleQueries: one script, several queries, each
 // independently named and fed.
 func TestRegisterSQLMultipleQueries(t *testing.T) {

@@ -250,7 +250,7 @@ func (wr *WireReader) readRaw() (wireStream, []byte, int, error) {
 		var c *wireCorruption
 		if !errors.As(err, &c) {
 			// Underlying reader failure: not data damage, always fatal at
-			// this layer (RetryReader absorbs transient ones underneath).
+			// this layer. Reconnecting is the caller's job.
 			return zero, nil, 0, fmt.Errorf("engine: wire: %w", err)
 		}
 		if !wr.lenient {
@@ -491,9 +491,8 @@ func (rt *Runtime) IngestWire(r io.Reader, schemas ...*stream.Schema) (int, erro
 // checkpoint therefore resumes exactly after the last frame inside the
 // snapshot — no lost and no duplicated tuples. No reconnection is
 // attempted — a read failure surfaces after committing everything read
-// before it; wrap the transport in a RetryReader (StartOffset:
-// rt.ResumeOffset(source)) to reconnect at the right offset
-// automatically. The serving front-end feeds each producer connection
+// before it, and a caller that reconnects reopens its transport at
+// rt.ResumeOffset(source). The serving front-end feeds each producer connection
 // through this path: the connection handshake positions the client at
 // the resume offset, and reconnection is the client's job.
 //

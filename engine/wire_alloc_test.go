@@ -93,7 +93,7 @@ func BenchmarkWireReaderRead(b *testing.B) {
 func TestIngestWireAllocFloor(t *testing.T) {
 	_, regs := newAuctionDSMS(t, 1)
 	rt := &Runtime{route: make(map[string][]*shard), sources: make(map[string]int64)}
-	s := &shard{reg: regs[0], group: regs[0].group, rt: rt}
+	s := &shard{reg: regs[0], rt: rt}
 	s.mb.init(1024)
 	rt.shards, rt.route["bid"] = []*shard{s}, []*shard{s}
 	_, bid := workload.AuctionSchemas()

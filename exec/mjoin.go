@@ -40,15 +40,6 @@ type Config struct {
 	// or at once when it constrains an attribute that joins nothing here.
 	// Ordered (watermark) punctuations are never dropped.
 	PurgePunctuations bool
-	// DisableOutputPuncts turns off punctuation propagation to the
-	// operator output (needed by upper operators of tree plans).
-	DisableOutputPuncts bool
-	// DynamicProbeOrder expands join results by always probing the
-	// not-yet-bound input with the smallest candidate set next (the
-	// greedy ordering of MJoin literature), instead of the static BFS
-	// order. Identical results, often far less intermediate work on
-	// skewed data.
-	DynamicProbeOrder bool
 	// StateLimit, when nonzero, makes Push fail once the total stored
 	// tuple count would exceed it — the resource back-stop that keeps an
 	// unsafe (or insufficiently punctuated) query from exhausting memory,
@@ -264,9 +255,6 @@ func (m *MJoin) StatsSnapshot() *Stats { return m.stats.Snapshot() }
 // of the input schemas, with columns named <stream>_<attr>.
 func (m *MJoin) OutputSchema() *stream.Schema { return m.out }
 
-// Query returns the operator's join query.
-func (m *MJoin) Query() *query.CJQ { return m.q }
-
 func (m *MJoin) buildOutputSchema() {
 	var attrs []stream.Attribute
 	m.colBase = make([]int, m.q.N())
@@ -469,14 +457,19 @@ func (m *MJoin) pushPunct(out []stream.Element, input int, p stream.Punctuation)
 
 // flushPendingInto runs one purge round over the accumulated punctuations,
 // if any (the lazy strategy of §5.2), appending any emitted punctuations
-// to out.
+// to out. The round reads the batch while the spare list stands in as
+// pending (nothing enters pending during a round); the batch is then
+// cleared, dropping its punctuations, and kept as the next spare.
 func (m *MJoin) flushPendingInto(out []stream.Element) []stream.Element {
 	if len(m.pending) == 0 {
 		return out
 	}
 	batch := m.pending
-	m.pending = nil
-	return m.purgeRound(out, batch)
+	m.pending = m.pg.spare
+	out = m.purgeRound(out, batch)
+	clear(batch)
+	m.pg.spare = batch[:0]
+	return out
 }
 
 // Flush forces a purge round over any pending punctuations (used at the
@@ -488,9 +481,7 @@ func (m *MJoin) Flush() []stream.Element {
 
 // probe computes all join results involving the arriving tuple t on input
 // `input` and the stored tuples of every other input, by expanding along
-// the precomputed BFS order (or, with DynamicProbeOrder, the greedy
-// smallest-candidate-set order), and appends them to out as result
-// elements. It returns the extended slice also on error (the caller cuts
+// the precomputed BFS order, and appends them to out as result elements. It returns the extended slice also on error (the caller cuts
 // it back).
 func (m *MJoin) probe(out []stream.Element, input int, t stream.Tuple) ([]stream.Element, error) {
 	pr := &m.pr
@@ -501,12 +492,7 @@ func (m *MJoin) probe(out []stream.Element, input int, t stream.Tuple) ([]stream
 	pr.bound[input] = t
 	pr.isBound[input] = true
 
-	var err error
-	if m.cfg.DynamicProbeOrder {
-		err = m.probeDynamic(1)
-	} else {
-		err = m.expand(m.probeOrders[input], 0)
-	}
+	err := m.expand(m.probeOrders[input], 0)
 	out, pr.out = pr.out, nil
 	return out, err
 }
@@ -576,79 +562,6 @@ func (m *MJoin) candidateRows(j, depth int) ([]row, error) {
 		return nil, fmt.Errorf("%w: stream %d unreachable from bound set (query %s)", ErrProbeDisconnected, j, m.q)
 	}
 	return cand, nil
-}
-
-// probeDynamic expands the join by always choosing, among the unbound
-// streams adjacent to the bound set, the one with the fewest candidates
-// on its first bound predicate — pruning dead branches as early as
-// possible. Remaining predicates are verified per candidate.
-func (m *MJoin) probeDynamic(boundCount int) error {
-	pr := &m.pr
-	if boundCount == m.q.N() {
-		pr.out = append(pr.out, stream.TupleElement(m.concat(pr.bound)))
-		return nil
-	}
-	best := -1
-	var bestBucket []row
-	for j := 0; j < m.q.N(); j++ {
-		if pr.isBound[j] {
-			continue
-		}
-		adjacent := false
-		var bucket []row
-		for _, p := range m.predsTouching[j] {
-			other, jAttr, otherAttr := p.Other(j)
-			if !pr.isBound[other] {
-				continue
-			}
-			if !adjacent {
-				adjacent = true
-				bucket = m.states[j].index.lookup(jAttr, pr.bound[other].Values[otherAttr])
-			}
-		}
-		if !adjacent {
-			continue
-		}
-		if best < 0 || len(bucket) < len(bestBucket) {
-			best, bestBucket = j, bucket
-		}
-		if len(bestBucket) == 0 {
-			return nil // some adjacent stream has no match: dead branch
-		}
-	}
-	if best < 0 {
-		return fmt.Errorf("%w: no unbound stream adjacent to bound set (query %s)", ErrProbeDisconnected, m.q)
-	}
-	st := m.states[best]
-	for _, r := range bestBucket {
-		u := st.tuple(r)
-		if !m.matchesBound(best, u) {
-			continue
-		}
-		pr.bound[best] = u
-		pr.isBound[best] = true
-		if err := m.probeDynamic(boundCount + 1); err != nil {
-			return err
-		}
-		pr.isBound[best] = false
-	}
-	return nil
-}
-
-// matchesBound verifies every predicate between stream j's tuple u and
-// the bound prefix.
-func (m *MJoin) matchesBound(j int, u stream.Tuple) bool {
-	pr := &m.pr
-	for _, p := range m.predsTouching[j] {
-		other, jAttr, otherAttr := p.Other(j)
-		if !pr.isBound[other] {
-			continue
-		}
-		if !u.Values[jAttr].Equal(pr.bound[other].Values[otherAttr]) {
-			return false
-		}
-	}
-	return true
 }
 
 // concat builds one result tuple from the bound input tuples: in values

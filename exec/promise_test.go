@@ -91,7 +91,7 @@ func TestEnforcePromisesAcceptsCleanWorkloads(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, inputs := tc.q()
-			feed, err := workload.NewFeed(m.Query(), inputs)
+			feed, err := workload.NewFeed(m.q, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}

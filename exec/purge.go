@@ -25,8 +25,11 @@ type sid struct {
 // frontiers and value sets reuse per-input buffers, and punctuation
 // constants are assembled in one slice sized to the widest scheme.
 type purgeScratch struct {
-	one     []pendingPunct // single-punctuation batch for eager rounds
-	cand    [][]row        // per-input purge candidates (sorted before fixpoint)
+	one []pendingPunct // single-punctuation batch for eager rounds
+	// spare is the emptied pending list of the last lazy round, taken as
+	// the next one so a batch does not regrow it from empty.
+	spare   []pendingPunct
+	cand    [][]row // per-input purge candidates (sorted before fixpoint)
 	queue   []sid
 	removed [][]stream.Tuple // per-input removed-tuple buffers
 	// purgeableTuple scratch.
@@ -473,12 +476,8 @@ func (m *MJoin) propagate(input, schemeIdx int, e *punctEntry) bool {
 }
 
 // emitPunct appends the output punctuation of a punctuation propagate
-// has just marked, unless output punctuations are off (the mark is kept
-// regardless: §5.1 reads it).
+// has just marked.
 func (m *MJoin) emitPunct(out []stream.Element, input, schemeIdx int, e *punctEntry) []stream.Element {
-	if m.cfg.DisableOutputPuncts {
-		return out
-	}
 	m.stats.OutPuncts++
 	return append(out, stream.PunctElement(e.punct.Reshape(m.punctPlans[input][schemeIdx].outScheme)))
 }

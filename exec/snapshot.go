@@ -139,15 +139,6 @@ func (t *Tree) InstallState(s *TreeState) error {
 	return nil
 }
 
-// ReadState decodes and installs a snapshot in one call.
-func (t *Tree) ReadState(r io.Reader) error {
-	s, err := t.DecodeState(r)
-	if err != nil {
-		return err
-	}
-	return t.InstallState(s)
-}
-
 // appendState appends the operator's serialized state to dst.
 func (m *MJoin) appendState(dst []byte) ([]byte, error) {
 	dst = append(dst, opStateMagic...)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"reflect"
@@ -77,8 +78,8 @@ func TestTreeStateBisimulation(t *testing.T) {
 				t.Fatalf("trial %d cfg %d: WriteState: %v", trial, ci, err)
 			}
 			restored := buildTree(t, q, set, cfg)
-			if err := restored.ReadState(bytes.NewReader(snap.Bytes())); err != nil {
-				t.Fatalf("trial %d cfg %d: ReadState: %v", trial, ci, err)
+			if err := readState(restored, bytes.NewReader(snap.Bytes())); err != nil {
+				t.Fatalf("trial %d cfg %d: readState: %v", trial, ci, err)
 			}
 			if !reflect.DeepEqual(orig.StatsSnapshot(), restored.StatsSnapshot()) {
 				t.Fatalf("trial %d cfg %d: stats diverge right after restore:\n%v\nvs\n%v",
@@ -145,7 +146,7 @@ func TestCheckpointedLifespanExpiresOnSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := buildTree(t, q, set, cfg)
-	if err := restored.ReadState(bytes.NewReader(snap.Bytes())); err != nil {
+	if err := readState(restored, bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,7 +245,7 @@ func TestTreeStateCorruptRejected(t *testing.T) {
 		}
 	}
 	// The intact snapshot still restores after all those rejections.
-	if err := fresh().ReadState(bytes.NewReader(blob)); err != nil {
+	if err := readState(fresh(), bytes.NewReader(blob)); err != nil {
 		t.Fatalf("intact snapshot rejected: %v", err)
 	}
 }
@@ -273,7 +274,7 @@ func TestTieredSnapshotRestores(t *testing.T) {
 	}
 	q, set, inputs := goldenMixedScenario(34)
 	tr := buildTree(t, q, set, Config{})
-	if err := tr.ReadState(bytes.NewReader(blob)); err != nil {
+	if err := readState(tr, bytes.NewReader(blob)); err != nil {
 		t.Fatalf("tiered snapshot rejected: %v", err)
 	}
 	stored := 0
@@ -302,4 +303,13 @@ func firstDiff(a, b []string) int {
 		i++
 	}
 	return i
+}
+
+// readState decodes a snapshot and installs it into t.
+func readState(t *Tree, r io.Reader) error {
+	s, err := t.DecodeState(r)
+	if err != nil {
+		return err
+	}
+	return t.InstallState(s)
 }

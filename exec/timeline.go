@@ -52,24 +52,6 @@ func (tl *Timeline) ObserveTotals(state, punctStore, results int) {
 	})
 }
 
-// ObserveOperator records from a single operator instead of a tree.
-func (tl *Timeline) ObserveOperator(m *MJoin, results int) {
-	tl.count++
-	every := tl.Every
-	if every <= 0 {
-		every = 1
-	}
-	if tl.count%every != 0 {
-		return
-	}
-	tl.Samples = append(tl.Samples, TimelineSample{
-		Element:    tl.count,
-		State:      m.Stats().TotalState(),
-		PunctStore: m.Stats().TotalPunctStore(),
-		Results:    results,
-	})
-}
-
 // WriteCSV emits the samples as CSV with a header row.
 func (tl *Timeline) WriteCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, "element,state,punct_store,results\n"); err != nil {

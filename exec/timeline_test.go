@@ -72,13 +72,17 @@ func TestTimelineSampling(t *testing.T) {
 	}
 }
 
-// TestSelfJoinViaAlias: the Rename aliasing mechanism lets the same
-// physical stream join with itself under two names (e.g. pairs of bids on
-// the same item by different bidders).
+// TestSelfJoinViaAlias: the same physical stream joins with itself under
+// two names, its schema copied under an alias (e.g. pairs of bids on the
+// same item by different bidders).
 func TestSelfJoinViaAlias(t *testing.T) {
 	_, bid := workload.AuctionSchemas()
 	left := bid
-	right, err := bid.Rename("bid2")
+	attrs := make([]stream.Attribute, bid.Arity())
+	for i := range attrs {
+		attrs[i] = bid.Attr(i)
+	}
+	right, err := stream.NewSchema("bid2", attrs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package faultinject is the chaos harness for the fault-isolated
 // runtime: it manufactures exactly-accounted contract violations — late
 // tuples behind their covering punctuation, malformed elements, corrupt
-// and truncated wire frames, flaky transports — so tests can assert that
+// and truncated wire frames, network chaos — so tests can assert that
 // an error policy loses precisely the injected offenders and nothing
 // else. Every injector is driven by a seeded RNG and returns a Report of
 // what it actually injected.
@@ -9,9 +9,6 @@ package faultinject
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 
@@ -284,42 +281,4 @@ func CorruptCopies(blob []byte, count int, seed int64) [][]byte {
 		}
 	}
 	return out
-}
-
-// ErrTransient is the fault a FlakyReader raises when its connection
-// "drops" — the kind of failure a reconnecting reader should absorb.
-var ErrTransient = errors.New("faultinject: transient transport failure")
-
-// FlakyReader serves a byte window of at most failAfter bytes and then
-// fails every subsequent Read with ErrTransient, modelling a transport
-// whose connection drops and must be reopened (at an offset) to resume.
-type FlakyReader struct {
-	data      []byte
-	failAfter int
-	served    int
-}
-
-// NewFlakyReader builds a connection over data that drops after
-// failAfter bytes (<= 0 never drops).
-func NewFlakyReader(data []byte, failAfter int) *FlakyReader {
-	return &FlakyReader{data: data, failAfter: failAfter}
-}
-
-func (f *FlakyReader) Read(p []byte) (int, error) {
-	if f.served >= len(f.data) {
-		return 0, io.EOF
-	}
-	if f.failAfter > 0 && f.served >= f.failAfter {
-		return 0, fmt.Errorf("%w (after %d bytes)", ErrTransient, f.served)
-	}
-	n := len(f.data) - f.served
-	if len(p) < n {
-		n = len(p)
-	}
-	if f.failAfter > 0 && f.failAfter-f.served < n {
-		n = f.failAfter - f.served
-	}
-	copy(p, f.data[f.served:f.served+n])
-	f.served += n
-	return n, nil
 }

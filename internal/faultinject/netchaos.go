@@ -55,8 +55,8 @@ type ChaosConn struct {
 }
 
 // NewChaosConn wraps c. Each conn draws its own fault schedule from
-// cfg.Seed; wrap distinct conns with distinct seeds (ChaosListener and
-// ChaosDialer do this automatically).
+// cfg.Seed; wrap distinct conns with distinct seeds (ChaosDialer does
+// this automatically).
 func NewChaosConn(c net.Conn, cfg ChaosConfig) *ChaosConn {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	budget := -1
@@ -132,60 +132,15 @@ func (c *ChaosConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// ChaosListener wraps a net.Listener so every accepted conn is a
-// ChaosConn with a per-conn seed derived from cfg.Seed, giving each
-// connection an independent but reproducible fault schedule.
-type ChaosListener struct {
-	net.Listener
-
-	mu   sync.Mutex
-	rng  *rand.Rand
-	cfg  ChaosConfig
-	skip int
-}
-
-// NewChaosListener wraps l with cfg. SkipFirst exempts the first n
-// accepted conns from chaos (handy to let a test's setup connection
-// through untouched).
-func NewChaosListener(l net.Listener, cfg ChaosConfig) *ChaosListener {
-	return &ChaosListener{Listener: l, rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
-}
-
-// SkipFirst exempts the next n accepted connections from fault
-// injection. It returns the listener for chaining.
-func (l *ChaosListener) SkipFirst(n int) *ChaosListener {
-	l.mu.Lock()
-	l.skip = n
-	l.mu.Unlock()
-	return l
-}
-
-func (l *ChaosListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	if l.skip > 0 {
-		l.skip--
-		l.mu.Unlock()
-		return c, nil
-	}
-	cfg := l.cfg
-	cfg.Seed = l.rng.Int63()
-	l.mu.Unlock()
-	return NewChaosConn(c, cfg), nil
-}
-
-// ErrSevered is returned by a NetGate-wrapped conn after Sever: the
+// ErrSevered is returned by a NetGate-wrapped conn after Close: the
 // link is cut for good and the underlying conn closed.
 var ErrSevered = errors.New("faultinject: link severed")
 
 // NetGate wraps a net.Conn with a controllable partition. Hold stalls
 // every subsequent Read and Write (traffic parks at the gate; bytes are
 // neither lost nor reordered — an I/O already inside the kernel
-// completes); Release lets parked and future I/O proceed; Sever closes
-// the conn and fails all I/O with ErrSevered. It models the two network
+// completes); Release lets parked and future I/O proceed; Close fails
+// parked and future I/O with ErrSevered. It models the two network
 // faults ChaosConn cannot: a clean pause (standby lag, GC stall, slow
 // link) and a hard partition, both under test control rather than a
 // seeded schedule.
@@ -205,7 +160,7 @@ func NewNetGate(c net.Conn) *NetGate {
 	return g
 }
 
-// Hold stalls all subsequent reads and writes until Release or Sever.
+// Hold stalls all subsequent reads and writes until Release or Close.
 func (g *NetGate) Hold() {
 	g.mu.Lock()
 	g.held = true
@@ -218,16 +173,6 @@ func (g *NetGate) Release() {
 	g.held = false
 	g.mu.Unlock()
 	g.cond.Broadcast()
-}
-
-// Sever cuts the link permanently: parked and future I/O fail with
-// ErrSevered and the underlying conn is closed.
-func (g *NetGate) Sever() {
-	g.mu.Lock()
-	g.severed = true
-	g.mu.Unlock()
-	g.cond.Broadcast()
-	g.Conn.Close()
 }
 
 // pass parks while the gate is held and reports whether the link has

@@ -1,14 +1,11 @@
 // Package graph provides the directed-graph algorithms that underpin the
 // punctuation-graph machinery of the safety checker: adjacency storage,
-// breadth-first reachability, Tarjan's strongly connected components, and
-// condensation. Vertices are dense integer indices (0..n-1), which matches
+// breadth-first reachability and Tarjan's strongly connected components.
+// Vertices are dense integer indices (0..n-1), which matches
 // how streams are numbered inside a continuous join query.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Digraph is a directed graph over vertices 0..N-1 with adjacency lists.
 // Parallel edges are collapsed; self-loops are allowed but ignored by the
@@ -62,26 +59,6 @@ func (g *Digraph) HasEdge(u, v int) bool {
 func (g *Digraph) Succ(u int) []int {
 	g.check(u)
 	return g.adj[u]
-}
-
-// EdgeCount returns the number of distinct directed edges.
-func (g *Digraph) EdgeCount() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Digraph) Clone() *Digraph {
-	c := NewDigraph(g.n)
-	for u, succ := range g.adj {
-		for _, v := range succ {
-			c.AddEdge(u, v)
-		}
-	}
-	return c
 }
 
 // Reverse returns a new graph with every edge direction flipped.
@@ -229,43 +206,4 @@ func (g *Digraph) SCC() (comp []int, count int) {
 		}
 	}
 	return comp, count
-}
-
-// Condense builds the condensation of the graph: one vertex per strongly
-// connected component, with an edge between components whenever any member
-// edge crosses them. It returns the condensed graph, the vertex->component
-// mapping, and the members of each component (sorted ascending).
-func (g *Digraph) Condense() (cond *Digraph, comp []int, members [][]int) {
-	comp, count := g.SCC()
-	cond = NewDigraph(count)
-	members = make([][]int, count)
-	for v, c := range comp {
-		members[c] = append(members[c], v)
-	}
-	for _, m := range members {
-		sort.Ints(m)
-	}
-	for u, succ := range g.adj {
-		for _, v := range succ {
-			if comp[u] != comp[v] {
-				cond.AddEdge(comp[u], comp[v])
-			}
-		}
-	}
-	return cond, comp, members
-}
-
-// Undirected reports whether the graph, viewed with edge directions
-// erased, is connected. The empty graph is connected.
-func (g *Digraph) UndirectedConnected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	und := g.Clone()
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			und.AddEdge(v, u)
-		}
-	}
-	return und.ReachesAll(0)
 }

@@ -272,14 +272,6 @@ func CheckPlan(q *query.CJQ, schemes *stream.SchemeSet, root *Node) (bool, []Ope
 // enumerator refuses queries beyond 20 streams).
 type subsetKey uint32
 
-func keyOfStreams(streams []int) subsetKey {
-	var k subsetKey
-	for _, s := range streams {
-		k |= 1 << uint(s)
-	}
-	return k
-}
-
 func (k subsetKey) streams() []int {
 	var out []int
 	for i := 0; k != 0; i++ {

@@ -31,18 +31,10 @@ func edgeKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// N returns the number of vertices (streams).
-func (jg *JoinGraph) N() int { return jg.n }
-
 // HasEdge reports whether streams a and b share a join predicate.
 func (jg *JoinGraph) HasEdge(a, b int) bool {
 	_, ok := jg.edges[edgeKey(a, b)]
 	return ok
-}
-
-// EdgePredicates returns the predicates between a and b (nil if none).
-func (jg *JoinGraph) EdgePredicates(a, b int) []Predicate {
-	return jg.edges[edgeKey(a, b)]
 }
 
 // Neighbors returns the vertices adjacent to v, ascending.
@@ -58,9 +50,6 @@ func (jg *JoinGraph) Neighbors(v int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// EdgeCount returns the number of distinct stream pairs joined.
-func (jg *JoinGraph) EdgeCount() int { return len(jg.edges) }
 
 // Connected reports whether the join graph is connected. A query whose
 // join graph is disconnected contains a cross product.
@@ -84,33 +73,6 @@ func (jg *JoinGraph) Connected() bool {
 		}
 	}
 	return count == jg.n
-}
-
-// Acyclic reports whether the join graph is a tree/forest (|E| = |V| - #components
-// with no cycles). Cyclic join graphs admit multiple purge paths (§3.2.1).
-func (jg *JoinGraph) Acyclic() bool {
-	// Union-find over edges: a cycle appears when an edge joins two
-	// vertices already in the same set.
-	parent := make([]int, jg.n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for k := range jg.edges {
-		a, b := find(k[0]), find(k[1])
-		if a == b {
-			return false
-		}
-		parent[a] = b
-	}
-	return true
 }
 
 // String renders vertices and edges.

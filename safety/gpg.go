@@ -91,9 +91,6 @@ func BuildGPG(q *query.CJQ, schemes *stream.SchemeSet) *GPG {
 	return g
 }
 
-// Query returns the analysed query.
-func (g *GPG) Query() *query.CJQ { return g.q }
-
 // PG returns the plain punctuation graph the GPG extends.
 func (g *GPG) PG() *PG { return g.pg }
 

@@ -55,9 +55,6 @@ func (pg *PG) addIfPunctuatable(schemes *stream.SchemeSet, from, to, toAttr int,
 	}
 }
 
-// Graph exposes the underlying digraph (owned by the PG; do not modify).
-func (pg *PG) Graph() *graph.Digraph { return pg.g }
-
 // Edges returns the labeled edge list (owned by the PG).
 func (pg *PG) Edges() []PGEdge { return pg.edges }
 

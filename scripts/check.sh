@@ -67,7 +67,8 @@ stage_allocfloors() {
   # (heartbeat) purge round at zero; a batch through a warmed tree
   # allocates only its result tuples, 16 bytes per column (a value is two
   # words, which the layout test pins), and a tree that lends its results
-  # allocates not even those.
+  # allocates not even those, also under lazy purging, whose rounds reuse
+  # one pending list.
   # An emitted punctuation shares the stored one's constants and costs
   # nothing; a decoded one costs one allocation, 16 bytes per constant.
   # Store entries and index buckets come from what purges freed, and those
@@ -82,7 +83,7 @@ stage_allocfloors() {
   # table shares a string it holds, 0 allocations, and allocates one it
   # does not hold or one over its length cap.
   go test -run 'TestValueLayout|TestPunctuationAppendTo|TestDecodePunctAllocs|TestStringTable' -count 1 ./stream/
-  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestPushBatchAllocFloor|TestResultBytesFloor|TestRecycledStateHoldsNothing|TestAlignmentGateAllocs' -count 1 ./exec/...
+  go test -run 'TestSteadyStateProbeAllocs|TestProbeAfterCompactionAllocs|TestChainedPurgeAllocs|TestPunctStorePurgeAllocs|TestOrderedPurgeRoundAllocs|TestPushBatchAllocFloor|TestLazyPurgeAllocFloor|TestResultBytesFloor|TestRecycledStateHoldsNothing|TestAlignmentGateAllocs' -count 1 ./exec/...
   go test -run 'TestWireReaderReadAllocs|TestIngestWireAllocFloor' -count 1 ./engine/...
   # Producer-side floor: Send, SendAt and SendBatch of any length copy the
   # run straight into each subscribed shard's mailbox, 0 allocations once
@@ -111,6 +112,14 @@ stage_allocfloors() {
 # its line there and says why in CHANGES.md.
 stage_linebudget() { go run ./scripts/linebudget; }
 
+# Callers gate: every exported identifier, method and field of the module
+# needs a non-test caller, and every exported field that non-test code
+# reads needs a non-test setter, or a line with a reason in
+# scripts/apicallers.txt. Code under cmd/, examples/, experiments/ and the
+# bench module counts as a caller; _test.go files do not. A listed line
+# that matches no finding fails too.
+stage_apicallers() { go run ./scripts/apicallers; }
+
 # The benchmark module (its own go.mod) and its end-to-end correctness
 # run: all four workloads, oracle-checked, a few seconds.
 stage_benchsmoke() {
@@ -119,7 +128,7 @@ stage_benchsmoke() {
 }
 
 [ $# -gt 0 ] || set -- fmtcheck vet build test race racestress soakfailover \
-  fuzzseed ckptsmoke allocfloors benchsmoke linebudget
+  fuzzseed ckptsmoke allocfloors benchsmoke linebudget apicallers
 for stage; do
   type "stage_$stage" > /dev/null 2>&1 || { echo "check.sh: unknown stage '$stage'" >&2; exit 2; }
   (set -x; "stage_$stage")

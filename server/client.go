@@ -19,8 +19,8 @@ import (
 )
 
 // Dialer connects producers and subscribers to a punctserve server,
-// with RetryReader-style capped jittered exponential backoff on every
-// (re)connection attempt. The zero value needs only Addr.
+// with capped jittered exponential backoff on every (re)connection
+// attempt. The zero value needs only Addr.
 //
 // For a replicated deployment list every candidate in Addrs: clients
 // rotate through them on connection failure, follow PSER1 redirects to
@@ -673,9 +673,6 @@ func (s *Subscriber) reconnect() error {
 
 // Schema returns the query's output schema (known after Subscribe).
 func (s *Subscriber) Schema() *stream.Schema { return s.schema }
-
-// Last returns the sequence number of the last delivery Next returned.
-func (s *Subscriber) Last() uint64 { return s.last }
 
 // Epoch returns the highest fencing epoch this subscriber has seen.
 func (s *Subscriber) Epoch() uint64 { return s.sess.epoch }

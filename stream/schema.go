@@ -68,22 +68,12 @@ func (s *Schema) Arity() int { return len(s.attrs) }
 // Attr returns the i-th attribute.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
 
-// Attrs returns a copy of the attribute list.
-func (s *Schema) Attrs() []Attribute { return append([]Attribute(nil), s.attrs...) }
-
 // Index returns the position of the named attribute, or -1 if absent.
 func (s *Schema) Index(name string) int {
 	if i, ok := s.index[name]; ok {
 		return i
 	}
 	return -1
-}
-
-// Rename returns a copy of the schema under a new stream name — the
-// aliasing mechanism for self-joins, where the same physical stream feeds
-// a query twice under two names.
-func (s *Schema) Rename(name string) (*Schema, error) {
-	return NewSchema(name, s.attrs...)
 }
 
 // String renders the schema as Name(attr:kind, ...).

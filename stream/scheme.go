@@ -125,10 +125,6 @@ func (s Scheme) instances() *shape {
 	return sh
 }
 
-// IsSimple reports whether the scheme has exactly one punctuatable
-// attribute (the Section 4.1 case).
-func (s Scheme) IsSimple() bool { return len(s.PunctuatableIndexes()) == 1 }
-
 // OrderedIndex returns the position of the ordered attribute, or -1 for a
 // pure-equality scheme.
 func (s Scheme) OrderedIndex() int {
@@ -264,23 +260,6 @@ func (ss *SchemeSet) Add(s Scheme) bool {
 	return true
 }
 
-// Remove deletes an exactly matching scheme; it reports whether one was
-// removed.
-func (ss *SchemeSet) Remove(s Scheme) bool {
-	list := ss.byStream[s.Stream]
-	for i, have := range list {
-		if have.Equal(s) {
-			ss.byStream[s.Stream] = append(list[:i], list[i+1:]...)
-			if len(ss.byStream[s.Stream]) == 0 {
-				delete(ss.byStream, s.Stream)
-			}
-			ss.count--
-			return true
-		}
-	}
-	return false
-}
-
 // ForStream returns the schemes registered for the named stream.
 func (ss *SchemeSet) ForStream(name string) []Scheme {
 	return ss.byStream[name]
@@ -307,19 +286,6 @@ func (ss *SchemeSet) All() []Scheme {
 // Clone returns a deep copy of the set.
 func (ss *SchemeSet) Clone() *SchemeSet {
 	return NewSchemeSet(ss.All()...)
-}
-
-// HasPunctuatable reports whether some scheme on the named stream marks
-// the given attribute position punctuatable (used for building the simple
-// punctuation graph, where only single-attribute schemes create plain
-// edges; multi-attribute schemes are handled by the generalized graph).
-func (ss *SchemeSet) HasPunctuatable(streamName string, attr int) bool {
-	for _, s := range ss.byStream[streamName] {
-		if attr < len(s.Punctuatable) && s.Punctuatable[attr] {
-			return true
-		}
-	}
-	return false
 }
 
 // String lists the schemes.

@@ -8,7 +8,6 @@ package stream
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"strconv"
 	"unsafe"
@@ -224,20 +223,6 @@ func (v Value) appendTo(dst []byte) []byte {
 		return strconv.AppendQuote(dst, v.str())
 	default:
 		return append(dst, "<invalid>"...)
-	}
-}
-
-// Zero returns the zero value of a kind (0, 0.0, "").
-func Zero(k Kind) Value {
-	switch k {
-	case KindInt:
-		return Int(0)
-	case KindFloat:
-		return Float(0)
-	case KindString:
-		return Str("")
-	default:
-		panic(fmt.Sprintf("stream: Zero of invalid kind %d", k))
 	}
 }
 
